@@ -4,7 +4,7 @@ optimization via fractional programming, plus the simulation harness."""
 from .baselines import SCENARIO_KINDS, Scenario, fractional_powers, run_scenario
 from .fp_solver import (AuxState, InfeasibleProblemError, SolveResult,
                         SolverOptions, alternate, block_objective,
-                        curvature_probe, dual_transform_objective, lambda_star,
+                        dual_transform_objective, lambda_star,
                         round_association, solve_association, solve_power,
                         update_gamma, update_u)
 from .harness import (DESK_ALPHA, ExperimentConfig, ExperimentResult,
@@ -14,11 +14,11 @@ from .harness import (DESK_ALPHA, ExperimentConfig, ExperimentResult,
 from .oracle import (ChannelSample, EmpiricalTerms, draw_channel_sample,
                      empirical_sinr_terms, sample_estimates)
 from .pilots import PilotAssignment, assign_pilots, estimation_quality, pilot_gram
-from .se_model import (DegenerateAssociationError, SinrBreakdown, SystemParams,
-                       fronthaul_load, penalized_objective, qos_satisfied, se,
-                       se_all, sinr, sinr_all, sinr_terms)
+from .se_model import (DegenerateAssociationError, SystemParams, fronthaul_load,
+                       penalized_objective, qos_satisfied, se_all, sinr_all,
+                       sinr_terms)
 from .topology import (NetworkConfig, PathLossModel, ShadowingModel,
                        compute_lsfc, generate_topology, hata_cost_fixed_loss_db,
-                       path_loss_db, wrap_distance, wrap_distance_matrix)
+                       path_loss_db, wrap_distance_matrix)
 
 __version__ = "0.1.0"

@@ -6,21 +6,23 @@ closed-form multiplier lambda_t = w'/(1 + Gamma_t), w' = w/ln 2), and a quadrati
 transform with auxiliaries u_t replaces the remaining signal/interference ratio.
 With (Gamma, u) held at their closed-form optima the lifted objective equals the
 original one; for fixed (Gamma, u) it is concave in the power factors and in each
-association column, so the two block maximizations never decrease it.
+association column, so the two block maximizations never decrease it. One
+per-column SINR model serves the association block, its QoS set and the repair.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .opt import (dykstra, make_superlevel_projection, pga_maximize,
-                  project_box, project_box_polyhedron, project_halfspace_ge)
-from .se_model import (SystemParams, qos_satisfied, qos_vector, sinr_all,
-                       sinr_terms)
+                  project_box_polyhedron, project_halfspace_ge)
+from .se_model import (SystemParams, interference_state, qos_satisfied,
+                       qos_vector, se_all, sinr_all, sinr_terms)
 
 _LN2 = math.log(2.0)
 _ETA_FLOOR = 1e-30
@@ -34,7 +36,6 @@ class InfeasibleProblemError(RuntimeError):
 class AuxState:
     gamma_aux: np.ndarray   # per-UE auxiliary SINR values
     u: np.ndarray           # quadratic-transform auxiliaries
-    lam: np.ndarray         # dual multipliers w'/(1 + Gamma), kept for diagnostics
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if min(self.max_outer_iters, self.max_inner_iters, self.inner_tolerance) <= 0:
+            raise ValueError("max_outer_iters, max_inner_iters and inner_tolerance must be positive")
         if not 0 < self.rounding_threshold < 1:
             raise ValueError("rounding_threshold must lie in (0, 1)")
         if self.qos_infeasible_policy not in ("error", "report_and_continue"):
@@ -80,18 +83,30 @@ def lambda_star(gamma_aux, params: SystemParams) -> np.ndarray:
     return _wprime(params) / (1.0 + np.asarray(gamma_aux, dtype=float))
 
 
+def _u_star(gamma_aux, signal, pc, bu, noise, params: SystemParams) -> np.ndarray:
+    return np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal) / (signal + pc + bu + noise)
+
+
 def update_u(gamma_aux, eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
     """Closed-form quadratic-transform auxiliaries sqrt(w'(1+Gamma) S) / (S + I)."""
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
-    total = signal + pc + bu + noise
-    return np.sqrt(_wprime(params) * (1.0 + np.asarray(gamma_aux, dtype=float)) * signal) / total
+    return _u_star(np.asarray(gamma_aux, dtype=float),
+                   *sinr_terms(eta, d, gamma, beta, gram, params), params)
 
 
 def refresh_aux(eta, d, gamma, beta, gram, params: SystemParams) -> AuxState:
-    g = update_gamma(eta, d, gamma, beta, gram, params)
-    return AuxState(gamma_aux=g,
-                    u=update_u(g, eta, d, gamma, beta, gram, params),
-                    lam=lambda_star(g, params))
+    """update_gamma and update_u from one evaluation of the SINR terms."""
+    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
+    g = signal / (pc + bu + noise)
+    return AuxState(gamma_aux=g, u=_u_star(g, signal, pc, bu, noise, params))
+
+
+def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
+    """Per-UE w log2(1 + Gamma) - w' Gamma, the part of both surrogates free of (eta, D)."""
+    return params.prelog * np.log2(1.0 + gamma_aux) - _wprime(params) * gamma_aux
+
+
+def _penalty(d, params: SystemParams):
+    return params.alpha * np.abs(np.asarray(d, dtype=float)).sum()
 
 
 def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams) -> float:
@@ -99,32 +114,21 @@ def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParam
     tight at gamma_aux = SINR(eta, d) and u at its closed-form optimum."""
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     u = np.asarray(u, dtype=float)
-    wp = _wprime(params)
     signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
     total = signal + pc + bu + noise
-    val = (params.prelog * np.log2(1.0 + gamma_aux) - wp * gamma_aux
-           - u ** 2 * total + 2.0 * u * np.sqrt(wp * (1.0 + gamma_aux) * signal))
-    return float(val.sum() - params.alpha * np.abs(np.asarray(d, dtype=float)).sum())
+    val = (_dual_const(gamma_aux, params) - u ** 2 * total
+           + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
+    return float(val.sum() - _penalty(d, params))
 
 
 def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: SystemParams) -> float:
     """Dual-transform surrogate with the ratio term kept explicit; an upper bound of
     block_objective over u and equal to the relaxed objective at gamma_aux = SINR."""
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    wp = _wprime(params)
     signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
     total = signal + pc + bu + noise
-    val = (params.prelog * np.log2(1.0 + gamma_aux) - wp * gamma_aux
-           + wp * (1.0 + gamma_aux) * signal / total)
-    return float(val.sum() - params.alpha * np.abs(np.asarray(d, dtype=float)).sum())
-
-
-def _field_products(d, gamma, beta):
-    w_mat = np.asarray(d, dtype=float) * gamma
-    sg = w_mat.sum(axis=0)
-    coh = (w_mat / beta).T @ beta
-    ncoh = w_mat.T @ beta
-    return sg, coh, ncoh
+    val = _dual_const(gamma_aux, params) + _wprime(params) * (1.0 + gamma_aux) * signal / total
+    return float(val.sum() - _penalty(d, params))
 
 
 def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams):
@@ -134,47 +138,36 @@ def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams
     wp = _wprime(params)
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    sg, coh, ncoh = _field_products(d, gamma, beta)
-    g_off = np.asarray(gram, dtype=float) - np.diag(np.diag(gram))
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
     c_sig = a * a * pu * sg ** 2                      # S_t = c_sig[t] * eta_t
     a_mat = a * a * pu * g_off * coh ** 2 + a * pu * ncoh  # dI_t/deta_s
     n_vec = a * sg                                    # eta-independent part of I_t
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
-    const = float(np.sum(params.prelog * np.log2(1.0 + gamma_aux) - wp * gamma_aux)
-                  - u2 @ n_vec - params.alpha * np.abs(np.asarray(d, dtype=float)).sum())
+    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - _penalty(d, params))
     return lin, b_vec, const, c_sig, a_mat, n_vec
+
+
+def _power_grad(lin, b_vec, eta) -> np.ndarray:
+    """Gradient of const - lin.eta + b.sqrt(eta), the one solve_power ascends."""
+    return -lin + b_vec / (2.0 * np.sqrt(np.maximum(eta, _ETA_FLOOR)))
 
 
 def block_objective_eta_grad(eta, d, gamma_aux, u, gamma, beta, gram,
                              params: SystemParams) -> np.ndarray:
     """Analytic gradient of block_objective with respect to the power factors."""
     lin, b_vec, _, _, _, _ = _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params)
-    eta = np.asarray(eta, dtype=float)
-    return -lin + b_vec / (2.0 * np.sqrt(np.maximum(eta, _ETA_FLOOR)))
+    return _power_grad(lin, b_vec, np.asarray(eta, dtype=float))
 
 
 def block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram,
                            params: SystemParams) -> np.ndarray:
-    """Analytic gradient of block_objective with respect to the association entries."""
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
-    wp = _wprime(params)
-    eta = np.asarray(eta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    gamma_aux = np.asarray(gamma_aux, dtype=float)
+    """Analytic gradient of block_objective with respect to the association entries:
+    column t is the gradient the association block ascends for UE t."""
     d = np.asarray(d, dtype=float)
-    sg, coh, _ = _field_products(d, gamma, beta)
-    g_off = np.asarray(gram, dtype=float) - np.diag(np.diag(gram))
-    k_mat = g_off * coh * eta[None, :]          # k_mat[t, t'] = eta_t' G_tt' coh_tt'
-    sig_part = 2.0 * a * a * pu * (eta * sg)[None, :] * gamma
-    pc_part = 2.0 * a * a * pu * (gamma / beta) * (beta @ k_mat.T)
-    bu_part = a * pu * gamma * (beta @ eta)[:, None]
-    noise_part = a * gamma
-    d_total = sig_part + pc_part + bu_part + noise_part
-    sqrt_part = 2.0 * a * (u * np.sqrt(pu * eta * wp * (1.0 + gamma_aux)))[None, :] * gamma
-    return -params.alpha - (u ** 2)[None, :] * d_total + sqrt_part
+    return np.stack([_column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)[1](d[:, t])
+                     for t in range(d.shape[1])], axis=1)
 
 
 def _qos_thresholds(params: SystemParams, num_ues: int) -> np.ndarray:
@@ -253,9 +246,6 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
     def fun(x):
         return const - float(lin @ x) + float(b_vec @ np.sqrt(np.maximum(x, 0.0)))
 
-    def grad(x):
-        return -lin + b_vec / (2.0 * np.sqrt(np.maximum(x, _ETA_FLOOR)))
-
     def project(x):
         return project_box_polyhedron(x, normals, offsets, norms_sq)
 
@@ -279,7 +269,7 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
     for cand in candidates:
         if fun(cand) > fun(start):
             start = cand
-    x, fx = pga_maximize(fun, grad, project, start,
+    x, fx = pga_maximize(fun, partial(_power_grad, lin, b_vec), project, start,
                          max_iters=options.max_inner_iters, tol=options.inner_tolerance)
     if feasible(eta0) and fun(eta0) > fx:
         x = eta0
@@ -293,19 +283,37 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
     return np.clip(x, 0.0, 1.0)
 
 
-def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                        options: SolverOptions, x0, gth_t):
-    """Maximize the block objective over one association column (concave quadratic)."""
+def _column_model(t, eta, gamma, beta, gram, params: SystemParams):
+    """(g, W, omega, bfu): UE t's SINR at its own column x is a^2 pu eta_t (g.x)^2 /
+    (omega.(W^T x)^2 + a (bfu + g).x); W has a column per co-pilot UE with eta > 0."""
+    a = params.antennas_per_ap
+    pu = params.uplink_snr
+    eta = np.asarray(eta, dtype=float)
+    gram_t = np.asarray(gram[t], dtype=float)
+    gt = gamma[:, t]
+    others = np.flatnonzero((np.arange(gamma.shape[1]) != t) & (gram_t > 0) & (eta > 0))
+    w_fac = gt[:, None] * beta[:, others] / beta[:, [t]]
+    omega = a * a * pu * eta[others] * gram_t[others]
+    bfu = gt * (pu * (beta @ eta))
+    return gt, w_fac, omega, bfu
+
+
+def _column_terms(x, model, eta_t: float, params: SystemParams):
+    """Signal and interference-plus-noise of the column model at column x."""
+    gt, w_fac, omega, bfu = model
+    a = params.antennas_per_ap
+    signal = a * a * params.uplink_snr * eta_t * float(gt @ x) ** 2
+    v = w_fac.T @ x
+    return signal, float(omega @ (v * v)) + a * float((bfu + gt) @ x)
+
+
+def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams):
+    """(fun, grad, _column_model) of UE t's block-objective term, concave in its column."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     wp = _wprime(params)
-    eta = np.asarray(eta, dtype=float)
-    gt = gamma[:, t]
-    others = np.flatnonzero((np.arange(gamma.shape[1]) != t)
-                            & (np.asarray(gram[t], dtype=float) > 0) & (eta > 0))
-    w_fac = gt[:, None] * beta[:, others] / beta[:, [t]]     # (M, k) copilot vectors
-    omega = a * a * pu * eta[others] * np.asarray(gram[t], dtype=float)[others]
-    bfu = gt * (pu * (beta @ eta))                           # beamforming-uncertainty slope
+    model = _column_model(t, eta, gamma, beta, gram, params)
+    gt, w_fac, omega, bfu = model
     u_t = float(u[t])
     eta_t = float(eta[t])
     gaux_t = float(gamma_aux[t])
@@ -323,17 +331,26 @@ def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemP
     def grad(x):
         return q - 2.0 * rho_sig * float(gt @ x) * gt - 2.0 * w_fac @ (rho * (w_fac.T @ x))
 
+    return fun, grad, model
+
+
+def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams,
+                        options: SolverOptions, x0, gth_t):
+    """Maximize the block objective over one association column (concave quadratic)."""
+    a = params.antennas_per_ap
+    pu = params.uplink_snr
+    fun, grad, model = _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)
+    gt, w_fac, omega, bfu = model
+    eta_t = float(eta[t])
     ones = np.ones_like(gt)
     num_aps = gt.shape[0]
-    projections = [lambda z: project_box(z),
+    projections = [lambda z: np.clip(z, 0.0, 1.0),
                    lambda z: project_halfspace_ge(z, ones, 1.0, norm_sq=num_aps)]
     psi_check = None
     start = x0
     if gth_t > 0 and eta_t > 0:
         # Quadratic-transform inner approximation of the QoS set, tight at x0.
-        s0 = a * a * pu * eta_t * float(gt @ x0) ** 2
-        v0 = w_fac.T @ x0
-        i0 = float(omega @ (v0 * v0)) + a * float((bfu + gt) @ x0)
+        s0, i0 = _column_terms(x0, model, eta_t, params)
         if s0 > 0 and i0 > 0:
             v_aux = math.sqrt(s0) / i0
             lin_psi = 2.0 * v_aux * a * math.sqrt(pu * eta_t) * gt - v_aux ** 2 * a * (bfu + gt)
@@ -426,21 +443,22 @@ def _repair_columns(eta, d_binary, d_relaxed, gamma, beta, gram, params: SystemP
     UE's own column (largest relaxed value first, ties by gamma then AP index).
     A UE's SINR depends only on its own column, so repairs do not interact."""
     qos = qos_vector(params, gamma.shape[1])
-    ses = params.prelog * np.log2(1.0 + sinr_all(eta, d_binary, gamma, beta, gram, params))
+    ses = se_all(eta, d_binary, gamma, beta, gram, params)
     out = d_binary.copy()
     num_aps = gamma.shape[0]
     for t in np.flatnonzero(ses + 1e-9 < qos):
         order = np.lexsort((np.arange(num_aps), -gamma[:, t], -d_relaxed[:, t]))
-        trial = out.copy()
-        best_col, best_se = out[:, t].copy(), ses[t]
+        model = _column_model(t, eta, gamma, beta, gram, params)
+        trial = out[:, t].copy()
+        best_col, best_se = trial.copy(), ses[t]
         for m in order:
-            if trial[m, t] == 1.0:
+            if trial[m] == 1.0:
                 continue
-            trial[m, t] = 1.0
-            se_t = params.prelog * math.log2(
-                1.0 + sinr_all(eta, trial, gamma, beta, gram, params)[t])
+            trial[m] = 1.0
+            signal, interference = _column_terms(trial, model, float(eta[t]), params)
+            se_t = params.prelog * math.log2(1.0 + signal / interference)
             if se_t > best_se:
-                best_col, best_se = trial[:, t].copy(), se_t
+                best_col, best_se = trial.copy(), se_t
             if se_t + 1e-9 >= qos[t]:
                 break
         out[:, t] = best_col
@@ -533,31 +551,3 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     return SolveResult(eta_star=eta_final, d_relaxed=d, d_binary=d_binary,
                        objective_trace=np.asarray(trace), iterations=iterations,
                        feasibility=feasibility, wall_time=time.perf_counter() - t_start)
-
-
-def curvature_probe(eta, d, gamma, beta, gram, params: SystemParams, step: float = 0.02) -> float:
-    """Max absolute finite-difference second derivative of the smooth part of the
-    dual-transform objective with respect to each association entry."""
-    d = np.asarray(d, dtype=float)
-    gamma_aux = update_gamma(eta, d, gamma, beta, gram, params)
-    wp = _wprime(params)
-
-    def smooth(dd):
-        signal, pc, bu, noise = sinr_terms(eta, dd, gamma, beta, gram, params)
-        total = signal + pc + bu + noise
-        val = (params.prelog * np.log2(1.0 + gamma_aux) - wp * gamma_aux
-               + wp * (1.0 + gamma_aux) * signal / total)
-        return float(val.sum())
-
-    f0 = smooth(d)
-    worst = 0.0
-    num_aps, num_ues = d.shape
-    for m in range(num_aps):
-        for t in range(num_ues):
-            dd = d.copy()
-            dd[m, t] = d[m, t] + step
-            f_plus = smooth(dd)
-            dd[m, t] = d[m, t] - step
-            f_minus = smooth(dd)
-            worst = max(worst, abs((f_plus - 2.0 * f0 + f_minus) / step ** 2))
-    return worst

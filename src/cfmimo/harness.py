@@ -14,7 +14,7 @@ import numpy as np
 from .baselines import SCENARIO_KINDS, Scenario, run_scenario
 from .fp_solver import SolverOptions
 from .pilots import assign_pilots, estimation_quality, pilot_gram
-from .se_model import SystemParams, fronthaul_load, penalized_objective, se_all
+from .se_model import SystemParams, fronthaul_load, se_all
 from .topology import (NetworkConfig, PathLossModel, ShadowingModel,
                        compute_lsfc, generate_topology)
 
@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ValueError("alphas must be nonempty")
         if not self.scenarios:
             raise ValueError("scenarios must be nonempty")
+        if self.network.antennas_per_ap != self.params.antennas_per_ap:
+            raise ValueError("network.antennas_per_ap and params.antennas_per_ap must agree")
 
 
 @dataclass
@@ -112,8 +114,7 @@ def _run_drop(config: ExperimentConfig, drop: int) -> list:
             se_bin = se_all(res.eta_star, res.d_binary, gamma, beta, gram, params)
             sum_se = float(se_bin.sum())
             _, max_fh = fronthaul_load(res.d_binary, se_bin)
-            objective = penalized_objective(res.eta_star, res.d_binary,
-                                            gamma, beta, gram, params)
+            objective = sum_se - params.alpha * float(res.d_binary.sum())
             relaxed_sum = float(se_all(res.eta_star, res.d_relaxed,
                                        gamma, beta, gram, params).sum())
             gap = abs(relaxed_sum - sum_se) / relaxed_sum if relaxed_sum > 0 else 0.0

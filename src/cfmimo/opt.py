@@ -7,10 +7,6 @@ import numpy as np
 _EPS = 1e-12
 
 
-def project_box(x, lo=0.0, hi=1.0):
-    return np.clip(x, lo, hi)
-
-
 def project_halfspace_ge(x, normal, offset, norm_sq=None):
     """Euclidean projection onto {z : normal . z >= offset}."""
     gap = offset - float(normal @ x)

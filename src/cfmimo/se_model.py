@@ -38,14 +38,6 @@ class SystemParams:
             raise ValueError("prelog must be positive")
 
 
-@dataclass(frozen=True)
-class SinrBreakdown:
-    signal: float
-    pilot_contamination: float
-    beamforming_uncertainty: float
-    noise: float
-
-
 def qos_vector(params: SystemParams, num_ues: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(params.qos, dtype=float), (num_ues,)).copy()
 
@@ -57,6 +49,18 @@ def _check_columns(d: np.ndarray):
         raise DegenerateAssociationError(f"all-zero association column(s) for UE(s) {bad}")
 
 
+def interference_state(d, gamma, beta, gram):
+    """Power-independent sums of the SINR terms: sg[t] = sum_m d_mt gamma_mt,
+    coh[t, t'] = sum_m d_mt gamma_mt beta_mt'/beta_mt, ncoh[t, t'] = sum_m
+    d_mt gamma_mt beta_mt' and the off-diagonal pilot gram g_off."""
+    w_mat = np.asarray(d, dtype=float) * np.asarray(gamma, dtype=float)   # (M, T)
+    sg = w_mat.sum(axis=0)
+    coh = (w_mat / beta).T @ beta
+    ncoh = w_mat.T @ beta
+    g_off = gram - np.diag(np.diag(gram))
+    return sg, coh, ncoh, g_off
+
+
 def sinr_terms(eta, d, gamma, beta, gram, params: SystemParams):
     """Vectorized numerator and interference terms for all UEs.
 
@@ -64,18 +68,10 @@ def sinr_terms(eta, d, gamma, beta, gram, params: SystemParams):
     each of shape (T,). Accepts relaxed (fractional) d in [0, 1].
     """
     eta = np.asarray(eta, dtype=float)
-    d = np.asarray(d, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gram = np.asarray(gram, dtype=float)
     _check_columns(d)
     a = params.antennas_per_ap
     pu = params.uplink_snr
-    w_mat = d * gamma                      # (M, T)
-    sg = w_mat.sum(axis=0)                 # sum_m d_mt gamma_mt
-    coh = (w_mat / beta).T @ beta          # coh[t, t'] = sum_m d_mt gamma_mt beta_mt'/beta_mt
-    ncoh = w_mat.T @ beta                  # ncoh[t, t'] = sum_m d_mt gamma_mt beta_mt'
-    g_off = gram - np.diag(np.diag(gram))
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
     signal = a * a * pu * eta * sg ** 2
     pilot_contamination = a * a * pu * ((g_off * coh ** 2) @ eta)
     beamforming_uncertainty = a * pu * (ncoh @ eta)
@@ -89,20 +85,9 @@ def sinr_all(eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
     return signal / (pc + bu + noise)
 
 
-def sinr(t: int, eta, d, gamma, beta, gram, params: SystemParams):
-    """SINR of UE t with its interference breakdown."""
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
-    value = signal[t] / (pc[t] + bu[t] + noise[t])
-    return value, SinrBreakdown(float(signal[t]), float(pc[t]), float(bu[t]), float(noise[t]))
-
-
 def se_all(eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
     """Per-UE spectral efficiency w*log2(1 + SINR), shape (T,)."""
     return params.prelog * np.log2(1.0 + sinr_all(eta, d, gamma, beta, gram, params))
-
-
-def se(t: int, eta, d, gamma, beta, gram, params: SystemParams) -> float:
-    return float(se_all(eta, d, gamma, beta, gram, params)[t])
 
 
 def penalized_objective(eta, d, gamma, beta, gram, params: SystemParams) -> float:

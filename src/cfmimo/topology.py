@@ -74,13 +74,6 @@ def generate_topology(config: NetworkConfig, rng: np.random.Generator):
     return ap_positions, ue_positions
 
 
-def wrap_distance(a, b, side: float) -> float:
-    """Minimum Euclidean distance between a and b over the 9 translated images of b."""
-    a = np.asarray(a, dtype=float)
-    images = np.asarray(b, dtype=float) + side * _IMAGE_SHIFTS
-    return float(np.min(np.linalg.norm(images - a, axis=-1)))
-
-
 def wrap_distance_matrix(points_a, points_b, side: float, wrap_around: bool = True) -> np.ndarray:
     """All pairwise distances, shape (len(points_a), len(points_b))."""
     pa = np.asarray(points_a, dtype=float)

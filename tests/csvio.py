@@ -1,7 +1,5 @@
 """CSV serialization helpers for cross-implementation comparison."""
 
-from __future__ import annotations
-
 import numpy as np
 
 

@@ -126,6 +126,17 @@ def test_load_config_merges_over_base(tmp_path):
     assert config.scenarios == (cf.Scenario(kind="joint"),)
 
 
+@pytest.mark.parametrize("override", [
+    {"network": {"num_aps": 8}, "params": {"antennas_per_ap": 1}},  # T=10 > M*A=8
+    {"solver": {"max_outer_iters": 0}}, {"solver": {"max_inner_iters": 0}},
+    {"solver": {"inner_tolerance": 0.0}}])
+def test_load_config_rejects_invalid_values(tmp_path, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override))
+    with pytest.raises(ValueError):
+        cf.load_config(path)
+
+
 def test_paper_config_shape():
     config = cf.paper_config()
     assert config.network.num_aps == 100

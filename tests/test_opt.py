@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo.opt import (dykstra, make_superlevel_projection, pga_maximize,
-                        project_box, project_halfspace_ge)
+                        project_halfspace_ge)
 
 
 def test_halfspace_projection():
@@ -16,7 +16,7 @@ def test_halfspace_projection():
 
 def test_dykstra_box_halfspace_hand_cases():
     normal = np.ones(2)
-    projs = [lambda z: project_box(z), lambda z: project_halfspace_ge(z, normal, 1.0)]
+    projs = [lambda z: np.clip(z, 0.0, 1.0), lambda z: project_halfspace_ge(z, normal, 1.0)]
     assert np.allclose(dykstra(np.array([0.0, 0.0]), projs), [0.5, 0.5], atol=1e-9)
     assert np.allclose(dykstra(np.array([0.2, 0.4]), projs), [0.4, 0.6], atol=1e-9)
     feasible = np.array([0.7, 0.8])
@@ -98,7 +98,7 @@ def test_pga_matches_box_quadratic_closed_form():
     def grad(x):
         return b - diag * x
 
-    x, fx = pga_maximize(fun, grad, lambda z: project_box(z), np.full(6, 0.5),
+    x, fx = pga_maximize(fun, grad, lambda z: np.clip(z, 0.0, 1.0), np.full(6, 0.5),
                          max_iters=500, tol=1e-10)
     expected = np.clip(b / diag, 0.0, 1.0)
     assert np.allclose(x, expected, atol=1e-7)
@@ -116,6 +116,6 @@ def test_pga_never_returns_worse_than_start():
         return -diag * x
 
     start = np.array([0.3, 0.1, 0.9, 0.5])
-    x, fx = pga_maximize(fun, grad, lambda z: project_box(z), start,
+    x, fx = pga_maximize(fun, grad, lambda z: np.clip(z, 0.0, 1.0), start,
                          max_iters=3, tol=1e-14)
     assert fx >= fun(start)

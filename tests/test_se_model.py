@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
+from cfmimo.fp_solver import _column_model, _column_terms
 from conftest import build_synthetic_channel
 
 
@@ -15,11 +16,12 @@ def test_single_link_closed_form():
     params = cf.SystemParams(antennas_per_ap=1, uplink_snr=3.0)
     eta = np.array([0.8])
     d = np.ones((1, 1))
-    value, br = cf.sinr(0, eta, d, gamma, beta, gram, params)
+    value = cf.sinr_all(eta, d, gamma, beta, gram, params)[0]
+    signal, pilot_contamination, _, _ = cf.sinr_terms(eta, d, gamma, beta, gram, params)
     p_eta = 3.0 * 0.8
     assert value == pytest.approx(p_eta * 0.36 / (p_eta * 0.6 * 1.0 + 0.6), rel=1e-12)
-    assert br.pilot_contamination == 0.0
-    assert br.signal == pytest.approx(p_eta * 0.36)
+    assert pilot_contamination[0] == 0.0
+    assert signal[0] == pytest.approx(p_eta * 0.36)
 
 
 def test_zero_power_gives_zero_sinr():
@@ -31,16 +33,22 @@ def test_zero_power_gives_zero_sinr():
 
 
 def test_breakdown_consistency():
+    """The per-column SINR model the solver uses agrees with sinr_all."""
     rng = np.random.default_rng(1)
     gamma, beta, gram, params, _ = build_synthetic_channel(rng, num_ues=6, num_pilots=3)
     eta = rng.uniform(0, 1, 6)
-    d = rng.uniform(0.1, 1, (8, 6))
-    vals = cf.sinr_all(eta, d, gamma, beta, gram, params)
-    for t in range(6):
-        v, br = cf.sinr(t, eta, d, gamma, beta, gram, params)
-        denom = br.pilot_contamination + br.beamforming_uncertainty + br.noise
-        assert v == pytest.approx(br.signal / denom, rel=1e-12)
-        assert v == pytest.approx(vals[t], rel=1e-12)
+    eta[1] = 0.0  # UEs 1 and 4 share a pilot: UE 4's co-pilot is silent
+    relaxed = rng.uniform(0.1, 1, (8, 6))
+    binary = (rng.uniform(size=(8, 6)) < 0.5).astype(float)
+    binary[0] = 1.0
+    for d in (relaxed, binary):
+        vals = cf.sinr_all(eta, d, gamma, beta, gram, params)
+        for t in range(6):
+            model = _column_model(t, eta, gamma, beta, gram, params)
+            signal, interference = _column_terms(d[:, t], model, eta[t], params)
+            assert signal / interference == pytest.approx(vals[t], rel=1e-12)
+    assert gram[4, 1] > 0
+    assert _column_model(4, eta, gamma, beta, gram, params)[1].shape[1] == 0
 
 
 def test_column_scaling_of_terms():
@@ -48,15 +56,13 @@ def test_column_scaling_of_terms():
     gamma, beta, gram, params, _ = build_synthetic_channel(rng, num_ues=4, num_pilots=2)
     eta = rng.uniform(0.2, 1, 4)
     d = rng.uniform(0.3, 1, (8, 4))
-    _, base = cf.sinr(1, eta, d, gamma, beta, gram, params)
+    base = [term[1] for term in cf.sinr_terms(eta, d, gamma, beta, gram, params)]
     c = 0.37
     scaled = d.copy()
     scaled[:, 1] *= c
-    _, got = cf.sinr(1, eta, scaled, gamma, beta, gram, params)
-    assert got.signal == pytest.approx(c ** 2 * base.signal, rel=1e-12)
-    assert got.pilot_contamination == pytest.approx(c ** 2 * base.pilot_contamination, rel=1e-12)
-    assert got.beamforming_uncertainty == pytest.approx(c * base.beamforming_uncertainty, rel=1e-12)
-    assert got.noise == pytest.approx(c * base.noise, rel=1e-12)
+    got = [term[1] for term in cf.sinr_terms(eta, scaled, gamma, beta, gram, params)]
+    for value, ref, power in zip(got, base, (2, 2, 1, 1)):
+        assert value == pytest.approx(c ** power * ref, rel=1e-12)
 
 
 def test_se_prelog_log2_values():
@@ -69,7 +75,7 @@ def test_se_prelog_log2_values():
     value = cf.sinr_all(np.ones(1), np.ones((1, 1)), gamma, beta, gram, params)[0]
     assert value == pytest.approx(3.0, rel=1e-12)
     assert params.prelog == pytest.approx(0.975)
-    assert cf.se(0, np.ones(1), np.ones((1, 1)), gamma, beta, gram, params) == \
+    assert cf.se_all(np.ones(1), np.ones((1, 1)), gamma, beta, gram, params)[0] == \
         pytest.approx(1.95, rel=1e-12)
     # SINR = 1 with unit prelog maps to exactly 1 bit/s/Hz
     params1 = cf.SystemParams(antennas_per_ap=4, uplink_snr=15.0, prelog=1.0)
