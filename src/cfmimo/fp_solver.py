@@ -6,8 +6,10 @@ closed-form multiplier lambda_t = w'/(1 + Gamma_t), w' = w/ln 2), and a quadrati
 transform with auxiliaries u_t replaces the remaining signal/interference ratio.
 With (Gamma, u) held at their closed-form optima the lifted objective equals the
 original one; for fixed (Gamma, u) it is concave in the power factors and in each
-association column, so the two block maximizations never decrease it. One
-per-column SINR model serves the association block, its QoS set and the repair.
+association column, so the two block maximizations never decrease it: the power
+block through its Lagrangian dual, the association columns by projected gradient
+ascent. One per-column SINR model serves the association block, its QoS set and
+the repair.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -149,16 +150,11 @@ def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams
     return lin, b_vec, const, c_sig, a_mat, n_vec
 
 
-def _power_grad(lin, b_vec, eta) -> np.ndarray:
-    """Gradient of const - lin.eta + b.sqrt(eta), the one solve_power ascends."""
-    return -lin + b_vec / (2.0 * np.sqrt(np.maximum(eta, _ETA_FLOOR)))
-
-
 def block_objective_eta_grad(eta, d, gamma_aux, u, gamma, beta, gram,
                              params: SystemParams) -> np.ndarray:
     """Analytic gradient of block_objective with respect to the power factors."""
     lin, b_vec, _, _, _, _ = _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params)
-    return _power_grad(lin, b_vec, np.asarray(eta, dtype=float))
+    return -lin + b_vec / (2.0 * np.sqrt(np.maximum(eta, _ETA_FLOOR)))
 
 
 def block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram,
@@ -175,13 +171,32 @@ def _qos_thresholds(params: SystemParams, num_ues: int) -> np.ndarray:
     return 2.0 ** (qos_vector(params, num_ues) / params.prelog) - 1.0
 
 
+def _qos_rows(c_sig, a_mat, n_vec, gth):
+    """(normals, offsets, least): the QoS targets c_t eta_t >= gth_t (a_mat eta + n_vec)_t
+    of the UEs with gth_t > 0 as unit rows normals @ eta >= offsets, so tolerances
+    are distances in eta-space, and the least powers meeting them with the other
+    UEs silent. The rows form a Z-matrix system (a_mat >= 0), so by Yates (1995) they
+    hold somewhere in [0,1]^T exactly when `least` lies in [0,1]; a negative entry
+    means the coupling has Perron root >= 1."""
+    rows = np.flatnonzero(gth > 0)
+    normals = -gth[rows, None] * a_mat[rows]
+    normals[np.arange(rows.size), rows] += c_sig[rows]
+    row_norm = np.linalg.norm(normals, axis=1)
+    normals, offsets = normals / row_norm[:, None], gth[rows] * n_vec[rows] / row_norm
+    least = np.zeros(c_sig.size)
+    if rows.size:
+        least[rows] = np.linalg.solve(normals[:, rows], offsets)
+    return normals, offsets, least
+
+
 def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
     """Approximate maximizer of -lin.eta + b.sqrt(eta) over the box intersected
     with {normals @ eta >= offsets} via the separable Lagrangian dual.
 
     For fixed multipliers mu the inner maximization splits per UE with a
     closed-form solution; the convex dual is minimized by projected gradient
-    steps with backtracking. Returns the (near-feasible) primal iterate.
+    steps with backtracking. Returns the (near-feasible) primal iterate; without
+    rows, the closed-form maximizer over the box.
     """
     mu = np.zeros(offsets.size)
 
@@ -189,97 +204,81 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
         lam = lin - normals.T @ m
         out = np.ones_like(lin)
         pos = lam > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[pos] = np.minimum(1.0, (b_vec[pos] / (2.0 * lam[pos])) ** 2)
+        # b >= 0, so clipping the root before squaring equals clipping the square.
+        out[pos] = np.minimum(1.0, b_vec[pos] / (2.0 * lam[pos])) ** 2
         return out
 
-    def phi(m):
-        e = eta_of(m)
-        return (-float(lin @ e) + float(b_vec @ np.sqrt(e))
-                + float(m @ (normals @ e - offsets)))
+    if not offsets.size:
+        return eta_of(mu)
 
-    val = phi(mu)
+    def state(m):
+        e = eta_of(m)
+        grad = normals @ e - offsets
+        return e, grad, -float(lin @ e) + float(b_vec @ np.sqrt(e)) + float(m @ grad)
+
+    e, grad, val = state(mu)
     step = 1.0
     for _ in range(max_iters):
-        e = eta_of(mu)
-        grad = normals @ e - offsets
+        # Stop on primal feasibility and a duality gap mu.grad near rounding.
         if (np.max(-np.minimum(grad, 0.0), initial=0.0) <= tol
-                and abs(float(mu @ grad)) <= 1e-9 * (1.0 + abs(val))):
+                and abs(float(mu @ grad)) <= 1e-12 * (1.0 + abs(val))):
             break
         accepted = False
         for _ in range(40):
             mu_new = np.maximum(mu - step * grad, 0.0)
-            val_new = phi(mu_new)
-            if val_new <= val:
+            e_new, grad_new, val_new = state(mu_new)
+            # The dual is convex, so a nonpositive slope at mu_new along the step
+            # proves descent where the two values agree to rounding.
+            if val_new <= val or float(grad_new @ (mu_new - mu)) <= 0.0:
                 accepted = True
                 break
             step *= 0.5
         if not accepted or not np.any(mu_new - mu):
             break
-        mu, val = mu_new, val_new
+        mu, e, grad, val = mu_new, e_new, grad_new, val_new
         step *= 1.5
-    return eta_of(mu)
+    return e
 
 
 def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
                 options: SolverOptions, eta_init=None) -> np.ndarray:
     """Maximize the block objective over eta in [0,1]^T subject to the QoS rows,
-    which are linear in eta. Concave: the sqrt terms are concave, the rest affine."""
-    d_fixed = np.asarray(d_fixed, dtype=float)
-    num_ues = d_fixed.shape[1]
+    which are linear in eta. Concave: the sqrt terms are concave, the rest affine.
+
+    Rows with no point in the box go to the QoS policy unsolved. Otherwise the
+    dual maximizer is used; if it breaks a row it moves toward eta_init (or, if
+    that breaks a row too, toward the least QoS powers) until every row holds.
+    The result is never worse than a feasible eta_init.
+    """
     lin, b_vec, const, c_sig, a_mat, n_vec = _power_coefficients(
         d_fixed, gamma_aux, u, gamma, beta, gram, params)
-    gth = _qos_thresholds(params, num_ues)
-    qos_rows = np.flatnonzero(gth > 0)
-    if qos_rows.size:
-        normals = -gth[qos_rows, None] * a_mat[qos_rows]
-        normals[np.arange(qos_rows.size), qos_rows] += c_sig[qos_rows]
-        offsets = gth[qos_rows] * n_vec[qos_rows]
-        # Unit-normalize the rows so tolerances are distances in eta-space.
-        row_norm = np.linalg.norm(normals, axis=1)
-        normals /= row_norm[:, None]
-        offsets /= row_norm
-        norms_sq = np.ones(qos_rows.size)
-    else:
-        normals = offsets = norms_sq = None
+    normals, offsets, least = _qos_rows(c_sig, a_mat, n_vec, _qos_thresholds(params, lin.size))
+    eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
+    tol = 1e-8
+    if np.any(least < 0) or np.any(least > 1 + tol):
+        if options.qos_infeasible_policy == "error":
+            raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least powers "
+                                         f"meeting them {least.tolist()} are not in [0, 1]")
+        return np.clip(eta0, 0.0, 1.0)
+    scale = np.maximum(1.0, np.abs(offsets))
 
     def fun(x):
         return const - float(lin @ x) + float(b_vec @ np.sqrt(np.maximum(x, 0.0)))
 
-    def project(x):
-        return project_box_polyhedron(x, normals, offsets, norms_sq)
+    def feasible(x):
+        return bool(np.all((x >= -tol) & (x <= 1 + tol))
+                    and np.all(normals @ x >= offsets - tol * scale))
 
-    def feasible(x, tol=1e-8):
-        if np.any(x < -tol) or np.any(x > 1 + tol):
-            return False
-        if normals is None:
-            return True
-        return bool(np.all(normals @ x >= offsets - tol * np.maximum(1.0, np.abs(offsets))))
-
-    eta0 = np.ones(num_ues) if eta_init is None else np.asarray(eta_init, dtype=float).copy()
-    start = project(eta0)
-    # Warm-start candidates: unconstrained separable maximizer, and when QoS
-    # rows are present the Lagrangian-dual solution of the constrained block.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cf = np.where(lin > 0, np.clip((b_vec / (2.0 * lin)) ** 2, 0.0, 1.0),
-                      np.where(b_vec > 0, 1.0, start))
-    candidates = [project(cf)]
-    if normals is not None:
-        candidates.append(project(_dual_power_solve(lin, b_vec, normals, offsets)))
-    for cand in candidates:
-        if fun(cand) > fun(start):
-            start = cand
-    x, fx = pga_maximize(fun, partial(_power_grad, lin, b_vec), project, start,
-                         max_iters=options.max_inner_iters, tol=options.inner_tolerance)
-    if feasible(eta0) and fun(eta0) > fx:
+    x = _dual_power_solve(lin, b_vec, normals, offsets)
+    if not feasible(x):
+        # x lies in the box, so only rows are broken; each holds again once the
+        # step toward the feasible anchor exceeds its ratio of slacks.
+        anchor = eta0 if feasible(eta0) else least
+        slack, slack0 = normals @ x - offsets, normals @ anchor - offsets
+        bad = slack < -tol * scale
+        x = x + min(1.0, float(np.max(slack[bad] / (slack[bad] - slack0[bad])))) * (anchor - x)
+    if feasible(eta0) and fun(eta0) > fun(x):
         x = eta0
-    if normals is not None and not feasible(x):
-        if options.qos_infeasible_policy == "error":
-            raise InfeasibleProblemError("power subproblem: QoS polyhedron unreachable")
-        # Best effort: fall back to the feasible warm start when one exists,
-        # otherwise keep the near-feasible iterate and let the caller report.
-        if feasible(eta0):
-            x = eta0
     return np.clip(x, 0.0, 1.0)
 
 
@@ -516,7 +515,6 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     trace = []
     f_prev = None
     iterations = 0
-    aux = refresh_aux(eta, d, gamma, beta, gram, params)
     for i in range(1, options.max_outer_iters + 1):
         iterations = i
         if mode in ("joint", "power_only"):

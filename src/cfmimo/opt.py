@@ -23,7 +23,8 @@ def project_box_polyhedron(y, normals, offsets, norms_sq=None, tol=1e-10, max_ro
     Fast path: if the box clip satisfies every row it is the projection (the
     intersection is contained in the box). Otherwise Dykstra runs restricted
     to the violated rows; if the restricted projection satisfies the remaining
-    rows it equals the full projection, else the active set is extended.
+    rows it equals the full projection, else the active set is extended. The
+    result lies in the box; with several active rows it can still break a row.
     """
     y = np.asarray(y, dtype=float)
     z = np.clip(y, 0.0, 1.0)
@@ -61,7 +62,7 @@ def project_box_polyhedron(y, normals, offsets, norms_sq=None, tol=1e-10, max_ro
         if gaps[worst] <= tol * scale[worst]:
             break
         z = z + (gaps[worst] / norms_sq[worst]) * normals[worst]
-    return z
+    return np.clip(z, 0.0, 1.0)
 
 
 def make_superlevel_projection(b_factor, lin, offset, tol=1e-12, max_doublings=80):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
+from cfmimo.fp_solver import (_feasibility_powers, _power_coefficients, _qos_rows,
+                              _qos_thresholds, refresh_aux)
 
 
 def build_desk_channel(seed, num_aps=30, num_ues=10, antennas=2, alpha=0.001, qos=0.2):
@@ -31,6 +33,18 @@ def build_synthetic_channel(rng, num_aps=8, num_ues=4, antennas=2, num_pilots=2,
     params = cf.SystemParams(antennas_per_ap=antennas, uplink_snr=uplink_snr,
                              alpha=alpha, qos=qos, pilot_len=num_pilots)
     return gamma, beta, gram, params, assignment
+
+
+def build_power_block(seed, qos=1.0):
+    """The power block of build_desk_channel(seed, qos) at D = ones, warm-started
+    at the QoS-tracking powers: (channel, d, eta0, aux, power coefficients, rows)."""
+    gamma, beta, gram, params = build_desk_channel(seed, qos=qos)
+    d = np.ones(gamma.shape)
+    eta0 = _feasibility_powers(d, gamma, beta, gram, params)
+    aux = refresh_aux(eta0, d, gamma, beta, gram, params)
+    coefs = _power_coefficients(d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+    normals, offsets, _ = _qos_rows(*coefs[3:], _qos_thresholds(params, d.shape[1]))
+    return (gamma, beta, gram, params), d, eta0, aux, coefs, (normals, offsets)
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import (_feasibility_powers, _power_coefficients,
+import cfmimo.fp_solver as fp_solver
+from cfmimo.fp_solver import (_dual_power_solve, _feasibility_powers, _power_coefficients,
                               block_objective_d_grad, block_objective_eta_grad,
                               refresh_aux)
-from conftest import build_desk_channel, build_synthetic_channel
+from conftest import build_power_block, build_synthetic_channel
 
 LN2 = math.log(2.0)
 
@@ -191,6 +192,68 @@ def test_solve_power_never_decreases_block(desk_channel):
         after = cf.block_objective(eta1, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
         assert after >= before - 1e-9 * abs(before)
         assert cf.qos_satisfied(eta1, d, gamma, beta, gram, params, tol=1e-6).all()
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7, 9, 10])
+def test_solve_power_reaches_constrained_optimum(seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    channel, d, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
+    lin, b_vec, const = coefs[:3]
+
+    def neg_block(x):
+        return -(const - lin @ x + b_vec @ np.sqrt(np.maximum(x, 0.0)))
+
+    ref = optimize.minimize(neg_block, eta0, method="SLSQP", bounds=[(0.0, 1.0)] * eta0.size,
+                            constraints=[{"type": "ineq", "fun": lambda x: normals @ x - offsets,
+                                          "jac": lambda x: normals}],
+                            options={"ftol": 1e-14, "maxiter": 1000})
+    eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    assert np.all((eta >= 0) & (eta <= 1))
+    assert np.all(normals @ eta - offsets >= -1e-8)
+    value = cf.block_objective(eta, d, aux.gamma_aux, aux.u, *channel)
+    assert value >= -ref.fun - 1e-6 * abs(ref.fun)
+
+
+@pytest.mark.parametrize("seed, qos", [(0, 0.8), (13, 1.2), (33, 0.5)])
+def test_dual_power_solve_meets_binding_rows(seed, qos):
+    # Near the dual optimum the dual values agree to rounding; the step test
+    # must still let the multipliers converge instead of stalling.
+    _, _, _, _, (lin, b_vec, *_), (normals, offsets) = build_power_block(seed, qos)
+    eta = _dual_power_solve(lin, b_vec, normals, offsets)
+    assert np.min(normals @ eta - offsets) >= -1e-10
+
+
+@pytest.mark.parametrize("seed", [25, 32, 36])
+def test_solve_power_meets_satisfiable_rows_from_infeasible_init(seed):
+    # Nearly empty polyhedra: the dual stops short and the QoS-tracking powers
+    # miss a target, so the step back goes toward the least QoS powers.
+    channel, d, eta0, aux, _, (normals, offsets) = build_power_block(seed, qos=1.2)
+    assert np.min(normals @ eta0 - offsets) < -1e-8
+    eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    assert np.min(normals @ eta - offsets) >= -1e-8
+
+
+def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
+    channel, d, eta0, aux, (lin, b_vec, *_), (normals, offsets) = build_power_block(4)
+    unconstrained = _dual_power_solve(lin, b_vec, normals[:0], offsets[:0])
+    assert np.min(normals @ unconstrained - offsets) < -1e-8 <= np.min(normals @ eta0 - offsets)
+    monkeypatch.setattr(fp_solver, "_dual_power_solve", lambda *args: unconstrained)
+    eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    # The first point of the segment toward eta0 where every row holds: one row is tight.
+    direction = eta0 - unconstrained
+    s = (eta - unconstrained) @ direction / (direction @ direction)
+    assert 0.0 < s <= 1.0
+    assert np.allclose(eta, unconstrained + s * direction, atol=1e-12)
+    assert np.min(normals @ eta - offsets) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_solve_power_unsatisfiable_qos_policies():
+    channel, d, eta0, aux, _, _ = build_power_block(0, qos=10.0)
+    with pytest.raises(cf.InfeasibleProblemError, match="QoS rows unsatisfiable"):
+        cf.solve_power(d, aux.gamma_aux, aux.u, *channel,
+                       cf.SolverOptions(qos_infeasible_policy="error"), eta_init=eta0)
+    out = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    assert np.array_equal(out, np.clip(eta0, 0.0, 1.0))
 
 
 def test_solve_association_feasible_and_never_decreases(desk_channel):

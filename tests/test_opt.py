@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cfmimo.fp_solver import _dual_power_solve, block_objective_eta_grad
 from cfmimo.opt import (dykstra, make_superlevel_projection, pga_maximize,
-                        project_halfspace_ge)
+                        project_box_polyhedron, project_halfspace_ge)
+from conftest import build_power_block
 
 
 def test_halfspace_projection():
@@ -21,6 +23,18 @@ def test_dykstra_box_halfspace_hand_cases():
     assert np.allclose(dykstra(np.array([0.2, 0.4]), projs), [0.4, 0.6], atol=1e-9)
     feasible = np.array([0.7, 0.8])
     assert np.allclose(dykstra(feasible, projs), feasible)
+
+
+def test_box_polyhedron_projection_stays_in_box():
+    # Several active QoS rows of a binding power block: the polish loop can stop
+    # on a row step outside the box.
+    channel, d, _, aux, coefs, (normals, offsets) = build_power_block(4)
+    lin, b_vec = coefs[:2]
+    start = project_box_polyhedron(_dual_power_solve(lin, b_vec, normals, offsets),
+                                   normals, offsets)
+    y = start + 1.0 * block_objective_eta_grad(start, d, aux.gamma_aux, aux.u, *channel)
+    z = project_box_polyhedron(y, normals, offsets)
+    assert np.all((z >= 0.0) & (z <= 1.0))
 
 
 def test_superlevel_projection_properties():
