@@ -6,10 +6,11 @@ closed-form multiplier lambda_t = w'/(1 + Gamma_t), w' = w/ln 2), and a quadrati
 transform with auxiliaries u_t replaces the remaining signal/interference ratio.
 With (Gamma, u) held at their closed-form optima the lifted objective equals the
 original one; for fixed (Gamma, u) it is concave in the power factors and in each
-association column, so the two block maximizations never decrease it: the power
-block through its Lagrangian dual, the association columns by projected gradient
-ascent. One per-column SINR model serves the association block, its QoS set and
-the repair.
+association column, so the two block maximizations never decrease it. The power
+block is solved through its separable Lagrangian dual. Each association column is
+solved by projected gradient ascent over the exact box-and-coverage projection,
+with its QoS target held by bisection on the target's scalar multiplier. One
+per-column SINR model serves the association block, its QoS set and the repair.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opt import (dykstra, make_superlevel_projection, pga_maximize,
-                  project_box_polyhedron, project_halfspace_ge)
+from .opt import pga_maximize, project_box_polyhedron
 from .se_model import (SystemParams, interference_state, qos_satisfied,
                        qos_vector, se_all, sinr_all, sinr_terms)
 
@@ -132,6 +132,15 @@ def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: Syste
     return float(val.sum() - _penalty(d, params))
 
 
+def _power_terms(d, gamma, beta, gram, params: SystemParams):
+    """(c_sig, a_mat, n_vec, sg): the SINR terms as functions of eta,
+    S_t = c_sig[t] eta_t and I_t = (a_mat @ eta + n_vec)_t."""
+    a = params.antennas_per_ap
+    pu = params.uplink_snr
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
+    return a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh, a * sg, sg
+
+
 def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams):
     """The block objective as a function of eta:  const - lin.eta + b.sqrt(eta)."""
     a = params.antennas_per_ap
@@ -139,10 +148,7 @@ def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams
     wp = _wprime(params)
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
-    c_sig = a * a * pu * sg ** 2                      # S_t = c_sig[t] * eta_t
-    a_mat = a * a * pu * g_off * coh ** 2 + a * pu * ncoh  # dI_t/deta_s
-    n_vec = a * sg                                    # eta-independent part of I_t
+    c_sig, a_mat, n_vec, sg = _power_terms(d, gamma, beta, gram, params)
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
@@ -333,75 +339,88 @@ def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemPar
     return fun, grad, model
 
 
+def _qos_approximation(x0, model, eta_t: float, gth_t: float, params: SystemParams):
+    """(psi, psi_grad, b_psi): the quadratic-transform inner approximation
+    psi(x) = lin.x - ||b_psi^T x||^2 - gth_t <= SINR_t(x) - gth_t of UE t's QoS
+    target, tight at x0; three Nones when there is no target, no power, or x0
+    carries no signal or interference."""
+    gt, w_fac, omega, bfu = model
+    a = params.antennas_per_ap
+    s0, i0 = _column_terms(x0, model, eta_t, params) if gth_t > 0 and eta_t > 0 else (0.0, 0.0)
+    if s0 <= 0 or i0 <= 0:
+        return None, None, None
+    v_aux = math.sqrt(s0) / i0
+    lin = 2.0 * v_aux * a * math.sqrt(params.uplink_snr * eta_t) * gt - v_aux ** 2 * a * (bfu + gt)
+    b_psi = w_fac * np.sqrt(v_aux ** 2 * omega)[None, :]
+
+    def psi(x):
+        s = b_psi.T @ x
+        return float(lin @ x) - float(s @ s) - gth_t
+
+    def psi_grad(x):
+        return lin - 2.0 * b_psi @ (b_psi.T @ x)
+
+    return psi, psi_grad, b_psi
+
+
 def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams,
                         options: SolverOptions, x0, gth_t):
-    """Maximize the block objective over one association column (concave quadratic)."""
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
+    """Maximize the block objective over one association column (concave quadratic)
+    subject to the box, coverage (column sum >= 1) and the QoS target.
+
+    Every ascent runs over the exact box-and-coverage projection. If the maximizer
+    breaks the QoS inner approximation psi and some point meets psi, the target
+    binds: its multiplier nu is bisected on psi(x(nu)), x(nu) maximizing
+    fun + nu psi, and the feasible and infeasible ends of the final bracket are
+    combined at the last point of their segment that meets psi. An unreachable
+    target is dropped. The result is never worse than a feasible x0.
+    """
     fun, grad, model = _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)
-    gt, w_fac, omega, bfu = model
     eta_t = float(eta[t])
-    ones = np.ones_like(gt)
-    num_aps = gt.shape[0]
-    projections = [lambda z: np.clip(z, 0.0, 1.0),
-                   lambda z: project_halfspace_ge(z, ones, 1.0, norm_sq=num_aps)]
-    psi_check = None
-    start = x0
-    if gth_t > 0 and eta_t > 0:
-        # Quadratic-transform inner approximation of the QoS set, tight at x0.
-        s0, i0 = _column_terms(x0, model, eta_t, params)
-        if s0 > 0 and i0 > 0:
-            v_aux = math.sqrt(s0) / i0
-            lin_psi = 2.0 * v_aux * a * math.sqrt(pu * eta_t) * gt - v_aux ** 2 * a * (bfu + gt)
-            b_psi = w_fac * np.sqrt(v_aux ** 2 * omega)[None, :]
+    ones = np.ones_like(x0)
+    tol = 1e-11 * max(1.0, gth_t)
 
-            def psi_fun(x):
-                s = b_psi.T @ x
-                return float(lin_psi @ x) - float(s @ s) - gth_t
+    def ascend(f, g, start, max_iters=options.max_inner_iters):
+        return pga_maximize(f, g, lambda z: project_box_polyhedron(z, ones, 1.0), start,
+                            max_iters=max_iters, tol=options.inner_tolerance)
 
-            keep_constraint = True
-            if psi_fun(x0) < -1e-9 * max(1.0, gth_t):
-                # Warm start violates the target: find a feasible point first, or
-                # detect that the target is unreachable and drop the constraint.
-                start, psi_max = pga_maximize(
-                    psi_fun,
-                    lambda x: lin_psi - 2.0 * b_psi @ (b_psi.T @ x),
-                    lambda z: project_box_polyhedron(z, ones[None, :], np.ones(1),
-                                                     np.array([float(num_aps)])),
-                    x0, max_iters=80, tol=options.inner_tolerance)
-                keep_constraint = psi_max >= 0.0
-                if not keep_constraint:
-                    start = x0
-            if keep_constraint:
-                psi_project = make_superlevel_projection(b_psi, lin_psi, gth_t)
-                projections.append(psi_project)
-                psi_check = psi_fun
+    x, _ = ascend(fun, grad, x0)
+    psi, psi_grad, b_psi = _qos_approximation(x0, model, eta_t, gth_t, params)
+    if psi is not None and psi(x) < -tol:
+        anchor, psi_max = x0, psi(x0)
+        if psi_max < -tol:
+            anchor, psi_max = ascend(psi, psi_grad, x0, max_iters=80)
+        if psi_max < -tol:
+            psi = None     # unreachable target: dropped
+        else:
+            def solve(nu, start):
+                return ascend(lambda z: fun(z) + nu * psi(z),
+                              lambda z: grad(z) + nu * psi_grad(z), start)[0]
 
-    def project(x):
-        # Box clip is the exact projection whenever it lands in the other sets.
-        z = np.clip(x, 0.0, 1.0)
-        if (float(z.sum()) >= 1.0 - 1e-12
-                and (psi_check is None or psi_check(z) >= -1e-12 * max(1.0, gth_t))):
-            return z
-        z = dykstra(x, projections)
-        # Feasibility polish against residual truncation error.
-        for _ in range(100):
-            z = np.clip(z, 0.0, 1.0)
-            cov_ok = float(z.sum()) >= 1.0 - 1e-12
-            psi_ok = psi_check is None or psi_check(z) >= -1e-11 * max(1.0, gth_t)
-            if cov_ok and psi_ok:
-                break
-            if not cov_ok:
-                z = project_halfspace_ge(z, ones, 1.0, norm_sq=num_aps)
-            if not psi_ok:
-                z = psi_project(z)
-        return z
-
-    x, fx = pga_maximize(fun, grad, project, start,
-                         max_iters=options.max_inner_iters, tol=options.inner_tolerance)
-    x0_ok = (float(x0.sum()) >= 1.0 - 1e-9
-             and np.max(np.abs(project(x0) - x0)) <= 1e-9)
-    if x0_ok and fun(x0) > fx:
+            # Bracket nu (x4 from 1), then bisect; each solve starts at the feasible end.
+            nu, nu_lo, nu_hi, x_lo, x_hi = 1.0, 0.0, math.inf, x, anchor
+            for _ in range(100):
+                z = solve(nu, x_hi)
+                if psi(z) >= -tol:
+                    nu_hi, x_hi = nu, z
+                else:
+                    nu_lo, x_lo = nu, z
+                if nu_lo >= (1.0 - 1e-6) * nu_hi:
+                    break
+                nu = 4.0 * nu if nu_hi == math.inf else 0.5 * (nu_lo + nu_hi)
+            # Primal recovery: psi(x_hi + th dx) = q_c + q_b th - q_a th^2 is concave,
+            # so step to its last zero; this root form holds at q_a = 0 (psi linear).
+            dx = x_lo - x_hi
+            q_c, q_b = psi(x_hi), float(psi_grad(x_hi) @ dx)
+            q_a = float(np.sum((b_psi.T @ dx) ** 2))
+            x = x_hi
+            if q_c > 0:
+                root = math.sqrt(q_b * q_b + 4.0 * q_a * q_c) - q_b
+                rec = x_hi + 2.0 * q_c / max(root, 2.0 * q_c) * dx   # theta clipped to 1
+                if psi(rec) >= -tol and fun(rec) > fun(x_hi):
+                    x = rec
+    if (np.all((x0 >= -1e-9) & (x0 <= 1.0 + 1e-9)) and x0.sum() >= 1.0 - 1e-9
+            and (psi is None or psi(x0) >= -tol) and fun(x0) > fun(x)):
         x = x0
     return np.clip(x, 0.0, 1.0)
 
@@ -508,9 +527,15 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     if (enforce_qos and power_is_free
             and not qos_satisfied(eta, d, gamma, beta, gram, params).all()):
         eta = _feasibility_powers(d, gamma, beta, gram, params)
-        if (not qos_satisfied(eta, d, gamma, beta, gram, params).all()
-                and options.qos_infeasible_policy == "error"):
-            raise InfeasibleProblemError("no QoS-feasible initialization found")
+        if not qos_satisfied(eta, d, gamma, beta, gram, params).all():
+            # Target tracking can miss rows that hold in the box; their least
+            # powers (Yates 1995) meet them exactly when they lie in the box.
+            least = _qos_rows(*_power_terms(d, gamma, beta, gram, params)[:3],
+                              _qos_thresholds(params, num_ues))[2]
+            if np.all((least >= 0) & (least <= 1)):
+                eta = least
+            elif options.qos_infeasible_policy == "error":
+                raise InfeasibleProblemError("no QoS-feasible initialization found")
 
     trace = []
     f_prev = None

@@ -1,4 +1,5 @@
-"""Self-contained convex-optimization primitives: projections, Dykstra, PGA."""
+"""Convex-optimization primitives: the exact box-and-halfspace projection, projected
+gradient ascent, and Dykstra and a superlevel projection the solver no longer calls."""
 
 from __future__ import annotations
 
@@ -7,64 +8,37 @@ import numpy as np
 _EPS = 1e-12
 
 
-def project_halfspace_ge(x, normal, offset, norm_sq=None):
-    """Euclidean projection onto {z : normal . z >= offset}."""
-    gap = offset - float(normal @ x)
-    if gap <= 0.0:
-        return np.asarray(x, dtype=float)
-    if norm_sq is None:
-        norm_sq = float(normal @ normal)
-    return x + (gap / norm_sq) * normal
+def project_box_polyhedron(y, normal, offset):
+    """Euclidean projection onto {z in [0,1]^n : normal . z >= offset} (one row).
 
-
-def project_box_polyhedron(y, normals, offsets, norms_sq=None, tol=1e-10, max_rounds=4):
-    """Euclidean projection onto {z in [0,1]^n : normals @ z >= offsets}.
-
-    Fast path: if the box clip satisfies every row it is the projection (the
-    intersection is contained in the box). Otherwise Dykstra runs restricted
-    to the violated rows; if the restricted projection satisfies the remaining
-    rows it equals the full projection, else the active set is extended. The
-    result lies in the box; with several active rows it can still break a row.
+    If the box clip meets the row it is the projection. Otherwise the projection
+    is clip(y + tau normal) for the least tau > 0 that meets the row (KKT with the
+    row tight). normal . clip(y + tau normal) is nondecreasing and piecewise
+    linear in tau, with a breakpoint wherever an entry reaches a bound, so tau is
+    interpolated between two breakpoints. If no point of the box meets the row,
+    the box point with the largest normal . z is returned.
     """
     y = np.asarray(y, dtype=float)
+    normal = np.asarray(normal, dtype=float)
     z = np.clip(y, 0.0, 1.0)
-    if normals is None or len(normals) == 0:
+    h0 = float(normal @ z)
+    if h0 >= offset:
         return z
-    normals = np.asarray(normals, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    if norms_sq is None:
-        norms_sq = np.einsum("ij,ij->i", normals, normals)
-    scale = np.maximum(1.0, np.abs(offsets))
-
-    def violated(point):
-        return np.flatnonzero(normals @ point < offsets - tol * scale)
-
-    active = set(violated(z).tolist())
-    if not active:
-        return z
-    for _ in range(max_rounds):
-        idx = sorted(active)
-        projections = [lambda v: np.clip(v, 0.0, 1.0)] + [
-            (lambda i: (lambda v: project_halfspace_ge(v, normals[i], offsets[i],
-                                                       norms_sq[i])))(i)
-            for i in idx]
-        z = dykstra(y, projections, max_cycles=400)
-        still = set(violated(z).tolist())
-        if still <= active:
-            break
-        active |= still
-    # Feasibility polish: cyclic clip / most-violated-row steps remove the
-    # residual Dykstra truncation error (no-op when the polytope is empty).
-    for _ in range(300):
-        z = np.clip(z, 0.0, 1.0)
-        gaps = offsets - normals @ z
-        worst = int(np.argmax(gaps / scale))
-        if gaps[worst] <= tol * scale[worst]:
-            break
-        z = z + (gaps[worst] / norms_sq[worst]) * normals[worst]
-    return np.clip(z, 0.0, 1.0)
+    nz = normal != 0
+    knots = np.concatenate([-y[nz], 1.0 - y[nz]]) / np.tile(normal[nz], 2)
+    knots = np.unique(knots[knots > 0])
+    h = np.clip(y + knots[:, None] * normal, 0.0, 1.0) @ normal
+    hit = np.flatnonzero(h >= offset)
+    if not hit.size:
+        return np.clip(y + knots[-1] * normal, 0.0, 1.0) if knots.size else z
+    j = int(hit[0])
+    tau_a, h_a = (knots[j - 1], h[j - 1]) if j else (0.0, h0)
+    tau = tau_a + (offset - h_a) * (knots[j] - tau_a) / (h[j] - h_a)
+    return np.clip(y + tau * normal, 0.0, 1.0)
 
 
+# make_superlevel_projection and dykstra have no caller in the solver. They stay
+# because the traced benchmark (bench/tracer.py) looks both up when it starts.
 def make_superlevel_projection(b_factor, lin, offset, tol=1e-12, max_doublings=80):
     """Projection operator onto {z : psi(z) >= 0} for a concave quadratic
     psi(z) = -||b_factor^T z||^2 + lin . z - offset.

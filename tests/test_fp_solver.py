@@ -6,9 +6,10 @@ import pytest
 
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
-from cfmimo.fp_solver import (_dual_power_solve, _feasibility_powers, _power_coefficients,
-                              block_objective_d_grad, block_objective_eta_grad,
-                              refresh_aux)
+from cfmimo.fp_solver import (_association_column, _column_objective, _dual_power_solve,
+                              _feasibility_powers, _power_coefficients, _qos_approximation,
+                              _qos_thresholds, block_objective_d_grad,
+                              block_objective_eta_grad, refresh_aux)
 from conftest import build_power_block, build_synthetic_channel
 
 LN2 = math.log(2.0)
@@ -272,6 +273,32 @@ def test_solve_association_feasible_and_never_decreases(desk_channel):
         assert np.all(d1.sum(axis=0) >= 1 - 1e-9)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_association_column_reaches_constrained_optimum(desk_channel, seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    gamma, beta, gram, params = desk_channel(seed, qos=0.5, alpha=0.1)
+    d = np.ones(gamma.shape)
+    eta = _feasibility_powers(d, gamma, beta, gram, params)
+    aux = refresh_aux(eta, d, gamma, beta, gram, params)
+    gth = _qos_thresholds(params, d.shape[1])
+    for t in range(d.shape[1]):
+        fun, grad, model = _column_objective(t, eta, aux.gamma_aux, aux.u,
+                                             gamma, beta, gram, params)
+        psi, psi_grad, _ = _qos_approximation(d[:, t], model, eta[t], gth[t], params)
+        ref = optimize.minimize(
+            lambda z: -fun(z), d[:, t], jac=lambda z: -grad(z), method="SLSQP",
+            bounds=[(0.0, 1.0)] * d.shape[0],
+            constraints=[{"type": "ineq", "fun": lambda z: z.sum() - 1.0,
+                          "jac": lambda z: np.ones_like(z)},
+                         {"type": "ineq", "fun": psi, "jac": psi_grad}],
+            options={"ftol": 1e-14, "maxiter": 1000})
+        x = _association_column(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                cf.SolverOptions(), d[:, t].copy(), gth[t])
+        assert psi(x) >= -1e-9
+        assert x.sum() >= 1.0 - 1e-9
+        assert fun(x) >= -ref.fun - 1e-6 * abs(ref.fun)
+
+
 def test_association_large_penalty_keeps_single_best_ap():
     # Two UEs with distinct dominant APs and orthogonal pilots; with a penalty
     # far above any SE gain only the strongest AP survives per UE.
@@ -430,3 +457,26 @@ def test_alternate_infeasible_policy(desk_channel):
     res = cf.alternate(None, None, gamma, beta, gram, absurd,
                        cf.SolverOptions(qos_infeasible_policy="report_and_continue"))
     assert not res.feasibility.any()
+
+
+@pytest.mark.parametrize("seed", [25, 32, 36])
+def test_alternate_starts_from_least_powers_when_tracking_misses(desk_channel, seed):
+    # Satisfiable rows that the QoS-tracking powers miss: the least powers start the solve.
+    gamma, beta, gram, params = desk_channel(seed, qos=1.2)
+    d = np.ones(gamma.shape)
+    eta = _feasibility_powers(d, gamma, beta, gram, params)
+    assert not cf.qos_satisfied(eta, d, gamma, beta, gram, params).all()
+    res = cf.alternate(None, None, gamma, beta, gram, params,
+                       cf.SolverOptions(qos_infeasible_policy="error"))
+    assert res.feasibility.all()
+
+
+def test_alternate_keeps_qos_target_of_column_on_its_boundary():
+    # In this joint drop one UE's column starts on its QoS boundary, with psi(x0)
+    # about -1e-13, while the unconstrained column maximizer breaks the target.
+    # Dropping the target as unreachable there made the trace decrease.
+    config = cf.desk_config(seed=822459092, drops=1, alphas=(0.004,))
+    config = replace(config, scenarios=(cf.Scenario(kind="joint"),))
+    (record,) = cf.run_experiment(config).records
+    trace = record.trace
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))

@@ -1,40 +1,56 @@
 import numpy as np
 import pytest
 
-from cfmimo.fp_solver import _dual_power_solve, block_objective_eta_grad
-from cfmimo.opt import (dykstra, make_superlevel_projection, pga_maximize,
-                        project_box_polyhedron, project_halfspace_ge)
-from conftest import build_power_block
+from cfmimo.opt import dykstra, make_superlevel_projection, pga_maximize, project_box_polyhedron
 
 
-def test_halfspace_projection():
-    normal = np.array([1.0, 1.0])
-    inside = np.array([0.8, 0.9])
-    assert np.array_equal(project_halfspace_ge(inside, normal, 1.0), inside)
-    out = project_halfspace_ge(np.array([0.0, 0.0]), normal, 1.0)
-    assert np.allclose(out, [0.5, 0.5])
-    assert normal @ out == pytest.approx(1.0)
+def halfspace(x, normal, offset):
+    """Euclidean projection onto {z : normal . z >= offset}."""
+    gap = offset - float(normal @ x)
+    return x + max(gap, 0.0) / float(normal @ normal) * normal
 
 
 def test_dykstra_box_halfspace_hand_cases():
     normal = np.ones(2)
-    projs = [lambda z: np.clip(z, 0.0, 1.0), lambda z: project_halfspace_ge(z, normal, 1.0)]
+    projs = [lambda z: np.clip(z, 0.0, 1.0), lambda z: halfspace(z, normal, 1.0)]
     assert np.allclose(dykstra(np.array([0.0, 0.0]), projs), [0.5, 0.5], atol=1e-9)
     assert np.allclose(dykstra(np.array([0.2, 0.4]), projs), [0.4, 0.6], atol=1e-9)
     feasible = np.array([0.7, 0.8])
     assert np.allclose(dykstra(feasible, projs), feasible)
 
 
-def test_box_polyhedron_projection_stays_in_box():
-    # Several active QoS rows of a binding power block: the polish loop can stop
-    # on a row step outside the box.
-    channel, d, _, aux, coefs, (normals, offsets) = build_power_block(4)
-    lin, b_vec = coefs[:2]
-    start = project_box_polyhedron(_dual_power_solve(lin, b_vec, normals, offsets),
-                                   normals, offsets)
-    y = start + 1.0 * block_objective_eta_grad(start, d, aux.gamma_aux, aux.u, *channel)
-    z = project_box_polyhedron(y, normals, offsets)
-    assert np.all((z >= 0.0) & (z <= 1.0))
+def test_box_polyhedron_projection_hand_case():
+    z = project_box_polyhedron(np.array([-0.624, -1.563, -0.648]), np.ones(3), 1.0)
+    assert np.allclose(z, [0.512, 0.0, 0.488], atol=1e-12)
+    inside = np.array([0.2, 1.0, 0.4])
+    assert np.array_equal(project_box_polyhedron(inside + [0.0, 0.5, 0.0], np.ones(3), 1.0),
+                          inside)
+
+
+@pytest.mark.parametrize("n", [1, 3, 30])
+def test_box_polyhedron_projection_kkt(n):
+    # KKT of the projection onto [0,1]^n with one row w.z >= 1: z = clip(y + tau w)
+    # with tau >= 0, and tau > 0 only when the row is tight.
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        w = rng.uniform(0.05, 2.0, n)
+        w *= max(1.0, 1.0 / w.sum()) * rng.uniform(1.0, 1.5)
+        y = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=n)
+        z = project_box_polyhedron(y, w, 1.0)
+        assert np.all((z >= 0.0) & (z <= 1.0))
+        assert w @ z >= 1.0 - 1e-12
+        # tau by bisection on the nondecreasing w.clip(y + tau w)
+        lo, hi = 0.0, 1.0
+        while w @ np.clip(y + hi * w, 0.0, 1.0) < 1.0:
+            hi *= 2.0
+        if w @ np.clip(y, 0.0, 1.0) >= 1.0:
+            hi = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if w @ np.clip(y + mid * w, 0.0, 1.0) >= 1.0 else (mid, hi)
+        assert np.allclose(z, np.clip(y + hi * w, 0.0, 1.0), atol=1e-9)
+        if hi > 0.0:
+            assert w @ z == pytest.approx(1.0, abs=1e-12)
 
 
 def test_superlevel_projection_properties():
@@ -76,7 +92,7 @@ def test_superlevel_projection_linear_case_is_halfspace():
     lin = np.abs(rng.normal(size=5)) + 0.2
     project = make_superlevel_projection(np.zeros((5, 0)), lin, 1.0)
     y = np.zeros(5)
-    assert np.allclose(project(y), project_halfspace_ge(y, lin, 1.0), atol=1e-12)
+    assert np.allclose(project(y), halfspace(y, lin, 1.0), atol=1e-12)
 
 
 def test_superlevel_projection_shrinks_distance_vs_alternatives():
