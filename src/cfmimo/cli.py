@@ -69,20 +69,24 @@ def main(argv=None) -> int:
     if args.validate_oracle:
         return _validate_oracle(args.out or "results", args.seed or 0)
 
-    base = paper_config() if args.paper_scale else desk_config()
-    config = load_config(args.config, base=base) if args.config else base
-    if args.scenario != "all":
-        config = replace(config, scenarios=(Scenario(kind=args.scenario),))
-    if args.alpha:
-        config = replace(config, alphas=tuple(args.alpha))
-    if args.drops is not None:
-        config = replace(config, drops=args.drops)
-    if args.seed is not None:
-        config = replace(config, network=replace(config.network, rng_seed=args.seed))
-    if args.out:
-        config = replace(config, output_dir=args.out)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
+    try:
+        base = paper_config() if args.paper_scale else desk_config()
+        config = load_config(args.config, base=base) if args.config else base
+        if args.scenario != "all":
+            config = replace(config, scenarios=(Scenario(kind=args.scenario),))
+        if args.alpha:
+            config = replace(config, alphas=tuple(args.alpha))
+        if args.drops is not None:
+            config = replace(config, drops=args.drops)
+        if args.seed is not None:
+            config = replace(config, network=replace(config.network, rng_seed=args.seed))
+        if args.out:
+            config = replace(config, output_dir=args.out)
+        if args.workers is not None:
+            config = replace(config, workers=args.workers)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
 
     try:
         result = run_experiment(config, progress=True)

@@ -11,6 +11,12 @@ block is solved through its separable Lagrangian dual. Each association column i
 solved by projected gradient ascent over the exact box-and-coverage projection,
 with its QoS target held by bisection on the target's scalar multiplier. One
 per-column SINR model serves the association block, its QoS set and the repair.
+
+The SINR terms of every UE share power-independent sums over the association
+matrix (se_model.interference_state). alternate builds them once for each
+association matrix it forms and passes them as the keyword-only `state` to the
+auxiliary refresh, the power block, the block objective and the SINR and QoS
+evaluations on that matrix; a caller that omits `state` gets it built from d.
 """
 
 from __future__ import annotations
@@ -94,9 +100,9 @@ def update_u(gamma_aux, eta, d, gamma, beta, gram, params: SystemParams) -> np.n
                    *sinr_terms(eta, d, gamma, beta, gram, params), params)
 
 
-def refresh_aux(eta, d, gamma, beta, gram, params: SystemParams) -> AuxState:
+def refresh_aux(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> AuxState:
     """update_gamma and update_u from one evaluation of the SINR terms."""
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
+    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params, state=state)
     g = signal / (pc + bu + noise)
     return AuxState(gamma_aux=g, u=_u_star(g, signal, pc, bu, noise, params))
 
@@ -110,12 +116,13 @@ def _penalty(d, params: SystemParams):
     return params.alpha * np.abs(np.asarray(d, dtype=float)).sum()
 
 
-def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams) -> float:
+def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
+                    state=None) -> float:
     """Quadratic-transform surrogate; a global lower bound of the relaxed objective,
     tight at gamma_aux = SINR(eta, d) and u at its closed-form optimum."""
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     u = np.asarray(u, dtype=float)
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
+    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params, state=state)
     total = signal + pc + bu + noise
     val = (_dual_const(gamma_aux, params) - u ** 2 * total
            + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
@@ -132,23 +139,24 @@ def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: Syste
     return float(val.sum() - _penalty(d, params))
 
 
-def _power_terms(d, gamma, beta, gram, params: SystemParams):
+def _power_terms(d, gamma, beta, gram, params: SystemParams, *, state=None):
     """(c_sig, a_mat, n_vec, sg): the SINR terms as functions of eta,
     S_t = c_sig[t] eta_t and I_t = (a_mat @ eta + n_vec)_t."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
-    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram) if state is None else state
     return a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh, a * sg, sg
 
 
-def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams):
+def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
+                        state=None):
     """The block objective as a function of eta:  const - lin.eta + b.sqrt(eta)."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     wp = _wprime(params)
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    c_sig, a_mat, n_vec, sg = _power_terms(d, gamma, beta, gram, params)
+    c_sig, a_mat, n_vec, sg = _power_terms(d, gamma, beta, gram, params, state=state)
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
@@ -247,7 +255,7 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
 
 
 def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                options: SolverOptions, eta_init=None) -> np.ndarray:
+                options: SolverOptions, eta_init=None, *, state=None) -> np.ndarray:
     """Maximize the block objective over eta in [0,1]^T subject to the QoS rows,
     which are linear in eta. Concave: the sqrt terms are concave, the rest affine.
 
@@ -257,7 +265,7 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
     The result is never worse than a feasible eta_init.
     """
     lin, b_vec, const, c_sig, a_mat, n_vec = _power_coefficients(
-        d_fixed, gamma_aux, u, gamma, beta, gram, params)
+        d_fixed, gamma_aux, u, gamma, beta, gram, params, state=state)
     normals, offsets, least = _qos_rows(c_sig, a_mat, n_vec, _qos_thresholds(params, lin.size))
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
     tol = 1e-8
@@ -456,12 +464,13 @@ def round_association(d_relaxed, options: SolverOptions, gamma) -> np.ndarray:
     return binary
 
 
-def _repair_columns(eta, d_binary, d_relaxed, gamma, beta, gram, params: SystemParams) -> np.ndarray:
+def _repair_columns(eta, d_binary, d_relaxed, gamma, beta, gram, params: SystemParams, *,
+                    state=None) -> np.ndarray:
     """Restore QoS broken by rounding, one UE at a time, by re-adding APs to the
     UE's own column (largest relaxed value first, ties by gamma then AP index).
     A UE's SINR depends only on its own column, so repairs do not interact."""
     qos = qos_vector(params, gamma.shape[1])
-    ses = se_all(eta, d_binary, gamma, beta, gram, params)
+    ses = se_all(eta, d_binary, gamma, beta, gram, params, state=state)
     out = d_binary.copy()
     num_aps = gamma.shape[0]
     for t in np.flatnonzero(ses + 1e-9 < qos):
@@ -484,7 +493,7 @@ def _repair_columns(eta, d_binary, d_relaxed, gamma, beta, gram, params: SystemP
 
 
 def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
-                        max_iters=200, margin=1.05) -> np.ndarray:
+                        max_iters=200, margin=1.05, *, state=None) -> np.ndarray:
     """Target-tracking power control toward the QoS SINR thresholds.
 
     Standard-interference-function iteration eta <- min(1, eta * target/SINR);
@@ -495,7 +504,7 @@ def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
     gth = _qos_thresholds(params, num_ues)
     eta = np.ones(num_ues)
     for _ in range(max_iters):
-        vals = sinr_all(eta, d, gamma, beta, gram, params)
+        vals = sinr_all(eta, d, gamma, beta, gram, params, state=state)
         ratio = np.where(gth > 0, margin * gth / np.maximum(vals, 1e-300), 1.0)
         new = np.clip(eta * ratio, 0.0, 1.0)
         if np.max(np.abs(new - eta)) <= 1e-10 and np.all(vals >= gth):
@@ -524,13 +533,17 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     qos = qos_vector(params, num_ues)
     enforce_qos = bool(np.any(qos > 0))
     power_is_free = mode in ("joint", "power_only")
+    # One interference state per association matrix formed below (d after each
+    # association block, the rounded and the repaired d_binary); every SINR
+    # evaluation on that matrix reuses it.
+    state = interference_state(d, gamma, beta, gram)
     if (enforce_qos and power_is_free
-            and not qos_satisfied(eta, d, gamma, beta, gram, params).all()):
-        eta = _feasibility_powers(d, gamma, beta, gram, params)
-        if not qos_satisfied(eta, d, gamma, beta, gram, params).all():
+            and not qos_satisfied(eta, d, gamma, beta, gram, params, state=state).all()):
+        eta = _feasibility_powers(d, gamma, beta, gram, params, state=state)
+        if not qos_satisfied(eta, d, gamma, beta, gram, params, state=state).all():
             # Target tracking can miss rows that hold in the box; their least
             # powers (Yates 1995) meet them exactly when they lie in the box.
-            least = _qos_rows(*_power_terms(d, gamma, beta, gram, params)[:3],
+            least = _qos_rows(*_power_terms(d, gamma, beta, gram, params, state=state)[:3],
                               _qos_thresholds(params, num_ues))[2]
             if np.all((least >= 0) & (least <= 1)):
                 eta = least
@@ -543,31 +556,39 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     for i in range(1, options.max_outer_iters + 1):
         iterations = i
         if mode in ("joint", "power_only"):
-            aux = refresh_aux(eta, d, gamma, beta, gram, params)
+            aux = refresh_aux(eta, d, gamma, beta, gram, params, state=state)
             eta = solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram,
-                              params, options, eta_init=eta)
+                              params, options, eta_init=eta, state=state)
         if mode in ("joint", "association_only"):
-            aux = refresh_aux(eta, d, gamma, beta, gram, params)
+            aux = refresh_aux(eta, d, gamma, beta, gram, params, state=state)
             d = solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram,
                                   params, options, d_init=d)
-        f_val = block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+            state = interference_state(d, gamma, beta, gram)
+        f_val = block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                state=state)
         trace.append(f_val)
         if f_prev is not None and abs(f_val - f_prev) <= options.epsilon * max(abs(f_prev), 1e-12):
             break
         f_prev = f_val
 
     d_binary = round_association(d, options, gamma)
+    state = interference_state(d_binary, gamma, beta, gram)
     eta_final = eta
-    if enforce_qos and not qos_satisfied(eta_final, d_binary, gamma, beta, gram, params).all():
+    if (enforce_qos
+            and not qos_satisfied(eta_final, d_binary, gamma, beta, gram, params,
+                                  state=state).all()):
         # Rounding broke a QoS target: re-add APs to the violated columns, then
         # (when power is a free variable) refit the powers on the binary matrix.
-        d_binary = _repair_columns(eta_final, d_binary, d, gamma, beta, gram, params)
+        d_binary = _repair_columns(eta_final, d_binary, d, gamma, beta, gram, params,
+                                   state=state)
+        state = interference_state(d_binary, gamma, beta, gram)
         if (power_is_free
-                and not qos_satisfied(eta_final, d_binary, gamma, beta, gram, params).all()):
-            aux_b = refresh_aux(eta_final, d_binary, gamma, beta, gram, params)
+                and not qos_satisfied(eta_final, d_binary, gamma, beta, gram, params,
+                                      state=state).all()):
+            aux_b = refresh_aux(eta_final, d_binary, gamma, beta, gram, params, state=state)
             eta_final = solve_power(d_binary, aux_b.gamma_aux, aux_b.u, gamma, beta, gram,
-                                    params, options, eta_init=eta_final)
-    feasibility = qos_satisfied(eta_final, d_binary, gamma, beta, gram, params)
+                                    params, options, eta_init=eta_final, state=state)
+    feasibility = qos_satisfied(eta_final, d_binary, gamma, beta, gram, params, state=state)
     if enforce_qos and not feasibility.all() and options.qos_infeasible_policy == "error":
         raise InfeasibleProblemError(
             f"QoS violated for UE(s) {np.flatnonzero(~feasibility).tolist()} after rounding")

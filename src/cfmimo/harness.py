@@ -44,6 +44,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         if not self.scenarios:

@@ -52,7 +52,13 @@ def _check_columns(d: np.ndarray):
 def interference_state(d, gamma, beta, gram):
     """Power-independent sums of the SINR terms: sg[t] = sum_m d_mt gamma_mt,
     coh[t, t'] = sum_m d_mt gamma_mt beta_mt'/beta_mt, ncoh[t, t'] = sum_m
-    d_mt gamma_mt beta_mt' and the off-diagonal pilot gram g_off."""
+    d_mt gamma_mt beta_mt' and the off-diagonal pilot gram g_off.
+
+    The state depends on the association matrix but not on the powers, so a
+    caller that evaluates one d at many powers (fp_solver.alternate) builds it
+    once and hands it to the functions below through their `state` argument.
+    Raises DegenerateAssociationError when a column of d is all zero."""
+    _check_columns(d)
     w_mat = np.asarray(d, dtype=float) * np.asarray(gamma, dtype=float)   # (M, T)
     sg = w_mat.sum(axis=0)
     coh = (w_mat / beta).T @ beta
@@ -61,17 +67,17 @@ def interference_state(d, gamma, beta, gram):
     return sg, coh, ncoh, g_off
 
 
-def sinr_terms(eta, d, gamma, beta, gram, params: SystemParams):
+def sinr_terms(eta, d, gamma, beta, gram, params: SystemParams, *, state=None):
     """Vectorized numerator and interference terms for all UEs.
 
     Returns (signal, pilot_contamination, beamforming_uncertainty, noise),
-    each of shape (T,). Accepts relaxed (fractional) d in [0, 1].
+    each of shape (T,). Accepts relaxed (fractional) d in [0, 1]. `state` is
+    interference_state(d, gamma, beta, gram), built here when omitted.
     """
     eta = np.asarray(eta, dtype=float)
-    _check_columns(d)
     a = params.antennas_per_ap
     pu = params.uplink_snr
-    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram) if state is None else state
     signal = a * a * pu * eta * sg ** 2
     pilot_contamination = a * a * pu * ((g_off * coh ** 2) @ eta)
     beamforming_uncertainty = a * pu * (ncoh @ eta)
@@ -79,15 +85,16 @@ def sinr_terms(eta, d, gamma, beta, gram, params: SystemParams):
     return signal, pilot_contamination, beamforming_uncertainty, noise
 
 
-def sinr_all(eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
+def sinr_all(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> np.ndarray:
     """Per-UE SINR values, shape (T,)."""
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
+    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params, state=state)
     return signal / (pc + bu + noise)
 
 
-def se_all(eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
+def se_all(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> np.ndarray:
     """Per-UE spectral efficiency w*log2(1 + SINR), shape (T,)."""
-    return params.prelog * np.log2(1.0 + sinr_all(eta, d, gamma, beta, gram, params))
+    return params.prelog * np.log2(1.0 + sinr_all(eta, d, gamma, beta, gram, params,
+                                                  state=state))
 
 
 def penalized_objective(eta, d, gamma, beta, gram, params: SystemParams) -> float:
@@ -103,7 +110,8 @@ def fronthaul_load(d, se_values):
     return per_ap, float(per_ap.max())
 
 
-def qos_satisfied(eta, d, gamma, beta, gram, params: SystemParams, tol: float = 1e-9) -> np.ndarray:
+def qos_satisfied(eta, d, gamma, beta, gram, params: SystemParams, tol: float = 1e-9, *,
+                  state=None) -> np.ndarray:
     """Boolean per-UE flags SE_t >= qos_t (closed constraint, tolerance tol)."""
-    ses = se_all(eta, d, gamma, beta, gram, params)
+    ses = se_all(eta, d, gamma, beta, gram, params, state=state)
     return ses + tol >= qos_vector(params, ses.shape[0])

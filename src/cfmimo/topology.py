@@ -7,9 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Offsets of the 3x3 grid of translated images used for torus distances.
-_IMAGE_SHIFTS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=float)
-
 
 def hata_cost_fixed_loss_db(carrier_mhz: float = 1900.0,
                             ap_height_m: float = 15.0,
@@ -80,8 +77,14 @@ def wrap_distance_matrix(points_a, points_b, side: float, wrap_around: bool = Tr
     pb = np.asarray(points_b, dtype=float)
     if not wrap_around:
         return np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1)
-    diff = pa[:, None, None, :] - (pb[None, :, None, :] + side * _IMAGE_SHIFTS[None, None, :, :])
-    return np.min(np.linalg.norm(diff, axis=-1), axis=-1)
+    # Torus distance: the nearest of the 3x3 translated images of each b. The
+    # rounded norm is monotone in each |offset|, so that minimum falls on the
+    # nearest image along each axis on its own.
+    a = pa[:, None, :]
+    b = pb[None, :, :]
+    near = np.minimum(np.abs(a - b), np.minimum(np.abs(a - (b - side)), np.abs(a - (b + side))))
+    dx, dy = near[..., 0], near[..., 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def path_loss_db(d, model: PathLossModel):

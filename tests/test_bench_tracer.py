@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import cfmimo as cf
@@ -15,3 +16,20 @@ def test_tracer_binds_every_traced_name(monkeypatch):
     with tracer.Tracer():
         assert cf.fp_solver.pga_maximize is not original
     assert cf.fp_solver.pga_maximize is original
+
+
+def test_solver_runs_through_traced_names(monkeypatch, desk_channel):
+    # alternate must call the traced functions themselves, or the per-layer
+    # metrics of a traced benchmark run read 0 while the work still happens.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    gamma, beta, gram, params = desk_channel(3)
+    with tracer.Tracer() as spans:
+        res = cf.alternate(None, None, gamma, beta, gram, replace(params, qos=0.0),
+                           cf.SolverOptions(), mode="power_only")
+    metrics = spans.layer_metrics()
+    assert metrics["fp_solver.alternate.outer_iters"] == res.iterations
+    for name in ("fp_solver.refresh_aux", "fp_solver.solve_power",
+                 "fp_solver.block_objective", "se_model.sinr_terms"):
+        assert metrics[f"{name}.calls"] > 0, name

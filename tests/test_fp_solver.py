@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -480,3 +481,58 @@ def test_alternate_keeps_qos_target_of_column_on_its_boundary():
     (record,) = cf.run_experiment(config).records
     trace = record.trace
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+
+
+def count_state_builds(monkeypatch):
+    """Replace interference_state, in every cfmimo namespace that binds it, by a
+    counting wrapper; returns the one-element call counter."""
+    original = cf.se_model.interference_state
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cfmimo" or name.startswith("cfmimo."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_alternate_builds_one_interference_state_per_association_matrix(desk_channel,
+                                                                         monkeypatch):
+    gamma, beta, gram, params = desk_channel(14, qos=1.0)
+    calls = count_state_builds(monkeypatch)
+    res = cf.alternate(None, None, gamma, beta, gram, replace(params, qos=0.0),
+                       cf.SolverOptions(), mode="power_only")
+    assert res.iterations > 1
+    assert calls[0] <= 2    # d, then d_binary
+
+    repairs = []
+    original_repair = fp_solver._repair_columns
+
+    def repair(*args, **kwargs):
+        repairs.append(1)
+        return original_repair(*args, **kwargs)
+
+    monkeypatch.setattr(fp_solver, "_repair_columns", repair)
+    calls[0] = 0
+    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(), mode="joint")
+    assert repairs and res.feasibility.all()
+    # The start, one per association block, the rounded and the repaired d_binary.
+    assert calls[0] <= res.iterations + 3
+
+
+@pytest.mark.parametrize("mode", ["joint", "power_only", "association_only"])
+def test_all_zero_initial_column_raises(desk_channel, mode):
+    gamma, beta, gram, params = desk_channel(0)
+    d = np.ones(gamma.shape)
+    d[:, 4] = 0.0
+    with pytest.raises(cf.DegenerateAssociationError):
+        cf.sinr_terms(np.ones(gamma.shape[1]), d, gamma, beta, gram, params)
+    for qos in (0.0, params.qos):
+        with pytest.raises(cf.DegenerateAssociationError):
+            cf.alternate(None, d, gamma, beta, gram, replace(params, qos=qos),
+                         cf.SolverOptions(), mode=mode)

@@ -92,12 +92,24 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_parallel_matches_sequential(tmp_path):
-    config = tiny_config(tmp_path, scenarios=("full_power_all_serve",), drops=3)
+    config = tiny_config(tmp_path, drops=3,
+                         scenarios=("full_power_all_serve", "association_only", "joint"))
     seq = cf.run_experiment(config)
     par = cf.run_experiment(replace(config, workers=2))
     for r1, r2 in zip(seq.records, par.records):
         assert r1.drop == r2.drop
         assert np.array_equal(r1.per_ue_se, r2.per_ue_se)
+    seq_files = cf.emit_results(seq, tmp_path / "seq")
+    par_files = cf.emit_results(par, tmp_path / "par")
+    assert [p.name for p in seq_files] == [p.name for p in par_files]
+    for p1, p2 in zip(seq_files, par_files):
+        if p1.name == "config_echo.json":
+            # The echo differs only in the worker count it records.
+            echo1, echo2 = json.loads(p1.read_text()), json.loads(p2.read_text())
+            assert (echo1.pop("workers"), echo2.pop("workers")) == (1, 2)
+            assert echo1 == echo2
+        else:
+            assert p1.read_bytes() == p2.read_bytes(), p1.name
 
 
 def test_config_roundtrip_and_echo(tmp_path):
@@ -129,7 +141,7 @@ def test_load_config_merges_over_base(tmp_path):
 @pytest.mark.parametrize("override", [
     {"network": {"num_aps": 8}, "params": {"antennas_per_ap": 1}},  # T=10 > M*A=8
     {"solver": {"max_outer_iters": 0}}, {"solver": {"max_inner_iters": 0}},
-    {"solver": {"inner_tolerance": 0.0}}])
+    {"solver": {"inner_tolerance": 0.0}}, {"workers": 0}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -164,3 +176,13 @@ def test_cli_small_run(tmp_path, capsys):
     code = main(["--config", str(cfg_path)])
     assert code == 0
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--drops", "0"], ["--workers", "0"], ["--workers", "-3"]])
+def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
+    from cfmimo.cli import main
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -13,6 +13,15 @@ def wrap_distance(a, b, side):
     return float(np.min(np.linalg.norm(images - np.asarray(a, dtype=float), axis=-1)))
 
 
+def image_distance_matrix(points_a, points_b, side):
+    """Reference torus distances: the minimum norm over all 9 translated images of b."""
+    shifts = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=float)
+    pa = np.asarray(points_a, dtype=float)
+    pb = np.asarray(points_b, dtype=float)
+    diff = pa[:, None, None, :] - (pb[None, :, None, :] + side * shifts[None, None, :, :])
+    return np.min(np.linalg.norm(diff, axis=-1), axis=-1)
+
+
 def brute_wrap(a, b, side):
     best = math.inf
     for dx in (-1, 0, 1):
@@ -83,11 +92,35 @@ def test_wrap_distance_matrix_consistency():
     ap = rng.uniform(0, side, size=(7, 2))
     ue = rng.uniform(0, side, size=(4, 2))
     mat = cf.wrap_distance_matrix(ap, ue, side)
+    assert np.array_equal(mat, image_distance_matrix(ap, ue, side))
     for i in range(7):
         for j in range(4):
-            assert mat[i, j] == pytest.approx(wrap_distance(ap[i], ue[j], side))
+            assert mat[i, j] == wrap_distance(ap[i], ue[j], side)
     plain = cf.wrap_distance_matrix(ap, ue, side, wrap_around=False)
     assert np.allclose(plain, np.linalg.norm(ap[:, None] - ue[None, :], axis=-1))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_wrap_distance_matrix_matches_image_reference(seed):
+    # The per-axis nearest image must give the 9-image minimum bit for bit,
+    # including pairs exactly half a side apart and points on 0 and on side.
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        num_a, num_b = rng.integers(1, 50, size=2)
+        side = float(rng.choice([1.0, 3.7, 500.0, 1000.0, rng.uniform(1e-3, 1e5)]))
+        ap = rng.uniform(0.0, side, size=(num_a, 2))
+        ue = rng.uniform(0.0, side, size=(num_b, 2))
+        k = min(num_a, num_b)
+        ue[:k // 2] = (ap[:k // 2] + side / 2) % side
+        corners = num_a - num_a // 3
+        ap[corners:] = rng.integers(0, 2, size=(num_a - corners, 2)) * side
+        ue[-1] = (side, 0.0)
+        mat = cf.wrap_distance_matrix(ap, ue, side)
+        assert np.array_equal(mat, image_distance_matrix(ap, ue, side))
+    half = cf.wrap_distance_matrix([[0.0, 0.0], [0.0, 10.0]], [[5.0, 5.0], [10.0, 0.0]], 10.0)
+    assert np.array_equal(half, image_distance_matrix([[0.0, 0.0], [0.0, 10.0]],
+                                                      [[5.0, 5.0], [10.0, 0.0]], 10.0))
+    assert half[1, 1] == 0.0
 
 
 def test_path_loss_continuity_at_breakpoints():
