@@ -11,6 +11,8 @@ block is solved through its separable Lagrangian dual. Each association column i
 solved by projected gradient ascent over the exact box-and-coverage projection,
 with its QoS target held by bisection on the target's scalar multiplier. One
 per-column SINR model serves the association block, its QoS set and the repair.
+When power is free and full power breaks a QoS target, the solve starts from the
+least powers that meet every target (one linear solve, Yates 1995).
 
 The SINR terms of every UE share power-independent sums over the association
 matrix (se_model.interference_state). alternate builds them once for each
@@ -492,25 +494,20 @@ def _repair_columns(eta, d_binary, d_relaxed, gamma, beta, gram, params: SystemP
     return out
 
 
-def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
-                        max_iters=200, margin=1.05, *, state=None) -> np.ndarray:
-    """Target-tracking power control toward the QoS SINR thresholds.
-
-    Standard-interference-function iteration eta <- min(1, eta * target/SINR);
-    UEs without a QoS target keep full power. Returns the final iterate whether
-    or not all targets were reached.
-    """
-    num_ues = gamma.shape[1]
-    gth = _qos_thresholds(params, num_ues)
-    eta = np.ones(num_ues)
-    for _ in range(max_iters):
-        vals = sinr_all(eta, d, gamma, beta, gram, params, state=state)
-        ratio = np.where(gth > 0, margin * gth / np.maximum(vals, 1e-300), 1.0)
-        new = np.clip(eta * ratio, 0.0, 1.0)
-        if np.max(np.abs(new - eta)) <= 1e-10 and np.all(vals >= gth):
-            return new
-        eta = new
-    return eta
+def _qos_start(d, gamma, beta, gram, params: SystemParams, margin=1.05, *, state=None):
+    """Least powers meeting every QoS target at margin * threshold, else at the bare
+    threshold, with the UEs without a target held at full power; None when
+    neither lies in [0,1]. The SINR is linear-fractional in eta, so in the box
+    these are the fixed point of target tracking eta <- min(1, eta * target/SINR)."""
+    c_sig, a_mat, n_vec, _ = _power_terms(d, gamma, beta, gram, params, state=state)
+    gth = _qos_thresholds(params, c_sig.size)
+    free = gth <= 0
+    for target in (margin * gth, gth):
+        least = _qos_rows(c_sig, a_mat, n_vec + a_mat[:, free].sum(axis=1), target)[2]
+        least[free] = 1.0
+        if np.all((least >= 0) & (least <= 1)):
+            return least
+    return None
 
 
 def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
@@ -539,16 +536,11 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     state = interference_state(d, gamma, beta, gram)
     if (enforce_qos and power_is_free
             and not qos_satisfied(eta, d, gamma, beta, gram, params, state=state).all()):
-        eta = _feasibility_powers(d, gamma, beta, gram, params, state=state)
-        if not qos_satisfied(eta, d, gamma, beta, gram, params, state=state).all():
-            # Target tracking can miss rows that hold in the box; their least
-            # powers (Yates 1995) meet them exactly when they lie in the box.
-            least = _qos_rows(*_power_terms(d, gamma, beta, gram, params, state=state)[:3],
-                              _qos_thresholds(params, num_ues))[2]
-            if np.all((least >= 0) & (least <= 1)):
-                eta = least
-            elif options.qos_infeasible_policy == "error":
-                raise InfeasibleProblemError("no QoS-feasible initialization found")
+        start = _qos_start(d, gamma, beta, gram, params, state=state)
+        if start is not None:
+            eta = start
+        elif options.qos_infeasible_policy == "error":
+            raise InfeasibleProblemError("no QoS-feasible initialization found")
 
     trace = []
     f_prev = None

@@ -50,8 +50,8 @@ class ExperimentConfig:
             raise ValueError("alphas must be nonempty")
         if not self.scenarios:
             raise ValueError("scenarios must be nonempty")
-        if self.network.antennas_per_ap != self.params.antennas_per_ap:
-            raise ValueError("network.antennas_per_ap and params.antennas_per_ap must agree")
+        if not self.network.num_ues < self.network.num_aps * self.params.antennas_per_ap:
+            raise ValueError("operating regime requires num_ues < num_aps * antennas_per_ap")
 
 
 @dataclass
@@ -261,8 +261,7 @@ def desk_config(seed: int = 7, drops: int = 20, alphas=(DESK_ALPHA,),
     """Small configuration for interactive runs and the acceptance suite."""
     snr = default_uplink_snr()
     return ExperimentConfig(
-        network=NetworkConfig(num_aps=num_aps, num_ues=10, antennas_per_ap=2,
-                              area_side=1000.0, rng_seed=seed),
+        network=NetworkConfig(num_aps=num_aps, num_ues=10, area_side=1000.0, rng_seed=seed),
         params=SystemParams(antennas_per_ap=2, uplink_snr=snr, alpha=alphas[0],
                             qos=0.2, coherence_len=200, pilot_len=5),
         solver=SolverOptions(),
@@ -281,8 +280,7 @@ def paper_config(seed: int = 7, drops: int = 100, num_aps: int = 100,
     """Full-scale configuration (M=100 or 150, T=40, A=4, 100 drops)."""
     snr = default_uplink_snr()
     return ExperimentConfig(
-        network=NetworkConfig(num_aps=num_aps, num_ues=40, antennas_per_ap=4,
-                              area_side=1000.0, rng_seed=seed),
+        network=NetworkConfig(num_aps=num_aps, num_ues=40, area_side=1000.0, rng_seed=seed),
         params=SystemParams(antennas_per_ap=4, uplink_snr=snr, alpha=alphas[0],
                             qos=0.2, coherence_len=200, pilot_len=5),
         solver=SolverOptions(),
@@ -295,17 +293,25 @@ def paper_config(seed: int = 7, drops: int = 100, num_aps: int = 100,
         pilot_snr=snr)
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = dict(base)
     for key, val in override.items():
+        # network.antennas_per_ap is the legacy copy that config_from_dict checks.
+        if key not in out and prefix + key != "network.antennas_per_ap":
+            raise ValueError(f"unknown configuration field {prefix + key!r}")
         if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
+            out[key] = _merge(out[key], val, f"{prefix}{key}.")
         else:
             out[key] = val
     return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    # Old configs also carry the antenna count in network; it must agree with params.
+    network = dict(data["network"])
+    antennas = data["params"].get("antennas_per_ap")
+    if network.pop("antennas_per_ap", antennas) != antennas:
+        raise ValueError("network.antennas_per_ap disagrees with params.antennas_per_ap")
     scenarios = []
     for entry in data["scenarios"]:
         if isinstance(entry, str):
@@ -318,7 +324,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     path_loss = dict(data["path_loss"])
     path_loss["slopes"] = tuple(path_loss["slopes"])
     return ExperimentConfig(
-        network=NetworkConfig(**data["network"]),
+        network=NetworkConfig(**network),
         params=SystemParams(**params),
         solver=SolverOptions(**data["solver"]),
         path_loss=PathLossModel(**path_loss),

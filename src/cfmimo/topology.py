@@ -21,7 +21,6 @@ def hata_cost_fixed_loss_db(carrier_mhz: float = 1900.0,
 class NetworkConfig:
     num_aps: int
     num_ues: int
-    antennas_per_ap: int = 1
     area_side: float = 1000.0
     rng_seed: int = 0
     wrap_around: bool = True
@@ -29,10 +28,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.area_side <= 0:
             raise ValueError("area_side must be positive")
-        if self.num_aps < 1 or self.num_ues < 1 or self.antennas_per_ap < 1:
-            raise ValueError("num_aps, num_ues and antennas_per_ap must be >= 1")
-        if not self.num_ues < self.num_aps * self.antennas_per_ap:
-            raise ValueError("operating regime requires num_ues < num_aps * antennas_per_ap")
+        if self.num_aps < 1 or self.num_ues < 1:
+            raise ValueError("num_aps and num_ues must be >= 1")
 
 
 @dataclass(frozen=True)

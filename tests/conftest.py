@@ -2,15 +2,37 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import (_feasibility_powers, _power_coefficients, _qos_rows,
-                              _qos_thresholds, refresh_aux)
+from cfmimo.fp_solver import _power_coefficients, _qos_rows, _qos_thresholds, refresh_aux
+from cfmimo.se_model import SystemParams, sinr_all
+
+
+def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
+                        max_iters=200, margin=1.05, *, state=None) -> np.ndarray:
+    """Target-tracking power control toward the QoS SINR thresholds.
+
+    Standard-interference-function iteration eta <- min(1, eta * target/SINR);
+    UEs without a QoS target keep full power. Returns the final iterate whether
+    or not all targets were reached. The reference the solver's least-power
+    start (fp_solver._qos_start) is checked against, and the warm start of the
+    power-block instances below.
+    """
+    num_ues = gamma.shape[1]
+    gth = _qos_thresholds(params, num_ues)
+    eta = np.ones(num_ues)
+    for _ in range(max_iters):
+        vals = sinr_all(eta, d, gamma, beta, gram, params, state=state)
+        ratio = np.where(gth > 0, margin * gth / np.maximum(vals, 1e-300), 1.0)
+        new = np.clip(eta * ratio, 0.0, 1.0)
+        if np.max(np.abs(new - eta)) <= 1e-10 and np.all(vals >= gth):
+            return new
+        eta = new
+    return eta
 
 
 def build_desk_channel(seed, num_aps=30, num_ues=10, antennas=2, alpha=0.001, qos=0.2):
     """Geometric desk-scale instance; returns (gamma, beta, gram, params)."""
     rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(seed,)))
-    config = cf.NetworkConfig(num_aps=num_aps, num_ues=num_ues,
-                              antennas_per_ap=antennas, rng_seed=7)
+    config = cf.NetworkConfig(num_aps=num_aps, num_ues=num_ues, rng_seed=7)
     ap_pos, ue_pos = cf.generate_topology(config, rng)
     beta = cf.compute_lsfc(ap_pos, ue_pos, cf.PathLossModel(), cf.ShadowingModel(),
                            rng, area_side=config.area_side)

@@ -8,10 +8,10 @@ import pytest
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
 from cfmimo.fp_solver import (_association_column, _column_objective, _dual_power_solve,
-                              _feasibility_powers, _power_coefficients, _qos_approximation,
+                              _power_coefficients, _qos_approximation, _qos_start,
                               _qos_thresholds, block_objective_d_grad,
                               block_objective_eta_grad, refresh_aux)
-from conftest import build_power_block, build_synthetic_channel
+from conftest import _feasibility_powers, build_power_block, build_synthetic_channel
 
 LN2 = math.log(2.0)
 
@@ -436,6 +436,8 @@ def test_curvature_probe_grows_with_gamma_scale():
 
 
 def test_feasibility_powers_restores_targets(desk_channel):
+    # Where full power breaks a target, the least-power start meets every target
+    # with the 5% margin.
     restored = 0
     for seed in range(8):
         gamma, beta, gram, params = desk_channel(seed)
@@ -443,10 +445,37 @@ def test_feasibility_powers_restores_targets(desk_channel):
         d = np.ones(gamma.shape)
         if cf.qos_satisfied(ones, d, gamma, beta, gram, params).all():
             continue
-        eta = _feasibility_powers(d, gamma, beta, gram, params)
-        assert cf.qos_satisfied(eta, d, gamma, beta, gram, params).all()
+        eta = _qos_start(d, gamma, beta, gram, params)
+        sinr = cf.sinr_all(eta, d, gamma, beta, gram, params)
+        assert np.all((eta >= 0) & (eta <= 1))
+        assert np.all(sinr >= 1.05 * _qos_thresholds(params, d.shape[1]) * (1 - 1e-12))
         restored += 1
-    assert restored >= 1  # at least one drop actually exercised the pre-phase
+    assert restored >= 1  # at least one drop actually exercised the start
+
+
+# Instances on which target tracking stops at its 200-sweep cap short of its fixed point.
+TRACKING_CAPPED = {(3, 1.0), (34, 1.2)}
+
+
+def test_qos_start_matches_target_tracking(desk_channel):
+    # Tracking's fixed point is the least-power solution at the margin targets.
+    compared = 0
+    for seed in range(40):
+        for qos in (0.5, 1.0, 1.2):
+            gamma, beta, gram, params = desk_channel(seed, qos=qos)
+            d = np.ones(gamma.shape)
+            eta = _qos_start(d, gamma, beta, gram, params)
+            if eta is None or np.array_equal(eta, _qos_start(d, gamma, beta, gram, params,
+                                                             margin=1.0)):
+                continue    # no start, or the margin powers leave the box
+            sinr = cf.sinr_all(eta, d, gamma, beta, gram, params)
+            target = 1.05 * _qos_thresholds(params, d.shape[1])
+            assert np.allclose(sinr, target, rtol=1e-12, atol=0.0)
+            if (seed, qos) not in TRACKING_CAPPED:
+                tracked = _feasibility_powers(d, gamma, beta, gram, params)
+                assert np.allclose(eta, tracked, rtol=0.0, atol=1e-8)
+                compared += 1
+    assert compared == 78
 
 
 def test_alternate_infeasible_policy(desk_channel):
@@ -462,13 +491,31 @@ def test_alternate_infeasible_policy(desk_channel):
 
 @pytest.mark.parametrize("seed", [25, 32, 36])
 def test_alternate_starts_from_least_powers_when_tracking_misses(desk_channel, seed):
-    # Satisfiable rows that the QoS-tracking powers miss: the least powers start the solve.
+    # Satisfiable rows that target tracking misses: the least powers start the solve.
     gamma, beta, gram, params = desk_channel(seed, qos=1.2)
     d = np.ones(gamma.shape)
     eta = _feasibility_powers(d, gamma, beta, gram, params)
     assert not cf.qos_satisfied(eta, d, gamma, beta, gram, params).all()
     res = cf.alternate(None, None, gamma, beta, gram, params,
                        cf.SolverOptions(qos_infeasible_policy="error"))
+    assert res.feasibility.all()
+
+
+@pytest.mark.parametrize("seed, has_start", [(0, True), (5, False)])
+def test_alternate_keeps_ues_without_target_powered(desk_channel, seed, has_start):
+    # UEs 0 and 4 have no target, and a UE started at eta = 0 stays there: u_t = 0
+    # zeroes its power-block coefficient. Seed 0: the least-power start holds them
+    # at full power. Seed 5: no start meets the targets with them at full power,
+    # so the solve keeps eta = 1; the least powers with them silent froze them.
+    gamma, beta, gram, params = desk_channel(seed, qos=0.5)
+    qos = np.full(gamma.shape[1], 0.5)
+    qos[[0, 4]] = 0.0
+    params = replace(params, qos=qos)
+    d = np.ones(gamma.shape)
+    assert not cf.qos_satisfied(np.ones(qos.size), d, gamma, beta, gram, params).all()
+    assert (_qos_start(d, gamma, beta, gram, params) is not None) == has_start
+    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions())
+    assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()
 
 

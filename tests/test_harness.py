@@ -133,7 +133,7 @@ def test_load_config_merges_over_base(tmp_path):
     config = cf.load_config(path)
     assert config.drops == 4
     assert config.network.num_aps == 12
-    assert config.network.antennas_per_ap == 2  # inherited from the desk base
+    assert config.params.antennas_per_ap == 2  # inherited from the desk base
     assert config.alphas == (0.002,)
     assert config.scenarios == (cf.Scenario(kind="joint"),)
 
@@ -141,7 +141,8 @@ def test_load_config_merges_over_base(tmp_path):
 @pytest.mark.parametrize("override", [
     {"network": {"num_aps": 8}, "params": {"antennas_per_ap": 1}},  # T=10 > M*A=8
     {"solver": {"max_outer_iters": 0}}, {"solver": {"max_inner_iters": 0}},
-    {"solver": {"inner_tolerance": 0.0}}, {"workers": 0}])
+    {"solver": {"inner_tolerance": 0.0}}, {"workers": 0},
+    {"network": {"num_apz": 3}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -149,11 +150,52 @@ def test_load_config_rejects_invalid_values(tmp_path, override):
         cf.load_config(path)
 
 
+def write_config(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_load_config_names_unknown_field(tmp_path):
+    with pytest.raises(ValueError, match="'network.num_apz'"):
+        cf.load_config(write_config(tmp_path, {"network": {"num_apz": 3}}))
+
+
+def test_experiment_config_operating_regime(tmp_path):
+    # The regime T < M*A reads the antenna count from params: T=10 > M*A=8.
+    with pytest.raises(ValueError, match="operating regime"):
+        cf.load_config(write_config(tmp_path, {"network": {"num_aps": 8},
+                                               "params": {"antennas_per_ap": 1}}))
+    config = cf.desk_config()
+    with pytest.raises(ValueError, match="operating regime"):
+        replace(config, network=replace(config.network, num_aps=5))   # T=10 = M*A
+    assert replace(config, network=replace(config.network, num_aps=6)).network.num_aps == 6
+
+
+def test_old_configs_with_network_antenna_count_load(tmp_path):
+    # Files written before the antenna count lived only in params carry it in
+    # network too; they load when the two counts agree.
+    old = {"network": {"num_aps": 12, "antennas_per_ap": 3}, "params": {"antennas_per_ap": 3}}
+    assert cf.load_config(write_config(tmp_path, old)).params.antennas_per_ap == 3
+    old["params"]["antennas_per_ap"] = 4
+    with pytest.raises(ValueError, match="disagrees"):
+        cf.load_config(write_config(tmp_path, old))
+    with pytest.raises(ValueError, match="disagrees"):
+        cf.load_config(write_config(tmp_path, {"network": {"antennas_per_ap": 3}}))
+    # An old config_echo.json is the full dict with the extra network entry.
+    echo = config_to_dict(cf.desk_config())
+    echo["network"]["antennas_per_ap"] = 2
+    assert config_from_dict(echo) == cf.desk_config()
+    echo["network"]["antennas_per_ap"] = 3
+    with pytest.raises(ValueError, match="disagrees"):
+        config_from_dict(echo)
+
+
 def test_paper_config_shape():
     config = cf.paper_config()
     assert config.network.num_aps == 100
     assert config.network.num_ues == 40
-    assert config.network.antennas_per_ap == 4
+    assert config.params.antennas_per_ap == 4
     assert config.drops == 100
     assert config.alphas == (0.0005, 0.001, 0.002)
 
@@ -178,9 +220,12 @@ def test_cli_small_run(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [["--drops", "0"], ["--workers", "0"], ["--workers", "-3"]])
+@pytest.mark.parametrize("argv", [["--drops", "0"], ["--workers", "0"], ["--workers", "-3"],
+                                  ["--config", "unknown_field.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
+    (tmp_path / "unknown_field.json").write_text(json.dumps({"network": {"num_apz": 3}}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2

@@ -32,8 +32,7 @@ def brute_wrap(a, b, side):
 
 
 def test_generate_topology_counts_and_bounds():
-    config = cf.NetworkConfig(num_aps=100, num_ues=40, antennas_per_ap=1,
-                              area_side=1000.0, rng_seed=3)
+    config = cf.NetworkConfig(num_aps=100, num_ues=40, area_side=1000.0, rng_seed=3)
     ap, ue = cf.generate_topology(config, np.random.default_rng(3))
     assert ap.shape == (100, 2) and ue.shape == (40, 2)
     for pts in (ap, ue):
@@ -41,21 +40,21 @@ def test_generate_topology_counts_and_bounds():
 
 
 def test_generate_topology_deterministic():
-    config = cf.NetworkConfig(num_aps=20, num_ues=5, antennas_per_ap=1, rng_seed=9)
+    config = cf.NetworkConfig(num_aps=20, num_ues=5, rng_seed=9)
     a1 = cf.generate_topology(config, np.random.default_rng(9))
     a2 = cf.generate_topology(config, np.random.default_rng(9))
     assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])
 
 
 def test_generate_topology_degenerate_counts():
-    config = cf.NetworkConfig(num_aps=1, num_ues=1, antennas_per_ap=2, rng_seed=0)
+    config = cf.NetworkConfig(num_aps=1, num_ues=1, rng_seed=0)
     ap, ue = cf.generate_topology(config, np.random.default_rng(0))
     assert ap.shape == (1, 2) and ue.shape == (1, 2)
 
 
 def test_network_config_validation():
     with pytest.raises(ValueError):
-        cf.NetworkConfig(num_aps=1, num_ues=1, antennas_per_ap=1)  # T < M*A fails
+        cf.NetworkConfig(num_aps=0, num_ues=1)
     with pytest.raises(ValueError):
         cf.NetworkConfig(num_aps=2, num_ues=1, area_side=0.0)
 
@@ -158,7 +157,7 @@ def test_hata_cost_default_constant():
 
 def test_lsfc_no_shadowing_matches_path_loss():
     rng = np.random.default_rng(2)
-    config = cf.NetworkConfig(num_aps=10, num_ues=4, antennas_per_ap=1, rng_seed=2)
+    config = cf.NetworkConfig(num_aps=10, num_ues=4, rng_seed=2)
     ap, ue = cf.generate_topology(config, rng)
     model = cf.PathLossModel()
     beta = cf.compute_lsfc(ap, ue, model, cf.ShadowingModel(sigma_db=0.0),
@@ -188,7 +187,7 @@ def test_lsfc_shadowing_only_beyond_d1():
 
 def test_lsfc_deterministic_given_seed():
     rng = np.random.default_rng(1)
-    config = cf.NetworkConfig(num_aps=6, num_ues=3, antennas_per_ap=1, rng_seed=1)
+    config = cf.NetworkConfig(num_aps=6, num_ues=3, rng_seed=1)
     ap, ue = cf.generate_topology(config, rng)
     kwargs = dict(area_side=config.area_side)
     b1 = cf.compute_lsfc(ap, ue, cf.PathLossModel(), cf.ShadowingModel(),
