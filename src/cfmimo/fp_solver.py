@@ -17,8 +17,11 @@ least powers that meet every target (one linear solve, Yates 1995).
 The SINR terms of every UE share power-independent sums over the association
 matrix (se_model.interference_state). alternate builds them once for each
 association matrix it forms and passes them as the keyword-only `state` to the
-auxiliary refresh, the power block, the block objective and the SINR and QoS
-evaluations on that matrix; a caller that omits `state` gets it built from d.
+auxiliary refresh, the power block, the block objective and the SE evaluations
+on that matrix; a caller that omits `state` gets it built from d. A solve returns
+the per-UE SE of its powers on the binary and the relaxed matrix (SolveResult.se,
+se_relaxed); the QoS check after rounding, the repair and the feasibility flags
+all read that one evaluation.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opt import pga_maximize, project_box_polyhedron
-from .se_model import (SystemParams, interference_state, qos_satisfied,
-                       qos_vector, se_all, sinr_all, sinr_terms)
+from .se_model import (SystemParams, interference_state, l1_penalty, meets_qos,
+                       qos_satisfied, qos_vector, se_all, sinr_all, sinr_terms)
 
 _LN2 = math.log(2.0)
 _ETA_FLOOR = 1e-30
@@ -75,6 +78,8 @@ class SolveResult:
     objective_trace: np.ndarray
     iterations: int
     feasibility: np.ndarray
+    se: np.ndarray            # per-UE SE at eta_star on d_binary
+    se_relaxed: np.ndarray    # per-UE SE at eta_star on d_relaxed
     wall_time: float
 
 
@@ -114,10 +119,6 @@ def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
     return params.prelog * np.log2(1.0 + gamma_aux) - _wprime(params) * gamma_aux
 
 
-def _penalty(d, params: SystemParams):
-    return params.alpha * np.abs(np.asarray(d, dtype=float)).sum()
-
-
 def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
                     state=None) -> float:
     """Quadratic-transform surrogate; a global lower bound of the relaxed objective,
@@ -128,7 +129,7 @@ def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParam
     total = signal + pc + bu + noise
     val = (_dual_const(gamma_aux, params) - u ** 2 * total
            + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
-    return float(val.sum() - _penalty(d, params))
+    return float(val.sum() - l1_penalty(d, params))
 
 
 def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: SystemParams) -> float:
@@ -138,7 +139,7 @@ def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: Syste
     signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
     total = signal + pc + bu + noise
     val = _dual_const(gamma_aux, params) + _wprime(params) * (1.0 + gamma_aux) * signal / total
-    return float(val.sum() - _penalty(d, params))
+    return float(val.sum() - l1_penalty(d, params))
 
 
 def _power_terms(d, gamma, beta, gram, params: SystemParams, *, state=None):
@@ -162,7 +163,7 @@ def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
-    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - _penalty(d, params))
+    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - l1_penalty(d, params))
     return lin, b_vec, const, c_sig, a_mat, n_vec
 
 
@@ -453,30 +454,29 @@ def solve_association(eta_fixed, gamma_aux, u, gamma, beta, gram, params: System
     return out
 
 
+def _ap_order(t, d_relaxed, gamma) -> np.ndarray:
+    """UE t's APs by largest relaxed value, ties by larger gamma, then lower AP index."""
+    return np.lexsort((np.arange(gamma.shape[0]), -gamma[:, t], -d_relaxed[:, t]))
+
+
 def round_association(d_relaxed, options: SolverOptions, gamma) -> np.ndarray:
-    """Threshold the relaxed matrix; restore empty columns at the entry with the
-    largest relaxed value (ties: larger gamma, then lower AP index)."""
+    """Threshold the relaxed matrix; restore each empty column at its first AP in _ap_order."""
     d_relaxed = np.asarray(d_relaxed, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     binary = (d_relaxed >= options.rounding_threshold).astype(float)
-    num_aps = d_relaxed.shape[0]
     for t in np.flatnonzero(binary.sum(axis=0) == 0):
-        order = np.lexsort((np.arange(num_aps), -gamma[:, t], -d_relaxed[:, t]))
-        binary[order[0], t] = 1.0
+        binary[_ap_order(t, d_relaxed, gamma)[0], t] = 1.0
     return binary
 
 
-def _repair_columns(eta, d_binary, d_relaxed, gamma, beta, gram, params: SystemParams, *,
-                    state=None) -> np.ndarray:
+def _repair_columns(eta, d_binary, d_relaxed, ses, qos, gamma, beta, gram,
+                    params: SystemParams) -> np.ndarray:
     """Restore QoS broken by rounding, one UE at a time, by re-adding APs to the
-    UE's own column (largest relaxed value first, ties by gamma then AP index).
+    UE's own column in _ap_order; ses is the per-UE SE on d_binary, qos the targets.
     A UE's SINR depends only on its own column, so repairs do not interact."""
-    qos = qos_vector(params, gamma.shape[1])
-    ses = se_all(eta, d_binary, gamma, beta, gram, params, state=state)
     out = d_binary.copy()
-    num_aps = gamma.shape[0]
-    for t in np.flatnonzero(ses + 1e-9 < qos):
-        order = np.lexsort((np.arange(num_aps), -gamma[:, t], -d_relaxed[:, t]))
+    for t in np.flatnonzero(~meets_qos(ses, qos)):
+        order = _ap_order(t, d_relaxed, gamma)
         model = _column_model(t, eta, gamma, beta, gram, params)
         trial = out[:, t].copy()
         best_col, best_se = trial.copy(), ses[t]
@@ -488,7 +488,7 @@ def _repair_columns(eta, d_binary, d_relaxed, gamma, beta, gram, params: SystemP
             se_t = params.prelog * math.log2(1.0 + signal / interference)
             if se_t > best_se:
                 best_col, best_se = trial.copy(), se_t
-            if se_t + 1e-9 >= qos[t]:
+            if meets_qos(se_t, qos[t]):
                 break
         out[:, t] = best_col
     return out
@@ -564,26 +564,25 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         f_prev = f_val
 
     d_binary = round_association(d, options, gamma)
-    state = interference_state(d_binary, gamma, beta, gram)
-    eta_final = eta
-    if (enforce_qos
-            and not qos_satisfied(eta_final, d_binary, gamma, beta, gram, params,
-                                  state=state).all()):
+    state_b = interference_state(d_binary, gamma, beta, gram)
+    se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
+    if enforce_qos and not meets_qos(se, qos).all():
         # Rounding broke a QoS target: re-add APs to the violated columns, then
         # (when power is a free variable) refit the powers on the binary matrix.
-        d_binary = _repair_columns(eta_final, d_binary, d, gamma, beta, gram, params,
-                                   state=state)
-        state = interference_state(d_binary, gamma, beta, gram)
-        if (power_is_free
-                and not qos_satisfied(eta_final, d_binary, gamma, beta, gram, params,
-                                      state=state).all()):
-            aux_b = refresh_aux(eta_final, d_binary, gamma, beta, gram, params, state=state)
-            eta_final = solve_power(d_binary, aux_b.gamma_aux, aux_b.u, gamma, beta, gram,
-                                    params, options, eta_init=eta_final, state=state)
-    feasibility = qos_satisfied(eta_final, d_binary, gamma, beta, gram, params, state=state)
+        d_binary = _repair_columns(eta, d_binary, d, se, qos, gamma, beta, gram, params)
+        state_b = interference_state(d_binary, gamma, beta, gram)
+        se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
+        if power_is_free and not meets_qos(se, qos).all():
+            aux_b = refresh_aux(eta, d_binary, gamma, beta, gram, params, state=state_b)
+            eta = solve_power(d_binary, aux_b.gamma_aux, aux_b.u, gamma, beta, gram,
+                              params, options, eta_init=eta, state=state_b)
+            se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
+    feasibility = meets_qos(se, qos)
     if enforce_qos and not feasibility.all() and options.qos_infeasible_policy == "error":
         raise InfeasibleProblemError(
             f"QoS violated for UE(s) {np.flatnonzero(~feasibility).tolist()} after rounding")
-    return SolveResult(eta_star=eta_final, d_relaxed=d, d_binary=d_binary,
+    se_relaxed = se_all(eta, d, gamma, beta, gram, params, state=state)
+    return SolveResult(eta_star=eta, d_relaxed=d, d_binary=d_binary,
                        objective_trace=np.asarray(trace), iterations=iterations,
-                       feasibility=feasibility, wall_time=time.perf_counter() - t_start)
+                       feasibility=feasibility, se=se, se_relaxed=se_relaxed,
+                       wall_time=time.perf_counter() - t_start)

@@ -14,7 +14,7 @@ import numpy as np
 from .baselines import SCENARIO_KINDS, Scenario, run_scenario
 from .fp_solver import SolverOptions
 from .pilots import assign_pilots, estimation_quality, pilot_gram
-from .se_model import SystemParams, fronthaul_load, se_all
+from .se_model import SystemParams, fronthaul_load, l1_penalty
 from .topology import (NetworkConfig, PathLossModel, ShadowingModel,
                        compute_lsfc, generate_topology)
 
@@ -113,15 +113,13 @@ def _run_drop(config: ExperimentConfig, drop: int) -> list:
         params = replace(config.params, alpha=alpha)
         for scenario in config.scenarios:
             res = run_scenario(scenario, gamma, beta, gram, params, config.solver)
-            se_bin = se_all(res.eta_star, res.d_binary, gamma, beta, gram, params)
-            sum_se = float(se_bin.sum())
-            _, max_fh = fronthaul_load(res.d_binary, se_bin)
-            objective = sum_se - params.alpha * float(res.d_binary.sum())
-            relaxed_sum = float(se_all(res.eta_star, res.d_relaxed,
-                                       gamma, beta, gram, params).sum())
+            sum_se = float(res.se.sum())
+            _, max_fh = fronthaul_load(res.d_binary, res.se)
+            objective = sum_se - l1_penalty(res.d_binary, params)
+            relaxed_sum = float(res.se_relaxed.sum())
             gap = abs(relaxed_sum - sum_se) / relaxed_sum if relaxed_sum > 0 else 0.0
             records.append(DropRecord(
-                drop=drop, scenario=scenario.kind, alpha=alpha, per_ue_se=se_bin,
+                drop=drop, scenario=scenario.kind, alpha=alpha, per_ue_se=res.se,
                 sum_se=sum_se, max_fronthaul=max_fh, objective=objective,
                 rounding_gap=gap, trace=res.objective_trace,
                 iterations=res.iterations, feasible=bool(res.feasibility.all()),

@@ -97,10 +97,15 @@ def se_all(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> np
                                                   state=state))
 
 
+def l1_penalty(d, params: SystemParams) -> float:
+    """The l1 penalty alpha * sum_mt |d_mt| of the association columns."""
+    return float(params.alpha * np.abs(np.asarray(d, dtype=float)).sum())
+
+
 def penalized_objective(eta, d, gamma, beta, gram, params: SystemParams) -> float:
     """sum_t SE_t - alpha * sum_mt |d_mt| (the l1 penalty of each association column)."""
     ses = se_all(eta, d, gamma, beta, gram, params)
-    return float(ses.sum() - params.alpha * np.abs(np.asarray(d, dtype=float)).sum())
+    return float(ses.sum() - l1_penalty(d, params))
 
 
 def fronthaul_load(d, se_values):
@@ -110,8 +115,13 @@ def fronthaul_load(d, se_values):
     return per_ap, float(per_ap.max())
 
 
+def meets_qos(se, qos, tol: float = 1e-9):
+    """SE >= qos as a closed constraint with tolerance tol, elementwise."""
+    return se + tol >= qos
+
+
 def qos_satisfied(eta, d, gamma, beta, gram, params: SystemParams, tol: float = 1e-9, *,
                   state=None) -> np.ndarray:
     """Boolean per-UE flags SE_t >= qos_t (closed constraint, tolerance tol)."""
     ses = se_all(eta, d, gamma, beta, gram, params, state=state)
-    return ses + tol >= qos_vector(params, ses.shape[0])
+    return meets_qos(ses, qos_vector(params, ses.shape[0]), tol)

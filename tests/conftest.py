@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,24 @@ def build_power_block(seed, qos=1.0):
     coefs = _power_coefficients(d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
     normals, offsets, _ = _qos_rows(*coefs[3:], _qos_thresholds(params, d.shape[1]))
     return (gamma, beta, gram, params), d, eta0, aux, coefs, (normals, offsets)
+
+
+def count_state_builds(monkeypatch):
+    """Replace interference_state, in every cfmimo namespace that binds it, by a
+    counting wrapper; returns the one-element call counter."""
+    original = cf.se_model.interference_state
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cfmimo" or name.startswith("cfmimo."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture

@@ -66,6 +66,22 @@ def test_power_only_runs_without_qos(desk_channel):
     assert res.iterations >= 1
 
 
+@pytest.mark.parametrize("seed, qos", [(4, 0.2), (14, 1.0)])
+@pytest.mark.parametrize("kind", cf.SCENARIO_KINDS)
+def test_solve_returns_its_per_ue_se_and_qos_flags(desk_channel, kind, seed, qos):
+    # The records read se and se_relaxed off the solve, so each must be the SE at
+    # eta_star on its matrix; every scenario flags the caller's QoS target, power_only
+    # too (seed 4 misses it). Seed 14 at qos 1.0 repairs and refits after rounding.
+    gamma, beta, gram, params = desk_channel(seed, qos=qos)
+    res = cf.run_scenario(cf.Scenario(kind=kind), gamma, beta, gram, params,
+                          cf.SolverOptions())
+    channel = (gamma, beta, gram, params)
+    assert np.array_equal(res.se, cf.se_all(res.eta_star, res.d_binary, *channel))
+    assert np.array_equal(res.se_relaxed, cf.se_all(res.eta_star, res.d_relaxed, *channel))
+    assert np.array_equal(res.feasibility,
+                          cf.qos_satisfied(res.eta_star, res.d_binary, *channel))
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         cf.Scenario(kind="mystery")

@@ -1,5 +1,4 @@
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,8 @@ from cfmimo.fp_solver import (_association_column, _column_objective, _dual_powe
                               _power_coefficients, _qos_approximation, _qos_start,
                               _qos_thresholds, block_objective_d_grad,
                               block_objective_eta_grad, refresh_aux)
-from conftest import _feasibility_powers, build_power_block, build_synthetic_channel
+from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
+                      count_state_builds)
 
 LN2 = math.log(2.0)
 
@@ -528,24 +528,6 @@ def test_alternate_keeps_qos_target_of_column_on_its_boundary():
     (record,) = cf.run_experiment(config).records
     trace = record.trace
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
-
-
-def count_state_builds(monkeypatch):
-    """Replace interference_state, in every cfmimo namespace that binds it, by a
-    counting wrapper; returns the one-element call counter."""
-    original = cf.se_model.interference_state
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "cfmimo" or name.startswith("cfmimo."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 def test_alternate_builds_one_interference_state_per_association_matrix(desk_channel,

@@ -6,6 +6,7 @@ import pytest
 
 import cfmimo as cf
 from cfmimo.harness import config_from_dict, config_to_dict
+from conftest import count_state_builds
 
 
 def tiny_config(tmp_dir, scenarios=("full_power_all_serve",), drops=2, alphas=(0.001,)):
@@ -110,6 +111,28 @@ def test_parallel_matches_sequential(tmp_path):
             assert echo1 == echo2
         else:
             assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+
+def test_power_only_feasible_flag_reports_qos_target(tmp_path):
+    # power_only solves without QoS, yet its flag says whether the SE met the target.
+    config = cf.desk_config(seed=7, drops=12, alphas=(0.001, 0.002, 0.004),
+                            scenarios=(cf.Scenario(kind="power_only"),),
+                            output_dir=str(tmp_path))
+    records = cf.run_experiment(config).records
+    met = [bool(np.all(r.per_ue_se + 1e-9 >= config.params.qos)) for r in records]
+    assert [r.feasible for r in records] == met
+    assert not all(met)
+
+
+def test_fixed_scenarios_build_at_most_four_states_per_drop(monkeypatch):
+    # One D = ones state per evaluated scenario, and d and d_binary for power_only:
+    # the records read the solve's SE instead of evaluating it again.
+    config = replace(cf.paper_config(seed=7, drops=2, alphas=(0.001,)),
+                     scenarios=tuple(cf.Scenario(kind=k) for k in (
+                         "full_power_all_serve", "fractional_power_control", "power_only")))
+    calls = count_state_builds(monkeypatch)
+    cf.run_experiment(config)
+    assert calls[0] <= 4 * config.drops
 
 
 def test_config_roundtrip_and_echo(tmp_path):
