@@ -564,7 +564,9 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         f_prev = f_val
 
     d_binary = round_association(d, options, gamma)
-    state_b = interference_state(d_binary, gamma, beta, gram)
+    # Rounding that leaves d unchanged (always so in power_only) keeps d's state.
+    state_b = state if np.array_equal(d_binary, d) else interference_state(
+        d_binary, gamma, beta, gram)
     se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
     if enforce_qos and not meets_qos(se, qos).all():
         # Rounding broke a QoS target: re-add APs to the violated columns, then
@@ -581,7 +583,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     if enforce_qos and not feasibility.all() and options.qos_infeasible_policy == "error":
         raise InfeasibleProblemError(
             f"QoS violated for UE(s) {np.flatnonzero(~feasibility).tolist()} after rounding")
-    se_relaxed = se_all(eta, d, gamma, beta, gram, params, state=state)
+    se_relaxed = se if state_b is state else se_all(eta, d, gamma, beta, gram, params, state=state)
     return SolveResult(eta_star=eta, d_relaxed=d, d_binary=d_binary,
                        objective_trace=np.asarray(trace), iterations=iterations,
                        feasibility=feasibility, se=se, se_relaxed=se_relaxed,

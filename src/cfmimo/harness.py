@@ -50,6 +50,10 @@ class ExperimentConfig:
             raise ValueError("alphas must be nonempty")
         if not self.scenarios:
             raise ValueError("scenarios must be nonempty")
+        # Records, summaries and file names are keyed by (scenario kind, alpha, drop).
+        for values in ([s.kind for s in self.scenarios], list(self.alphas)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"scenario kinds and alphas must not repeat: {values}")
         if not self.network.num_ues < self.network.num_aps * self.params.antennas_per_ap:
             raise ValueError("operating regime requires num_ues < num_aps * antennas_per_ap")
 
@@ -127,23 +131,21 @@ def _run_drop(config: ExperimentConfig, drop: int) -> list:
     return records
 
 
-def _drop_worker(args):
-    return _run_drop(*args)
-
-
-def _aggregate(config: ExperimentConfig, records: list) -> dict:
+def _aggregate(records: list) -> dict:
+    """(scenario kind, alpha) -> MetricsSummary, in the order the records first name them."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.scenario, rec.alpha), []).append(rec)
     summaries = {}
-    for alpha in config.alphas:
-        for scenario in config.scenarios:
-            group = [r for r in records if r.scenario == scenario.kind and r.alpha == alpha]
-            pooled = np.sort(np.concatenate([r.per_ue_se for r in group]))
-            summaries[(scenario.kind, alpha)] = MetricsSummary(
-                mean_sum_se=float(np.mean([r.sum_se for r in group])),
-                per_ue_se_cdf=pooled,
-                ninety_likely_se=percentile(pooled, 0.10),
-                max_fronthaul=float(np.mean([r.max_fronthaul for r in group])),
-                objective_value=float(np.mean([r.objective for r in group])),
-                rounding_gap=float(np.mean([r.rounding_gap for r in group])))
+    for key, group in groups.items():
+        pooled = np.sort(np.concatenate([r.per_ue_se for r in group]))
+        summaries[key] = MetricsSummary(
+            mean_sum_se=float(np.mean([r.sum_se for r in group])),
+            per_ue_se_cdf=pooled,
+            ninety_likely_se=percentile(pooled, 0.10),
+            max_fronthaul=float(np.mean([r.max_fronthaul for r in group])),
+            objective_value=float(np.mean([r.objective for r in group])),
+            rounding_gap=float(np.mean([r.rounding_gap for r in group])))
     return summaries
 
 
@@ -153,7 +155,7 @@ def run_experiment(config: ExperimentConfig, progress=False) -> ExperimentResult
     drops = range(config.drops)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_drop = list(pool.map(_drop_worker, [(config, i) for i in drops]))
+            per_drop = list(pool.map(_run_drop, [config] * config.drops, drops))
     else:
         per_drop = []
         for i in drops:
@@ -161,8 +163,7 @@ def run_experiment(config: ExperimentConfig, progress=False) -> ExperimentResult
             if progress:
                 print(f"drop {i + 1}/{config.drops} done", file=sys.stderr)
     records = [rec for drop_recs in per_drop for rec in drop_recs]
-    return ExperimentResult(config=config, records=records,
-                            summaries=_aggregate(config, records))
+    return ExperimentResult(config=config, records=records, summaries=_aggregate(records))
 
 
 def _fmt(x) -> str:
@@ -178,73 +179,42 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return data
 
 
+def _table(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
 def emit_results(result: ExperimentResult, output_dir) -> list:
     """Write summary.csv, per-scenario CDF files, per-drop trace files,
     feasibility.csv and the resolved configuration echo. Returns written paths."""
+    config = result.config
+    kinds, alphas, drops = [s.kind for s in config.scenarios], config.alphas, range(config.drops)
+    record = {(r.scenario, r.alpha, r.drop): r for r in result.records}
+    shape = [str(config.network.num_aps), str(config.network.num_ues), str(config.drops)]
+    stats = {key: (s.mean_sum_se, s.ninety_likely_se, s.max_fronthaul, s.objective_value,
+                   s.rounding_gap) for key, s in result.summaries.items()}
+    files = {"summary.csv": _table(
+        "scenario,alpha,M,T,drops,mean_sum_se,ninety_likely_se,max_fronthaul,"
+        "objective,rounding_gap",
+        (",".join([k, _fmt(a), *shape, *map(_fmt, stats[(k, a)])])
+         for k in kinds for a in alphas))}
+    for k in kinds:
+        files[f"cdf_{k}.csv"] = _table("alpha,drop,ue,se", (
+            f"{_fmt(a)},{d},{ue},{_fmt(v)}" for a in alphas for d in drops
+            for ue, v in enumerate(record[(k, a, d)].per_ue_se)))
+    for k in kinds:
+        for d in drops:
+            files[f"trace_{k}_{d}.csv"] = _table("alpha,iteration,objective", (
+                f"{_fmt(a)},{it},{_fmt(v)}"
+                for a in alphas for it, v in enumerate(record[(k, a, d)].trace, start=1)))
+    files["feasibility.csv"] = _table("scenario,alpha,drop,feasible", (
+        f"{k},{_fmt(a)},{d},{int(record[(k, a, d)].feasible)}"
+        for k in kinds for a in alphas for d in drops))
+    files["config_echo.json"] = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = result.config
-    written = []
-
-    path = out / "summary.csv"
-    with open(path, "w") as fh:
-        fh.write("scenario,alpha,M,T,drops,mean_sum_se,ninety_likely_se,"
-                 "max_fronthaul,objective,rounding_gap\n")
-        for scenario in config.scenarios:
-            for alpha in config.alphas:
-                s = result.summaries[(scenario.kind, alpha)]
-                fh.write(",".join([scenario.kind, _fmt(alpha),
-                                   str(config.network.num_aps), str(config.network.num_ues),
-                                   str(config.drops), _fmt(s.mean_sum_se),
-                                   _fmt(s.ninety_likely_se), _fmt(s.max_fronthaul),
-                                   _fmt(s.objective_value), _fmt(s.rounding_gap)]) + "\n")
-    written.append(path)
-
-    by_scenario_drop = {}
-    for rec in result.records:
-        by_scenario_drop.setdefault((rec.scenario, rec.drop), []).append(rec)
-
-    for scenario in config.scenarios:
-        path = out / f"cdf_{scenario.kind}.csv"
-        with open(path, "w") as fh:
-            fh.write("alpha,drop,ue,se\n")
-            for alpha in config.alphas:
-                for drop in range(config.drops):
-                    recs = [r for r in by_scenario_drop.get((scenario.kind, drop), [])
-                            if r.alpha == alpha]
-                    for rec in recs:
-                        for ue, val in enumerate(rec.per_ue_se):
-                            fh.write(f"{_fmt(alpha)},{drop},{ue},{_fmt(val)}\n")
-        written.append(path)
-
-    for scenario in config.scenarios:
-        for drop in range(config.drops):
-            path = out / f"trace_{scenario.kind}_{drop}.csv"
-            with open(path, "w") as fh:
-                fh.write("alpha,iteration,objective\n")
-                for rec in by_scenario_drop.get((scenario.kind, drop), []):
-                    for it, val in enumerate(rec.trace, start=1):
-                        fh.write(f"{_fmt(rec.alpha)},{it},{_fmt(val)}\n")
-            written.append(path)
-
-    path = out / "feasibility.csv"
-    with open(path, "w") as fh:
-        fh.write("scenario,alpha,drop,feasible\n")
-        for scenario in config.scenarios:
-            for alpha in config.alphas:
-                for rec in sorted((r for r in result.records
-                                   if r.scenario == scenario.kind and r.alpha == alpha),
-                                  key=lambda r: r.drop):
-                    fh.write(f"{scenario.kind},{_fmt(alpha)},{rec.drop},"
-                             f"{int(rec.feasible)}\n")
-    written.append(path)
-
-    path = out / "config_echo.json"
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(path)
-    return written
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return [out / name for name in files]
 
 
 # Baseline alpha for the desk-scale sweep {x, 2x, 4x}.
@@ -253,42 +223,32 @@ DESK_ALPHA = 0.001
 _ALL_SCENARIOS = tuple(Scenario(kind=k) for k in SCENARIO_KINDS)
 
 
+def _config(seed, drops, alphas, scenarios, output_dir, num_aps, num_ues,
+            antennas_per_ap) -> ExperimentConfig:
+    snr = default_uplink_snr()
+    return ExperimentConfig(
+        network=NetworkConfig(num_aps=num_aps, num_ues=num_ues, area_side=1000.0, rng_seed=seed),
+        params=SystemParams(antennas_per_ap=antennas_per_ap, uplink_snr=snr, alpha=alphas[0],
+                            qos=0.2, coherence_len=200, pilot_len=5),
+        solver=SolverOptions(), path_loss=PathLossModel(), shadowing=ShadowingModel(),
+        scenarios=tuple(scenarios), alphas=tuple(alphas), drops=drops,
+        output_dir=output_dir, pilot_snr=snr)
+
+
 def desk_config(seed: int = 7, drops: int = 20, alphas=(DESK_ALPHA,),
                 scenarios=_ALL_SCENARIOS, output_dir: str = "results",
                 num_aps: int = 30) -> ExperimentConfig:
     """Small configuration for interactive runs and the acceptance suite."""
-    snr = default_uplink_snr()
-    return ExperimentConfig(
-        network=NetworkConfig(num_aps=num_aps, num_ues=10, area_side=1000.0, rng_seed=seed),
-        params=SystemParams(antennas_per_ap=2, uplink_snr=snr, alpha=alphas[0],
-                            qos=0.2, coherence_len=200, pilot_len=5),
-        solver=SolverOptions(),
-        path_loss=PathLossModel(),
-        shadowing=ShadowingModel(),
-        scenarios=tuple(scenarios),
-        alphas=tuple(alphas),
-        drops=drops,
-        output_dir=output_dir,
-        pilot_snr=snr)
+    return _config(seed, drops, alphas, scenarios, output_dir, num_aps, num_ues=10,
+                   antennas_per_ap=2)
 
 
 def paper_config(seed: int = 7, drops: int = 100, num_aps: int = 100,
                  alphas=(0.0005, 0.001, 0.002),
                  output_dir: str = "results_paper") -> ExperimentConfig:
     """Full-scale configuration (M=100 or 150, T=40, A=4, 100 drops)."""
-    snr = default_uplink_snr()
-    return ExperimentConfig(
-        network=NetworkConfig(num_aps=num_aps, num_ues=40, area_side=1000.0, rng_seed=seed),
-        params=SystemParams(antennas_per_ap=4, uplink_snr=snr, alpha=alphas[0],
-                            qos=0.2, coherence_len=200, pilot_len=5),
-        solver=SolverOptions(),
-        path_loss=PathLossModel(),
-        shadowing=ShadowingModel(),
-        scenarios=_ALL_SCENARIOS,
-        alphas=tuple(alphas),
-        drops=drops,
-        output_dir=output_dir,
-        pilot_snr=snr)
+    return _config(seed, drops, alphas, _ALL_SCENARIOS, output_dir, num_aps, num_ues=40,
+                   antennas_per_ap=4)
 
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:

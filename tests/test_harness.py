@@ -62,6 +62,36 @@ def test_emit_schema_and_counts(tmp_path):
         "scenario,alpha,drop,feasible"
 
 
+def test_emitted_rows_are_the_records_in_config_order(tmp_path):
+    kinds = ("full_power_all_serve", "joint")
+    config = tiny_config(tmp_path, scenarios=kinds, drops=2, alphas=(0.001, 0.004))
+    result = cf.run_experiment(config)
+    written = cf.emit_results(result, config.output_dir)
+    assert len(set(written)) == len(written)
+    assert sorted(written) == sorted(tmp_path.iterdir())
+    recs = {(r.scenario, r.alpha, r.drop): r for r in result.records}
+    assert len(recs) == len(result.records)
+
+    def rows(name):
+        return (tmp_path / name).read_text().splitlines()[1:]
+
+    def fmt(v):
+        return f"{v:.12g}"
+
+    drops = range(config.drops)
+    for k in kinds:
+        assert rows(f"cdf_{k}.csv") == [
+            f"{fmt(a)},{d},{ue},{fmt(v)}" for a in config.alphas for d in drops
+            for ue, v in enumerate(recs[(k, a, d)].per_ue_se)]
+        for d in drops:
+            assert rows(f"trace_{k}_{d}.csv") == [
+                f"{fmt(a)},{it},{fmt(v)}" for a in config.alphas
+                for it, v in enumerate(recs[(k, a, d)].trace, start=1)]
+    assert rows("feasibility.csv") == [
+        f"{k},{fmt(a)},{d},{int(recs[(k, a, d)].feasible)}"
+        for k in kinds for a in config.alphas for d in drops]
+
+
 def test_mean_sum_se_recomputable_from_cdf(tmp_path):
     config = tiny_config(tmp_path, scenarios=("joint",), drops=3)
     result = cf.run_experiment(config)
@@ -135,6 +165,25 @@ def test_fixed_scenarios_build_at_most_four_states_per_drop(monkeypatch):
     assert calls[0] <= 4 * config.drops
 
 
+def test_unchanged_rounding_reuses_the_loop_state(monkeypatch, desk_channel):
+    # power_only never moves d off all ones, so rounding returns it unchanged: the
+    # loop's state serves d_binary too, and the relaxed SE is the binary SE.
+    gamma, beta, gram, params = desk_channel(14, qos=1.0)
+    calls = count_state_builds(monkeypatch)
+    res = cf.alternate(None, None, gamma, beta, gram, replace(params, qos=0.0),
+                       cf.SolverOptions(), mode="power_only")
+    assert calls[0] == 1
+    assert np.array_equal(res.se_relaxed, cf.se_all(res.eta_star, res.d_relaxed, gamma, beta,
+                                                    gram, params))
+    # One D = ones state per fixed scenario and drop.
+    config = replace(cf.paper_config(seed=7, drops=2, alphas=(0.001,)),
+                     scenarios=tuple(cf.Scenario(kind=k) for k in (
+                         "full_power_all_serve", "fractional_power_control", "power_only")))
+    calls[0] = 0
+    cf.run_experiment(config)
+    assert calls[0] <= 3 * config.drops
+
+
 def test_config_roundtrip_and_echo(tmp_path):
     config = tiny_config(tmp_path, scenarios=("joint",))
     data = config_to_dict(config)
@@ -165,7 +214,8 @@ def test_load_config_merges_over_base(tmp_path):
     {"network": {"num_aps": 8}, "params": {"antennas_per_ap": 1}},  # T=10 > M*A=8
     {"solver": {"max_outer_iters": 0}}, {"solver": {"max_inner_iters": 0}},
     {"solver": {"inner_tolerance": 0.0}}, {"workers": 0},
-    {"network": {"num_apz": 3}}])
+    {"network": {"num_apz": 3}}, {"scenarios": ["joint", "joint"]},
+    {"alphas": [0.001, 0.001]}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -244,7 +294,8 @@ def test_cli_small_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--drops", "0"], ["--workers", "0"], ["--workers", "-3"],
-                                  ["--config", "unknown_field.json"]])
+                                  ["--config", "unknown_field.json"],
+                                  ["--alpha", "0.001", "0.001"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     (tmp_path / "unknown_field.json").write_text(json.dumps({"network": {"num_apz": 3}}))
