@@ -298,8 +298,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Load a JSON configuration, filling unspecified fields from base (desk scale)."""
-    with open(path) as fh:
-        override = json.load(fh)
+    try:
+        with open(path) as fh:
+            override = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    if not isinstance(override, dict):
+        raise ValueError(f"{path} must hold one JSON object, not {type(override).__name__}")
     base_dict = config_to_dict(base if base is not None else desk_config())
     merged = _merge(base_dict, override)
-    return config_from_dict(merged)
+    try:
+        return config_from_dict(merged)
+    except (TypeError, AttributeError) as exc:   # a field of the wrong type or shape
+        raise ValueError(str(exc)) from exc

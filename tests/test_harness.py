@@ -295,10 +295,20 @@ def test_cli_small_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--drops", "0"], ["--workers", "0"], ["--workers", "-3"],
                                   ["--config", "unknown_field.json"],
-                                  ["--alpha", "0.001", "0.001"]])
+                                  ["--alpha", "0.001", "0.001"],
+                                  ["--config", "missing.json"],
+                                  ["--config", "string_epsilon.json"],
+                                  ["--config", "misspelt_scenario_field.json"],
+                                  ["--config", "top_level_list.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
-    (tmp_path / "unknown_field.json").write_text(json.dumps({"network": {"num_apz": 3}}))
+    files = {"unknown_field.json": {"network": {"num_apz": 3}},
+             "string_epsilon.json": {"solver": {"epsilon": "x"}},
+             "misspelt_scenario_field.json": {"scenarios": [{"kind": "joint",
+                                                             "fpc_exponnt": 1}]},
+             "top_level_list.json": [1, 2]}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
