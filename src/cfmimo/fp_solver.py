@@ -174,13 +174,24 @@ def block_objective_eta_grad(eta, d, gamma_aux, u, gamma, beta, gram,
     return -lin + b_vec / (2.0 * np.sqrt(np.maximum(eta, _ETA_FLOOR)))
 
 
-def block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram,
-                           params: SystemParams) -> np.ndarray:
-    """Analytic gradient of block_objective with respect to the association entries:
-    column t is the gradient the association block ascends for UE t."""
-    d = np.asarray(d, dtype=float)
-    return np.stack([_column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)[1](d[:, t])
-                     for t in range(d.shape[1])], axis=1)
+def block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
+                           state=None) -> np.ndarray:
+    """Analytic gradient of block_objective with respect to the association entries,
+    every column at once from the interference state. Column t is the gradient of
+    UE t's term const + q.x - rho_sig (g.x)^2 - ||diag(sqrt(rho)) W^T x||^2
+    (_column_objective), where g.d_t = sg[t] and W^T d_t = coh[t, others]."""
+    a = params.antennas_per_ap
+    pu = params.uplink_snr
+    eta = np.asarray(eta, dtype=float)
+    u = np.asarray(u, dtype=float)
+    u2 = u ** 2
+    gamma_aux = np.asarray(gamma_aux, dtype=float)
+    sg, coh, _, g_off = interference_state(d, gamma, beta, gram) if state is None else state
+    sqrt_coef = 2.0 * u * a * np.sqrt(pu * eta * _wprime(params) * (1.0 + gamma_aux))
+    q = gamma * (sqrt_coef - a * u2 * (1.0 + pu * (beta @ eta))[:, None]) - params.alpha
+    rho_sig = u2 * a * a * pu * eta
+    rho = (a * a * pu) * u2[:, None] * g_off * eta     # rho[t, t'] of co-pilot t' in column t
+    return q - 2.0 * (rho_sig * sg) * gamma - 2.0 * gamma / beta * (beta @ (rho * coh).T)
 
 
 def _qos_thresholds(params: SystemParams, num_ues: int) -> np.ndarray:
@@ -436,19 +447,48 @@ def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemP
     return np.clip(x, 0.0, 1.0)
 
 
+def _settled_columns(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
+                     state):
+    """Columns of d that solve their column problem as they stand: binary, a KKT
+    point of the block objective over the box and coverage, and meeting the QoS
+    target. Optimal over a superset of the constraints and feasible for the QoS
+    target, such a column is optimal for the full column problem."""
+    grad = block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram, params, state=state)
+    ones = d == 1.0
+    count = ones.sum(axis=0)
+    g_ones = np.min(np.where(ones, grad, np.inf), axis=0)
+    g_zeros = np.max(np.where(ones, -np.inf, grad), axis=0)
+    # Two or more APs leave coverage slack: no entry may gain by moving inward. With
+    # one AP j the coverage multiplier mu >= max(0, -g_j) must keep every zero down.
+    kkt = np.where(count >= 2, (g_ones >= 0.0) & (g_zeros <= 0.0),
+                   g_zeros <= np.minimum(0.0, g_ones))
+    # The QoS half is read from the state, not from gamma_aux, with a margin so that
+    # a column on its target is left to the multiplier loop of _association_column.
+    sinr = sinr_all(eta, d, gamma, beta, gram, params, state=state)
+    qos_met = sinr >= _qos_thresholds(params, d.shape[1]) * (1.0 + 1e-9)
+    return np.all(ones | (d == 0.0), axis=0) & kkt & qos_met
+
+
 def solve_association(eta_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                      options: SolverOptions, d_init=None) -> np.ndarray:
+                      options: SolverOptions, d_init=None, *, state=None) -> np.ndarray:
     """Maximize the block objective over the relaxed association matrix.
 
     The problem separates per UE column; each column solve keeps the box,
-    coverage (column sum >= 1) and QoS constraints.
+    coverage (column sum >= 1) and QoS constraints. One batched test first
+    settles the columns of d_init that are already optimal (_settled_columns);
+    only the others go to _association_column. `state` is interference_state of
+    d_init, built here when omitted.
     """
     gamma = np.asarray(gamma, dtype=float)
     num_aps, num_ues = gamma.shape
     d = np.ones((num_aps, num_ues)) if d_init is None else np.asarray(d_init, dtype=float).copy()
+    if state is None:
+        state = interference_state(d, gamma, beta, gram)
+    settled = _settled_columns(eta_fixed, d, gamma_aux, u, gamma, beta, gram, params,
+                               state=state)
     gth = _qos_thresholds(params, num_ues)
-    out = np.empty_like(d)
-    for t in range(num_ues):
+    out = d.copy()
+    for t in np.flatnonzero(~settled):
         out[:, t] = _association_column(t, eta_fixed, gamma_aux, u, gamma, beta, gram,
                                         params, options, d[:, t].copy(), float(gth[t]))
     return out
@@ -554,7 +594,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         if mode in ("joint", "association_only"):
             aux = refresh_aux(eta, d, gamma, beta, gram, params, state=state)
             d = solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram,
-                                  params, options, d_init=d)
+                                  params, options, d_init=d, state=state)
             state = interference_state(d, gamma, beta, gram)
         f_val = block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
                                 state=state)

@@ -8,8 +8,9 @@ import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
 from cfmimo.fp_solver import (_association_column, _column_objective, _dual_power_solve,
                               _power_coefficients, _qos_approximation, _qos_start,
-                              _qos_thresholds, block_objective_d_grad,
+                              _qos_thresholds, _settled_columns, block_objective_d_grad,
                               block_objective_eta_grad, refresh_aux)
+from cfmimo.se_model import interference_state
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_state_builds)
 
@@ -149,6 +150,51 @@ def test_analytic_gradients_match_finite_differences():
                                                          gamma, beta, gram, params),
                             d, 1e-4)
         assert np.linalg.norm(g_d - fd_d) <= 1e-5 * np.linalg.norm(fd_d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_d_gradient_is_the_stack_of_column_gradients(desk_channel, seed):
+    # The screen of solve_association reads the batched closed form; the column
+    # solves ascend the per-column gradients. Both must be one gradient.
+    gamma, beta, gram, params = desk_channel(seed, qos=0.5)
+    rng = np.random.default_rng(seed)
+    relaxed = rng.uniform(0.0, 1.0, gamma.shape)
+    binary = (rng.uniform(size=gamma.shape) < 0.3).astype(float)
+    binary[rng.integers(gamma.shape[0], size=gamma.shape[1]), np.arange(gamma.shape[1])] = 1.0
+    for d in (relaxed, binary):
+        eta = rng.uniform(0.0, 1.0, gamma.shape[1])
+        eta[rng.integers(gamma.shape[1])] = 0.0
+        aux = refresh_aux(eta, d, gamma, beta, gram, params)
+        batched = block_objective_d_grad(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+        stacked = np.stack([_column_objective(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram,
+                                              params)[1](d[:, t]) for t in range(d.shape[1])],
+                           axis=1)
+        assert np.max(np.abs(batched - stacked)) <= 1e-12 * np.max(np.abs(stacked))
+
+
+@pytest.mark.parametrize("qos", [0.2, 1.0])
+def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
+    # A column the batched screen settles must be one that _association_column
+    # returns unchanged, at the D = ones start and at a solve's rounded matrix.
+    opts = cf.SolverOptions()
+    settled_total = open_total = 0
+    for seed in range(10):
+        gamma, beta, gram, params = desk_channel(seed, qos=qos)
+        gth = _qos_thresholds(params, gamma.shape[1])
+        res = cf.alternate(None, None, gamma, beta, gram, params, opts)
+        for eta, d in ((np.ones(gamma.shape[1]), np.ones(gamma.shape)),
+                       (res.eta_star, np.ones(gamma.shape)),
+                       (res.eta_star, res.d_binary)):
+            aux = refresh_aux(eta, d, gamma, beta, gram, params)
+            settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                       state=interference_state(d, gamma, beta, gram))
+            for t in np.flatnonzero(settled):
+                x = _association_column(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                        opts, d[:, t].copy(), gth[t])
+                assert np.array_equal(x, d[:, t]), (seed, t)
+            settled_total += int(settled.sum())
+            open_total += int((~settled).sum())
+    assert settled_total >= 50 and open_total >= 50
 
 
 def test_solve_power_alpha_invariant():
