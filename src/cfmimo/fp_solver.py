@@ -7,10 +7,14 @@ transform with auxiliaries u_t replaces the remaining signal/interference ratio.
 With (Gamma, u) held at their closed-form optima the lifted objective equals the
 original one; for fixed (Gamma, u) it is concave in the power factors and in each
 association column, so the two block maximizations never decrease it. The power
-block is solved through its separable Lagrangian dual. Each association column is
-solved by projected gradient ascent over the exact box-and-coverage projection,
-with its QoS target held by bisection on the target's scalar multiplier. One
-per-column SINR model serves the association block, its QoS set and the repair.
+block is solved through its separable Lagrangian dual. The association block first
+settles, in one batched (M, T) test, every column that is binary, a KKT point of
+its box-and-coverage problem and meets its QoS target. Each other column is a
+concave quadratic with the explicit Hessian -2 L L^T; it is solved by projected
+Newton steps on its free entries (opt.pga_maximize, with projected gradient steps
+only as the safeguard) over the exact box-and-coverage projection, with its QoS
+target held by bisection on the target's scalar multiplier. One per-column SINR
+model serves the association block, its QoS set and the repair.
 When power is free and full power breaks a QoS target, the solve starts from the
 least powers that meet every target (one linear solve, Yates 1995).
 
@@ -334,29 +338,36 @@ def _column_terms(x, model, eta_t: float, params: SystemParams):
     return signal, float(omega @ (v * v)) + a * float((bfu + gt) @ x)
 
 
+def _column_factor(model, eta_t: float, params: SystemParams) -> np.ndarray:
+    """C = [a sqrt(pu eta_t) g, W diag(sqrt(omega))]: at its own column x, UE t's
+    signal is (C[:, 0].x)^2 and its pilot contamination ||C[:, 1:]^T x||^2."""
+    gt, w_fac, omega, _ = model
+    return np.column_stack([params.antennas_per_ap * math.sqrt(params.uplink_snr * eta_t) * gt,
+                            w_fac * np.sqrt(omega)])
+
+
 def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams):
-    """(fun, grad, _column_model) of UE t's block-objective term, concave in its column."""
+    """(fun, grad, _column_model) of UE t's block-objective term const + q.x - ||L^T x||^2,
+    L = u_t _column_factor: a concave quadratic in its column with Hessian -2 L L^T."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     wp = _wprime(params)
     model = _column_model(t, eta, gamma, beta, gram, params)
-    gt, w_fac, omega, bfu = model
+    gt, _, _, bfu = model
     u_t = float(u[t])
     eta_t = float(eta[t])
     gaux_t = float(gamma_aux[t])
-    rho_sig = u_t ** 2 * a * a * pu * eta_t
-    rho = u_t ** 2 * omega
+    lfac = u_t * _column_factor(model, eta_t, params)
     sqrt_coef = 2.0 * u_t * a * math.sqrt(pu * eta_t * wp * (1.0 + gaux_t))
     q = sqrt_coef * gt - u_t ** 2 * a * (bfu + gt) - params.alpha
     const = params.prelog * math.log2(1.0 + gaux_t) - wp * gaux_t
 
     def fun(x):
-        s = float(gt @ x)
-        v = w_fac.T @ x
-        return const + float(q @ x) - rho_sig * s * s - float(rho @ (v * v))
+        v = lfac.T @ x
+        return const + float(q @ x) - float(v @ v)
 
     def grad(x):
-        return q - 2.0 * rho_sig * float(gt @ x) * gt - 2.0 * w_fac @ (rho * (w_fac.T @ x))
+        return q - 2.0 * lfac @ (lfac.T @ x)
 
     return fun, grad, model
 
@@ -366,14 +377,14 @@ def _qos_approximation(x0, model, eta_t: float, gth_t: float, params: SystemPara
     psi(x) = lin.x - ||b_psi^T x||^2 - gth_t <= SINR_t(x) - gth_t of UE t's QoS
     target, tight at x0; three Nones when there is no target, no power, or x0
     carries no signal or interference."""
-    gt, w_fac, omega, bfu = model
+    gt, _, _, bfu = model
     a = params.antennas_per_ap
     s0, i0 = _column_terms(x0, model, eta_t, params) if gth_t > 0 and eta_t > 0 else (0.0, 0.0)
     if s0 <= 0 or i0 <= 0:
         return None, None, None
     v_aux = math.sqrt(s0) / i0
     lin = 2.0 * v_aux * a * math.sqrt(params.uplink_snr * eta_t) * gt - v_aux ** 2 * a * (bfu + gt)
-    b_psi = w_fac * np.sqrt(v_aux ** 2 * omega)[None, :]
+    b_psi = v_aux * _column_factor(model, eta_t, params)[:, 1:]
 
     def psi(x):
         s = b_psi.T @ x
@@ -390,8 +401,9 @@ def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemP
     """Maximize the block objective over one association column (concave quadratic)
     subject to the box, coverage (column sum >= 1) and the QoS target.
 
-    Every ascent runs over the exact box-and-coverage projection. If the maximizer
-    breaks the QoS inner approximation psi and some point meets psi, the target
+    Every ascent takes projected Newton steps (pga_maximize) with the exact Hessian
+    factor of its quadratic, over the exact box-and-coverage projection. If the
+    maximizer breaks the QoS inner approximation psi and some point meets psi, the target
     binds: its multiplier nu is bisected on psi(x(nu)), x(nu) maximizing
     fun + nu psi, and the feasible and infeasible ends of the final bracket are
     combined at the last point of their segment that meets psi. An unreachable
@@ -399,25 +411,28 @@ def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemP
     """
     fun, grad, model = _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)
     eta_t = float(eta[t])
+    lfac = float(u[t]) * _column_factor(model, eta_t, params)
     ones = np.ones_like(x0)
     tol = 1e-11 * max(1.0, gth_t)
 
-    def ascend(f, g, start, max_iters=options.max_inner_iters):
+    def ascend(f, g, hess_factor, start, max_iters=options.max_inner_iters):
         return pga_maximize(f, g, lambda z: project_box_polyhedron(z, ones, 1.0), start,
-                            max_iters=max_iters, tol=options.inner_tolerance)
+                            max_iters=max_iters, tol=options.inner_tolerance,
+                            hess_factor=hess_factor, row=(ones, 1.0))
 
-    x, _ = ascend(fun, grad, x0)
+    x, _ = ascend(fun, grad, lfac, x0)
     psi, psi_grad, b_psi = _qos_approximation(x0, model, eta_t, gth_t, params)
     if psi is not None and psi(x) < -tol:
         anchor, psi_max = x0, psi(x0)
         if psi_max < -tol:
-            anchor, psi_max = ascend(psi, psi_grad, x0, max_iters=80)
+            anchor, psi_max = ascend(psi, psi_grad, b_psi, x0, max_iters=80)
         if psi_max < -tol:
             psi = None     # unreachable target: dropped
         else:
             def solve(nu, start):
                 return ascend(lambda z: fun(z) + nu * psi(z),
-                              lambda z: grad(z) + nu * psi_grad(z), start)[0]
+                              lambda z: grad(z) + nu * psi_grad(z),
+                              np.hstack([lfac, math.sqrt(nu) * b_psi]), start)[0]
 
             # Bracket nu (x4 from 1), then bisect; each solve starts at the feasible end.
             nu, nu_lo, nu_hi, x_lo, x_hi = 1.0, 0.0, math.inf, x, anchor
@@ -487,11 +502,10 @@ def solve_association(eta_fixed, gamma_aux, u, gamma, beta, gram, params: System
     settled = _settled_columns(eta_fixed, d, gamma_aux, u, gamma, beta, gram, params,
                                state=state)
     gth = _qos_thresholds(params, num_ues)
-    out = d.copy()
     for t in np.flatnonzero(~settled):
-        out[:, t] = _association_column(t, eta_fixed, gamma_aux, u, gamma, beta, gram,
-                                        params, options, d[:, t].copy(), float(gth[t]))
-    return out
+        d[:, t] = _association_column(t, eta_fixed, gamma_aux, u, gamma, beta, gram,
+                                      params, options, d[:, t].copy(), float(gth[t]))
+    return d
 
 
 def _ap_order(t, d_relaxed, gamma) -> np.ndarray:

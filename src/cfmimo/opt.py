@@ -1,5 +1,6 @@
 """Convex-optimization primitives: the exact box-and-halfspace projection, projected
-gradient ascent, and Dykstra and a superlevel projection the solver no longer calls."""
+ascent (projected Newton on concave quadratics, with a projected gradient
+safeguard), and Dykstra and a superlevel projection the solver no longer calls."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def project_box_polyhedron(y, normal, offset):
     """
     y = np.asarray(y, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    z = np.clip(y, 0.0, 1.0)
+    z = np.minimum(np.maximum(y, 0.0), 1.0)
     h0 = float(normal @ z)
     if h0 >= offset:
         return z
@@ -130,48 +131,144 @@ def dykstra(y, projections, max_cycles=150, tol=1e-11):
     return x
 
 
-def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7,
-                 armijo=1e-4, step_init=1.0, step_max=1e8):
-    """Projected gradient ascent with backtracking line search.
+def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor=None,
+                 row=None, armijo=1e-4, step_init=1.0, step_max=1e8):
+    """Projected ascent with an Armijo line search; returns (x, fun(x)).
 
-    Maximizes a concave function over a convex set given the projection
-    operator. Never returns a point with a lower objective than project(x0);
-    the step is reinitialized each iteration from a safeguarded Barzilai-Borwein
-    estimate. Terminates on the step-scaled projected-gradient residual, using
-    that project(x + s g(x)) = x for some s > 0 holds exactly at a maximizer.
+    Maximizes a concave function over a convex set given its Euclidean projection.
+    Stops when the unit projected-gradient point project(x + grad(x)) lies within
+    tol of x (max norm), which holds exactly at a maximizer. Every accepted step
+    raises fun, so the result is never worse than project(x0).
+
+    With hess_factor L, fun must be a concave quadratic with Hessian -2 L L^T and
+    project the projection onto [0,1]^n intersected with {row[0] . z >= row[1]}
+    (the box when row is None). Each iteration then first tries a two-metric
+    projected Newton step (Bertsekas 1982): the entries that project(x + g) puts on
+    a bound go there, and the free entries F take the exact maximizer of the
+    quadratic over F, with the row as an equality when project(x + g) lies on it.
+    Where the reduced Hessian is singular (|F| beyond the columns of L_F, plus the
+    row) the objective is linear along its null space; the step then follows the
+    null-space part of the gradient along the projection arc, at least to the first
+    bound, so each such step holds one more entry. A projected gradient step, its
+    trial length a safeguarded Barzilai-Borwein estimate, is taken when neither is
+    an Armijo ascent step, and is the only step without hess_factor.
     """
     x = np.asarray(project(np.asarray(x0, dtype=float)), dtype=float)
     fx = fun(x)
-    best_x, best_f = x, fx
-    step = step_init
     g = grad(x)
+    if hess_factor is not None:
+        hess_factor = hess_factor[:, np.any(hess_factor != 0.0, axis=0)]
+    step = step_init
     for _ in range(max_iters):
-        s = step
-        accepted = False
-        stationary = False
-        for _ in range(60):
-            x_new = np.asarray(project(x + s * g), dtype=float)
-            dx = x_new - x
-            if not np.any(dx):
-                stationary = True
-                break
-            f_new = fun(x_new)
-            if f_new >= fx + armijo * float(g @ dx):
-                accepted = True
-                break
-            s *= 0.5
-        if stationary or not accepted:
+        y = np.asarray(project(x + g), dtype=float)
+        if np.max(np.abs(y - x)) <= tol:
             break
-        residual = np.max(np.abs(dx)) / max(s, 1.0)
+        new = None
+        if hess_factor is not None:
+            new = _newton_step(fun, project, x, fx, g, y, hess_factor, row, armijo)
+        if new is None:
+            new = _gradient_step(fun, project, x, fx, g, step, armijo)
+            if new is None:
+                break
+        x_new, f_new = new
         g_new = grad(x_new)
-        dg = g - g_new
+        dx, dg = x_new - x, g - g_new
         denom = float(dx @ dg)
-        step = min(float(dx @ dx) / denom, step_max) if denom > _EPS else min(s * 2.0, step_max)
-        if step <= 0:
-            step = s
+        step = min(float(dx @ dx) / denom, step_max) if denom > _EPS else step_max
         x, fx, g = x_new, f_new, g_new
-        if fx > best_f:
-            best_x, best_f = x, fx
-        if residual <= tol:
-            break
-    return best_x, best_f
+    return x, fx
+
+
+def _gradient_step(fun, project, x, fx, g, step, armijo):
+    """(x_new, fun(x_new)) on the projection arc project(x + s g), s halved from step
+    until the Armijo test holds; None when the arc stalls at x."""
+    s = step
+    for _ in range(60):
+        x_new = np.asarray(project(x + s * g), dtype=float)
+        dx = x_new - x
+        if not np.any(dx):
+            return None
+        f_new = fun(x_new)
+        if f_new >= fx + armijo * float(g @ dx):
+            return x_new, f_new
+        s *= 0.5
+    return None
+
+
+def _newton_step(fun, project, x, fx, g, y, lfac, row, armijo):
+    """The projected Newton step of pga_maximize: (x_new, fun(x_new)), or None when
+    it is not an Armijo ascent step. y is project(x + g)."""
+    free = (y > 0.0) & (y < 1.0)
+    nf = int(np.count_nonzero(free))
+    tight = row is not None and float(row[0] @ y) <= row[1] + 1e-12 * max(1.0, abs(row[1]))
+    d = y - x                  # held entries go to their bound at y
+    if nf > lfac.shape[1] + tight:
+        return _null_step(fun, project, x, fx, g, free, lfac, row, tight, armijo)
+    if nf:
+        # Exact maximizer over the free entries, the others at x + d:
+        # 2 L_F L_F^T d_F (+ lam n_F) = g_F - 2 L_F L_H^T d_H  (and n . (x + d) = offset).
+        lf = lfac[free]
+        d[free] = 0.0
+        rhs = g[free] - 2.0 * lf @ (lfac.T @ d)
+        mat = np.zeros((nf + tight, nf + tight))
+        mat[:nf, :nf] = 2.0 * lf @ lf.T
+        if tight:
+            mat[nf, :nf] = mat[:nf, nf] = row[0][free]
+            rhs = np.append(rhs, row[1] - float(row[0] @ (x + d)))
+        try:
+            d[free] = np.linalg.solve(mat, rhs)[:nf]
+        except np.linalg.LinAlgError:
+            return None
+    return _arc_search(fun, project, x, fx, g, (0.5 ** k * d for k in range(30)), armijo)
+
+
+def _null_step(fun, project, x, fx, g, free, lfac, row, tight, armijo):
+    """The step of _newton_step when the reduced Hessian is singular: the objective is
+    linear along the part p of the free gradient orthogonal to the free rows of L
+    (and to the row normal when tight), up to the first bound of the box or the
+    row. None when p would push an entry on a bound out, and at once at a vertex
+    (every free entry on a bound), where it nearly always would: the gradient step
+    then changes the free set faster."""
+    xf = x[free]
+    if np.all((xf <= 0.0) | (xf >= 1.0)):
+        return None
+    basis = np.column_stack([lfac[free], row[0][free]]) if tight else lfac[free]
+    q_mat = np.linalg.qr(basis)[0]
+    p = np.zeros_like(x)
+    p[free] = g[free] - q_mat @ (q_mat.T @ g[free])
+    if np.any(((x <= 0.0) & (p < 0.0)) | ((x >= 1.0) & (p > 0.0))):
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limits = np.where(p > 0.0, (1.0 - x) / p, np.where(p < 0.0, -x / p, np.inf))
+    first = int(np.argmin(limits))
+    s_first = float(limits[first])
+    if not 0.0 < s_first < np.inf:
+        return None
+    # Try the arc project(x + s p) from the step at which every entry p moves has
+    # reached its bound, shortening it 4x down to the first bound, which is exact.
+    steps = []
+    s = float(np.max(limits[np.isfinite(limits)]))
+    while s > 2.0 * s_first and len(steps) < 8:
+        steps.append(s * p)
+        s *= 0.25
+    last = s_first * p
+    last[first] = (1.0 if p[first] > 0.0 else 0.0) - x[first]
+    if row is not None and not tight and float(row[0] @ p) < 0.0:
+        s_row = (float(row[0] @ x) - row[1]) / -float(row[0] @ p)
+        if s_row < s_first:
+            last = s_row * p
+    return _arc_search(fun, project, x, fx, g, steps + [last], armijo)
+
+
+def _arc_search(fun, project, x, fx, g, steps, armijo):
+    """(x_new, fun(x_new)) at the first x_new = project(x + step) that passes the
+    Armijo test; None when none does."""
+    for step in steps:
+        x_new = np.asarray(project(x + step), dtype=float)
+        slope = float(g @ (x_new - x))
+        if not slope > 0.0:
+            continue
+        f_new = fun(x_new)
+        if f_new >= fx + armijo * slope:
+            return x_new, f_new
+    return None

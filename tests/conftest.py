@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import numpy as np
@@ -87,6 +88,34 @@ def count_state_builds(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_inner_iterations(monkeypatch):
+    """Replace fp_solver.pga_maximize by a counting wrapper; returns a dict of calls,
+    iters and cap_hits, counted by the benchmark tracer's rule: a call's iterations
+    are its grad calls - 1, and it hits its cap when they equal max_iters."""
+    original = cf.fp_solver.pga_maximize
+    default_cap = inspect.signature(original).parameters["max_iters"].default
+    counts = {"calls": 0, "iters": 0, "cap_hits": 0}
+
+    def counted(fun, grad, project, x0, *args, **kwargs):
+        grads = [0]
+
+        def counted_grad(x):
+            grads[0] += 1
+            return grad(x)
+
+        try:
+            return original(fun, counted_grad, project, x0, *args, **kwargs)
+        finally:
+            iters = grads[0] - 1
+            counts["calls"] += 1
+            counts["iters"] += iters
+            counts["cap_hits"] += int(iters == kwargs.get("max_iters",
+                                                         args[0] if args else default_cap))
+
+    monkeypatch.setattr(cf.fp_solver, "pga_maximize", counted)
+    return counts
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from cfmimo.fp_solver import (_association_column, _column_objective, _dual_powe
                               _power_coefficients, _qos_approximation, _qos_start,
                               _qos_thresholds, _settled_columns, block_objective_d_grad,
                               block_objective_eta_grad, refresh_aux)
-from cfmimo.se_model import interference_state
+from cfmimo.se_model import interference_state, meets_qos
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
-                      count_state_builds)
+                      count_inner_iterations, count_state_builds)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 LN2 = math.log(2.0)
 
@@ -175,16 +178,22 @@ def test_batched_d_gradient_is_the_stack_of_column_gradients(desk_channel, seed)
 @pytest.mark.parametrize("qos", [0.2, 1.0])
 def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
     # A column the batched screen settles must be one that _association_column
-    # returns unchanged, at the D = ones start and at a solve's rounded matrix.
+    # returns unchanged: at the D = ones start, at a solve's rounded matrix, and at
+    # one random AP per UE under a large penalty and no target, where the coverage
+    # row binds.
     opts = cf.SolverOptions()
     settled_total = open_total = 0
     for seed in range(10):
         gamma, beta, gram, params = desk_channel(seed, qos=qos)
-        gth = _qos_thresholds(params, gamma.shape[1])
         res = cf.alternate(None, None, gamma, beta, gram, params, opts)
-        for eta, d in ((np.ones(gamma.shape[1]), np.ones(gamma.shape)),
-                       (res.eta_star, np.ones(gamma.shape)),
-                       (res.eta_star, res.d_binary)):
+        single = np.zeros(gamma.shape)
+        single[np.random.default_rng(seed).integers(gamma.shape[0], size=gamma.shape[1]),
+               np.arange(gamma.shape[1])] = 1.0
+        for eta, d, params in ((np.ones(gamma.shape[1]), np.ones(gamma.shape), params),
+                               (res.eta_star, np.ones(gamma.shape), params),
+                               (res.eta_star, res.d_binary, params),
+                               (res.eta_star, single, replace(params, alpha=0.1, qos=0.0))):
+            gth = _qos_thresholds(params, gamma.shape[1])
             aux = refresh_aux(eta, d, gamma, beta, gram, params)
             settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
                                        state=interference_state(d, gamma, beta, gram))
@@ -598,6 +607,41 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
     assert repairs and res.feasibility.all()
     # The start, one per association block, the rounded and the repaired d_binary.
     assert calls[0] <= res.iterations + 3
+
+
+def _check_solve_records(records, qos):
+    # Monotone traces, flags that agree with the SE, and (as before the change that
+    # removed the cap hits) every QoS-enforcing solve feasible.
+    for rec in records:
+        trace = rec.trace
+        assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1])), rec.scenario
+        assert rec.feasible == bool(meets_qos(rec.per_ue_se, qos).all()), rec.scenario
+        if rec.scenario in ("association_only", "joint"):
+            assert rec.feasible, rec.scenario
+
+
+def test_paper_scale_joint_drop_reaches_no_inner_cap(monkeypatch):
+    # Paper scale (M = 100, T = 40): projected gradient ascent hit its iteration cap
+    # 18 times on this drop's joint solve, 15 of them in the QoS multiplier loop.
+    config = cf.paper_config(seed=7, drops=6, alphas=(0.001,))
+    config = replace(config, scenarios=(cf.Scenario(kind="joint"),))
+    counts = count_inner_iterations(monkeypatch)
+    records = cf.harness._run_drop(config, 1)
+    assert counts["calls"] > 0 and counts["cap_hits"] == 0
+    _check_solve_records(records, config.params.qos)
+
+
+def test_desk_sweep_call_reaches_no_inner_cap(monkeypatch):
+    # desk_sweep seed-7 call 10 (all five scenarios, three alphas) hit the inner
+    # iteration cap 36 times, mostly in columns whose QoS target binds.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS, call_seed
+
+    config = WORKLOADS["desk_sweep"].build(cf, call_seed(7, 10), "unused")
+    counts = count_inner_iterations(monkeypatch)
+    result = cf.run_experiment(config)
+    assert counts["calls"] > 0 and counts["cap_hits"] == 0
+    _check_solve_records(result.records, config.params.qos)
 
 
 @pytest.mark.parametrize("mode", ["joint", "power_only", "association_only"])

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import _qos_start, _qos_thresholds
+from cfmimo.fp_solver import (_association_column, _column_factor, _column_objective,
+                              _column_terms, _qos_approximation, _qos_start, _qos_thresholds,
+                              refresh_aux)
+from cfmimo.opt import pga_maximize, project_box_polyhedron
 from conftest import build_synthetic_channel
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -34,3 +37,83 @@ def test_qos_start_is_least_power_solution(seed, qos):
     ratio = cf.sinr_all(eta, d, gamma, beta, gram, params)[has] / gth[has]
     assert (np.allclose(ratio, 1.05, rtol=1e-9, atol=0.0)
             or np.allclose(ratio, 1.0, rtol=1e-9, atol=0.0))
+
+
+def _column_problem(seed):
+    """A random synthetic column problem: (fun, grad, model, hess factor, eta_t, x0)
+    of one UE's association column, x0 all ones, binary or fractional."""
+    rng = np.random.default_rng(seed)
+    num_aps, num_ues = int(rng.integers(3, 13)), int(rng.integers(2, 6))
+    gamma, beta, gram, params, _ = build_synthetic_channel(
+        rng, num_aps=num_aps, num_ues=num_ues, alpha=float(rng.choice([0.0, 0.01, 0.1])))
+    eta = rng.uniform(0.05, 1.0, num_ues)
+    d = rng.uniform(0.0, 1.0, (num_aps, num_ues))
+    aux = refresh_aux(eta, d, gamma, beta, gram, params)
+    t = int(rng.integers(num_ues))
+    fun, grad, model = _column_objective(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+    lfac = aux.u[t] * _column_factor(model, eta[t], params)
+    x0 = [np.ones(num_aps), (rng.uniform(size=num_aps) < 0.5).astype(float), d[:, t]][seed % 3]
+    x0[int(rng.integers(num_aps))] = 1.0
+    return rng, params, t, (eta, aux, gamma, beta, gram), fun, grad, model, lfac, eta[t], x0
+
+
+def _slsqp_max(fun, grad, x0, extra=()):
+    optimize = pytest.importorskip("scipy.optimize")
+    ref = optimize.minimize(lambda z: -fun(z), x0, jac=lambda z: -grad(z), method="SLSQP",
+                            bounds=[(0.0, 1.0)] * x0.size,
+                            constraints=[{"type": "ineq", "fun": lambda z: z.sum() - 1.0,
+                                          "jac": lambda z: np.ones_like(z)}, *extra],
+                            options={"ftol": 1e-14, "maxiter": 1000})
+    return -ref.fun
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                  nu=st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
+                  target=st.floats(0.3, 1.5))
+def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
+    # One column ascent of the association block: fun alone (nu = 0) or the
+    # multiplier loop's fun + nu psi, with Hessian factor [L, sqrt(nu) b_psi].
+    _, params, _, _, fun, grad, model, lfac, eta_t, x0 = _column_problem(seed)
+    signal, interference = _column_terms(x0, model, eta_t, params)
+    psi, psi_grad, b_psi = _qos_approximation(x0, model, eta_t,
+                                              target * signal / interference, params)
+    hypothesis.assume(psi is not None)
+    opts = cf.SolverOptions()
+    ones = np.ones_like(x0)
+
+    def project(z):
+        return project_box_polyhedron(z, ones, 1.0)
+
+    def f(z):
+        return fun(z) + nu * psi(z)
+
+    def g(z):
+        return grad(z) + nu * psi_grad(z)
+
+    x, fx = pga_maximize(f, g, project, x0, max_iters=opts.max_inner_iters,
+                         tol=opts.inner_tolerance, hess_factor=np.hstack([lfac, np.sqrt(nu) * b_psi]),
+                         row=(ones, 1.0))
+    assert fx == f(x)
+    assert np.max(np.abs(project(x + g(x)) - x)) <= opts.inner_tolerance
+    best = _slsqp_max(f, g, x0)
+    assert fx >= best - 1e-6 * abs(best)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), target=st.floats(0.3, 1.0))
+def test_association_column_with_qos_target_matches_slsqp(seed, target):
+    # x0 meets the target (target <= 1), so the feasible set is not empty; where the
+    # unconstrained maximizer breaks it, the multiplier loop holds it.
+    _, params, t, (eta, aux, gamma, beta, gram), fun, grad, model, _, eta_t, x0 = \
+        _column_problem(seed)
+    signal, interference = _column_terms(x0, model, eta_t, params)
+    gth_t = target * signal / interference
+    psi, psi_grad, _ = _qos_approximation(x0, model, eta_t, gth_t, params)
+    hypothesis.assume(psi is not None)
+    x = _association_column(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                            cf.SolverOptions(), x0.copy(), gth_t)
+    assert psi(x) >= -1e-9
+    assert x.sum() >= 1.0 - 1e-9
+    best = _slsqp_max(fun, grad, x0, [{"type": "ineq", "fun": psi, "jac": psi_grad}])
+    assert fun(x) >= best - 1e-6 * abs(best)
