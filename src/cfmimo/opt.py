@@ -150,8 +150,9 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     row) the objective is linear along its null space; the step then follows the
     null-space part of the gradient along the projection arc, at least to the first
     bound, so each such step holds one more entry. A projected gradient step, its
-    trial length a safeguarded Barzilai-Borwein estimate, is taken when neither is
-    an Armijo ascent step, and is the only step without hess_factor.
+    trial length a safeguarded Barzilai-Borwein estimate, is taken at a vertex with
+    a singular reduced Hessian (the free set is still changing), when neither step
+    is an Armijo ascent step, and as the only step without hess_factor.
     """
     x = np.asarray(project(np.asarray(x0, dtype=float)), dtype=float)
     fx = fun(x)
@@ -174,7 +175,7 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
         g_new = grad(x_new)
         dx, dg = x_new - x, g - g_new
         denom = float(dx @ dg)
-        step = min(float(dx @ dx) / denom, step_max) if denom > _EPS else step_max
+        step = min(float(dx @ dx) / denom if denom > _EPS else 2.0 * step, step_max)
         x, fx, g = x_new, f_new, g_new
     return x, fx
 

@@ -149,3 +149,23 @@ def test_pga_never_returns_worse_than_start():
     x, fx = pga_maximize(fun, grad, lambda z: np.clip(z, 0.0, 1.0), start,
                          max_iters=3, tol=1e-14)
     assert fx >= fun(start)
+
+
+def test_newton_steps_reach_box_quadratic_closed_form_exactly():
+    # With the Hessian factor, b.x - 0.5 diag.x^2 = b.x - ||L^T x||^2 for
+    # L = diag(sqrt(diag / 2)): the reduced Newton system is exact, so the box
+    # maximizer is reached to rounding in a few steps, without a row.
+    rng = np.random.default_rng(3)
+    diag = rng.uniform(0.5, 3.0, size=6)
+    b = rng.normal(size=6)
+    grads = [0]
+
+    def grad(x):
+        grads[0] += 1
+        return b - diag * x
+
+    x, fx = pga_maximize(lambda x: float(b @ x - 0.5 * diag @ (x * x)), grad,
+                         lambda z: np.clip(z, 0.0, 1.0), np.full(6, 0.5), max_iters=500,
+                         tol=1e-14, hess_factor=np.diag(np.sqrt(diag / 2.0)))
+    assert np.allclose(x, np.clip(b / diag, 0.0, 1.0), rtol=0.0, atol=1e-15)
+    assert grads[0] - 1 <= 3

@@ -1,5 +1,7 @@
 """Property tests on random small instances (Hypothesis, derandomized)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,9 @@ def test_qos_start_is_least_power_solution(seed, qos):
 
 
 def _column_problem(seed):
-    """A random synthetic column problem: (fun, grad, model, hess factor, eta_t, x0)
-    of one UE's association column, x0 all ones, binary or fractional."""
+    """A random synthetic column problem of one UE t: its channel, solver inputs,
+    column objective and Hessian factor, and a start x0 that is all ones, binary
+    or fractional."""
     rng = np.random.default_rng(seed)
     num_aps, num_ues = int(rng.integers(3, 13)), int(rng.integers(2, 6))
     gamma, beta, gram, params, _ = build_synthetic_channel(
@@ -51,10 +54,13 @@ def _column_problem(seed):
     aux = refresh_aux(eta, d, gamma, beta, gram, params)
     t = int(rng.integers(num_ues))
     fun, grad, model = _column_objective(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params)
-    lfac = aux.u[t] * _column_factor(model, eta[t], params)
     x0 = [np.ones(num_aps), (rng.uniform(size=num_aps) < 0.5).astype(float), d[:, t]][seed % 3]
     x0[int(rng.integers(num_aps))] = 1.0
-    return rng, params, t, (eta, aux, gamma, beta, gram), fun, grad, model, lfac, eta[t], x0
+    signal, interference = _column_terms(x0, model, eta[t], params)
+    return SimpleNamespace(t=t, channel=(gamma, beta, gram, params), eta=eta, aux=aux,
+                           fun=fun, grad=grad, model=model, x0=x0,
+                           lfac=aux.u[t] * _column_factor(model, eta[t], params),
+                           sinr0=signal / interference)
 
 
 def _slsqp_max(fun, grad, x0, extra=()):
@@ -74,10 +80,10 @@ def _slsqp_max(fun, grad, x0, extra=()):
 def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
     # One column ascent of the association block: fun alone (nu = 0) or the
     # multiplier loop's fun + nu psi, with Hessian factor [L, sqrt(nu) b_psi].
-    _, params, _, _, fun, grad, model, lfac, eta_t, x0 = _column_problem(seed)
-    signal, interference = _column_terms(x0, model, eta_t, params)
-    psi, psi_grad, b_psi = _qos_approximation(x0, model, eta_t,
-                                              target * signal / interference, params)
+    col = _column_problem(seed)
+    fun, grad, x0, params = col.fun, col.grad, col.x0, col.channel[3]
+    psi, psi_grad, b_psi = _qos_approximation(x0, col.model, col.eta[col.t],
+                                              target * col.sinr0, params)
     hypothesis.assume(psi is not None)
     opts = cf.SolverOptions()
     ones = np.ones_like(x0)
@@ -92,8 +98,8 @@ def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
         return grad(z) + nu * psi_grad(z)
 
     x, fx = pga_maximize(f, g, project, x0, max_iters=opts.max_inner_iters,
-                         tol=opts.inner_tolerance, hess_factor=np.hstack([lfac, np.sqrt(nu) * b_psi]),
-                         row=(ones, 1.0))
+                         tol=opts.inner_tolerance,
+                         hess_factor=np.hstack([col.lfac, np.sqrt(nu) * b_psi]), row=(ones, 1.0))
     assert fx == f(x)
     assert np.max(np.abs(project(x + g(x)) - x)) <= opts.inner_tolerance
     best = _slsqp_max(f, g, x0)
@@ -105,15 +111,15 @@ def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
 def test_association_column_with_qos_target_matches_slsqp(seed, target):
     # x0 meets the target (target <= 1), so the feasible set is not empty; where the
     # unconstrained maximizer breaks it, the multiplier loop holds it.
-    _, params, t, (eta, aux, gamma, beta, gram), fun, grad, model, _, eta_t, x0 = \
-        _column_problem(seed)
-    signal, interference = _column_terms(x0, model, eta_t, params)
-    gth_t = target * signal / interference
-    psi, psi_grad, _ = _qos_approximation(x0, model, eta_t, gth_t, params)
+    col = _column_problem(seed)
+    gamma, beta, gram, params = col.channel
+    gth_t = target * col.sinr0
+    psi, psi_grad, _ = _qos_approximation(col.x0, col.model, col.eta[col.t], gth_t, params)
     hypothesis.assume(psi is not None)
-    x = _association_column(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                            cf.SolverOptions(), x0.copy(), gth_t)
+    x = _association_column(col.t, col.eta, col.aux.gamma_aux, col.aux.u, gamma, beta, gram,
+                            params, cf.SolverOptions(), col.x0.copy(), gth_t)
     assert psi(x) >= -1e-9
     assert x.sum() >= 1.0 - 1e-9
-    best = _slsqp_max(fun, grad, x0, [{"type": "ineq", "fun": psi, "jac": psi_grad}])
-    assert fun(x) >= best - 1e-6 * abs(best)
+    best = _slsqp_max(col.fun, col.grad, col.x0,
+                      [{"type": "ineq", "fun": psi, "jac": psi_grad}])
+    assert col.fun(x) >= best - 1e-6 * abs(best)
