@@ -622,7 +622,7 @@ def _check_solve_records(records, qos):
 
 def test_paper_scale_joint_drop_reaches_no_inner_cap(monkeypatch):
     # Paper scale (M = 100, T = 40): projected gradient ascent hit its iteration cap
-    # 18 times on this drop's joint solve, 15 of them in the QoS multiplier loop.
+    # 18 times in 627 inner solves on this drop's joint run.
     config = cf.paper_config(seed=7, drops=6, alphas=(0.001,))
     config = replace(config, scenarios=(cf.Scenario(kind="joint"),))
     counts = count_inner_iterations(monkeypatch)
