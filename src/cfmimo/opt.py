@@ -168,7 +168,8 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
         if hess_factor is not None:
             new = _newton_step(fun, project, x, fx, g, y, hess_factor, row, armijo)
         if new is None:
-            new = _gradient_step(fun, project, x, fx, g, step, armijo)
+            new = _arc_search(fun, project, x, fx, g,
+                              (0.5 ** k * step * g for k in range(60)), armijo)
             if new is None:
                 break
         x_new, f_new = new
@@ -178,22 +179,6 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
         step = min(float(dx @ dx) / denom if denom > _EPS else 2.0 * step, step_max)
         x, fx, g = x_new, f_new, g_new
     return x, fx
-
-
-def _gradient_step(fun, project, x, fx, g, step, armijo):
-    """(x_new, fun(x_new)) on the projection arc project(x + s g), s halved from step
-    until the Armijo test holds; None when the arc stalls at x."""
-    s = step
-    for _ in range(60):
-        x_new = np.asarray(project(x + s * g), dtype=float)
-        dx = x_new - x
-        if not np.any(dx):
-            return None
-        f_new = fun(x_new)
-        if f_new >= fx + armijo * float(g @ dx):
-            return x_new, f_new
-        s *= 0.5
-    return None
 
 
 def _newton_step(fun, project, x, fx, g, y, lfac, row, armijo):
