@@ -9,12 +9,13 @@ original one; for fixed (Gamma, u) it is concave in the power factors and in eac
 association column, so the two block maximizations never decrease it. The power
 block is solved through its separable Lagrangian dual. The association block first
 settles, in one batched (M, T) test, every column that is binary, a KKT point of
-its box-and-coverage problem and meets its QoS target. Each other column is a
-concave quadratic with the explicit Hessian -2 L L^T; it is solved by projected
-Newton steps on its free entries (opt.pga_maximize, with projected gradient steps
-only as the safeguard) over the exact box-and-coverage projection, with its QoS
-target held by bisection on the target's scalar multiplier. One per-column SINR
-model serves the association block, its QoS set and the repair.
+its box-and-coverage problem and meets its QoS target. Each other column x has one
+model (which the repair reads too): signal (c.x)^2 and interference plus noise
+||w^T x||^2 + h.x. So its objective term, its QoS inner approximation psi and each
+objective + nu psi are one concave quadratic const + lin.x - ||F^T x||^2; projected
+Newton steps (opt.pga_maximize with Hessian factor F) solve it over the exact
+box-and-coverage projection, and a binding QoS target is held by bisection on its
+multiplier nu.
 When power is free and full power breaks a QoS target, the solve starts from the
 least powers that meet every target (one linear solve, Yates 1995).
 
@@ -182,8 +183,8 @@ def block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram, params: Syst
                            state=None) -> np.ndarray:
     """Analytic gradient of block_objective with respect to the association entries,
     every column at once from the interference state. Column t is the gradient of
-    UE t's term const + q.x - rho_sig (g.x)^2 - ||diag(sqrt(rho)) W^T x||^2
-    (_column_objective), where g.d_t = sg[t] and W^T d_t = coh[t, others]."""
+    UE t's term const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2) (_column_objective), where
+    c.d_t = a sqrt(pu eta_t) sg[t] and (w^T d_t)_t' = a sqrt(pu eta_t' gram_tt') coh[t, t']."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     eta = np.asarray(eta, dtype=float)
@@ -315,85 +316,75 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
 
 
 def _column_model(t, eta, gamma, beta, gram, params: SystemParams):
-    """(g, W, omega, bfu): UE t's SINR at its own column x is a^2 pu eta_t (g.x)^2 /
-    (omega.(W^T x)^2 + a (bfu + g).x); W has a column per co-pilot UE with eta > 0."""
+    """(c, w, h): at its own column x, UE t's signal is S(x) = (c.x)^2 and its interference
+    plus noise I(x) = ||w^T x||^2 + h.x; w has a column per co-pilot UE with eta > 0."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     eta = np.asarray(eta, dtype=float)
     gram_t = np.asarray(gram[t], dtype=float)
     gt = gamma[:, t]
     others = np.flatnonzero((np.arange(gamma.shape[1]) != t) & (gram_t > 0) & (eta > 0))
-    w_fac = gt[:, None] * beta[:, others] / beta[:, [t]]
     omega = a * a * pu * eta[others] * gram_t[others]
-    bfu = gt * (pu * (beta @ eta))
-    return gt, w_fac, omega, bfu
+    w = gt[:, None] * beta[:, others] / beta[:, [t]] * np.sqrt(omega)
+    return a * math.sqrt(pu * eta[t]) * gt, w, a * (gt * (pu * (beta @ eta)) + gt)
 
 
-def _column_terms(x, model, eta_t: float, params: SystemParams):
-    """Signal and interference-plus-noise of the column model at column x."""
-    gt, w_fac, omega, bfu = model
-    a = params.antennas_per_ap
-    signal = a * a * params.uplink_snr * eta_t * float(gt @ x) ** 2
-    v = w_fac.T @ x
-    return signal, float(omega @ (v * v)) + a * float((bfu + gt) @ x)
+def _column_terms(x, model):
+    """(S(x), I(x)) of the column model (c, w, h) at column x."""
+    c, w, h = model
+    v = w.T @ x
+    return float(c @ x) ** 2, float(v @ v) + float(h @ x)
 
 
-def _column_factor(model, eta_t: float, params: SystemParams) -> np.ndarray:
-    """C = [a sqrt(pu eta_t) g, W diag(sqrt(omega))]: at its own column x, UE t's
-    signal is (C[:, 0].x)^2 and its pilot contamination ||C[:, 1:]^T x||^2."""
-    gt, w_fac, omega, _ = model
-    return np.column_stack([params.antennas_per_ap * math.sqrt(params.uplink_snr * eta_t) * gt,
-                            w_fac * np.sqrt(omega)])
+def _quadratic(const, lin, fac):
+    """(fun, grad) of the concave quadratic const + lin.x - ||fac^T x||^2."""
+    def fun(x):
+        v = fac.T @ x
+        return const + float(lin @ x) - float(v @ v)
+
+    def grad(x):
+        return lin - 2.0 * fac @ (fac.T @ x)
+
+    return fun, grad
 
 
 def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams):
-    """(fun, grad, _column_model) of UE t's block-objective term const + q.x - ||L^T x||^2,
-    L = u_t _column_factor: a concave quadratic in its column with Hessian -2 L L^T."""
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
-    wp = _wprime(params)
+    """(model, (const, lin, u_t)): UE t's block-objective term at its own column x,
+    const + 2 u_t sqrt(w'(1 + Gamma_t) S(x)) - u_t^2 (S(x) + I(x)) - alpha 1.x
+    = const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2), with model = _column_model."""
     model = _column_model(t, eta, gamma, beta, gram, params)
-    gt, _, _, bfu = model
+    c, _, h = model
     u_t = float(u[t])
-    eta_t = float(eta[t])
     gaux_t = float(gamma_aux[t])
-    lfac = u_t * _column_factor(model, eta_t, params)
-    sqrt_coef = 2.0 * u_t * a * math.sqrt(pu * eta_t * wp * (1.0 + gaux_t))
-    q = sqrt_coef * gt - u_t ** 2 * a * (bfu + gt) - params.alpha
-    const = params.prelog * math.log2(1.0 + gaux_t) - wp * gaux_t
-
-    def fun(x):
-        v = lfac.T @ x
-        return const + float(q @ x) - float(v @ v)
-
-    def grad(x):
-        return q - 2.0 * lfac @ (lfac.T @ x)
-
-    return fun, grad, model
+    wp = _wprime(params)
+    lin = 2.0 * u_t * math.sqrt(wp * (1.0 + gaux_t)) * c - u_t ** 2 * h - params.alpha
+    return model, (params.prelog * math.log2(1.0 + gaux_t) - wp * gaux_t, lin, u_t)
 
 
-def _qos_approximation(x0, model, eta_t: float, gth_t: float, params: SystemParams):
-    """(psi, psi_grad, b_psi): the quadratic-transform inner approximation
-    psi(x) = lin.x - ||b_psi^T x||^2 - gth_t <= SINR_t(x) - gth_t of UE t's QoS
-    target, tight at x0; three Nones when there is no target, no power, or x0
-    carries no signal or interference."""
-    gt, _, _, bfu = model
-    a = params.antennas_per_ap
-    s0, i0 = _column_terms(x0, model, eta_t, params) if gth_t > 0 and eta_t > 0 else (0.0, 0.0)
+def _qos_approximation(x0, model, gth_t: float):
+    """(const, lin, v) of the inner approximation of UE t's QoS target, psi(x) =
+    2 v sqrt(S(x)) - v^2 I(x) - gth_t = const + lin.x - v^2 ||w^T x||^2 <= SINR_t(x) - gth_t,
+    tight at x0 (v = sqrt(S(x0)) / I(x0)); None without a target, signal or interference."""
+    s0, i0 = _column_terms(x0, model) if gth_t > 0 else (0.0, 0.0)
     if s0 <= 0 or i0 <= 0:
-        return None, None, None
-    v_aux = math.sqrt(s0) / i0
-    lin = 2.0 * v_aux * a * math.sqrt(params.uplink_snr * eta_t) * gt - v_aux ** 2 * a * (bfu + gt)
-    b_psi = v_aux * _column_factor(model, eta_t, params)[:, 1:]
+        return None
+    c, _, h = model
+    v = math.sqrt(s0) / i0
+    return -gth_t, 2.0 * v * c - v * v * h, v
 
-    def psi(x):
-        s = b_psi.T @ x
-        return float(lin @ x) - float(s @ s) - gth_t
 
-    def psi_grad(x):
-        return lin - 2.0 * b_psi @ (b_psi.T @ x)
-
-    return psi, psi_grad, b_psi
+def _column_lagrangian(model, objective, qos=None, nu=0.0):
+    """(fun, grad, fac) of UE t's column objective plus nu psi (the objective alone
+    without qos): both read one column model, so the sum is const + lin.x - ||fac^T x||^2
+    with fac = [u_t c, sqrt(u_t^2 + nu v^2) w], its rank in columns."""
+    c, w, _ = model
+    const, lin, u_t = objective
+    s_w = u_t
+    if qos is not None:
+        const, lin = const + nu * qos[0], lin + nu * qos[1]
+        s_w = math.sqrt(u_t * u_t + nu * qos[2] ** 2)
+    fac = np.column_stack([u_t * c, s_w * w])
+    return (*_quadratic(const, lin, fac), fac)
 
 
 def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams,
@@ -409,30 +400,30 @@ def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemP
     combined at the last point of their segment that meets psi. An unreachable
     target is dropped. The result is never worse than a feasible x0.
     """
-    fun, grad, model = _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)
-    eta_t = float(eta[t])
-    lfac = float(u[t]) * _column_factor(model, eta_t, params)
+    model, objective = _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)
+    fun, grad, fac = _column_lagrangian(model, objective)
     ones = np.ones_like(x0)
     tol = 1e-11 * max(1.0, gth_t)
 
-    def ascend(f, g, hess_factor, start, max_iters=options.max_inner_iters):
+    def ascend(f, g, hess_factor, start):
         return pga_maximize(f, g, lambda z: project_box_polyhedron(z, ones, 1.0), start,
-                            max_iters=max_iters, tol=options.inner_tolerance,
+                            max_iters=options.max_inner_iters, tol=options.inner_tolerance,
                             hess_factor=hess_factor, row=(ones, 1.0))
 
-    x, _ = ascend(fun, grad, lfac, x0)
-    psi, psi_grad, b_psi = _qos_approximation(x0, model, eta_t, gth_t, params)
-    if psi is not None and psi(x) < -tol:
+    x, _ = ascend(fun, grad, fac, x0)
+    qos = _qos_approximation(x0, model, gth_t)
+    if qos is not None:
+        b_psi = qos[2] * model[1]
+        psi, psi_grad = _quadratic(qos[0], qos[1], b_psi)
+    if qos is not None and psi(x) < -tol:
         anchor, psi_max = x0, psi(x0)
         if psi_max < -tol:
-            anchor, psi_max = ascend(psi, psi_grad, b_psi, x0, max_iters=80)
+            anchor, psi_max = ascend(psi, psi_grad, b_psi, x0)
         if psi_max < -tol:
-            psi = None     # unreachable target: dropped
+            qos = None     # unreachable target: dropped
         else:
             def solve(nu, start):
-                return ascend(lambda z: fun(z) + nu * psi(z),
-                              lambda z: grad(z) + nu * psi_grad(z),
-                              np.hstack([lfac, math.sqrt(nu) * b_psi]), start)[0]
+                return ascend(*_column_lagrangian(model, objective, qos, nu), start)[0]
 
             # Bracket nu (x4 from 1), then bisect; each solve starts at the feasible end.
             nu, nu_lo, nu_hi, x_lo, x_hi = 1.0, 0.0, math.inf, x, anchor
@@ -457,7 +448,7 @@ def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemP
                 if psi(rec) >= -tol and fun(rec) > fun(x_hi):
                     x = rec
     if (np.all((x0 >= -1e-9) & (x0 <= 1.0 + 1e-9)) and x0.sum() >= 1.0 - 1e-9
-            and (psi is None or psi(x0) >= -tol) and fun(x0) > fun(x)):
+            and (qos is None or psi(x0) >= -tol) and fun(x0) > fun(x)):
         x = x0
     return np.clip(x, 0.0, 1.0)
 
@@ -538,7 +529,7 @@ def _repair_columns(eta, d_binary, d_relaxed, ses, qos, gamma, beta, gram,
             if trial[m] == 1.0:
                 continue
             trial[m] = 1.0
-            signal, interference = _column_terms(trial, model, float(eta[t]), params)
+            signal, interference = _column_terms(trial, model)
             se_t = params.prelog * math.log2(1.0 + signal / interference)
             if se_t > best_se:
                 best_col, best_se = trial.copy(), se_t

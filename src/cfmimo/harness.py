@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import SCENARIO_KINDS, Scenario, run_scenario
 from .fp_solver import SolverOptions
-from .pilots import assign_pilots, estimation_quality, pilot_gram
+from .pilots import PILOT_STRATEGIES, assign_pilots, estimation_quality, pilot_gram
 from .se_model import SystemParams, fronthaul_load, l1_penalty
 from .topology import (NetworkConfig, PathLossModel, ShadowingModel,
                        compute_lsfc, generate_topology)
@@ -56,6 +56,15 @@ class ExperimentConfig:
                 raise ValueError(f"scenario kinds and alphas must not repeat: {values}")
         if not self.network.num_ues < self.network.num_aps * self.params.antennas_per_ap:
             raise ValueError("operating regime requires num_ues < num_aps * antennas_per_ap")
+        for alpha in self.alphas:    # each drop solves at replace(params, alpha=alpha)
+            replace(self.params, alpha=alpha)
+        qos = np.asarray(self.params.qos)
+        if qos.ndim > 1 or qos.size not in (1, self.network.num_ues):
+            raise ValueError(f"params.qos of shape {qos.shape} is neither one target nor one "
+                             f"per UE ({self.network.num_ues})")
+        if self.pilot_strategy not in PILOT_STRATEGIES:
+            raise ValueError(f"pilot_strategy must be one of {PILOT_STRATEGIES}, "
+                             f"not {self.pilot_strategy!r}")
 
 
 @dataclass

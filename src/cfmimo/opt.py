@@ -7,6 +7,9 @@ from __future__ import annotations
 import numpy as np
 
 _EPS = 1e-12
+_ARMIJO = 1e-4     # sufficient-ascent fraction of the Armijo test
+_STEP_INIT = 1.0   # first projected gradient trial length
+_STEP_MAX = 1e8    # cap on the Barzilai-Borwein trial length
 
 
 def project_box_polyhedron(y, normal, offset):
@@ -131,8 +134,7 @@ def dykstra(y, projections, max_cycles=150, tol=1e-11):
     return x
 
 
-def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor=None,
-                 row=None, armijo=1e-4, step_init=1.0, step_max=1e8):
+def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor=None, row=None):
     """Projected ascent with an Armijo line search; returns (x, fun(x)).
 
     Maximizes a concave function over a convex set given its Euclidean projection.
@@ -159,29 +161,28 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     g = grad(x)
     if hess_factor is not None:
         hess_factor = hess_factor[:, np.any(hess_factor != 0.0, axis=0)]
-    step = step_init
+    step = _STEP_INIT
     for _ in range(max_iters):
         y = np.asarray(project(x + g), dtype=float)
         if np.max(np.abs(y - x)) <= tol:
             break
         new = None
         if hess_factor is not None:
-            new = _newton_step(fun, project, x, fx, g, y, hess_factor, row, armijo)
+            new = _newton_step(fun, project, x, fx, g, y, hess_factor, row)
         if new is None:
-            new = _arc_search(fun, project, x, fx, g,
-                              (0.5 ** k * step * g for k in range(60)), armijo)
+            new = _arc_search(fun, project, x, fx, g, (0.5 ** k * step * g for k in range(60)))
             if new is None:
                 break
         x_new, f_new = new
         g_new = grad(x_new)
         dx, dg = x_new - x, g - g_new
         denom = float(dx @ dg)
-        step = min(float(dx @ dx) / denom if denom > _EPS else 2.0 * step, step_max)
+        step = min(float(dx @ dx) / denom if denom > _EPS else 2.0 * step, _STEP_MAX)
         x, fx, g = x_new, f_new, g_new
     return x, fx
 
 
-def _newton_step(fun, project, x, fx, g, y, lfac, row, armijo):
+def _newton_step(fun, project, x, fx, g, y, lfac, row):
     """The projected Newton step of pga_maximize: (x_new, fun(x_new)), or None when
     it is not an Armijo ascent step. y is project(x + g)."""
     free = (y > 0.0) & (y < 1.0)
@@ -189,7 +190,7 @@ def _newton_step(fun, project, x, fx, g, y, lfac, row, armijo):
     tight = row is not None and float(row[0] @ y) <= row[1] + 1e-12 * max(1.0, abs(row[1]))
     d = y - x                  # held entries go to their bound at y
     if nf > lfac.shape[1] + tight:
-        return _null_step(fun, project, x, fx, g, free, lfac, row, tight, armijo)
+        return _null_step(fun, project, x, fx, g, free, lfac, row, tight)
     if nf:
         # Exact maximizer over the free entries, the others at x + d:
         # 2 L_F L_F^T d_F (+ lam n_F) = g_F - 2 L_F L_H^T d_H  (and n . (x + d) = offset).
@@ -205,10 +206,10 @@ def _newton_step(fun, project, x, fx, g, y, lfac, row, armijo):
             d[free] = np.linalg.solve(mat, rhs)[:nf]
         except np.linalg.LinAlgError:
             return None
-    return _arc_search(fun, project, x, fx, g, (0.5 ** k * d for k in range(30)), armijo)
+    return _arc_search(fun, project, x, fx, g, (0.5 ** k * d for k in range(30)))
 
 
-def _null_step(fun, project, x, fx, g, free, lfac, row, tight, armijo):
+def _null_step(fun, project, x, fx, g, free, lfac, row, tight):
     """The step of _newton_step when the reduced Hessian is singular: the objective is
     linear along the part p of the free gradient orthogonal to the free rows of L
     (and to the row normal when tight), up to the first bound of the box or the
@@ -243,10 +244,10 @@ def _null_step(fun, project, x, fx, g, free, lfac, row, tight, armijo):
         s_row = (float(row[0] @ x) - row[1]) / -float(row[0] @ p)
         if s_row < s_first:
             last = s_row * p
-    return _arc_search(fun, project, x, fx, g, steps + [last], armijo)
+    return _arc_search(fun, project, x, fx, g, steps + [last])
 
 
-def _arc_search(fun, project, x, fx, g, steps, armijo):
+def _arc_search(fun, project, x, fx, g, steps):
     """(x_new, fun(x_new)) at the first x_new = project(x + step) that passes the
     Armijo test; None when none does."""
     for step in steps:
@@ -255,6 +256,6 @@ def _arc_search(fun, project, x, fx, g, steps, armijo):
         if not slope > 0.0:
             continue
         f_new = fun(x_new)
-        if f_new >= fx + armijo * slope:
+        if f_new >= fx + _ARMIJO * slope:
             return x_new, f_new
     return None

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The strategies assign_pilots implements.
+PILOT_STRATEGIES = ("round_robin", "random")
+
 
 @dataclass(frozen=True)
 class PilotAssignment:

@@ -26,12 +26,13 @@ class SystemParams:
             raise ValueError("antennas_per_ap must be >= 1")
         if self.uplink_snr <= 0:
             raise ValueError("uplink_snr must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, not {self.alpha}")
         if not 0 < self.pilot_len < self.coherence_len:
             raise ValueError("need 0 < pilot_len < coherence_len")
-        if np.any(np.asarray(self.qos, dtype=float) < 0):
-            raise ValueError("qos entries must be >= 0")
+        qos = np.asarray(self.qos, dtype=float)
+        if not np.all((qos >= 0) & (qos < np.inf)):
+            raise ValueError(f"qos entries must be finite and >= 0: {qos.tolist()}")
         if self.prelog is None:
             object.__setattr__(self, "prelog", 1.0 - self.pilot_len / self.coherence_len)
         if self.prelog <= 0:

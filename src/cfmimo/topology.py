@@ -30,6 +30,8 @@ class NetworkConfig:
             raise ValueError("area_side must be positive")
         if self.num_aps < 1 or self.num_ues < 1:
             raise ValueError("num_aps and num_ues must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, not {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,23 @@ def build_power_block(seed, qos=1.0):
     return (gamma, beta, gram, params), d, eta0, aux, coefs, (normals, offsets)
 
 
+def qos_psi(model, qos):
+    """(psi, psi_grad) of a column's QoS approximation from its definition
+    psi(x) = 2 v sqrt(S(x)) - v^2 I(x) + const, with sqrt(S(x)) = c.x on the column
+    model (c, w, h) and qos = (const, lin, v) as fp_solver._qos_approximation gives it."""
+    c, w, h = model
+    const, _, v = qos
+
+    def psi(x):
+        wx = w.T @ x
+        return 2.0 * v * float(c @ x) - v * v * (float(wx @ wx) + float(h @ x)) + const
+
+    def psi_grad(x):
+        return 2.0 * v * c - v * v * (2.0 * w @ (w.T @ x) + h)
+
+    return psi, psi_grad
+
+
 def count_state_builds(monkeypatch):
     """Replace interference_state, in every cfmimo namespace that binds it, by a
     counting wrapper; returns the one-element call counter."""

@@ -1,10 +1,14 @@
+import json
+import math
+import subprocess
 from pathlib import Path
 
 import pytest
 
 import cfmimo as cf
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 SEED = 7
 
 
@@ -25,3 +29,18 @@ def test_benchmark_output_checks_pass(monkeypatch, tmp_path, name, call):
     for rec in result.records:
         assert check_record(rec, config.params.qos) == []
     assert records_identical(result.records, cf.run_experiment(config).records)
+
+
+@pytest.mark.parametrize("name", ["desk_sweep", "paper_fixed"])
+def test_benchmark_command_prints_a_correct_result(name):
+    # The benchmark command as BENCHMARK.json declares it, run from the repository
+    # root: a run that stops, fails a solve or loses a metric fails here first.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    proc = subprocess.run([*spec["command"], "--workload", name, "--seed", str(SEED),
+                           "--seconds", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr[-4000:]
+    for metric in spec["end_to_end"]:
+        assert math.isfinite(result["metrics"][metric["name"]]["value"]), metric["name"]

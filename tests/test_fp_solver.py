@@ -7,13 +7,13 @@ import pytest
 
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
-from cfmimo.fp_solver import (_association_column, _column_objective, _dual_power_solve,
-                              _power_coefficients, _qos_approximation, _qos_start,
-                              _qos_thresholds, _settled_columns, block_objective_d_grad,
-                              block_objective_eta_grad, refresh_aux)
+from cfmimo.fp_solver import (_association_column, _column_lagrangian, _column_objective,
+                              _dual_power_solve, _power_coefficients, _qos_approximation,
+                              _qos_start, _qos_thresholds, _settled_columns,
+                              block_objective_d_grad, block_objective_eta_grad, refresh_aux)
 from cfmimo.se_model import interference_state, meets_qos
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
-                      count_inner_iterations, count_state_builds)
+                      count_inner_iterations, count_state_builds, qos_psi)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -169,9 +169,9 @@ def test_batched_d_gradient_is_the_stack_of_column_gradients(desk_channel, seed)
         eta[rng.integers(gamma.shape[1])] = 0.0
         aux = refresh_aux(eta, d, gamma, beta, gram, params)
         batched = block_objective_d_grad(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
-        stacked = np.stack([_column_objective(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram,
-                                              params)[1](d[:, t]) for t in range(d.shape[1])],
-                           axis=1)
+        stacked = np.stack([_column_lagrangian(*_column_objective(
+            t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params))[1](d[:, t])
+                            for t in range(d.shape[1])], axis=1)
         assert np.max(np.abs(batched - stacked)) <= 1e-12 * np.max(np.abs(stacked))
 
 
@@ -338,9 +338,10 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
     aux = refresh_aux(eta, d, gamma, beta, gram, params)
     gth = _qos_thresholds(params, d.shape[1])
     for t in range(d.shape[1]):
-        fun, grad, model = _column_objective(t, eta, aux.gamma_aux, aux.u,
+        model, objective = _column_objective(t, eta, aux.gamma_aux, aux.u,
                                              gamma, beta, gram, params)
-        psi, psi_grad, _ = _qos_approximation(d[:, t], model, eta[t], gth[t], params)
+        fun, grad, _ = _column_lagrangian(model, objective)
+        psi, psi_grad = qos_psi(model, _qos_approximation(d[:, t], model, gth[t]))
         ref = optimize.minimize(
             lambda z: -fun(z), d[:, t], jac=lambda z: -grad(z), method="SLSQP",
             bounds=[(0.0, 1.0)] * d.shape[0],

@@ -215,7 +215,9 @@ def test_load_config_merges_over_base(tmp_path):
     {"solver": {"max_outer_iters": 0}}, {"solver": {"max_inner_iters": 0}},
     {"solver": {"inner_tolerance": 0.0}}, {"workers": 0},
     {"network": {"num_apz": 3}}, {"scenarios": ["joint", "joint"]},
-    {"alphas": [0.001, 0.001]}])
+    {"alphas": [0.001, 0.001]}, {"alphas": [0.001, -0.5]}, {"alphas": [float("nan")]},
+    {"alphas": [float("inf")]}, {"network": {"rng_seed": -1}}, {"pilot_strategy": "fooo"},
+    {"params": {"qos": [0.2, 0.3]}}, {"params": {"qos": float("nan")}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -299,14 +301,22 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "missing.json"],
                                   ["--config", "string_epsilon.json"],
                                   ["--config", "misspelt_scenario_field.json"],
-                                  ["--config", "top_level_list.json"]])
+                                  ["--config", "top_level_list.json"],
+                                  ["--alpha", "0.001", "-0.5"], ["--alpha", "nan"],
+                                  ["--alpha", "inf"], ["--seed", "-1"],
+                                  ["--config", "unknown_pilot_strategy.json"],
+                                  ["--config", "qos_per_ue_mismatch.json"],
+                                  ["--config", "nan_qos.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
              "string_epsilon.json": {"solver": {"epsilon": "x"}},
              "misspelt_scenario_field.json": {"scenarios": [{"kind": "joint",
                                                              "fpc_exponnt": 1}]},
-             "top_level_list.json": [1, 2]}
+             "top_level_list.json": [1, 2],
+             "unknown_pilot_strategy.json": {"pilot_strategy": "fooo"},
+             "qos_per_ue_mismatch.json": {"params": {"qos": [0.2, 0.3]}},   # T = 10
+             "nan_qos.json": {"params": {"qos": float("nan")}}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import (_association_column, _column_factor, _column_objective,
+from cfmimo.fp_solver import (_association_column, _column_lagrangian, _column_objective,
                               _column_terms, _qos_approximation, _qos_start, _qos_thresholds,
                               refresh_aux)
 from cfmimo.opt import pga_maximize, project_box_polyhedron
-from conftest import build_synthetic_channel
+from conftest import build_synthetic_channel, qos_psi
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -43,8 +43,8 @@ def test_qos_start_is_least_power_solution(seed, qos):
 
 def _column_problem(seed):
     """A random synthetic column problem of one UE t: its channel, solver inputs,
-    column objective and Hessian factor, and a start x0 that is all ones, binary
-    or fractional."""
+    column model and objective, and a start x0 that is all ones, binary or
+    fractional."""
     rng = np.random.default_rng(seed)
     num_aps, num_ues = int(rng.integers(3, 13)), int(rng.integers(2, 6))
     gamma, beta, gram, params, _ = build_synthetic_channel(
@@ -53,13 +53,13 @@ def _column_problem(seed):
     d = rng.uniform(0.0, 1.0, (num_aps, num_ues))
     aux = refresh_aux(eta, d, gamma, beta, gram, params)
     t = int(rng.integers(num_ues))
-    fun, grad, model = _column_objective(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+    model, objective = _column_objective(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+    fun, grad, _ = _column_lagrangian(model, objective)
     x0 = [np.ones(num_aps), (rng.uniform(size=num_aps) < 0.5).astype(float), d[:, t]][seed % 3]
     x0[int(rng.integers(num_aps))] = 1.0
-    signal, interference = _column_terms(x0, model, eta[t], params)
+    signal, interference = _column_terms(x0, model)
     return SimpleNamespace(t=t, channel=(gamma, beta, gram, params), eta=eta, aux=aux,
-                           fun=fun, grad=grad, model=model, x0=x0,
-                           lfac=aux.u[t] * _column_factor(model, eta[t], params),
+                           fun=fun, grad=grad, model=model, objective=objective, x0=x0,
                            sinr0=signal / interference)
 
 
@@ -79,31 +79,45 @@ def _slsqp_max(fun, grad, x0, extra=()):
                   target=st.floats(0.3, 1.5))
 def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
     # One column ascent of the association block: fun alone (nu = 0) or the
-    # multiplier loop's fun + nu psi, with Hessian factor [L, sqrt(nu) b_psi].
+    # multiplier loop's fun + nu psi, as the solver builds it (_column_lagrangian).
     col = _column_problem(seed)
-    fun, grad, x0, params = col.fun, col.grad, col.x0, col.channel[3]
-    psi, psi_grad, b_psi = _qos_approximation(x0, col.model, col.eta[col.t],
-                                              target * col.sinr0, params)
-    hypothesis.assume(psi is not None)
+    x0 = col.x0
+    qos = _qos_approximation(x0, col.model, target * col.sinr0)
+    hypothesis.assume(qos is not None)
     opts = cf.SolverOptions()
     ones = np.ones_like(x0)
 
     def project(z):
         return project_box_polyhedron(z, ones, 1.0)
 
-    def f(z):
-        return fun(z) + nu * psi(z)
-
-    def g(z):
-        return grad(z) + nu * psi_grad(z)
-
+    f, g, fac = _column_lagrangian(col.model, col.objective, qos, nu)
     x, fx = pga_maximize(f, g, project, x0, max_iters=opts.max_inner_iters,
-                         tol=opts.inner_tolerance,
-                         hess_factor=np.hstack([col.lfac, np.sqrt(nu) * b_psi]), row=(ones, 1.0))
+                         tol=opts.inner_tolerance, hess_factor=fac, row=(ones, 1.0))
     assert fx == f(x)
     assert np.max(np.abs(project(x + g(x)) - x)) <= opts.inner_tolerance
     best = _slsqp_max(f, g, x0)
     assert fx >= best - 1e-6 * abs(best)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                  nu=st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
+                  target=st.floats(0.3, 1.5))
+def test_lagrangian_quadratic_is_objective_plus_nu_psi(seed, nu, target):
+    # The multiplier loop ascends one quadratic with K + 1 factor columns (the
+    # signal and the K co-pilot UEs); it must be fun + nu psi, psi from its definition.
+    col = _column_problem(seed)
+    qos = _qos_approximation(col.x0, col.model, target * col.sinr0)
+    hypothesis.assume(qos is not None)
+    psi, psi_grad = qos_psi(col.model, qos)
+    assert abs(psi(col.x0) - (1.0 - target) * col.sinr0) <= 1e-12 * col.sinr0   # tight at x0
+    f, g, fac = _column_lagrangian(col.model, col.objective, qos, nu)
+    assert fac.shape[1] == 1 + col.model[1].shape[1]
+    rng = np.random.default_rng(seed)
+    for x in (col.x0, rng.uniform(0.0, 1.0, col.x0.size)):
+        value, gradient = col.fun(x) + nu * psi(x), col.grad(x) + nu * psi_grad(x)
+        assert abs(f(x) - value) <= 1e-12 * abs(value)
+        assert np.max(np.abs(g(x) - gradient)) <= 1e-12 * np.max(np.abs(gradient))
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -114,8 +128,9 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     col = _column_problem(seed)
     gamma, beta, gram, params = col.channel
     gth_t = target * col.sinr0
-    psi, psi_grad, _ = _qos_approximation(col.x0, col.model, col.eta[col.t], gth_t, params)
-    hypothesis.assume(psi is not None)
+    qos = _qos_approximation(col.x0, col.model, gth_t)
+    hypothesis.assume(qos is not None)
+    psi, psi_grad = qos_psi(col.model, qos)
     x = _association_column(col.t, col.eta, col.aux.gamma_aux, col.aux.u, gamma, beta, gram,
                             params, cf.SolverOptions(), col.x0.copy(), gth_t)
     assert psi(x) >= -1e-9

@@ -45,7 +45,7 @@ def test_breakdown_consistency():
         vals = cf.sinr_all(eta, d, gamma, beta, gram, params)
         for t in range(6):
             model = _column_model(t, eta, gamma, beta, gram, params)
-            signal, interference = _column_terms(d[:, t], model, eta[t], params)
+            signal, interference = _column_terms(d[:, t], model)
             assert signal / interference == pytest.approx(vals[t], rel=1e-12)
     assert gram[4, 1] > 0
     assert _column_model(4, eta, gamma, beta, gram, params)[1].shape[1] == 0
