@@ -47,6 +47,12 @@ def _validate_oracle(out_dir: str, seed: int, n_samples: int = 100_000) -> int:
     return 0 if worst <= 3.0 else 1
 
 
+def _invalid(reason) -> int:
+    """Report a bad configuration on one line; the exit status for it."""
+    print(f"invalid configuration: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cfmimo",
@@ -67,6 +73,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.validate_oracle:
+        if args.seed is not None and args.seed < 0:
+            return _invalid(f"seed must be >= 0, not {args.seed}")
         return _validate_oracle(args.out or "results", args.seed or 0)
 
     try:
@@ -85,8 +93,7 @@ def main(argv=None) -> int:
         if args.workers is not None:
             config = replace(config, workers=args.workers)
     except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
 
     try:
         result = run_experiment(config, progress=True)

@@ -22,8 +22,12 @@ least powers that meet every target (one linear solve, Yates 1995).
 The SINR terms of every UE share power-independent sums over the association
 matrix (se_model.interference_state). alternate builds them once for each
 association matrix it forms and passes them as the keyword-only `state` to the
-auxiliary refresh, the power block, the block objective and the SE evaluations
-on that matrix; a caller that omits `state` gets it built from d. A solve returns
+association block and the SE evaluations on that matrix. From the same state it
+builds the matrix's power form (_power_form): every UE's signal S = c_sig eta and
+interference plus noise I = a_mat eta + n_vec are linear in eta for a fixed matrix,
+so the auxiliary refresh, the power block, the block objective and the QoS start
+read S and I from one matrix-vector product, passed as the keyword-only `form`. A
+caller that omits `state` or `form` gets it built from d. A solve returns
 the per-UE SE of its powers on the binary and the relaxed matrix (SolveResult.se,
 se_relaxed); the QoS check after rounding, the repair and the feasibility flags
 all read that one evaluation.
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,21 +107,47 @@ def lambda_star(gamma_aux, params: SystemParams) -> np.ndarray:
     return _wprime(params) / (1.0 + np.asarray(gamma_aux, dtype=float))
 
 
-def _u_star(gamma_aux, signal, pc, bu, noise, params: SystemParams) -> np.ndarray:
-    return np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal) / (signal + pc + bu + noise)
+def _u_star(gamma_aux, signal, total, params: SystemParams) -> np.ndarray:
+    return np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal) / total
 
 
 def update_u(gamma_aux, eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
     """Closed-form quadratic-transform auxiliaries sqrt(w'(1+Gamma) S) / (S + I)."""
-    return _u_star(np.asarray(gamma_aux, dtype=float),
-                   *sinr_terms(eta, d, gamma, beta, gram, params), params)
+    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
+    return _u_star(np.asarray(gamma_aux, dtype=float), signal, signal + pc + bu + noise, params)
 
 
-def refresh_aux(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> AuxState:
-    """update_gamma and update_u from one evaluation of the SINR terms."""
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params, state=state)
-    g = signal / (pc + bu + noise)
-    return AuxState(gamma_aux=g, u=_u_star(g, signal, pc, bu, noise, params))
+class PowerForm(NamedTuple):
+    """One association matrix's SINR terms as linear functions of eta: S = c_sig eta
+    and I = a_mat @ eta + n_vec, with sg[t] = sum_m d_mt gamma_mt and the matrix's
+    l1 penalty."""
+    c_sig: np.ndarray
+    a_mat: np.ndarray
+    n_vec: np.ndarray
+    sg: np.ndarray
+    penalty: float
+
+    def terms(self, eta):
+        """(S, I) at the powers eta."""
+        eta = np.asarray(eta, dtype=float)
+        return self.c_sig * eta, self.a_mat @ eta + self.n_vec
+
+
+def _power_form(d, gamma, beta, gram, params: SystemParams, *, state=None) -> PowerForm:
+    """The PowerForm of d; `state` is interference_state of d, built here when omitted."""
+    a = params.antennas_per_ap
+    pu = params.uplink_snr
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram) if state is None else state
+    return PowerForm(a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh,
+                     a * sg, sg, l1_penalty(d, params))
+
+
+def refresh_aux(eta, d, gamma, beta, gram, params: SystemParams, *, form=None) -> AuxState:
+    """update_gamma and update_u from one evaluation of the power form of d."""
+    form = _power_form(d, gamma, beta, gram, params) if form is None else form
+    signal, interference = form.terms(eta)
+    g = signal / interference
+    return AuxState(gamma_aux=g, u=_u_star(g, signal, signal + interference, params))
 
 
 def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
@@ -125,16 +156,17 @@ def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
 
 
 def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
-                    state=None) -> float:
+                    form=None) -> float:
     """Quadratic-transform surrogate; a global lower bound of the relaxed objective,
-    tight at gamma_aux = SINR(eta, d) and u at its closed-form optimum."""
+    tight at gamma_aux = SINR(eta, d) and u at its closed-form optimum. `form` is
+    the power form of d, built here when omitted."""
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     u = np.asarray(u, dtype=float)
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params, state=state)
-    total = signal + pc + bu + noise
-    val = (_dual_const(gamma_aux, params) - u ** 2 * total
+    form = _power_form(d, gamma, beta, gram, params) if form is None else form
+    signal, interference = form.terms(eta)
+    val = (_dual_const(gamma_aux, params) - u ** 2 * (signal + interference)
            + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
-    return float(val.sum() - l1_penalty(d, params))
+    return float(val.sum() - form.penalty)
 
 
 def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: SystemParams) -> float:
@@ -147,28 +179,20 @@ def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: Syste
     return float(val.sum() - l1_penalty(d, params))
 
 
-def _power_terms(d, gamma, beta, gram, params: SystemParams, *, state=None):
-    """(c_sig, a_mat, n_vec, sg): the SINR terms as functions of eta,
-    S_t = c_sig[t] eta_t and I_t = (a_mat @ eta + n_vec)_t."""
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
-    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram) if state is None else state
-    return a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh, a * sg, sg
-
-
 def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
-                        state=None):
+                        form=None):
     """The block objective as a function of eta:  const - lin.eta + b.sqrt(eta)."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     wp = _wprime(params)
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    c_sig, a_mat, n_vec, sg = _power_terms(d, gamma, beta, gram, params, state=state)
+    form = _power_form(d, gamma, beta, gram, params) if form is None else form
+    c_sig, a_mat, n_vec, sg, penalty = form
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
-    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - l1_penalty(d, params))
+    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - penalty)
     return lin, b_vec, const, c_sig, a_mat, n_vec
 
 
@@ -222,6 +246,15 @@ def _qos_rows(c_sig, a_mat, n_vec, gth):
     return normals, offsets, least
 
 
+def _box_maximizer(lam, b_vec):
+    """Per-UE maximizer of -lam_t eta_t + b_t sqrt(eta_t) over eta_t in [0, 1] (b >= 0)."""
+    out = np.ones_like(lam)
+    pos = lam > 0
+    # b >= 0, so clipping the root before squaring equals clipping the square.
+    out[pos] = np.minimum(1.0, b_vec[pos] / (2.0 * lam[pos])) ** 2
+    return out
+
+
 def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
     """Approximate maximizer of -lin.eta + b.sqrt(eta) over the box intersected
     with {normals @ eta >= offsets} via the separable Lagrangian dual.
@@ -234,12 +267,7 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
     mu = np.zeros(offsets.size)
 
     def eta_of(m):
-        lam = lin - normals.T @ m
-        out = np.ones_like(lin)
-        pos = lam > 0
-        # b >= 0, so clipping the root before squaring equals clipping the square.
-        out[pos] = np.minimum(1.0, b_vec[pos] / (2.0 * lam[pos])) ** 2
-        return out
+        return _box_maximizer(lin - normals.T @ m, b_vec)
 
     if not offsets.size:
         return eta_of(mu)
@@ -274,42 +302,52 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
 
 
 def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                options: SolverOptions, eta_init=None, *, state=None) -> np.ndarray:
+                options: SolverOptions, eta_init=None, *, form=None) -> np.ndarray:
     """Maximize the block objective over eta in [0,1]^T subject to the QoS rows,
     which are linear in eta. Concave: the sqrt terms are concave, the rest affine.
+    `form` is the power form of d_fixed, built here when omitted.
 
-    Rows with no point in the box go to the QoS policy unsolved. Otherwise the
-    dual maximizer is used; if it breaks a row it moves toward eta_init (or, if
-    that breaks a row too, toward the least QoS powers) until every row holds.
-    The result is never worse than a feasible eta_init.
+    Without a QoS target there are no rows, and the closed-form maximizer over the
+    box is used. Rows with no point in the box go to the QoS policy unsolved.
+    Otherwise the dual maximizer is used; if it breaks a row it moves toward
+    eta_init (or, if that breaks a row too, toward the least QoS powers) until
+    every row holds. The result is never worse than a feasible eta_init.
     """
     lin, b_vec, const, c_sig, a_mat, n_vec = _power_coefficients(
-        d_fixed, gamma_aux, u, gamma, beta, gram, params, state=state)
-    normals, offsets, least = _qos_rows(c_sig, a_mat, n_vec, _qos_thresholds(params, lin.size))
+        d_fixed, gamma_aux, u, gamma, beta, gram, params, form=form)
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
     tol = 1e-8
-    if np.any(least < 0) or np.any(least > 1 + tol):
-        if options.qos_infeasible_policy == "error":
-            raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least powers "
-                                         f"meeting them {least.tolist()} are not in [0, 1]")
-        return np.clip(eta0, 0.0, 1.0)
-    scale = np.maximum(1.0, np.abs(offsets))
 
     def fun(x):
         return const - float(lin @ x) + float(b_vec @ np.sqrt(np.maximum(x, 0.0)))
 
-    def feasible(x):
-        return bool(np.all((x >= -tol) & (x <= 1 + tol))
-                    and np.all(normals @ x >= offsets - tol * scale))
+    def in_box(x):
+        return bool(np.all((x >= -tol) & (x <= 1 + tol)))
 
-    x = _dual_power_solve(lin, b_vec, normals, offsets)
-    if not feasible(x):
-        # x lies in the box, so only rows are broken; each holds again once the
-        # step toward the feasible anchor exceeds its ratio of slacks.
-        anchor = eta0 if feasible(eta0) else least
-        slack, slack0 = normals @ x - offsets, normals @ anchor - offsets
-        bad = slack < -tol * scale
-        x = x + min(1.0, float(np.max(slack[bad] / (slack[bad] - slack0[bad])))) * (anchor - x)
+    if not np.any(np.asarray(params.qos) > 0):
+        x, feasible = _box_maximizer(lin, b_vec), in_box
+    else:
+        normals, offsets, least = _qos_rows(c_sig, a_mat, n_vec,
+                                            _qos_thresholds(params, lin.size))
+        if np.any(least < 0) or np.any(least > 1 + tol):
+            if options.qos_infeasible_policy == "error":
+                raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
+                                             f"powers meeting them {least.tolist()} are not in "
+                                             "[0, 1]")
+            return np.clip(eta0, 0.0, 1.0)
+        scale = np.maximum(1.0, np.abs(offsets))
+
+        def feasible(x):
+            return in_box(x) and bool(np.all(normals @ x >= offsets - tol * scale))
+
+        x = _dual_power_solve(lin, b_vec, normals, offsets)
+        if not feasible(x):
+            # x lies in the box, so only rows are broken; each holds again once the
+            # step toward the feasible anchor exceeds its ratio of slacks.
+            anchor = eta0 if feasible(eta0) else least
+            slack, slack0 = normals @ x - offsets, normals @ anchor - offsets
+            bad = slack < -tol * scale
+            x = x + min(1.0, float(np.max(slack[bad] / (slack[bad] - slack0[bad])))) * (anchor - x)
     if feasible(eta0) and fun(eta0) > fun(x):
         x = eta0
     return np.clip(x, 0.0, 1.0)
@@ -539,12 +577,14 @@ def _repair_columns(eta, d_binary, d_relaxed, ses, qos, gamma, beta, gram,
     return out
 
 
-def _qos_start(d, gamma, beta, gram, params: SystemParams, margin=1.05, *, state=None):
+def _qos_start(d, gamma, beta, gram, params: SystemParams, margin=1.05, *, form=None):
     """Least powers meeting every QoS target at margin * threshold, else at the bare
     threshold, with the UEs without a target held at full power; None when
     neither lies in [0,1]. The SINR is linear-fractional in eta, so in the box
-    these are the fixed point of target tracking eta <- min(1, eta * target/SINR)."""
-    c_sig, a_mat, n_vec, _ = _power_terms(d, gamma, beta, gram, params, state=state)
+    these are the fixed point of target tracking eta <- min(1, eta * target/SINR).
+    `form` is the power form of d, built here when omitted."""
+    form = _power_form(d, gamma, beta, gram, params) if form is None else form
+    c_sig, a_mat, n_vec = form[:3]
     gth = _qos_thresholds(params, c_sig.size)
     free = gth <= 0
     for target in (margin * gth, gth):
@@ -575,13 +615,18 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     qos = qos_vector(params, num_ues)
     enforce_qos = bool(np.any(qos > 0))
     power_is_free = mode in ("joint", "power_only")
-    # One interference state per association matrix formed below (d after each
-    # association block, the rounded and the repaired d_binary); every SINR
-    # evaluation on that matrix reuses it.
-    state = interference_state(d, gamma, beta, gram)
+
+    def matrix_forms(dm):
+        # One interference state and one power form per association matrix formed
+        # below (d after each association block, the rounded and the repaired
+        # d_binary); every evaluation on that matrix reuses them.
+        st = interference_state(dm, gamma, beta, gram)
+        return st, _power_form(dm, gamma, beta, gram, params, state=st)
+
+    state, form = matrix_forms(d)
     if (enforce_qos and power_is_free
             and not qos_satisfied(eta, d, gamma, beta, gram, params, state=state).all()):
-        start = _qos_start(d, gamma, beta, gram, params, state=state)
+        start = _qos_start(d, gamma, beta, gram, params, form=form)
         if start is not None:
             eta = start
         elif options.qos_infeasible_policy == "error":
@@ -593,36 +638,35 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     for i in range(1, options.max_outer_iters + 1):
         iterations = i
         if mode in ("joint", "power_only"):
-            aux = refresh_aux(eta, d, gamma, beta, gram, params, state=state)
+            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
             eta = solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram,
-                              params, options, eta_init=eta, state=state)
+                              params, options, eta_init=eta, form=form)
         if mode in ("joint", "association_only"):
-            aux = refresh_aux(eta, d, gamma, beta, gram, params, state=state)
+            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
             d = solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram,
                                   params, options, d_init=d, state=state)
-            state = interference_state(d, gamma, beta, gram)
+            state, form = matrix_forms(d)
         f_val = block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                state=state)
+                                form=form)
         trace.append(f_val)
         if f_prev is not None and abs(f_val - f_prev) <= options.epsilon * max(abs(f_prev), 1e-12):
             break
         f_prev = f_val
 
     d_binary = round_association(d, options, gamma)
-    # Rounding that leaves d unchanged (always so in power_only) keeps d's state.
-    state_b = state if np.array_equal(d_binary, d) else interference_state(
-        d_binary, gamma, beta, gram)
+    # Rounding that leaves d unchanged (always so in power_only) keeps d's state and form.
+    state_b, form_b = (state, form) if np.array_equal(d_binary, d) else matrix_forms(d_binary)
     se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
     if enforce_qos and not meets_qos(se, qos).all():
         # Rounding broke a QoS target: re-add APs to the violated columns, then
         # (when power is a free variable) refit the powers on the binary matrix.
         d_binary = _repair_columns(eta, d_binary, d, se, qos, gamma, beta, gram, params)
-        state_b = interference_state(d_binary, gamma, beta, gram)
+        state_b, form_b = matrix_forms(d_binary)
         se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
         if power_is_free and not meets_qos(se, qos).all():
-            aux_b = refresh_aux(eta, d_binary, gamma, beta, gram, params, state=state_b)
+            aux_b = refresh_aux(eta, d_binary, gamma, beta, gram, params, form=form_b)
             eta = solve_power(d_binary, aux_b.gamma_aux, aux_b.u, gamma, beta, gram,
-                              params, options, eta_init=eta, state=state_b)
+                              params, options, eta_init=eta, form=form_b)
             se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
     feasibility = meets_qos(se, qos)
     if enforce_qos and not feasibility.all() and options.qos_infeasible_policy == "error":

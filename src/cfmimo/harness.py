@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -42,6 +43,15 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name, value in (("drops", self.drops), ("workers", self.workers),
+                            ("network.num_aps", self.network.num_aps),
+                            ("network.num_ues", self.network.num_ues),
+                            ("network.rng_seed", self.network.rng_seed),
+                            ("params.antennas_per_ap", self.params.antennas_per_ap),
+                            ("params.pilot_len", self.params.pilot_len),
+                            ("params.coherence_len", self.params.coherence_len)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
         if self.workers < 1:
@@ -298,11 +308,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         shadowing=ShadowingModel(**data["shadowing"]),
         scenarios=tuple(scenarios),
         alphas=tuple(float(a) for a in data["alphas"]),
-        drops=int(data["drops"]),
+        drops=data["drops"],
         output_dir=str(data["output_dir"]),
         pilot_snr=float(data["pilot_snr"]),
         pilot_strategy=str(data.get("pilot_strategy", "random")),
-        workers=int(data.get("workers", 1)))
+        workers=data.get("workers", 1))
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -89,10 +89,9 @@ def qos_psi(model, qos):
     return psi, psi_grad
 
 
-def count_state_builds(monkeypatch):
-    """Replace interference_state, in every cfmimo namespace that binds it, by a
-    counting wrapper; returns the one-element call counter."""
-    original = cf.se_model.interference_state
+def _count_calls(monkeypatch, original):
+    """Replace original, in every cfmimo namespace that binds it, by a counting
+    wrapper; returns the one-element call counter."""
     calls = [0]
 
     def counted(*args, **kwargs):
@@ -105,6 +104,16 @@ def count_state_builds(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_state_builds(monkeypatch):
+    """Count the builds of an interference state (se_model.interference_state)."""
+    return _count_calls(monkeypatch, cf.se_model.interference_state)
+
+
+def count_power_forms(monkeypatch):
+    """Count the builds of a power form (fp_solver._power_form)."""
+    return _count_calls(monkeypatch, cf.fp_solver._power_form)
 
 
 def count_inner_iterations(monkeypatch):

@@ -44,3 +44,18 @@ def test_benchmark_command_prints_a_correct_result(name):
     assert result["correct"] is True and result["failed"] == 0, proc.stderr[-4000:]
     for metric in spec["end_to_end"]:
         assert math.isfinite(result["metrics"][metric["name"]]["value"]), metric["name"]
+
+
+@pytest.mark.parametrize("name", ["desk_sweep", "paper_fixed"])
+def test_traced_benchmark_runs(name):
+    # The traced run (--trace 1) as BENCHMARK.json declares the command: it must run
+    # on every workload and report every per-layer metric, finite.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    proc = subprocess.run([*spec["command"], "--workload", name, "--seed", str(SEED),
+                           "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr[-4000:]
+    for metric in spec["per_layer"]:
+        assert math.isfinite(result["metrics"][metric["name"]]["value"]), metric["name"]

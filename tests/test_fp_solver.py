@@ -7,13 +7,14 @@ import pytest
 
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
-from cfmimo.fp_solver import (_association_column, _column_lagrangian, _column_objective,
-                              _dual_power_solve, _power_coefficients, _qos_approximation,
-                              _qos_start, _qos_thresholds, _settled_columns,
-                              block_objective_d_grad, block_objective_eta_grad, refresh_aux)
-from cfmimo.se_model import interference_state, meets_qos
+from cfmimo.fp_solver import (_association_column, _box_maximizer, _column_lagrangian,
+                              _column_objective, _dual_power_solve, _power_coefficients,
+                              _power_form, _qos_approximation, _qos_rows, _qos_start,
+                              _qos_thresholds, _settled_columns, block_objective_d_grad,
+                              block_objective_eta_grad, refresh_aux)
+from cfmimo.se_model import interference_state, l1_penalty, meets_qos, sinr_terms
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
-                      count_inner_iterations, count_state_builds, qos_psi)
+                      count_inner_iterations, count_power_forms, count_state_builds, qos_psi)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -204,6 +205,80 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
             settled_total += int(settled.sum())
             open_total += int((~settled).sum())
     assert settled_total >= 50 and open_total >= 50
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_form_matches_sinr_terms(desk_channel, seed):
+    # The form is the closed form's signal and interference plus noise, linear in eta.
+    gamma, beta, gram, params = desk_channel(seed)
+    num_aps, num_ues = gamma.shape
+    rng = np.random.default_rng(seed)
+    binary = (rng.uniform(size=gamma.shape) < 0.3).astype(float)
+    binary[rng.integers(num_aps, size=num_ues), np.arange(num_ues)] = 1.0
+    eta = rng.uniform(0.0, 1.0, num_ues)
+    eta[::3] = 0.0
+    for d in (np.ones(gamma.shape), rng.uniform(0.05, 1.0, gamma.shape), binary):
+        form = _power_form(d, gamma, beta, gram, params)
+        assert form.penalty == l1_penalty(d, params)
+        signal, interference = form.terms(eta)
+        s_ref, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
+        np.testing.assert_allclose(signal, s_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(interference, pc + bu + noise, rtol=1e-12, atol=0.0)
+        assert np.all(signal[::3] == 0.0)
+
+
+def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_channel):
+    # No QoS target, no rows: the closed-form maximizer over the box, or a better
+    # eta_init, without building a row or running the dual.
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows built without a QoS target")
+
+    monkeypatch.setattr(fp_solver, "_qos_rows", no_rows)
+    monkeypatch.setattr(fp_solver, "_dual_power_solve", no_rows)
+    opts = cf.SolverOptions()
+    for seed in range(4):
+        gamma, beta, gram, params = desk_channel(seed, qos=0.0)
+        num_ues = gamma.shape[1]
+        d = np.ones(gamma.shape)
+        rng = np.random.default_rng(seed)
+        aux = refresh_aux(rng.uniform(0.0, 1.0, num_ues), d, gamma, beta, gram, params)
+        lin, b_vec, const, _, _, _ = _power_coefficients(d, aux.gamma_aux, aux.u,
+                                                         gamma, beta, gram, params)
+        closed = _box_maximizer(lin, b_vec)
+
+        def value(x):
+            return const - lin @ x + b_vec @ np.sqrt(x)
+
+        # The last start is the box maximizer moved by rounding: eta_init may win the tie.
+        for eta0 in (None, np.ones(num_ues), rng.uniform(0.0, 1.0, num_ues),
+                     np.nextafter(closed, 0.5)):
+            eta = cf.solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram, params, opts,
+                                 eta_init=eta0)
+            start = np.ones(num_ues) if eta0 is None else eta0
+            assert np.array_equal(eta, closed) or np.array_equal(eta, start)
+            assert value(eta) >= value(start)
+
+
+def test_solve_power_with_targets_reads_its_rows():
+    # With targets the rows still bind: unsatisfiable rows go to the policy, and
+    # satisfiable ones hold where the box maximizer breaks one. A form built from
+    # the interference state changes nothing.
+    opts = cf.SolverOptions()
+    unsatisfiable = broken = 0
+    for seed in range(10):
+        channel, d, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
+        eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, opts, eta_init=eta0)
+        form = _power_form(d, *channel, state=interference_state(d, *channel[:3]))
+        assert np.array_equal(eta, cf.solve_power(d, aux.gamma_aux, aux.u, *channel, opts,
+                                                  eta_init=eta0, form=form))
+        least = _qos_rows(*coefs[3:], _qos_thresholds(channel[3], d.shape[1]))[2]
+        if np.max(least) > 1.0:
+            unsatisfiable += 1
+            assert np.array_equal(eta, np.clip(eta0, 0.0, 1.0))
+            continue
+        assert np.min(normals @ eta - offsets) >= -1e-8
+        broken += int(np.min(normals @ _box_maximizer(*coefs[:2]) - offsets) < -1e-8)
+    assert unsatisfiable >= 1 and broken >= 3
 
 
 def test_solve_power_alpha_invariant():
@@ -590,10 +665,12 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
                                                                          monkeypatch):
     gamma, beta, gram, params = desk_channel(14, qos=1.0)
     calls = count_state_builds(monkeypatch)
+    forms = count_power_forms(monkeypatch)
     res = cf.alternate(None, None, gamma, beta, gram, replace(params, qos=0.0),
                        cf.SolverOptions(), mode="power_only")
     assert res.iterations > 1
     assert calls[0] <= 2    # d, then d_binary
+    assert forms[0] == calls[0] == 1    # every power block reads the one form of d
 
     repairs = []
     original_repair = fp_solver._repair_columns
@@ -603,11 +680,12 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
         return original_repair(*args, **kwargs)
 
     monkeypatch.setattr(fp_solver, "_repair_columns", repair)
-    calls[0] = 0
+    calls[0] = forms[0] = 0
     res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(), mode="joint")
     assert repairs and res.feasibility.all()
     # The start, one per association block, the rounded and the repaired d_binary.
     assert calls[0] <= res.iterations + 3
+    assert forms[0] == calls[0] >= res.iterations + 1
 
 
 def _check_solve_records(records, qos):

@@ -217,7 +217,12 @@ def test_load_config_merges_over_base(tmp_path):
     {"network": {"num_apz": 3}}, {"scenarios": ["joint", "joint"]},
     {"alphas": [0.001, 0.001]}, {"alphas": [0.001, -0.5]}, {"alphas": [float("nan")]},
     {"alphas": [float("inf")]}, {"network": {"rng_seed": -1}}, {"pilot_strategy": "fooo"},
-    {"params": {"qos": [0.2, 0.3]}}, {"params": {"qos": float("nan")}}])
+    {"params": {"qos": [0.2, 0.3]}}, {"params": {"qos": float("nan")}},
+    # Integer fields take integers only, not a fraction or a bool.
+    {"drops": 1.7}, {"drops": True}, {"workers": 1.5}, {"workers": True},
+    {"network": {"num_aps": 30.5}}, {"network": {"num_ues": 9.5}},
+    {"network": {"rng_seed": 7.5}}, {"params": {"antennas_per_ap": 2.5}},
+    {"params": {"pilot_len": 2.5}}, {"params": {"coherence_len": 200.5}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -306,7 +311,8 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--alpha", "inf"], ["--seed", "-1"],
                                   ["--config", "unknown_pilot_strategy.json"],
                                   ["--config", "qos_per_ue_mismatch.json"],
-                                  ["--config", "nan_qos.json"]])
+                                  ["--config", "nan_qos.json"],
+                                  ["--validate-oracle", "--seed", "-1"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
