@@ -246,6 +246,11 @@ def _qos_rows(c_sig, a_mat, n_vec, gth):
     return normals, offsets, least
 
 
+def _rows_hold(least, tol=1e-8):
+    """Whether the QoS rows with least powers `least` (_qos_rows) hold somewhere in the box."""
+    return not (np.any(least < 0) or np.any(least > 1 + tol))
+
+
 def _box_maximizer(lam, b_vec):
     """Per-UE maximizer of -lam_t eta_t + b_t sqrt(eta_t) over eta_t in [0, 1] (b >= 0)."""
     out = np.ones_like(lam)
@@ -329,7 +334,7 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
     else:
         normals, offsets, least = _qos_rows(c_sig, a_mat, n_vec,
                                             _qos_thresholds(params, lin.size))
-        if np.any(least < 0) or np.any(least > 1 + tol):
+        if not _rows_hold(least):
             if options.qos_infeasible_policy == "error":
                 raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
                                              f"powers meeting them {least.tolist()} are not in "
@@ -602,6 +607,13 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     mode selects which blocks run: 'joint', 'power_only' or 'association_only'.
     Stops when the relative change of the post-block objective value falls
     below options.epsilon.
+
+    A joint solve with QoS targets runs in two phases. While the power rows of the
+    current matrix have no point in the box (phase I, the test of solve_power),
+    the power block leaves eta as it is. The first matrix whose rows hold starts
+    phase II from powers that meet them (_qos_start's, else the least powers of
+    _qos_rows); the objective trace and the stop test restart there, so the trace
+    never decreases. A solve that never leaves phase I keeps its trace.
     """
     if mode not in ("joint", "power_only", "association_only"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -623,7 +635,12 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         st = interference_state(dm, gamma, beta, gram)
         return st, _power_form(dm, gamma, beta, gram, params, state=st)
 
+    def rows_hold(fm):
+        return _rows_hold(_qos_rows(fm.c_sig, fm.a_mat, fm.n_vec, gth)[2])
+
+    gth = _qos_thresholds(params, num_ues)
     state, form = matrix_forms(d)
+    phase_one = mode == "joint" and enforce_qos and not rows_hold(form)
     if (enforce_qos and power_is_free
             and not qos_satisfied(eta, d, gamma, beta, gram, params, state=state).all()):
         start = _qos_start(d, gamma, beta, gram, params, form=form)
@@ -646,6 +663,14 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
             d = solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram,
                                   params, options, d_init=d, state=state)
             state, form = matrix_forms(d)
+        if phase_one and rows_hold(form):
+            phase_one = False
+            start = _qos_start(d, gamma, beta, gram, params, form=form)
+            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
+            eta = solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram, params, options,
+                              eta_init=start, form=form)
+            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
+            trace, f_prev = [], None
         f_val = block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
                                 form=form)
         trace.append(f_val)
