@@ -360,33 +360,42 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
 
 def _column_model(t, eta, gamma, beta, gram, params: SystemParams):
     """(c, w, h): at its own column x, UE t's signal is S(x) = (c.x)^2 and its interference
-    plus noise I(x) = ||w^T x||^2 + h.x; w has a column per co-pilot UE with eta > 0."""
+    plus noise I(x) = ||w^T x||^2 + h.x; w has a column per co-pilot UE with eta > 0.
+    For an array of UEs t the models are stacked: c and h of shape (k, M), and w of
+    shape (k, M, K), zero-padded to the most co-pilots."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     eta = np.asarray(eta, dtype=float)
-    gram_t = np.asarray(gram[t], dtype=float)
-    gt = gamma[:, t]
-    others = np.flatnonzero((np.arange(gamma.shape[1]) != t) & (gram_t > 0) & (eta > 0))
-    omega = a * a * pu * eta[others] * gram_t[others]
-    w = gt[:, None] * beta[:, others] / beta[:, [t]] * np.sqrt(omega)
-    return a * math.sqrt(pu * eta[t]) * gt, w, a * (gt * (pu * (beta @ eta)) + gt)
+    cols = np.atleast_1d(t)
+    gt = gamma.T[cols]
+    pair = (gram[cols] > 0) & (eta > 0)
+    pair[np.arange(cols.size), cols] = False
+    # Co-pilot pairs (UE, co-pilot) in order, and each co-pilot's column in w.
+    rows, others = pair.nonzero()
+    slot = pair.cumsum(axis=1)[rows, others] - 1
+    omega = a * a * pu * eta[others] * gram[cols[rows], others]
+    w = np.zeros((cols.size, gamma.shape[0], slot.max(initial=-1) + 1))
+    w[rows, :, slot] = gt[rows] * beta.T[others] / beta.T[cols[rows]] * np.sqrt(omega)[:, None]
+    model = ((a * np.sqrt(pu * eta[cols]))[:, None] * gt, w, a * (gt * (pu * (beta @ eta)) + gt))
+    return model if np.ndim(t) else tuple(part[0] for part in model)
 
 
 def _column_terms(x, model):
-    """(S(x), I(x)) of the column model (c, w, h) at column x."""
+    """(S(x), I(x)) of the column model (c, w, h) at column x (stacked for a stack)."""
     c, w, h = model
-    v = w.T @ x
-    return float(c @ x) ** 2, float(v @ v) + float(h @ x)
+    v = np.vecmat(x, w)
+    return np.vecdot(c, x) ** 2, np.vecdot(v, v) + np.vecdot(h, x)
 
 
 def _quadratic(const, lin, fac):
-    """(fun, grad) of the concave quadratic const + lin.x - ||fac^T x||^2."""
+    """(fun, grad) of the concave quadratic const + lin.x - ||fac^T x||^2; for stacked
+    const (k,), lin (k, M) and fac (k, M, R), of a stack x of shape (k, M)."""
     def fun(x):
-        v = fac.T @ x
-        return const + float(lin @ x) - float(v @ v)
+        v = np.vecmat(x, fac)
+        return const + np.vecdot(lin, x) - np.vecdot(v, v)
 
     def grad(x):
-        return lin - 2.0 * fac @ (fac.T @ x)
+        return lin - 2.0 * np.matvec(fac, np.vecmat(x, fac))
 
     return fun, grad
 
@@ -394,106 +403,140 @@ def _quadratic(const, lin, fac):
 def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams):
     """(model, (const, lin, u_t)): UE t's block-objective term at its own column x,
     const + 2 u_t sqrt(w'(1 + Gamma_t) S(x)) - u_t^2 (S(x) + I(x)) - alpha 1.x
-    = const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2), with model = _column_model."""
+    = const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2), with model = _column_model;
+    stacked for an array of UEs t."""
     model = _column_model(t, eta, gamma, beta, gram, params)
     c, _, h = model
-    u_t = float(u[t])
-    gaux_t = float(gamma_aux[t])
+    u_t = np.asarray(u, dtype=float)[t]
+    gaux_t = np.asarray(gamma_aux, dtype=float)[t]
     wp = _wprime(params)
-    lin = 2.0 * u_t * math.sqrt(wp * (1.0 + gaux_t)) * c - u_t ** 2 * h - params.alpha
-    return model, (params.prelog * math.log2(1.0 + gaux_t) - wp * gaux_t, lin, u_t)
+    lin = ((2.0 * u_t * np.sqrt(wp * (1.0 + gaux_t)))[..., None] * c
+           - (u_t ** 2)[..., None] * h - params.alpha)
+    return model, (params.prelog * np.log2(1.0 + gaux_t) - wp * gaux_t, lin, u_t)
 
 
-def _qos_approximation(x0, model, gth_t: float):
-    """(const, lin, v) of the inner approximation of UE t's QoS target, psi(x) =
-    2 v sqrt(S(x)) - v^2 I(x) - gth_t = const + lin.x - v^2 ||w^T x||^2 <= SINR_t(x) - gth_t,
-    tight at x0 (v = sqrt(S(x0)) / I(x0)); None without a target, signal or interference."""
-    s0, i0 = _column_terms(x0, model) if gth_t > 0 else (0.0, 0.0)
-    if s0 <= 0 or i0 <= 0:
+def _qos_approximation(x0, model, gth):
+    """(const, lin, v) of the inner approximation of a QoS target, psi(x) =
+    2 v sqrt(S(x)) - v^2 I(x) - gth = const + lin.x - v^2 ||w^T x||^2 <= SINR(x) - gth,
+    tight at x0 (v = sqrt(S(x0)) / I(x0)). For one column, None without a target,
+    signal or interference; for a stack x0 of columns, stacked, with psi = 0 there."""
+    s0, i0 = _column_terms(x0, model)
+    has = (gth > 0) & (s0 > 0) & (i0 > 0)
+    if np.ndim(has) == 0 and not has:
         return None
     c, _, h = model
-    v = math.sqrt(s0) / i0
-    return -gth_t, 2.0 * v * c - v * v * h, v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(has, np.sqrt(s0) / i0, 0.0)
+    return (np.where(has, -gth, 0.0),
+            (2.0 * v)[..., None] * c - (v * v)[..., None] * h, v)
 
 
 def _column_lagrangian(model, objective, qos=None, nu=0.0):
     """(fun, grad, fac) of UE t's column objective plus nu psi (the objective alone
     without qos): both read one column model, so the sum is const + lin.x - ||fac^T x||^2
-    with fac = [u_t c, sqrt(u_t^2 + nu v^2) w], its rank in columns."""
+    with fac = [u_t c, sqrt(u_t^2 + nu v^2) w], its rank in columns. Without qos the
+    model and objective may be stacked."""
     c, w, _ = model
     const, lin, u_t = objective
     s_w = u_t
     if qos is not None:
         const, lin = const + nu * qos[0], lin + nu * qos[1]
-        s_w = math.sqrt(u_t * u_t + nu * qos[2] ** 2)
-    fac = np.column_stack([u_t * c, s_w * w])
+        s_w = np.sqrt(u_t * u_t + nu * qos[2] ** 2)
+    fac = np.concatenate([(np.asarray(u_t)[..., None] * c)[..., None],
+                          np.asarray(s_w)[..., None, None] * w], axis=-1)
     return (*_quadratic(const, lin, fac), fac)
 
 
-def _association_column(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                        options: SolverOptions, x0, gth_t):
-    """Maximize the block objective over one association column (concave quadratic)
-    subject to the box, coverage (column sum >= 1) and the QoS target.
+def _association_columns(cols, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams,
+                         options: SolverOptions, x0, gth):
+    """Maximize the block objective over the association columns of the UEs cols, each
+    a concave quadratic, subject to the box, coverage (column sum >= 1) and its QoS
+    target. x0 is the stack of start columns (one row per UE) and gth their SINR
+    thresholds; returns the stack of solutions.
 
-    Every ascent takes projected Newton steps (pga_maximize) with the exact Hessian
-    factor of its quadratic, over the exact box-and-coverage projection. If the
-    maximizer breaks the QoS inner approximation psi and some point meets psi, the target
-    binds: its multiplier nu is bisected on psi(x(nu)), x(nu) maximizing
-    fun + nu psi, and the feasible and infeasible ends of the final bracket are
-    combined at the last point of their segment that meets psi. An unreachable
-    target is dropped. The result is never worse than a feasible x0.
+    One projected Newton ascent (pga_maximize with the exact Hessian factors) moves
+    every column at once over the exact box-and-coverage projection. A column whose
+    maximizer breaks its QoS inner approximation psi goes on alone (_bound_column).
+    No column ends worse than a feasible start.
     """
-    model, objective = _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params)
+    x0 = np.asarray(x0, dtype=float)
+    model, objective = _column_objective(cols, eta, gamma_aux, u, gamma, beta, gram, params)
     fun, grad, fac = _column_lagrangian(model, objective)
-    ones = np.ones_like(x0)
-    tol = 1e-11 * max(1.0, gth_t)
+    ones = np.ones(x0.shape[1])
 
     def ascend(f, g, hess_factor, start):
         return pga_maximize(f, g, lambda z: project_box_polyhedron(z, ones, 1.0), start,
                             max_iters=options.max_inner_iters, tol=options.inner_tolerance,
                             hess_factor=hess_factor, row=(ones, 1.0))
 
-    x, _ = ascend(fun, grad, fac, x0)
-    qos = _qos_approximation(x0, model, gth_t)
-    if qos is not None:
-        b_psi = qos[2] * model[1]
-        psi, psi_grad = _quadratic(qos[0], qos[1], b_psi)
-    if qos is not None and psi(x) < -tol:
-        anchor, psi_max = x0, psi(x0)
-        if psi_max < -tol:
-            anchor, psi_max = ascend(psi, psi_grad, b_psi, x0)
-        if psi_max < -tol:
-            qos = None     # unreachable target: dropped
-        else:
-            def solve(nu, start):
-                return ascend(*_column_lagrangian(model, objective, qos, nu), start)[0]
-
-            # Bracket nu (x4 from 1), then bisect; each solve starts at the feasible end.
-            nu, nu_lo, nu_hi, x_lo, x_hi = 1.0, 0.0, math.inf, x, anchor
-            for _ in range(100):
-                z = solve(nu, x_hi)
-                if psi(z) >= -tol:
-                    nu_hi, x_hi = nu, z
-                else:
-                    nu_lo, x_lo = nu, z
-                if nu_lo >= (1.0 - 1e-6) * nu_hi:
-                    break
-                nu = 4.0 * nu if nu_hi == math.inf else 0.5 * (nu_lo + nu_hi)
-            # Primal recovery: psi(x_hi + th dx) = q_c + q_b th - q_a th^2 is concave,
-            # so step to its last zero; this root form holds at q_a = 0 (psi linear).
-            dx = x_lo - x_hi
-            q_c, q_b = psi(x_hi), float(psi_grad(x_hi) @ dx)
-            q_a = float(np.sum((b_psi.T @ dx) ** 2))
-            x = x_hi
-            if q_c > 0:
-                root = math.sqrt(q_b * q_b + 4.0 * q_a * q_c) - q_b
-                rec = x_hi + 2.0 * q_c / max(root, 2.0 * q_c) * dx   # theta clipped to 1
-                if psi(rec) >= -tol and fun(rec) > fun(x_hi):
-                    x = rec
-    if (np.all((x0 >= -1e-9) & (x0 <= 1.0 + 1e-9)) and x0.sum() >= 1.0 - 1e-9
-            and (qos is None or psi(x0) >= -tol) and fun(x0) > fun(x)):
-        x = x0
+    x, fx = ascend(fun, grad, fac, x0)
+    qos = _qos_approximation(x0, model, gth)
+    psi = _quadratic(qos[0], qos[1], qos[2][:, None, None] * model[1])[0]
+    tol = 1e-11 * np.maximum(1.0, gth)
+    dropped = np.zeros(x.shape[0], dtype=bool)
+    bound = psi(x) < -tol
+    for i in np.flatnonzero(bound):
+        one = slice(i, i + 1)
+        c, w, h = (part[one] for part in model)
+        x[one], dropped[i] = _bound_column((c, w[:, :, w[0].any(axis=0)], h),
+                                           tuple(part[one] for part in objective),
+                                           tuple(part[one] for part in qos), x0[one], x[one],
+                                           tol[i], ascend)
+    if bound.any():
+        fx = fun(x)
+    # Each ascent starts at project(x0) and never descends, so only a start that the
+    # projection moves, or a column held to its target, can end below x0.
+    keep = fun(x0) > fx
+    if keep.any():
+        keep &= (np.all((x0 >= -1e-9) & (x0 <= 1.0 + 1e-9), axis=1)
+                 & (x0.sum(axis=1) >= 1.0 - 1e-9) & ((psi(x0) >= -tol) | dropped))
+        x[keep] = x0[keep]
     return np.clip(x, 0.0, 1.0)
+
+
+def _bound_column(model, objective, qos, x0, x, tol, ascend):
+    """(x, dropped): one column, as a stack of one, held to its QoS target; x is its
+    maximizer without the target, which breaks psi (qos). If some point meets psi
+    the target binds: its multiplier nu is bisected on psi(x(nu)), x(nu) maximizing
+    fun + nu psi, and the feasible and infeasible ends of the final bracket are
+    combined at the last point of their segment that meets psi. An unreachable
+    target is dropped."""
+    fun = _column_lagrangian(model, objective)[0]
+    b_psi = qos[2][:, None, None] * model[1]
+    psi, psi_grad = _quadratic(qos[0], qos[1], b_psi)
+    anchor, psi_max = x0, psi(x0)
+    if psi_max[0] < -tol:
+        anchor, psi_max = ascend(psi, psi_grad, b_psi, x0)
+    if psi_max[0] < -tol:
+        return x, True
+
+    def solve(nu, start):
+        return ascend(*_column_lagrangian(model, objective, qos, nu), start)[0]
+
+    # Bracket nu (x4 from 1), then bisect; each solve starts at the feasible end.
+    nu, nu_lo, nu_hi, x_lo, x_hi = 1.0, 0.0, math.inf, x, anchor
+    for _ in range(100):
+        z = solve(nu, x_hi)
+        if psi(z)[0] >= -tol:
+            nu_hi, x_hi = nu, z
+        else:
+            nu_lo, x_lo = nu, z
+        if nu_lo >= (1.0 - 1e-6) * nu_hi:
+            break
+        nu = 4.0 * nu if nu_hi == math.inf else 0.5 * (nu_lo + nu_hi)
+    # Primal recovery: psi(x_hi + th dx) = q_c + q_b th - q_a th^2 is concave,
+    # so step to its last zero; this root form holds at q_a = 0 (psi linear).
+    dx = x_lo - x_hi
+    q_c, q_b = psi(x_hi)[0], np.vecdot(psi_grad(x_hi), dx)[0]
+    v = np.vecmat(dx, b_psi)
+    q_a = np.vecdot(v, v)[0]
+    x = x_hi
+    if q_c > 0:
+        root = math.sqrt(q_b * q_b + 4.0 * q_a * q_c) - q_b
+        rec = x_hi + 2.0 * q_c / max(root, 2.0 * q_c) * dx   # theta clipped to 1
+        if psi(rec)[0] >= -tol and fun(rec)[0] > fun(x_hi)[0]:
+            x = rec
+    return x, False
 
 
 def _settled_columns(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
@@ -512,7 +555,7 @@ def _settled_columns(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemPara
     kkt = np.where(count >= 2, (g_ones >= 0.0) & (g_zeros <= 0.0),
                    g_zeros <= np.minimum(0.0, g_ones))
     # The QoS half is read from the state, not from gamma_aux, with a margin so that
-    # a column on its target is left to the multiplier loop of _association_column.
+    # a column on its target is left to the multiplier loop of _bound_column.
     sinr = sinr_all(eta, d, gamma, beta, gram, params, state=state)
     qos_met = sinr >= _qos_thresholds(params, d.shape[1]) * (1.0 + 1e-9)
     return np.all(ones | (d == 0.0), axis=0) & kkt & qos_met
@@ -535,10 +578,11 @@ def solve_association(eta_fixed, gamma_aux, u, gamma, beta, gram, params: System
         state = interference_state(d, gamma, beta, gram)
     settled = _settled_columns(eta_fixed, d, gamma_aux, u, gamma, beta, gram, params,
                                state=state)
-    gth = _qos_thresholds(params, num_ues)
-    for t in np.flatnonzero(~settled):
-        d[:, t] = _association_column(t, eta_fixed, gamma_aux, u, gamma, beta, gram,
-                                      params, options, d[:, t].copy(), float(gth[t]))
+    cols = np.flatnonzero(~settled)
+    if cols.size:
+        d[:, cols] = _association_columns(cols, eta_fixed, gamma_aux, u, gamma, beta, gram,
+                                          params, options, d[:, cols].T,
+                                          _qos_thresholds(params, num_ues)[cols]).T
     return d
 
 

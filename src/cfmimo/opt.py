@@ -10,10 +10,18 @@ _EPS = 1e-12
 _ARMIJO = 1e-4     # sufficient-ascent fraction of the Armijo test
 _STEP_INIT = 1.0   # first projected gradient trial length
 _STEP_MAX = 1e8    # cap on the Barzilai-Borwein trial length
+_NEWTON_TRIALS = 30     # halvings of a Newton step
+_NULL_TRIALS = 9        # arc points of a null step: 8 long ones, then the first bound
+_GRADIENT_TRIALS = 60   # halvings of a projected gradient step
+_HALVINGS = 0.5 ** np.arange(_NEWTON_TRIALS)[:, None, None]
+_QUARTERS = 0.25 ** np.arange(_NULL_TRIALS - 1)[:, None]
 
 
 def project_box_polyhedron(y, normal, offset):
-    """Euclidean projection onto {z in [0,1]^n : normal . z >= offset} (one row).
+    """Euclidean projection onto {z in [0,1]^n : normal . z >= offset} (one row), of
+    one point y or of each row of a stack y of shape (k, n); normal is (n,) or (k, n)
+    and offset a scalar or (k,). Each row is projected on its own, so a row of a
+    stack gets the bits it gets alone.
 
     If the box clip meets the row it is the projection. Otherwise the projection
     is clip(y + tau normal) for the least tau > 0 that meets the row (KKT with the
@@ -25,20 +33,34 @@ def project_box_polyhedron(y, normal, offset):
     y = np.asarray(y, dtype=float)
     normal = np.asarray(normal, dtype=float)
     z = np.minimum(np.maximum(y, 0.0), 1.0)
-    h0 = float(normal @ z)
-    if h0 >= offset:
+    h0 = np.vecdot(normal, z)
+    low = h0 < offset
+    if not low.any():
         return z
-    nz = normal != 0
-    knots = np.concatenate([-y[nz], 1.0 - y[nz]]) / np.tile(normal[nz], 2)
-    knots = np.unique(knots[knots > 0])
-    h = np.clip(y + knots[:, None] * normal, 0.0, 1.0) @ normal
-    hit = np.flatnonzero(h >= offset)
-    if not hit.size:
-        return np.clip(y + knots[-1] * normal, 0.0, 1.0) if knots.size else z
-    j = int(hit[0])
-    tau_a, h_a = (knots[j - 1], h[j - 1]) if j else (0.0, h0)
-    tau = tau_a + (offset - h_a) * (knots[j] - tau_a) / (h[j] - h_a)
-    return np.clip(y + tau * normal, 0.0, 1.0)
+    low = np.atleast_1d(low).nonzero()[0]
+    yl = np.atleast_2d(y)[low]
+    nl = normal[low] if normal.ndim > 1 else normal
+    ol = np.broadcast_to(offset, np.shape(h0)).reshape(-1)[low]
+    n2 = np.concatenate([nl, nl], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots = np.concatenate([-yl, 1.0 - yl], axis=1) / n2
+    knots = np.sort(np.where((n2 != 0.0) & (knots > 0.0), knots, np.inf), axis=1)
+    finite = knots < np.inf
+    h = (np.clip(yl[:, None, :] + np.where(finite, knots, 0.0)[:, :, None] * nl[..., None, :],
+                 0.0, 1.0) @ nl[..., :, None])[:, :, 0]
+    hit = finite & (h >= ol[:, None])
+    # Without a hit, the last knot (or tau = 0 without knots).
+    rows = np.arange(low.size)
+    last = np.maximum(finite.sum(axis=1) - 1, 0)
+    tau = np.where(finite[rows, last], knots[rows, last], 0.0)
+    a = hit.any(axis=1).nonzero()[0]
+    j = hit[a].argmax(axis=1)
+    prev = j > 0
+    tau_a = np.where(prev, knots[a, j - 1], 0.0)
+    h_a = np.where(prev, h[a, j - 1], h0.reshape(-1)[low[a]])
+    tau[a] = tau_a + (ol[a] - h_a) * (knots[a, j] - tau_a) / (h[a, j] - h_a)
+    np.atleast_2d(z)[low] = np.clip(yl + tau[:, None] * nl, 0.0, 1.0)
+    return z
 
 
 # make_superlevel_projection and dykstra have no caller in the solver. They stay
@@ -135,127 +157,267 @@ def dykstra(y, projections, max_cycles=150, tol=1e-11):
 
 
 def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor=None, row=None):
-    """Projected ascent with an Armijo line search; returns (x, fun(x)).
+    """Projected ascent with an Armijo line search, k problems at once; returns (x, fun(x)).
 
-    Maximizes a concave function over a convex set given its Euclidean projection.
-    Stops when the unit projected-gradient point project(x + grad(x)) lies within
-    tol of x (max norm), which holds exactly at a maximizer. Every accepted step
-    raises fun, so the result is never worse than project(x0).
+    Maximizes concave functions over a convex set given its Euclidean projection.
+    x0 of shape (k, n) is a stack of starts, one per member; fun maps a stack to its
+    k values, and grad and project map a stack to a stack. They always see the whole
+    stack, a member that has stopped as it stands. A 1-D x0 is a stack of one, with
+    fun, grad and project on single points and a scalar value returned.
 
-    With hess_factor L, fun must be a concave quadratic with Hessian -2 L L^T and
-    project the projection onto [0,1]^n intersected with {row[0] . z >= row[1]}
-    (the box when row is None). Each iteration then first tries a two-metric
-    projected Newton step (Bertsekas 1982): the entries that project(x + g) puts on
-    a bound go there, and the free entries F take the exact maximizer of the
-    quadratic over F, with the row as an equality when project(x + g) lies on it.
-    Where the reduced Hessian is singular (|F| beyond the columns of L_F, plus the
-    row) the objective is linear along its null space; the step then follows the
-    null-space part of the gradient along the projection arc, at least to the first
-    bound, so each such step holds one more entry. A projected gradient step, its
-    trial length a safeguarded Barzilai-Borwein estimate, is taken at a vertex with
-    a singular reduced Hessian (the free set is still changing), when neither step
-    is an Armijo ascent step, and as the only step without hess_factor.
+    Every member keeps its own free set, step choice, Armijo test, step length and
+    stop test, so it takes the steps it would take alone. A member stops when its
+    unit projected-gradient point project(x + grad(x)) lies within tol of x (max
+    norm), which holds exactly at a maximizer, or when no step ascends; it is then
+    frozen. Every accepted step raises fun, so no member ends worse than
+    project(x0). One iteration takes one grad call, so the calls are the slowest
+    member's iterations plus one; max_iters caps every member.
+
+    With hess_factor L of shape (k, n, r) ((n, r) for a 1-D x0), member i's fun must
+    be a concave quadratic with Hessian -2 L_i L_i^T; zero columns of L_i are padding,
+    and its rank is its count of nonzero columns. project must be the projection
+    onto [0,1]^n intersected with {row[0] . z >= row[1]} (the box when row is None;
+    row[0] is (n,) or (k, n), row[1] a scalar or (k,)). Each iteration then first
+    tries a two-metric projected Newton step (Bertsekas 1982): the entries that
+    project(x + g) puts on a bound go there, and the free entries F take the exact
+    maximizer of the quadratic over F, with the row as an equality when
+    project(x + g) lies on it. Where the reduced Hessian is singular (|F| beyond the
+    rank of L, plus the row) the objective is linear along its null space; the step
+    then follows the null-space part of the gradient along the projection arc, at
+    least to the first bound, so each such step holds one more entry. A projected
+    gradient step, its trial length a safeguarded Barzilai-Borwein estimate, is
+    taken at a vertex with a singular reduced Hessian (the free set is still
+    changing), when a reduced system is singular or neither step is an Armijo
+    ascent step, and as the only step without hess_factor.
     """
-    x = np.asarray(project(np.asarray(x0, dtype=float)), dtype=float)
-    fx = fun(x)
-    g = grad(x)
-    if hess_factor is not None:
-        hess_factor = hess_factor[:, np.any(hess_factor != 0.0, axis=0)]
-    step = _STEP_INIT
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim > 1:
+        return _ascend(fun, grad, project, x0, max_iters, tol, hess_factor, row)
+    x, fx = _ascend(lambda z: np.array([fun(z[0])], dtype=float),
+                    lambda z: np.asarray(grad(z[0]), dtype=float)[None],
+                    lambda z: np.asarray(project(z[0]), dtype=float)[None], x0[None],
+                    max_iters, tol, None if hess_factor is None else hess_factor[None], row)
+    return x[0], fx[0]
+
+
+def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
+    """pga_maximize on a stack x0 of shape (k, n)."""
+    x = np.asarray(project(x0), dtype=float)
+    fx = np.asarray(fun(x), dtype=float)
+    g = np.asarray(grad(x), dtype=float)
+    k, n = x.shape
+    if lfac is not None:
+        # Each member's nonzero factor columns first, in order; the rest is padding.
+        nonzero = (lfac != 0.0).any(axis=1)
+        rank = nonzero.sum(axis=1)
+        if not nonzero.all():
+            order = np.argsort(~nonzero, axis=1, kind="stable")[:, :rank.max(initial=0)]
+            lfac = np.take_along_axis(lfac, order[:, None, :], axis=2)
+        # The null step's basis: the row normal (with a row), then the factor.
+        basis, geometry = lfac, None
+        if row is not None:
+            basis = np.empty((k, n, lfac.shape[2] + 1))
+            basis[:, :, 0] = row[0]
+            basis[:, :, 1:] = lfac
+            offset = np.full(k, row[1], dtype=float)
+            geometry = (basis[:, :, 0], offset, offset + 1e-12 * np.maximum(1.0, np.abs(offset)))
+    step = np.full(k, _STEP_INIT)
+    live = np.ones(k, dtype=bool)
     for _ in range(max_iters):
         y = np.asarray(project(x + g), dtype=float)
-        if np.max(np.abs(y - x)) <= tol:
+        live &= np.abs(y - x).max(axis=1) > tol
+        if not live.any():
             break
-        new = None
-        if hess_factor is not None:
-            new = _newton_step(fun, project, x, fx, g, y, hess_factor, row)
-        if new is None:
-            new = _arc_search(fun, project, x, fx, g, (0.5 ** k * step * g for k in range(60)))
-            if new is None:
-                break
-        x_new, f_new = new
-        g_new = grad(x_new)
-        dx, dg = x_new - x, g - g_new
-        denom = float(dx @ dg)
-        step = min(float(dx @ dx) / denom if denom > _EPS else 2.0 * step, _STEP_MAX)
+        steps, count = (None, np.zeros(k, dtype=int)) if lfac is None else \
+            _newton_steps(x, g, y, live, lfac, rank, basis, geometry)
+        x_new, f_new, moved = _arc_search(fun, project, x, fx, g, steps, count, step, live)
+        if not moved.any():
+            break
+        live &= moved            # a member without an ascent step stops
+        g_new = np.asarray(grad(x_new), dtype=float)
+        dx = x_new - x
+        denom = np.vecdot(dx, g - g_new)
+        step = np.minimum(np.where(denom > _EPS, np.vecdot(dx, dx) / np.maximum(denom, _EPS),
+                                   2.0 * step), _STEP_MAX)
         x, fx, g = x_new, f_new, g_new
     return x, fx
 
 
-def _newton_step(fun, project, x, fx, g, y, lfac, row):
-    """The projected Newton step of pga_maximize: (x_new, fun(x_new)), or None when
-    it is not an Armijo ascent step. y is project(x + g)."""
+def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
+    """The trial steps of each live member's projected Newton step, (steps, count):
+    member i tries steps[j, i] for j < count[i]. count is 0 where there is no Newton
+    step: a singular reduced system, or a null step that does not apply. y is
+    project(x + g); geometry is the row as (normal, offset, tight test)."""
     free = (y > 0.0) & (y < 1.0)
-    nf = int(np.count_nonzero(free))
-    tight = row is not None and float(row[0] @ y) <= row[1] + 1e-12 * max(1.0, abs(row[1]))
-    d = y - x                  # held entries go to their bound at y
-    if nf > lfac.shape[1] + tight:
-        return _null_step(fun, project, x, fx, g, free, lfac, row, tight)
-    if nf:
-        # Exact maximizer over the free entries, the others at x + d:
-        # 2 L_F L_F^T d_F (+ lam n_F) = g_F - 2 L_F L_H^T d_H  (and n . (x + d) = offset).
-        lf = lfac[free]
-        d[free] = 0.0
-        rhs = g[free] - 2.0 * lf @ (lfac.T @ d)
-        mat = np.zeros((nf + tight, nf + tight))
-        mat[:nf, :nf] = 2.0 * lf @ lf.T
-        if tight:
-            mat[nf, :nf] = mat[:nf, nf] = row[0][free]
-            rhs = np.append(rhs, row[1] - float(row[0] @ (x + d)))
-        try:
-            d[free] = np.linalg.solve(mat, rhs)[:nf]
-        except np.linalg.LinAlgError:
-            return None
-    return _arc_search(fun, project, x, fx, g, (0.5 ** k * d for k in range(30)))
+    nf = free.sum(axis=1)
+    tight = np.zeros(x.shape[0], dtype=bool) if geometry is None else \
+        np.vecdot(geometry[0], y) <= geometry[2]
+    null = nf > rank + tight
+    newton = live & ~null
+    null &= live
+    count = np.zeros(x.shape[0], dtype=int)
+    steps = None
+    if newton.any():
+        sub = (free, nf, tight) if newton.all() else \
+            (free & newton[:, None], nf * newton, tight & newton)
+        d, ok = _reduced_steps(x, g, y, *sub, lfac, geometry)
+        steps = _HALVINGS * d
+        count[newton & ok] = _NEWTON_TRIALS
+    if null.any():
+        sub = (free, tight) if null.all() else (free & null[:, None], tight & null)
+        trials, go, n_long = _null_steps(x, g, *sub, basis, geometry)
+        if steps is None:
+            steps = trials
+        else:
+            steps[:_NULL_TRIALS, null] = trials[:, null]
+        count[go] = n_long[go] + 1
+    return steps, count
 
 
-def _null_step(fun, project, x, fx, g, free, lfac, row, tight):
-    """The step of _newton_step when the reduced Hessian is singular: the objective is
-    linear along the part p of the free gradient orthogonal to the free rows of L
-    (and to the row normal when tight), up to the first bound of the box or the
-    row. None when p would push an entry on a bound out, and at once at a vertex
-    (every free entry on a bound), where it nearly always would: the gradient step
-    then changes the free set faster."""
-    xf = x[free]
-    if np.all((xf <= 0.0) | (xf >= 1.0)):
-        return None
-    basis = np.column_stack([lfac[free], row[0][free]]) if tight else lfac[free]
-    q_mat = np.linalg.qr(basis)[0]
-    p = np.zeros_like(x)
-    p[free] = g[free] - q_mat @ (q_mat.T @ g[free])
-    if np.any(((x <= 0.0) & (p < 0.0)) | ((x >= 1.0) & (p > 0.0))):
-        return None
+def _reduced_steps(x, g, y, free, nf, tight, lfac, geometry):
+    """(d, ok): the Newton steps of the members with nf free entries (marked in free);
+    ok is False where a reduced system is singular. The systems are zero-padded to
+    the largest and solved at once; a member without free entries gets its step
+    d = y - x, and one outside the Newton set a meaningless one."""
+    d = y - x                    # held entries go to their bound at y
+    d[free] = 0.0
+    tight = tight & (nf > 0)     # without free entries d is the step
+    size = nf + tight
+    m = int(size.max())
+    ok = True
+    if m:
+        # Exact maximizer over the free entries, each member's moved to the front (slot),
+        # the others at x + d: 2 L_F L_F^T d_F (+ lam n_F) = g_F - 2 L_F L^T d
+        # (and n . (x + d) = offset).
+        k = x.shape[0]
+        rows, cols = free.nonzero()
+        slot = (free.cumsum(axis=1) - 1)[rows, cols]
+        lf = np.zeros((k, m, lfac.shape[2]))
+        lf[rows, slot] = l_free = lfac[rows, cols]
+        rhs = np.zeros((k, m))
+        rhs[rows, slot] = g[rows, cols] - 2.0 * np.vecdot(l_free, np.vecmat(d, lfac)[rows])
+        mat = 2.0 * lf @ lf.mT
+        if tight.any():
+            t = tight.nonzero()[0]
+            normal, offset = geometry[0], geometry[1]
+            border = np.zeros((k, m))
+            border[rows, slot] = normal[rows, cols]
+            mat[t, nf[t], :] = border[t]
+            mat[t, :, nf[t]] = border[t]
+            rhs[t, nf[t]] = offset[t] - np.vecdot(normal[t], x[t] + d[t])
+        if size.min() < m:
+            pad_row, pad = (np.arange(m) >= size[:, None]).nonzero()
+            mat[pad_row, pad, pad] = 1.0
+        sol, ok = _solve_each(mat, rhs)
+        d[rows, cols] = sol[rows, slot]
+    return d, ok
+
+
+def _null_steps(x, g, free, tight, basis, geometry):
+    """(steps, go, n_long) for the members with free entries (marked in free), whose
+    reduced Hessian is singular. The objective is linear along the part p of the free
+    gradient orthogonal to the free rows of L (and to the row normal when tight), up
+    to the first bound of the box or the row. Member i tries steps[j, i] for
+    j <= n_long[i] where go; go is False for the other members, when p would push an
+    entry on a bound out, and at once at a vertex (every free entry on a bound), where
+    it nearly always would: the gradient step then changes the free set faster."""
+    k = x.shape[0]
+    # p = g_F - B (B^T B)^-1 B^T g_F for B the free rows of basis, the normal kept only
+    # when tight; zero columns (padding, a loose row) solve as the identity.
+    b = basis * free[:, :, None]
+    if geometry is not None:
+        b[:, :, 0] *= tight[:, None]
+    g_f = g * free
+    gram = b.mT @ b
+    diagonal = _diagonal(gram)
+    diagonal += diagonal == 0.0
+    coef, ok = _solve_each(gram, np.vecmat(g_f, b))
+    p = (g_f - np.matvec(b, coef)) * free
+    members = np.arange(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        limits = np.where(p > 0.0, (1.0 - x) / p, np.where(p < 0.0, -x / p, np.inf))
-    first = int(np.argmin(limits))
-    s_first = float(limits[first])
-    if not 0.0 < s_first < np.inf:
-        return None
-    # Try the arc project(x + s p) from the step at which every entry p moves has
-    # reached its bound, shortening it 4x down to the first bound, which is exact.
-    steps = []
-    s = float(np.max(limits[np.isfinite(limits)]))
-    while s > 2.0 * s_first and len(steps) < 8:
-        steps.append(s * p)
-        s *= 0.25
-    last = s_first * p
-    last[first] = (1.0 if p[first] > 0.0 else 0.0) - x[first]
-    if row is not None and not tight and float(row[0] @ p) < 0.0:
-        s_row = (float(row[0] @ x) - row[1]) / -float(row[0] @ p)
-        if s_row < s_first:
-            last = s_row * p
-    return _arc_search(fun, project, x, fx, g, steps + [last])
+        gap = (p > 0.0) - x              # to the bound p moves toward
+        limits = gap / p
+        limits[p == 0.0] = np.inf
+        # In the box the limits are >= 0, and 0 where p pushes an entry on a bound out.
+        first = limits.argmin(axis=1)
+        s_first = limits[members, first]
+        go = (s_first > 0.0) & (s_first < np.inf) & (free & (x > 0.0) & (x < 1.0)).any(axis=1) & ok
+        s_first = np.where(go, s_first, 0.0)
+        # Try the arc project(x + s p) from the step at which every entry p moves has
+        # reached its bound, shortening it 4x down to the first bound, which is exact.
+        lengths = np.zeros((_NULL_TRIALS, k))
+        lengths[:-1] = np.where(limits < np.inf, limits, 0.0).max(axis=1) * _QUARTERS
+        n_long = (lengths[:-1] > 2.0 * s_first).sum(axis=0)
+        lengths[n_long, members] = s_first
+        if geometry is not None:
+            # A loose row that p leaves before the first bound ends the arc there.
+            slope = np.vecdot(geometry[0], p)
+            s_row = (np.vecdot(geometry[0], x) - geometry[1]) / -slope
+            short = go & ~tight & (slope < 0.0) & (s_row < s_first)
+            if short.any():
+                lengths[n_long[short], short.nonzero()[0]] = s_row[short]
+                go_exact = go & ~short
+            else:
+                go_exact = go
+        steps = lengths[:, :, None] * p
+    e = (go if geometry is None else go_exact).nonzero()[0]
+    steps[n_long[e], e, first[e]] = gap[e, first[e]]
+    return steps, go, n_long
 
 
-def _arc_search(fun, project, x, fx, g, steps):
-    """(x_new, fun(x_new)) at the first x_new = project(x + step) that passes the
-    Armijo test; None when none does."""
-    for step in steps:
-        x_new = np.asarray(project(x + step), dtype=float)
-        slope = float(g @ (x_new - x))
-        if not slope > 0.0:
-            continue
-        f_new = fun(x_new)
-        if f_new >= fx + _ARMIJO * slope:
-            return x_new, f_new
-    return None
+def _diagonal(mat):
+    """The diagonal of a stack of square matrices, as a writable view."""
+    m = mat.shape[-1]
+    return mat.reshape(mat.shape[0], m * m)[:, ::m + 1]
+
+
+def _solve_each(mat, rhs):
+    """(sol, ok): the solutions of a stack of linear systems; where a member's system
+    is singular, ok is False and its solution 0, and the others are still solved."""
+    try:
+        return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0], True
+    except np.linalg.LinAlgError:
+        sol, ok = np.zeros_like(rhs), np.ones(rhs.shape[0], dtype=bool)
+        for i in range(rhs.shape[0]):
+            try:
+                sol[i] = np.linalg.solve(mat[i], rhs[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return sol, ok
+
+
+def _arc_search(fun, project, x, fx, g, steps, count, step, live):
+    """(x_new, fun(x_new), moved): for each live member, the first x_new = project(x +
+    s) that passes the Armijo test, s running through its steps[:count] and then
+    projected gradient steps halving from step * g; x_new stays x where none does.
+    Every round of trials takes one project call and at most one fun call, on the
+    whole stack; the rows of members without a trial in the round are ignored."""
+    x_new, f_new = x.copy(), fx.copy()
+    todo = live.copy()
+    # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step; members
+    # take gradient steps from round min(count) on, and run out from min(end) on.
+    gradient = step * 2.0 ** count
+    first_rounds = 0 if steps is None else steps.shape[0]
+    live_count = count[live]
+    start = int(live_count.min(initial=first_rounds))
+    for j in range(int(live_count.max(initial=0)) + _GRADIENT_TRIALS):
+        if j < first_rounds:
+            trial = steps[j]
+            if j >= start:
+                trial = np.where((j < count)[:, None], trial, (gradient * 0.5 ** j)[:, None] * g)
+        else:
+            trial = (gradient * 0.5 ** j)[:, None] * g
+        z = np.asarray(project(x + trial), dtype=float)
+        slope = np.vecdot(g, z - x)
+        test = todo & (slope > 0.0)
+        if j >= start + _GRADIENT_TRIALS:
+            test &= j < count + _GRADIENT_TRIALS
+        if test.any():
+            f = np.asarray(fun(z), dtype=float)
+            ok = test & (f >= fx + _ARMIJO * slope)
+            np.copyto(x_new, z, where=ok[:, None])
+            np.copyto(f_new, f, where=ok)
+            todo &= ~ok
+            if not todo.any():
+                break
+    return x_new, f_new, live & ~todo

@@ -7,7 +7,7 @@ import pytest
 
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
-from cfmimo.fp_solver import (_association_column, _box_maximizer, _column_lagrangian,
+from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagrangian,
                               _column_objective, _dual_power_solve, _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
                               _qos_thresholds, _settled_columns, block_objective_d_grad,
@@ -178,7 +178,7 @@ def test_batched_d_gradient_is_the_stack_of_column_gradients(desk_channel, seed)
 
 @pytest.mark.parametrize("qos", [0.2, 1.0])
 def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
-    # A column the batched screen settles must be one that _association_column
+    # A column the batched screen settles must be one that _association_columns
     # returns unchanged: at the D = ones start, at a solve's rounded matrix, and at
     # one random AP per UE under a large penalty and no target, where the coverage
     # row binds.
@@ -199,12 +199,38 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
             settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
                                        state=interference_state(d, gamma, beta, gram))
             for t in np.flatnonzero(settled):
-                x = _association_column(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                        opts, d[:, t].copy(), gth[t])
+                x = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta,
+                                         gram, params, opts, d[:, [t]].T, gth[[t]])[0]
                 assert np.array_equal(x, d[:, t]), (seed, t)
             settled_total += int(settled.sum())
             open_total += int((~settled).sum())
     assert settled_total >= 50 and open_total >= 50
+
+
+@pytest.mark.parametrize("qos", [0.2, 1.0])
+def test_batched_association_block_couples_no_columns(desk_channel, qos):
+    # solve_association ascends every unsettled column in one stack; each column must
+    # end where it ends as a stack of one, within 1e-10 relative: at the D = ones start
+    # and at a solve's rounded matrix.
+    opts = cf.SolverOptions()
+    batched = 0
+    for seed in range(10):
+        gamma, beta, gram, params = desk_channel(seed, qos=qos)
+        res = cf.alternate(None, None, gamma, beta, gram, params, opts)
+        gth = _qos_thresholds(params, gamma.shape[1])
+        for eta, d in ((np.ones(gamma.shape[1]), np.ones(gamma.shape)),
+                       (res.eta_star, res.d_binary)):
+            aux = refresh_aux(eta, d, gamma, beta, gram, params)
+            block = cf.solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                         opts, d_init=d)
+            settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                       state=interference_state(d, gamma, beta, gram))
+            for t in np.flatnonzero(~settled):
+                alone = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma,
+                                             beta, gram, params, opts, d[:, [t]].T, gth[[t]])[0]
+                assert np.max(np.abs(block[:, t] - alone)) <= 1e-10 * max(1.0, np.max(alone))
+            batched += int((~settled).sum() > 1)
+    assert batched >= 10
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -424,8 +450,8 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
                           "jac": lambda z: np.ones_like(z)},
                          {"type": "ineq", "fun": psi, "jac": psi_grad}],
             options={"ftol": 1e-14, "maxiter": 1000})
-        x = _association_column(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                cf.SolverOptions(), d[:, t].copy(), gth[t])
+        x = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta, gram,
+                                 params, cf.SolverOptions(), d[:, [t]].T, gth[[t]])[0]
         assert psi(x) >= -1e-9
         assert x.sum() >= 1.0 - 1e-9
         assert fun(x) >= -ref.fun - 1e-6 * abs(ref.fun)

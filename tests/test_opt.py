@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cfmimo.opt as opt
 from cfmimo.opt import dykstra, make_superlevel_projection, pga_maximize, project_box_polyhedron
 
 
@@ -169,3 +170,72 @@ def test_newton_steps_reach_box_quadratic_closed_form_exactly():
                          tol=1e-14, hess_factor=np.diag(np.sqrt(diag / 2.0)))
     assert np.allclose(x, np.clip(b / diag, 0.0, 1.0), rtol=0.0, atol=1e-15)
     assert grads[0] - 1 <= 3
+
+
+def _box_coverage_quadratics(rng, k, n):
+    """k concave quadratics lin.x - ||L^T x||^2 over [0,1]^n with 1.x >= 1, each with its
+    own rank; member 0 has a reduced Newton system that is singular (its only free
+    entry at the start has a zero factor row) and member 1 a linear objective."""
+    ranks = rng.integers(1, 4, size=k)
+    fac = np.zeros((k, n, 3))
+    for i, r in enumerate(ranks):
+        fac[i, :, :r] = rng.normal(scale=0.5, size=(n, r))
+    lin = rng.normal(size=(k, n))
+    x0 = rng.uniform(0.0, 1.0, (k, n))
+    fac[0] = 0.0
+    fac[0, 0, 0] = 1.0
+    lin[0] = -1.0
+    lin[0, :2] = (5.0, 0.5)
+    x0[0] = 0.0
+    x0[0, :2] = (1.0, 0.3)
+    fac[1] = 0.0
+    return lin, fac, x0
+
+
+def _counted_quadratic(lin, fac, grads):
+    def fun(x):
+        v = np.vecmat(x, fac)
+        return np.vecdot(lin, x) - np.vecdot(v, v)
+
+    def grad(x):
+        grads[0] += 1
+        return lin - 2.0 * np.matvec(fac, np.vecmat(x, fac))
+
+    return fun, grad
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
+    # Every member of a stack takes the steps it takes as a stack of one: the same
+    # optimum within 1e-10, and the stack runs as many iterations as its slowest
+    # member. Member 0's reduced system is singular: it alone takes the gradient step.
+    rng = np.random.default_rng(seed)
+    k, n = 6, 12
+    lin, fac, x0 = _box_coverage_quadratics(rng, k, n)
+    ones = np.ones(n)
+    singular = []
+    solve_each = opt._solve_each
+
+    def recording(mat, rhs):
+        sol, ok = solve_each(mat, rhs)
+        singular.append(np.flatnonzero(~np.broadcast_to(ok, rhs.shape[:1])).tolist())
+        return sol, ok
+
+    monkeypatch.setattr(opt, "_solve_each", recording)
+    grads = [0]
+    x, fx = pga_maximize(*_counted_quadratic(lin, fac, grads),
+                         lambda z: project_box_polyhedron(z, ones, 1.0), x0, max_iters=300,
+                         tol=1e-12, hess_factor=fac, row=(ones, 1.0))
+    assert [0] in singular
+    iters = []
+    for i in range(k):
+        one = slice(i, i + 1)
+        single = [0]
+        xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], single),
+                              lambda z: project_box_polyhedron(z, ones, 1.0), x0[one],
+                              max_iters=300, tol=1e-12, hess_factor=fac[one], row=(ones, 1.0))
+        iters.append(single[0] - 1)
+        assert np.max(np.abs(x[i] - xi[0])) <= 1e-10
+        assert abs(fx[i] - fi[0]) <= 1e-10 * max(1.0, abs(fi[0]))
+    assert grads[0] - 1 == max(iters) and len(set(iters)) > 1
+    assert np.array_equal(x[0, :2], [1.0, 1.0]) and not x[0, 2:].any()

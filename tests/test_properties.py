@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import (_association_column, _column_lagrangian, _column_objective,
+from cfmimo.fp_solver import (_association_columns, _column_lagrangian, _column_objective,
                               _column_terms, _qos_approximation, _qos_start, _qos_thresholds,
                               refresh_aux)
 from cfmimo.opt import pga_maximize, project_box_polyhedron
@@ -39,6 +39,45 @@ def test_qos_start_is_least_power_solution(seed, qos):
     ratio = cf.sinr_all(eta, d, gamma, beta, gram, params)[has] / gth[has]
     assert (np.allclose(ratio, 1.05, rtol=1e-9, atol=0.0)
             or np.allclose(ratio, 1.0, rtol=1e-9, atol=0.0))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 8), n=st.integers(1, 12),
+                  shared=st.booleans())
+def test_stacked_projection_is_the_rows_projections(seed, k, n, shared):
+    # project_box_polyhedron on a (k, n) stack projects each row on its own, bit for
+    # bit, with a shared row or one per row. Rows where the clip already meets the row,
+    # where the row binds, and where no box point meets it all occur.
+    rng = np.random.default_rng(seed)
+    y = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=(k, n))
+    normal = rng.uniform(0.0, 2.0, (k, n)) * (rng.uniform(size=(k, n)) < 0.8)
+    offset = rng.uniform(0.2, 1.5, k) * np.maximum(normal.sum(axis=1), 0.1)
+    offset[rng.uniform(size=k) < 0.2] = normal.sum(axis=1).max() + 1.0    # out of reach
+    if shared:
+        normal, offset = normal[0], float(offset[0])
+    z = project_box_polyhedron(y, normal, offset)
+    rows_n = np.broadcast_to(normal, (k, n))
+    rows_o = np.broadcast_to(offset, (k,))
+    for i in range(k):
+        zi = project_box_polyhedron(y[i], rows_n[i], rows_o[i])
+        assert np.array_equal(z[i], zi)
+        # KKT: z = clip(y + tau normal) with tau >= 0; tau > 0 only on a tight row, or
+        # at the box point with the largest normal . z when no point meets the row.
+        assert np.all((zi >= 0.0) & (zi <= 1.0))
+        w, b = rows_n[i], rows_o[i]
+        reach = w.sum()
+        clip = np.clip(y[i], 0.0, 1.0)
+        if w @ clip >= b:
+            assert np.array_equal(zi, clip)
+        elif reach < b:
+            assert np.allclose(zi[w > 0], 1.0, rtol=0.0, atol=1e-12)
+        else:
+            assert w @ zi == pytest.approx(b, rel=1e-12, abs=1e-12)
+            moved = (w > 0) & (zi > 0.0) & (zi < 1.0)
+            if moved.any():
+                tau = np.median((zi[moved] - y[i][moved]) / w[moved])
+                assert tau >= 0.0
+                assert np.allclose(zi, np.clip(y[i] + tau * w, 0.0, 1.0), rtol=0.0, atol=1e-9)
 
 
 def _column_problem(seed):
@@ -131,8 +170,9 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     qos = _qos_approximation(col.x0, col.model, gth_t)
     hypothesis.assume(qos is not None)
     psi, psi_grad = qos_psi(col.model, qos)
-    x = _association_column(col.t, col.eta, col.aux.gamma_aux, col.aux.u, gamma, beta, gram,
-                            params, cf.SolverOptions(), col.x0.copy(), gth_t)
+    x = _association_columns(np.array([col.t]), col.eta, col.aux.gamma_aux, col.aux.u, gamma,
+                             beta, gram, params, cf.SolverOptions(), col.x0[None],
+                             np.array([gth_t]))[0]
     assert psi(x) >= -1e-9
     assert x.sum() >= 1.0 - 1e-9
     best = _slsqp_max(col.fun, col.grad, col.x0,
