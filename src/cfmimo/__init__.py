@@ -2,9 +2,8 @@
 optimization via fractional programming, plus the simulation harness."""
 
 from .baselines import SCENARIO_KINDS, Scenario, fractional_powers, run_scenario
-from .fp_solver import (AuxState, InfeasibleProblemError, SolveResult,
-                        SolverOptions, alternate, block_objective,
-                        dual_transform_objective, lambda_star,
+from .fp_solver import (InfeasibleProblemError, SolveResult, SolverOptions,
+                        alternate, block_objective, dual_transform_objective, lambda_star,
                         round_association, solve_association, solve_power,
                         update_gamma, update_u)
 from .harness import (DESK_ALPHA, ExperimentConfig, ExperimentResult,

@@ -12,12 +12,17 @@ settles, in one batched (M, T) test, every column that is binary, a KKT point of
 its box-and-coverage problem and meets its QoS target. Each other column x has one
 model (which the repair reads too): signal (c.x)^2 and interference plus noise
 ||w^T x||^2 + h.x. So its objective term, its QoS inner approximation psi and each
-objective + nu psi are one concave quadratic const + lin.x - ||F^T x||^2; projected
-Newton steps (opt.pga_maximize with Hessian factor F) solve it over the exact
-box-and-coverage projection, and a binding QoS target is held by bisection on its
-multiplier nu.
+objective + nu psi are one concave quadratic const + lin.x - ||F^T x||^2. The block
+builds the models of all its unsettled columns at once (the co-pilot factors
+zero-padded to the widest) and ascends their objectives in one batched call of
+projected Newton steps (opt.pga_maximize with the stacked Hessian factors F) over the
+exact box-and-coverage projection. Only a column whose maximizer breaks psi goes on
+alone, as a stack of one: its target is held by bisection on its multiplier nu.
 When power is free and full power breaks a QoS target, the solve starts from the
-least powers that meet every target (one linear solve, Yates 1995).
+least powers that meet every target (one linear solve, Yates 1995). A joint solve
+whose matrix admits no such powers runs without the targets (phase I) until an
+association block forms a matrix that does; phase II starts there from feasible
+powers, with a fresh objective trace.
 
 The SINR terms of every UE share power-independent sums over the association
 matrix (se_model.interference_state). alternate builds them once for each
@@ -652,12 +657,16 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     Stops when the relative change of the post-block objective value falls
     below options.epsilon.
 
-    A joint solve with QoS targets runs in two phases. While the power rows of the
-    current matrix have no point in the box (phase I, the test of solve_power),
-    the power block leaves eta as it is. The first matrix whose rows hold starts
-    phase II from powers that meet them (_qos_start's, else the least powers of
-    _qos_rows); the objective trace and the stop test restart there, so the trace
-    never decreases. A solve that never leaves phase I keeps its trace.
+    The ascent is monotone while the same QoS targets are enforced, and the trace
+    restarts where they change. A joint solve with QoS targets runs in two phases:
+    while the power rows of the current matrix have no point in the box (phase I,
+    the test of solve_power), the power block leaves eta as it is. On the first
+    matrix whose rows hold, one power block from feasible powers (from _qos_start's,
+    else from the least powers of _qos_rows) starts phase II, and the objective
+    trace and the stop test restart there. A solve that never leaves phase I keeps
+    its trace. An association block that meets a target the previous matrix broke
+    may lower the objective; where it does, the trace and the stop test restart at
+    that block.
     """
     if mode not in ("joint", "power_only", "association_only"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -704,6 +713,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
                               params, options, eta_init=eta, form=form)
         if mode in ("joint", "association_only"):
             aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
+            d_prev, state_prev = d, state
             d = solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram,
                                   params, options, d_init=d, state=state)
             state, form = matrix_forms(d)
@@ -717,6 +727,11 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
             trace, f_prev = [], None
         f_val = block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
                                 form=form)
+        if (f_prev is not None and f_val < f_prev and enforce_qos and mode != "power_only"
+                and np.any(qos_satisfied(eta, d, gamma, beta, gram, params, state=state)
+                           & ~qos_satisfied(eta, d_prev, gamma, beta, gram, params,
+                                            state=state_prev))):
+            trace, f_prev = [], None
         trace.append(f_val)
         if f_prev is not None and abs(f_val - f_prev) <= options.epsilon * max(abs(f_prev), 1e-12):
             break

@@ -1,6 +1,11 @@
 """Convex-optimization primitives: the exact box-and-halfspace projection, projected
 ascent (projected Newton on concave quadratics, with a projected gradient
-safeguard), and Dykstra and a superlevel projection the solver no longer calls."""
+safeguard), and Dykstra and a superlevel projection the solver no longer calls.
+
+The projection and the ascent work on a stack of k problems at once, one per row,
+so numpy's per-call cost is paid once per step of the stack rather than once per
+problem; each problem still takes the steps it takes alone. A 1-D point is a stack
+of one."""
 
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ _STEP_MAX = 1e8    # cap on the Barzilai-Borwein trial length
 _NEWTON_TRIALS = 30     # halvings of a Newton step
 _NULL_TRIALS = 9        # arc points of a null step: 8 long ones, then the first bound
 _GRADIENT_TRIALS = 60   # halvings of a projected gradient step
-_HALVINGS = 0.5 ** np.arange(_NEWTON_TRIALS)[:, None, None]
 _QUARTERS = 0.25 ** np.arange(_NULL_TRIALS - 1)[:, None]
 
 
@@ -228,9 +232,10 @@ def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
         live &= np.abs(y - x).max(axis=1) > tol
         if not live.any():
             break
-        steps, count = (None, np.zeros(k, dtype=int)) if lfac is None else \
+        first, rounds, count = (None, 0, np.zeros(k, dtype=int)) if lfac is None else \
             _newton_steps(x, g, y, live, lfac, rank, basis, geometry)
-        x_new, f_new, moved = _arc_search(fun, project, x, fx, g, steps, count, step, live)
+        x_new, f_new, moved = _arc_search(fun, project, x, fx, g, first, rounds, count, step,
+                                          live)
         if not moved.any():
             break
         live &= moved            # a member without an ascent step stops
@@ -244,10 +249,10 @@ def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
 
 
 def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
-    """The trial steps of each live member's projected Newton step, (steps, count):
-    member i tries steps[j, i] for j < count[i]. count is 0 where there is no Newton
-    step: a singular reduced system, or a null step that does not apply. y is
-    project(x + g); geometry is the row as (normal, offset, tight test)."""
+    """The trial steps of each live member's projected Newton step, (first, rounds,
+    count): member i tries first(j)[i] for j < count[i] <= rounds. count is 0 where
+    there is no Newton step: a singular reduced system, or a null step that does not
+    apply. y is project(x + g); geometry is the row as (normal, offset, tight test)."""
     free = (y > 0.0) & (y < 1.0)
     nf = free.sum(axis=1)
     tight = np.zeros(x.shape[0], dtype=bool) if geometry is None else \
@@ -256,22 +261,26 @@ def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
     newton = live & ~null
     null &= live
     count = np.zeros(x.shape[0], dtype=int)
-    steps = None
+    d = trials = None
     if newton.any():
         sub = (free, nf, tight) if newton.all() else \
             (free & newton[:, None], nf * newton, tight & newton)
         d, ok = _reduced_steps(x, g, y, *sub, lfac, geometry)
-        steps = _HALVINGS * d
         count[newton & ok] = _NEWTON_TRIALS
     if null.any():
         sub = (free, tight) if null.all() else (free & null[:, None], tight & null)
         trials, go, n_long = _null_steps(x, g, *sub, basis, geometry)
-        if steps is None:
-            steps = trials
-        else:
-            steps[:_NULL_TRIALS, null] = trials[:, null]
         count[go] = n_long[go] + 1
-    return steps, count
+
+    def first(j):
+        # Newton steps halve from d; null steps run through their arc.
+        if d is None:
+            return trials[j]
+        if trials is None or j >= _NULL_TRIALS:
+            return 0.5 ** j * d
+        return np.where(null[:, None], trials[j], 0.5 ** j * d)
+
+    return first, (_NEWTON_TRIALS if d is not None else _NULL_TRIALS), count
 
 
 def _reduced_steps(x, g, y, free, nf, tight, lfac, geometry):
@@ -386,9 +395,9 @@ def _solve_each(mat, rhs):
         return sol, ok
 
 
-def _arc_search(fun, project, x, fx, g, steps, count, step, live):
+def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
     """(x_new, fun(x_new), moved): for each live member, the first x_new = project(x +
-    s) that passes the Armijo test, s running through its steps[:count] and then
+    s) that passes the Armijo test, s running through its first(j), j < count, and then
     projected gradient steps halving from step * g; x_new stays x where none does.
     Every round of trials takes one project call and at most one fun call, on the
     whole stack; the rows of members without a trial in the round are ignored."""
@@ -397,12 +406,11 @@ def _arc_search(fun, project, x, fx, g, steps, count, step, live):
     # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step; members
     # take gradient steps from round min(count) on, and run out from min(end) on.
     gradient = step * 2.0 ** count
-    first_rounds = 0 if steps is None else steps.shape[0]
     live_count = count[live]
-    start = int(live_count.min(initial=first_rounds))
+    start = int(live_count.min(initial=rounds))
     for j in range(int(live_count.max(initial=0)) + _GRADIENT_TRIALS):
-        if j < first_rounds:
-            trial = steps[j]
+        if j < rounds:
+            trial = first(j)
             if j >= start:
                 trial = np.where((j < count)[:, None], trial, (gradient * 0.5 ** j)[:, None] * g)
         else:

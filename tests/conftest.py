@@ -119,7 +119,9 @@ def count_power_forms(monkeypatch):
 def count_inner_iterations(monkeypatch):
     """Replace fp_solver.pga_maximize by a counting wrapper; returns a dict of calls,
     iters and cap_hits, counted by the benchmark tracer's rule: a call's iterations
-    are its grad calls - 1, and it hits its cap when they equal max_iters."""
+    are its grad calls - 1, and it hits its cap when they equal max_iters. A batched
+    call takes one grad call per step of the whole stack, so its iterations are
+    those of its slowest column, and it hits its cap when that column does."""
     original = cf.fp_solver.pga_maximize
     default_cap = inspect.signature(original).parameters["max_iters"].default
     counts = {"calls": 0, "iters": 0, "cap_hits": 0}
