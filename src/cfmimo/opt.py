@@ -401,8 +401,7 @@ def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
     projected gradient steps halving from step * g; x_new stays x where none does.
     Every round of trials takes one project call and at most one fun call, on the
     whole stack; the rows of members without a trial in the round are ignored."""
-    x_new, f_new = x.copy(), fx.copy()
-    todo = live.copy()
+    x_new, f_new, todo = x, fx, live
     # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step; members
     # take gradient steps from round min(count) on, and run out from min(end) on.
     gradient = step * 2.0 ** count
@@ -423,9 +422,9 @@ def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
         if test.any():
             f = np.asarray(fun(z), dtype=float)
             ok = test & (f >= fx + _ARMIJO * slope)
-            np.copyto(x_new, z, where=ok[:, None])
-            np.copyto(f_new, f, where=ok)
-            todo &= ~ok
+            x_new = np.where(ok[:, None], z, x_new)
+            f_new = np.where(ok, f, f_new)
+            todo = todo & ~ok
             if not todo.any():
                 break
     return x_new, f_new, live & ~todo
