@@ -688,10 +688,11 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         st = interference_state(dm, gamma, beta, gram)
         return st, _power_form(dm, gamma, beta, gram, params, state=st)
 
+    gth = _qos_thresholds(params, num_ues)
+
     def rows_hold(fm):
         return _rows_hold(_qos_rows(fm.c_sig, fm.a_mat, fm.n_vec, gth)[2])
 
-    gth = _qos_thresholds(params, num_ues)
     state, form = matrix_forms(d)
     phase_one = mode == "joint" and enforce_qos and not rows_hold(form)
     if (enforce_qos and power_is_free

@@ -287,7 +287,7 @@ def _reduced_steps(x, g, y, free, nf, tight, lfac, geometry):
     """(d, ok): the Newton steps of the members with nf free entries (marked in free);
     ok is False where a reduced system is singular. The systems are zero-padded to
     the largest and solved at once; a member without free entries gets its step
-    d = y - x, and one outside the Newton set a meaningless one."""
+    d = y - x."""
     d = y - x                    # held entries go to their bound at y
     d[free] = 0.0
     tight = tight & (nf > 0)     # without free entries d is the step
