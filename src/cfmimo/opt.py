@@ -18,13 +18,14 @@ _STEP_MAX = 1e8    # cap on the Barzilai-Borwein trial length
 _NEWTON_TRIALS = 30     # halvings of a Newton step
 _NULL_TRIALS = 9        # arc points of a null step: 8 long ones, then the first bound
 _GRADIENT_TRIALS = 60   # halvings of a projected gradient step
+_PASS_WIDTH = 8         # trials per member in each arc-search pass after the first
 _QUARTERS = 0.25 ** np.arange(_NULL_TRIALS - 1)[:, None]
 
 
 def project_box_polyhedron(y, normal, offset):
     """Euclidean projection onto {z in [0,1]^n : normal . z >= offset} (one row), of
-    one point y or of each row of a stack y of shape (k, n); normal is (n,) or (k, n)
-    and offset a scalar or (k,). Each row is projected on its own, so a row of a
+    one point y or of each row of a stack y of shape (..., n); normal and offset
+    broadcast against the rows. Each row is projected on its own, so a row of a
     stack gets the bits it gets alone.
 
     If the box clip meets the row it is the projection. Otherwise the projection
@@ -41,10 +42,11 @@ def project_box_polyhedron(y, normal, offset):
     low = h0 < offset
     if not low.any():
         return z
-    low = np.atleast_1d(low).nonzero()[0]
-    yl = np.atleast_2d(y)[low]
-    nl = normal[low] if normal.ndim > 1 else normal
-    ol = np.broadcast_to(offset, np.shape(h0)).reshape(-1)[low]
+    n = y.shape[-1]
+    low = low.reshape(-1).nonzero()[0]
+    yl = y.reshape(-1, n)[low]
+    nl = np.broadcast_to(normal, y.shape).reshape(-1, n)[low] if normal.ndim > 1 else normal
+    ol = np.broadcast_to(offset, h0.shape).reshape(-1)[low]
     n2 = np.concatenate([nl, nl], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         knots = np.concatenate([-yl, 1.0 - yl], axis=1) / n2
@@ -63,7 +65,7 @@ def project_box_polyhedron(y, normal, offset):
     tau_a = np.where(prev, knots[a, j - 1], 0.0)
     h_a = np.where(prev, h[a, j - 1], h0.reshape(-1)[low[a]])
     tau[a] = tau_a + (ol[a] - h_a) * (knots[a, j] - tau_a) / (h[a, j] - h_a)
-    np.atleast_2d(z)[low] = np.clip(yl + tau[:, None] * nl, 0.0, 1.0)
+    z.reshape(-1, n)[low] = np.clip(yl + tau[:, None] * nl, 0.0, 1.0)
     return z
 
 
@@ -164,10 +166,11 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     """Projected ascent with an Armijo line search, k problems at once; returns (x, fun(x)).
 
     Maximizes concave functions over a convex set given its Euclidean projection.
-    x0 of shape (k, n) is a stack of starts, one per member; fun maps a stack to its
-    k values, and grad and project map a stack to a stack. They always see the whole
-    stack, a member that has stopped as it stands. A 1-D x0 is a stack of one, with
-    fun, grad and project on single points and a scalar value returned.
+    x0 of shape (k, n) is a stack of starts, one per member. grad maps a stack to a
+    stack; fun and project also take stacks of trial stacks, of shape (w, k, n), and
+    map them to values (w, k) and to projections. They always see the whole stack, a
+    member that has stopped as it stands. A 1-D x0 is a stack of one, with fun, grad
+    and project on single points and a scalar value returned.
 
     Every member keeps its own free set, step choice, Armijo test, step length and
     stop test, so it takes the steps it would take alone. A member stops when its
@@ -197,10 +200,17 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim > 1:
         return _ascend(fun, grad, project, x0, max_iters, tol, hess_factor, row)
-    x, fx = _ascend(lambda z: np.array([fun(z[0])], dtype=float),
-                    lambda z: np.asarray(grad(z[0]), dtype=float)[None],
-                    lambda z: np.asarray(project(z[0]), dtype=float)[None], x0[None],
-                    max_iters, tol, None if hess_factor is None else hess_factor[None], row)
+    n = x0.size
+
+    def fun_rows(z):
+        return np.array([fun(p) for p in z.reshape(-1, n)], dtype=float).reshape(z.shape[:-1])
+
+    def project_rows(z):
+        return np.array([project(p) for p in z.reshape(-1, n)], dtype=float).reshape(z.shape)
+
+    x, fx = _ascend(fun_rows, lambda z: np.asarray(grad(z[0]), dtype=float)[None], project_rows,
+                    x0[None], max_iters, tol, None if hess_factor is None else hess_factor[None],
+                    row)
     return x[0], fx[0]
 
 
@@ -250,7 +260,7 @@ def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
 
 def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
     """The trial steps of each live member's projected Newton step, (first, rounds,
-    count): member i tries first(j)[i] for j < count[i] <= rounds. count is 0 where
+    count): member i tries first(js)[j, i] for round js[j] < count[i] <= rounds. count is 0 where
     there is no Newton step: a singular reduced system, or a null step that does not
     apply. y is project(x + g); geometry is the row as (normal, offset, tight test)."""
     free = (y > 0.0) & (y < 1.0)
@@ -272,13 +282,15 @@ def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
         trials, go, n_long = _null_steps(x, g, *sub, basis, geometry)
         count[go] = n_long[go] + 1
 
-    def first(j):
-        # Newton steps halve from d; null steps run through their arc.
+    def first(js):
+        # Rounds js of the Newton steps, halving from d, and of the null steps, along
+        # their arc; a member runs out of them at its count.
         if d is None:
-            return trials[j]
-        if trials is None or j >= _NULL_TRIALS:
-            return 0.5 ** j * d
-        return np.where(null[:, None], trials[j], 0.5 ** j * d)
+            return trials[np.minimum(js, _NULL_TRIALS - 1)]
+        halved = 0.5 ** js[:, None, None] * d
+        if trials is None:
+            return halved
+        return np.where(null[:, None], trials[np.minimum(js, _NULL_TRIALS - 1)], halved)
 
     return first, (_NEWTON_TRIALS if d is not None else _NULL_TRIALS), count
 
@@ -399,32 +411,43 @@ def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
     """(x_new, fun(x_new), moved): for each live member, the first x_new = project(x +
     s) that passes the Armijo test, s running through its first(j), j < count, and then
     projected gradient steps halving from step * g; x_new stays x where none does.
-    Every round of trials takes one project call and at most one fun call, on the
-    whole stack; the rows of members without a trial in the round are ignored."""
+    Each pass tries the next trials of every member at once, one in the first pass
+    (which most members pass) and _PASS_WIDTH in each later one: one project call and
+    at most one fun call on the (w, k, n) stack of trials. Rows of members without a
+    trial in a pass are ignored."""
     x_new, f_new, todo = x, fx, live
     # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step; members
     # take gradient steps from round min(count) on, and run out from min(end) on.
     gradient = step * 2.0 ** count
     live_count = count[live]
     start = int(live_count.min(initial=rounds))
-    for j in range(int(live_count.max(initial=0)) + _GRADIENT_TRIALS):
-        if j < rounds:
-            trial = first(j)
-            if j >= start:
-                trial = np.where((j < count)[:, None], trial, (gradient * 0.5 ** j)[:, None] * g)
+    stop = int(live_count.max(initial=0)) + _GRADIENT_TRIALS
+    j = 0
+    while j < stop:
+        js = np.arange(j, min(stop, j + (_PASS_WIDTH if j else 1)))
+        j = int(js[-1]) + 1
+        if js[0] >= rounds:
+            trial = (gradient * 0.5 ** js[:, None])[:, :, None] * g
         else:
-            trial = (gradient * 0.5 ** j)[:, None] * g
+            trial = first(js)
+            if j > start:
+                trial = np.where((js[:, None] < count)[:, :, None], trial,
+                                 (gradient * 0.5 ** js[:, None])[:, :, None] * g)
         z = np.asarray(project(x + trial), dtype=float)
         slope = np.vecdot(g, z - x)
         test = todo & (slope > 0.0)
-        if j >= start + _GRADIENT_TRIALS:
-            test &= j < count + _GRADIENT_TRIALS
+        if j > start + _GRADIENT_TRIALS:
+            test &= js[:, None] < count + _GRADIENT_TRIALS
         if test.any():
             f = np.asarray(fun(z), dtype=float)
             ok = test & (f >= fx + _ARMIJO * slope)
-            x_new = np.where(ok[:, None], z, x_new)
-            f_new = np.where(ok, f, f_new)
-            todo = todo & ~ok
+            hit = ok.any(axis=0)
+            if js.size > 1:
+                pick, members = ok.argmax(axis=0), np.arange(x.shape[0])
+                z, f = z[pick, members], f[pick, members]
+            x_new = np.where(hit[:, None], z.reshape(x.shape), x_new)
+            f_new = np.where(hit, f.reshape(fx.shape), f_new)
+            todo = todo & ~hit
             if not todo.any():
                 break
     return x_new, f_new, live & ~todo
