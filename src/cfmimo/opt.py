@@ -219,22 +219,8 @@ def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
     x = np.asarray(project(x0), dtype=float)
     fx = np.asarray(fun(x), dtype=float)
     g = np.asarray(grad(x), dtype=float)
-    k, n = x.shape
-    if lfac is not None:
-        # Each member's nonzero factor columns first, in order; the rest is padding.
-        nonzero = (lfac != 0.0).any(axis=1)
-        rank = nonzero.sum(axis=1)
-        if not nonzero.all():
-            order = np.argsort(~nonzero, axis=1, kind="stable")[:, :rank.max(initial=0)]
-            lfac = np.take_along_axis(lfac, order[:, None, :], axis=2)
-        # The null step's basis: the row normal (with a row), then the factor.
-        basis, geometry = lfac, None
-        if row is not None:
-            basis = np.empty((k, n, lfac.shape[2] + 1))
-            basis[:, :, 0] = row[0]
-            basis[:, :, 1:] = lfac
-            offset = np.full(k, row[1], dtype=float)
-            geometry = (basis[:, :, 0], offset, offset + 1e-12 * np.maximum(1.0, np.abs(offset)))
+    k = x.shape[0]
+    newton = None
     step = np.full(k, _STEP_INIT)
     live = np.ones(k, dtype=bool)
     for _ in range(max_iters):
@@ -242,8 +228,10 @@ def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
         live &= np.abs(y - x).max(axis=1) > tol
         if not live.any():
             break
+        if lfac is not None and newton is None:
+            newton = _newton_setup(lfac, row, x.shape)
         first, rounds, count = (None, 0, np.zeros(k, dtype=int)) if lfac is None else \
-            _newton_steps(x, g, y, live, lfac, rank, basis, geometry)
+            _newton_steps(x, g, y, live, *newton)
         x_new, f_new, moved = _arc_search(fun, project, x, fx, g, first, rounds, count, step,
                                           live)
         if not moved.any():
@@ -256,6 +244,26 @@ def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
                                    2.0 * step), _STEP_MAX)
         x, fx, g = x_new, f_new, g_new
     return x, fx
+
+
+def _newton_setup(lfac, row, shape):
+    """(lfac, rank, basis, geometry) for _newton_steps: each member's nonzero factor
+    columns first, in order (the rest is padding), their count, the null step's basis
+    (the row normal, then the factor) and the row as (normal, offset, tight test)."""
+    k, n = shape
+    nonzero = (lfac != 0.0).any(axis=1)
+    rank = nonzero.sum(axis=1)
+    if not nonzero.all():
+        order = np.argsort(~nonzero, axis=1, kind="stable")[:, :rank.max(initial=0)]
+        lfac = np.take_along_axis(lfac, order[:, None, :], axis=2)
+    if row is None:
+        return lfac, rank, lfac, None
+    basis = np.empty((k, n, lfac.shape[2] + 1))
+    basis[:, :, 0] = row[0]
+    basis[:, :, 1:] = lfac
+    offset = np.full(k, row[1], dtype=float)
+    return lfac, rank, basis, (basis[:, :, 0], offset,
+                               offset + 1e-12 * np.maximum(1.0, np.abs(offset)))
 
 
 def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
@@ -413,8 +421,7 @@ def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
     projected gradient steps halving from step * g; x_new stays x where none does.
     Each pass tries the next trials of every member at once, one in the first pass
     (which most members pass) and _PASS_WIDTH in each later one: one project call and
-    at most one fun call on the (w, k, n) stack of trials. Rows of members without a
-    trial in a pass are ignored."""
+    at most one fun call on the (w, k, n) stack of trials."""
     x_new, f_new, todo = x, fx, live
     # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step; members
     # take gradient steps from round min(count) on, and run out from min(end) on.
@@ -433,7 +440,8 @@ def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
             if j > start:
                 trial = np.where((js[:, None] < count)[:, :, None], trial,
                                  (gradient * 0.5 ** js[:, None])[:, :, None] * g)
-        z = np.asarray(project(x + trial), dtype=float)
+        # Members without a trial stay at x, which the projection keeps cheaply.
+        z = np.asarray(project(x + np.where(todo[:, None], trial, 0.0)), dtype=float)
         slope = np.vecdot(g, z - x)
         test = todo & (slope > 0.0)
         if j > start + _GRADIENT_TRIALS:
