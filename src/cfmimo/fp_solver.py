@@ -688,9 +688,8 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         st = interference_state(dm, gamma, beta, gram)
         return st, _power_form(dm, gamma, beta, gram, params, state=st)
 
-    gth = _qos_thresholds(params, num_ues)
-
     def rows_hold(fm):
+        gth = _qos_thresholds(params, num_ues)
         return _rows_hold(_qos_rows(fm.c_sig, fm.a_mat, fm.n_vec, gth)[2])
 
     state, form = matrix_forms(d)
