@@ -358,7 +358,7 @@ def _null_steps(x, g, free, tight, basis, geometry):
         b[:, :, 0] *= tight[:, None]
     g_f = g * free
     gram = b.mT @ b
-    diagonal = _diagonal(gram)
+    diagonal = gram.reshape(k, -1)[:, ::gram.shape[-1] + 1]     # a writable view
     diagonal += diagonal == 0.0
     coef, ok = _solve_each(gram, np.vecmat(g_f, b))
     p = (g_f - np.matvec(b, coef)) * free
@@ -392,12 +392,6 @@ def _null_steps(x, g, free, tight, basis, geometry):
     e = (go if geometry is None else go_exact).nonzero()[0]
     steps[n_long[e], e, first[e]] = gap[e, first[e]]
     return steps, go, n_long
-
-
-def _diagonal(mat):
-    """The diagonal of a stack of square matrices, as a writable view."""
-    m = mat.shape[-1]
-    return mat.reshape(mat.shape[0], m * m)[:, ::m + 1]
 
 
 def _solve_each(mat, rhs):

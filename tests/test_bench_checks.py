@@ -16,14 +16,15 @@ SEED = 7
 # Seed 5203 call 168 (joint, all three alphas) and seed 5210 call 269 (joint, alpha
 # 0.001) start with QoS power rows that no power in the box meets; their objective
 # traces fell when an association block made the rows satisfiable. In seed 202 call
-# 560 (association_only, alpha 0.004) an association block met a target that the
-# previous matrix broke, and the trace fell there.
+# 560 (association_only, alpha 0.004) and seed 7310 call 213 (association_only, alpha
+# 0.002) an association block met a target that the previous matrix broke, and the
+# trace fell there.
 @pytest.mark.parametrize("name,seed,call",
                          [pytest.param("desk_sweep", SEED, k, id=f"desk_sweep-{k}")
                           for k in (0, 1, 2, 3, 4, 5, 10)]
                          + [pytest.param("paper_fixed", SEED, 0, id="paper_fixed-0")]
                          + [pytest.param("desk_sweep", s, k, id=f"desk_sweep-{s}-{k}")
-                            for s, k in ((5203, 168), (5210, 269), (202, 560))])
+                            for s, k in ((5203, 168), (5210, 269), (202, 560), (7310, 213))])
 def test_benchmark_output_checks_pass(monkeypatch, tmp_path, name, seed, call):
     # The benchmark marks a run "outputs incorrect" on any of these problems, so a
     # change that would trip them fails here first.
