@@ -268,9 +268,10 @@ def _newton_setup(lfac, row, shape):
 
 def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
     """The trial steps of each live member's projected Newton step, (first, rounds,
-    count): member i tries first(js)[j, i] for round js[j] < count[i] <= rounds. count is 0 where
-    there is no Newton step: a singular reduced system, or a null step that does not
-    apply. y is project(x + g); geometry is the row as (normal, offset, tight test)."""
+    count): first(js) stacks the steps of rounds js, and member i tries its rounds
+    j < count[i] <= rounds. count is 0 where there is no Newton step: a singular
+    reduced system, or a null step that does not apply. y is project(x + g);
+    geometry is the row as (normal, offset, tight test)."""
     free = (y > 0.0) & (y < 1.0)
     nf = free.sum(axis=1)
     tight = np.zeros(x.shape[0], dtype=bool) if geometry is None else \
