@@ -49,10 +49,9 @@ import numpy as np
 
 from .opt import pga_maximize, project_box_polyhedron
 from .se_model import (SystemParams, interference_state, l1_penalty, meets_qos,
-                       qos_satisfied, qos_vector, se_all, sinr_all, sinr_terms)
+                       qos_satisfied, qos_vector, se_all, sinr_all)
 
 _LN2 = math.log(2.0)
-_ETA_FLOOR = 1e-30
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -102,24 +101,8 @@ def _wprime(params: SystemParams) -> float:
     return params.prelog / _LN2
 
 
-def update_gamma(eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
-    """Optimal auxiliary values: the current closed-form SINRs."""
-    return sinr_all(eta, d, gamma, beta, gram, params)
-
-
-def lambda_star(gamma_aux, params: SystemParams) -> np.ndarray:
-    """Closed-form multipliers w'/(1 + Gamma_t)."""
-    return _wprime(params) / (1.0 + np.asarray(gamma_aux, dtype=float))
-
-
 def _u_star(gamma_aux, signal, total, params: SystemParams) -> np.ndarray:
     return np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal) / total
-
-
-def update_u(gamma_aux, eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
-    """Closed-form quadratic-transform auxiliaries sqrt(w'(1+Gamma) S) / (S + I)."""
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
-    return _u_star(np.asarray(gamma_aux, dtype=float), signal, signal + pc + bu + noise, params)
 
 
 class PowerForm(NamedTuple):
@@ -148,7 +131,8 @@ def _power_form(d, gamma, beta, gram, params: SystemParams, *, state=None) -> Po
 
 
 def refresh_aux(eta, d, gamma, beta, gram, params: SystemParams, *, form=None) -> AuxState:
-    """update_gamma and update_u from one evaluation of the power form of d."""
+    """The closed-form auxiliaries at eta: Gamma_t = SINR_t and u_t = sqrt(w'(1 + Gamma_t) S_t)
+    / (S_t + I_t), from one evaluation of the power form of d."""
     form = _power_form(d, gamma, beta, gram, params) if form is None else form
     signal, interference = form.terms(eta)
     g = signal / interference
@@ -174,16 +158,6 @@ def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParam
     return float(val.sum() - form.penalty)
 
 
-def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: SystemParams) -> float:
-    """Dual-transform surrogate with the ratio term kept explicit; an upper bound of
-    block_objective over u and equal to the relaxed objective at gamma_aux = SINR."""
-    gamma_aux = np.asarray(gamma_aux, dtype=float)
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
-    total = signal + pc + bu + noise
-    val = _dual_const(gamma_aux, params) + _wprime(params) * (1.0 + gamma_aux) * signal / total
-    return float(val.sum() - l1_penalty(d, params))
-
-
 def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
                         form=None):
     """The block objective as a function of eta:  const - lin.eta + b.sqrt(eta)."""
@@ -199,13 +173,6 @@ def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
     const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - penalty)
     return lin, b_vec, const, c_sig, a_mat, n_vec
-
-
-def block_objective_eta_grad(eta, d, gamma_aux, u, gamma, beta, gram,
-                             params: SystemParams) -> np.ndarray:
-    """Analytic gradient of block_objective with respect to the power factors."""
-    lin, b_vec, _, _, _, _ = _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params)
-    return -lin + b_vec / (2.0 * np.sqrt(np.maximum(eta, _ETA_FLOOR)))
 
 
 def block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
@@ -469,10 +436,13 @@ def _association_columns(cols, eta, gamma_aux, u, gamma, beta, gram, params: Sys
     fun, grad, fac = _column_lagrangian(model, objective)
     ones = np.ones(x0.shape[1])
 
+    def project(z):
+        return project_box_polyhedron(z, ones, 1.0)
+
     def ascend(f, g, hess_factor, start):
-        return pga_maximize(f, g, lambda z: project_box_polyhedron(z, ones, 1.0), start,
-                            max_iters=options.max_inner_iters, tol=options.inner_tolerance,
-                            hess_factor=hess_factor, row=(ones, 1.0))
+        return pga_maximize(f, g, project, start, max_iters=options.max_inner_iters,
+                            tol=options.inner_tolerance, hess_factor=hess_factor,
+                            row=(ones, 1.0))
 
     x, fx = ascend(fun, grad, fac, x0)
     qos = _qos_approximation(x0, model, gth)
@@ -486,7 +456,7 @@ def _association_columns(cols, eta, gamma_aux, u, gamma, beta, gram, params: Sys
         x[one], dropped[i] = _bound_column((c, w[:, :, w[0].any(axis=0)], h),
                                            tuple(part[one] for part in objective),
                                            tuple(part[one] for part in qos), x0[one], x[one],
-                                           tol[i], ascend)
+                                           tol[i], ascend, project, options.inner_tolerance)
     if bound.any():
         fx = fun(x)
     # Each ascent starts at project(x0) and never descends, so only a start that the
@@ -499,57 +469,200 @@ def _association_columns(cols, eta, gamma_aux, u, gamma, beta, gram, params: Sys
     return np.clip(x, 0.0, 1.0)
 
 
-def _bound_column(model, objective, qos, x0, x, tol, ascend):
+def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
     """(x, dropped): one column, as a stack of one, held to its QoS target; x is its
-    maximizer without the target, which breaks psi (qos). If some point meets psi
-    the target binds: its multiplier nu is bisected on psi(x(nu)), x(nu) maximizing
-    fun + nu psi, and the feasible and infeasible ends of the final bracket are
-    combined at the last point of their segment that meets psi. An unreachable
-    target is dropped."""
-    fun = _column_lagrangian(model, objective)[0]
+    maximizer without the target, which breaks psi (qos). If some point meets psi the
+    target binds: x maximizes fun + nu psi over the box and coverage, with psi(x) = 0
+    and nu >= 0. Newton's method solves these KKT conditions on one face of the box
+    and coverage (_face_point), first on the face of x0. A point that fails the stop
+    test of the ascent (or leaves the box, or breaks psi) was on the wrong face: one
+    ascent of fun + nu psi from it finds the next, and Newton's method runs on that
+    face and on the face spanned by the ends of nu's bracket. The bracket takes x4 and
+    bisection steps where Newton's nu leaves it or its system is singular. An
+    unreachable target is dropped; psi <= q_const + q_lin.x on the box often shows it
+    without an ascent."""
+    c, w = model[0][0], model[1][0]
+    lin, u2 = objective[1][0], objective[2][0] ** 2
+    q_const, q_lin, v2 = qos[0][0], qos[1][0], qos[2][0] ** 2
     b_psi = qos[2][:, None, None] * model[1]
     psi, psi_grad = _quadratic(qos[0], qos[1], b_psi)
-    anchor, psi_max = x0, psi(x0)
-    if psi_max[0] < -tol:
-        anchor, psi_max = ascend(psi, psi_grad, b_psi, x0)
-    if psi_max[0] < -tol:
+
+    def grads(z):
+        # (grad fun, grad psi, psi) at the column z.
+        wz = z @ w
+        ww = w @ wz
+        return lin - 2.0 * u2 * (c * (c @ z) + ww), q_lin - 2.0 * v2 * ww, \
+            q_const + q_lin @ z - v2 * (wz @ wz)
+
+    def accept(z, nu):
+        # The ascent's own tests: z in the box and coverage, nu >= 0, psi(z) >= -tol
+        # (and psi(z) <= tol where nu > 0), and the stop test of fun + nu psi, which
+        # also holds the held entries' and coverage multipliers' signs.
+        if not (nu >= 0.0 and np.all((z >= -1e-12) & (z <= 1.0 + 1e-12))):
+            return None
+        z = np.clip(z, 0.0, 1.0)
+        g_f, g_psi, psi_z = grads(z)
+        if (z.sum() < 1.0 - 1e-12 or psi_z < -tol or (nu > 0.0 and psi_z > tol)
+                or np.max(np.abs(project(z + g_f + nu * g_psi) - z)) > stop_tol):
+            return None
+        return z
+
+    z, reached = x0[0], psi(x0)[0] >= -tol
+    # psi <= q_const + q_lin.x on the box: a target past that bound is unreachable.
+    if not reached and q_const + np.maximum(q_lin, 0.0).sum() < -tol:
         return x, True
-
-    def solve(nu, start):
-        return ascend(*_column_lagrangian(model, objective, qos, nu), start)[0]
-
-    # Bracket nu (x4 from 1), then bisect; each solve starts at the feasible end.
-    nu, nu_lo, nu_hi, x_lo, x_hi = 1.0, 0.0, math.inf, x, anchor
+    nu_lo, nu_hi, x_lo, x_hi = 0.0, math.inf, x[0], x0[0]
+    faces = [z]
     for _ in range(100):
-        z = solve(nu, x_hi)
-        if psi(z)[0] >= -tol:
+        nu = start = None
+        for face in faces:
+            point = _face_point(face, grads, c, w, u2, v2, tol)
+            if point is None:
+                continue
+            found = accept(*point)
+            if found is not None:
+                return found[None], False
+            if nu_lo < point[1] < nu_hi:
+                nu, start = point[1], project(np.clip(point[0], -1.0, 2.0))
+        if not reached:
+            x_hi, psi_max = ascend(psi, psi_grad, b_psi, x0)
+            if psi_max[0] < -tol:
+                return x, True
+            x_hi, reached = x_hi[0], True
+        if nu is None:
+            nu = max(1.0, 4.0 * nu_lo) if nu_hi == math.inf else 0.5 * (nu_lo + nu_hi)
+        z = ascend(*_column_lagrangian(model, objective, qos, nu),
+                   (faces[0] if start is None else start)[None])[0][0]
+        if grads(z)[2] >= -tol:
             nu_hi, x_hi = nu, z
         else:
             nu_lo, x_lo = nu, z
         if nu_lo >= (1.0 - 1e-6) * nu_hi:
             break
-        nu = 4.0 * nu if nu_hi == math.inf else 0.5 * (nu_lo + nu_hi)
-    # Primal recovery: psi(x_hi + th dx) = q_c + q_b th - q_a th^2 is concave,
-    # so step to its last zero; this root form holds at q_a = 0 (psi linear).
-    dx = x_lo - x_hi
-    q_c, q_b = psi(x_hi)[0], np.vecdot(psi_grad(x_hi), dx)[0]
-    v = np.vecmat(dx, b_psi)
-    q_a = np.vecdot(v, v)[0]
-    x = x_hi
-    if q_c > 0:
-        root = math.sqrt(q_b * q_b + 4.0 * q_a * q_c) - q_b
-        rec = x_hi + 2.0 * q_c / max(root, 2.0 * q_c) * dx   # theta clipped to 1
-        if psi(rec)[0] >= -tol and fun(rec)[0] > fun(x_hi)[0]:
-            x = rec
-    return x, False
+        # The ascent's face, then the face spanned by the bracket's ends: where x(nu)
+        # jumps across the target, the solution lies between them.
+        faces = [z, 0.5 * (x_lo + x_hi)]
+    return x_hi[None], False
+
+
+def _face_point(z, grads, c, w, u2, v2, tol):
+    """(x, nu) solving the KKT conditions of the column problem held to psi = 0 on the
+    face of z, or None where they have no solution there. The face holds z's entries
+    at 0 or 1, frees the others (F) and keeps coverage 1.x = 1 where z meets it: grad
+    fun + nu grad psi + mu 1 = 0 on F, psi = 0 (and 1.x = 1). Newton's method solves
+    them in (x_F, nu, mu) at once from z, nu from z's stationarity on F by least
+    squares; each step is one solve of the reduced Hessian of fun + nu psi, bordered
+    by grad psi on F (and 1). At a vertex psi does not move with nu: a vertex on its
+    target (or off it where nu = 0 keeps it stationary) is its own point, and
+    otherwise nu steps to the breakpoint where the vertex stops being stationary for
+    fun + nu psi, the entry (or the pair of entries) that moves there is freed, and
+    Newton's method runs on that face."""
+    free = (z > 0.0) & (z < 1.0)
+    tight = z.sum() <= 1.0 + 1e-12
+    g_f, g_psi, psi_z = grads(z)
+    nu = None
+    if not free.any():
+        vertex = _vertex_face(z, g_f, g_psi, psi_z, tight, tol)
+        if vertex is None:
+            return None
+        nu, free, tight = vertex
+        if free is None:
+            return z, nu
+    fi = np.flatnonzero(free)
+    m, border = fi.size, 1 + int(tight)
+    if m < border or m - border > 1 + w.shape[1]:
+        return None                  # a singular system
+    if nu is None:
+        # Least-squares nu (and mu) of grad fun + nu grad psi + mu 1 = 0 on F.
+        a, b = g_f[fi], g_psi[fi]
+        if tight:
+            a, b = a - a.mean(), b - b.mean()
+        bb = b @ b
+        nu = max(0.0, -(a @ b) / bb) if bb > 0.0 else 1.0
+    mu = -float(np.mean(g_f[fi] + nu * g_psi[fi])) if tight else 0.0
+    x = z.copy()
+    cf, wf = c[fi], w[fi]
+    mat = np.zeros((m + border, m + border))
+    if tight:
+        mat[:m, m + 1] = mat[m + 1, :m] = 1.0
+    for _ in range(10):
+        res = np.empty(m + border)
+        res[:m] = g_f[fi] + nu * g_psi[fi] + mu
+        res[m] = psi_z
+        if tight:
+            res[m + 1] = x.sum() - 1.0
+        mat[:m, :m] = -2.0 * (u2 * np.outer(cf, cf) + (u2 + nu * v2) * (wf @ wf.T))
+        mat[:m, m] = mat[m, :m] = g_psi[fi]
+        try:
+            step = np.linalg.solve(mat, -res)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        x[fi] += step[:m]
+        nu += step[m]
+        if tight:
+            mu += step[m + 1]
+        if np.any(np.abs(x[fi] - 0.5) > 1.5):
+            return None              # far outside the box: not this face
+        g_f, g_psi, psi_z = grads(x)
+        if np.max(np.abs(step[:m])) <= 1e-10 and abs(step[m]) <= 1e-8 * max(1.0, abs(nu)):
+            return x, nu
+    return None
+
+
+def _vertex_face(z, g_f, g_psi, psi_z, tight, tol):
+    """(nu, free, tight) at a vertex z of the box and coverage: free is None where z is
+    its own KKT point at nu, else the face freed at the breakpoint nu; None where z is
+    stationary for no fun + nu psi. z maximizes fun + nu psi for the nu where every
+    held entry's reduced gradient g_f + nu g_psi keeps its sign, the interval where
+    the conditions p + nu q <= 0 hold."""
+    zeros = z == 0.0
+    if tight:
+        if z.sum() < 1.0:
+            return None
+        one = np.flatnonzero(~zeros)[0]
+        p = np.concatenate([g_f[zeros], g_f[zeros] - g_f[one]])
+        q = np.concatenate([g_psi[zeros], g_psi[zeros] - g_psi[one]])
+        which = np.concatenate([np.flatnonzero(zeros)] * 2)
+    else:
+        sign = np.where(zeros, 1.0, -1.0)
+        p, q, which = sign * g_f, sign * g_psi, np.arange(z.size)
+    if np.any((q == 0.0) & (p > 0.0)):
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = -p / q
+    up, down = q > 0.0, q < 0.0
+    hi = ends[up].min(initial=math.inf)
+    lo = max(0.0, ends[down].max(initial=0.0))
+    if lo > hi:
+        return None
+    if -tol <= psi_z <= tol or (psi_z > tol and lo == 0.0):
+        return lo, None, tight
+    # psi rises with nu: below its target z must give way to a larger nu, above it
+    # to a smaller one.
+    if psi_z < -tol:
+        if hi == math.inf:
+            return None
+        k, nu = np.flatnonzero(up)[np.argmin(ends[up])], hi
+    else:
+        k, nu = np.flatnonzero(down)[np.argmax(ends[down])], lo
+    free = np.zeros(z.size, dtype=bool)
+    free[which[k]] = True
+    # The second half of the tight conditions moves mass from the one entry to a zero.
+    pair = bool(tight and k >= zeros.sum())
+    if pair:
+        free[one] = True
+    return nu, free, pair
 
 
 def _settled_columns(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
-                     state):
+                     state, gth):
     """Columns of d that solve their column problem as they stand: binary, a KKT
     point of the block objective over the box and coverage, and meeting the QoS
-    target. Optimal over a superset of the constraints and feasible for the QoS
-    target, such a column is optimal for the full column problem."""
+    target (gth, the SINR thresholds of _qos_thresholds). Optimal over a superset of
+    the constraints and feasible for the QoS target, such a column is optimal for the
+    full column problem."""
     grad = block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram, params, state=state)
     ones = d == 1.0
     count = ones.sum(axis=0)
@@ -560,9 +673,9 @@ def _settled_columns(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemPara
     kkt = np.where(count >= 2, (g_ones >= 0.0) & (g_zeros <= 0.0),
                    g_zeros <= np.minimum(0.0, g_ones))
     # The QoS half is read from the state, not from gamma_aux, with a margin so that
-    # a column on its target is left to the multiplier loop of _bound_column.
+    # a column on its target is left to _bound_column.
     sinr = sinr_all(eta, d, gamma, beta, gram, params, state=state)
-    qos_met = sinr >= _qos_thresholds(params, d.shape[1]) * (1.0 + 1e-9)
+    qos_met = sinr >= gth * (1.0 + 1e-9)
     return np.all(ones | (d == 0.0), axis=0) & kkt & qos_met
 
 
@@ -573,7 +686,7 @@ def solve_association(eta_fixed, gamma_aux, u, gamma, beta, gram, params: System
     The problem separates per UE column; each column solve keeps the box,
     coverage (column sum >= 1) and QoS constraints. One batched test first
     settles the columns of d_init that are already optimal (_settled_columns);
-    only the others go to _association_column. `state` is interference_state of
+    only the others go to _association_columns. `state` is interference_state of
     d_init, built here when omitted.
     """
     gamma = np.asarray(gamma, dtype=float)
@@ -581,13 +694,13 @@ def solve_association(eta_fixed, gamma_aux, u, gamma, beta, gram, params: System
     d = np.ones((num_aps, num_ues)) if d_init is None else np.asarray(d_init, dtype=float).copy()
     if state is None:
         state = interference_state(d, gamma, beta, gram)
+    gth = _qos_thresholds(params, num_ues)
     settled = _settled_columns(eta_fixed, d, gamma_aux, u, gamma, beta, gram, params,
-                               state=state)
+                               state=state, gth=gth)
     cols = np.flatnonzero(~settled)
     if cols.size:
         d[:, cols] = _association_columns(cols, eta_fixed, gamma_aux, u, gamma, beta, gram,
-                                          params, options, d[:, cols].T,
-                                          _qos_thresholds(params, num_ues)[cols]).T
+                                          params, options, d[:, cols].T, gth[cols]).T
     return d
 
 

