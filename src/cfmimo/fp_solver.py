@@ -17,7 +17,8 @@ builds the models of all its unsettled columns at once (the co-pilot factors
 zero-padded to the widest) and ascends their objectives in one batched call of
 projected Newton steps (opt.pga_maximize with the stacked Hessian factors F) over the
 exact box-and-coverage projection. Only a column whose maximizer breaks psi goes on
-alone, as a stack of one: its target is held by bisection on its multiplier nu.
+alone, as a stack of one: Newton's method solves the KKT system of its target on a
+face of the box and coverage, in the free entries and the multipliers at once.
 When power is free and full power breaks a QoS target, the solve starts from the
 least powers that meet every target (one linear solve, Yates 1995). A joint solve
 whose matrix admits no such powers runs without the targets (phase I) until an
@@ -597,8 +598,6 @@ def _face_point(z, grads, c, w, u2, v2, tol):
             step = np.linalg.solve(mat, -res)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)):
-            return None
         x[fi] += step[:m]
         nu += step[m]
         if tight:
@@ -619,8 +618,6 @@ def _vertex_face(z, g_f, g_psi, psi_z, tight, tol):
     the conditions p + nu q <= 0 hold."""
     zeros = z == 0.0
     if tight:
-        if z.sum() < 1.0:
-            return None
         one = np.flatnonzero(~zeros)[0]
         p = np.concatenate([g_f[zeros], g_f[zeros] - g_f[one]])
         q = np.concatenate([g_psi[zeros], g_psi[zeros] - g_psi[one]])

@@ -741,8 +741,8 @@ def test_paper_scale_joint_drop_reaches_no_inner_cap(monkeypatch):
 def test_desk_sweep_call_reaches_no_inner_cap(monkeypatch):
     # desk_sweep seed-7 call 10 (all five scenarios, three alphas) hit the inner
     # iteration cap 36 times, mostly in columns whose QoS target binds. Its 13 binding
-    # columns took 22-24 ascents each when nu was bisected (345 ascents in all); Newton's
-    # method on the face system holds them with few.
+    # columns took 22-24 ascents each when nu was bisected (345 pga_maximize calls in
+    # all); Newton's method on the face system holds them with few.
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import WORKLOADS, call_seed
 
