@@ -26,22 +26,22 @@ association block forms a matrix that does; phase II starts there from feasible
 powers, with a fresh objective trace.
 
 The SINR terms of every UE share power-independent sums over the association
-matrix (se_model.interference_state). alternate builds them once for each
-association matrix it forms and passes them as the keyword-only `state` to the
-association block and the SE evaluations on that matrix. From the same state it
-builds the matrix's power form (_power_form): every UE's signal S = c_sig eta and
-interference plus noise I = a_mat eta + n_vec are linear in eta for a fixed matrix,
-so the auxiliary refresh, the power block, the block objective and the QoS start
-read S and I from one matrix-vector product, passed as the keyword-only `form`. A
-caller that omits `state` or `form` gets it built from d. A solve returns
-the per-UE SE of its powers on the binary and the relaxed matrix (SolveResult.se,
-se_relaxed); the QoS check after rounding, the repair and the feasibility flags
-all read that one evaluation.
+matrix (se_model.interference_state), and for a fixed matrix every UE's signal
+S = c_sig eta and interference plus noise I = a_mat eta + n_vec are linear in eta.
+alternate builds one PowerForm (_power_form) for each association matrix it forms:
+the matrix d, its interference state and these linear forms. The auxiliary refresh,
+the power block, the block objective, the QoS start and the association block take
+that form in place of the matrix; the first four read S and I from one matrix-vector
+product, and the association block and the SE evaluations read its state. A solve
+returns the per-UE SE of its powers on the binary and the relaxed matrix
+(SolveResult.se, se_relaxed); the QoS check after rounding, the repair and the
+feasibility flags all read that one evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -75,10 +75,13 @@ class SolverOptions:
     max_inner_iters: int = 300
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if min(self.max_outer_iters, self.max_inner_iters, self.inner_tolerance) <= 0:
-            raise ValueError("max_outer_iters, max_inner_iters and inner_tolerance must be positive")
+        for name in ("epsilon", "inner_tolerance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, not {getattr(self, name)}")
+        for name in ("max_outer_iters", "max_inner_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, not {value!r}")
         if not 0 < self.rounding_threshold < 1:
             raise ValueError("rounding_threshold must lie in (0, 1)")
         if self.qos_infeasible_policy not in ("error", "report_and_continue"):
@@ -107,13 +110,14 @@ def _u_star(gamma_aux, signal, total, params: SystemParams) -> np.ndarray:
 
 
 class PowerForm(NamedTuple):
-    """One association matrix's SINR terms as linear functions of eta: S = c_sig eta
-    and I = a_mat @ eta + n_vec, with sg[t] = sum_m d_mt gamma_mt and the matrix's
-    l1 penalty."""
+    """One association matrix d, its interference state (se_model.interference_state)
+    and its SINR terms as linear functions of eta: S = c_sig eta and
+    I = a_mat @ eta + n_vec, with the matrix's l1 penalty."""
+    d: np.ndarray
+    state: tuple
     c_sig: np.ndarray
     a_mat: np.ndarray
     n_vec: np.ndarray
-    sg: np.ndarray
     penalty: float
 
     def terms(self, eta):
@@ -122,19 +126,19 @@ class PowerForm(NamedTuple):
         return self.c_sig * eta, self.a_mat @ eta + self.n_vec
 
 
-def _power_form(d, gamma, beta, gram, params: SystemParams, *, state=None) -> PowerForm:
-    """The PowerForm of d; `state` is interference_state of d, built here when omitted."""
+def _power_form(d, gamma, beta, gram, params: SystemParams) -> PowerForm:
+    """The PowerForm of the association matrix d."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
-    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram) if state is None else state
-    return PowerForm(a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh,
-                     a * sg, sg, l1_penalty(d, params))
+    state = interference_state(d, gamma, beta, gram)
+    sg, coh, ncoh, g_off = state
+    return PowerForm(d, state, a * a * pu * sg ** 2,
+                     a * a * pu * g_off * coh ** 2 + a * pu * ncoh, a * sg, l1_penalty(d, params))
 
 
-def refresh_aux(eta, d, gamma, beta, gram, params: SystemParams, *, form=None) -> AuxState:
+def refresh_aux(eta, form: PowerForm, params: SystemParams) -> AuxState:
     """The closed-form auxiliaries at eta: Gamma_t = SINR_t and u_t = sqrt(w'(1 + Gamma_t) S_t)
-    / (S_t + I_t), from one evaluation of the power form of d."""
-    form = _power_form(d, gamma, beta, gram, params) if form is None else form
+    / (S_t + I_t), from one evaluation of the power form."""
     signal, interference = form.terms(eta)
     g = signal / interference
     return AuxState(gamma_aux=g, u=_u_star(g, signal, signal + interference, params))
@@ -145,30 +149,26 @@ def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
     return params.prelog * np.log2(1.0 + gamma_aux) - _wprime(params) * gamma_aux
 
 
-def block_objective(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
-                    form=None) -> float:
-    """Quadratic-transform surrogate; a global lower bound of the relaxed objective,
-    tight at gamma_aux = SINR(eta, d) and u at its closed-form optimum. `form` is
-    the power form of d, built here when omitted."""
+def block_objective(eta, form: PowerForm, gamma_aux, u, params: SystemParams) -> float:
+    """Quadratic-transform surrogate at the matrix of the power form; a global lower
+    bound of the relaxed objective, tight at gamma_aux = SINR(eta, d) and u at its
+    closed-form optimum."""
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     u = np.asarray(u, dtype=float)
-    form = _power_form(d, gamma, beta, gram, params) if form is None else form
     signal, interference = form.terms(eta)
     val = (_dual_const(gamma_aux, params) - u ** 2 * (signal + interference)
            + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
     return float(val.sum() - form.penalty)
 
 
-def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
-                        form=None):
+def _power_coefficients(form: PowerForm, gamma_aux, u, params: SystemParams):
     """The block objective as a function of eta:  const - lin.eta + b.sqrt(eta)."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     wp = _wprime(params)
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    form = _power_form(d, gamma, beta, gram, params) if form is None else form
-    c_sig, a_mat, n_vec, sg, penalty = form
+    _, (sg, *_), c_sig, a_mat, n_vec, penalty = form
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
@@ -176,19 +176,20 @@ def _power_coefficients(d, gamma_aux, u, gamma, beta, gram, params: SystemParams
     return lin, b_vec, const, c_sig, a_mat, n_vec
 
 
-def block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
-                           state=None) -> np.ndarray:
+def block_objective_d_grad(eta, form: PowerForm, gamma_aux, u, gamma, beta,
+                           params: SystemParams) -> np.ndarray:
     """Analytic gradient of block_objective with respect to the association entries,
-    every column at once from the interference state. Column t is the gradient of
-    UE t's term const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2) (_column_objective), where
-    c.d_t = a sqrt(pu eta_t) sg[t] and (w^T d_t)_t' = a sqrt(pu eta_t' gram_tt') coh[t, t']."""
+    every column at once from the form's interference state. Column t is the gradient
+    of UE t's term const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2) (_column_objective),
+    where c.d_t = a sqrt(pu eta_t) sg[t] and (w^T d_t)_t' = a sqrt(pu eta_t' gram_tt')
+    coh[t, t']."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     eta = np.asarray(eta, dtype=float)
     u = np.asarray(u, dtype=float)
     u2 = u ** 2
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    sg, coh, _, g_off = interference_state(d, gamma, beta, gram) if state is None else state
+    sg, coh, _, g_off = form.state
     sqrt_coef = 2.0 * u * a * np.sqrt(pu * eta * _wprime(params) * (1.0 + gamma_aux))
     q = gamma * (sqrt_coef - a * u2 * (1.0 + pu * (beta @ eta))[:, None]) - params.alpha
     rho_sig = u2 * a * a * pu * eta
@@ -279,11 +280,11 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
     return e
 
 
-def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                options: SolverOptions, eta_init=None, *, form=None) -> np.ndarray:
-    """Maximize the block objective over eta in [0,1]^T subject to the QoS rows,
-    which are linear in eta. Concave: the sqrt terms are concave, the rest affine.
-    `form` is the power form of d_fixed, built here when omitted.
+def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: SolverOptions,
+                eta_init=None) -> np.ndarray:
+    """Maximize the block objective over eta in [0,1]^T at the matrix of the power form,
+    subject to the QoS rows, which are linear in eta. Concave: the sqrt terms are
+    concave, the rest affine.
 
     Without a QoS target there are no rows, and the closed-form maximizer over the
     box is used. Rows with no point in the box go to the QoS policy unsolved.
@@ -291,8 +292,7 @@ def solve_power(d_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
     eta_init (or, if that breaks a row too, toward the least QoS powers) until
     every row holds. The result is never worse than a feasible eta_init.
     """
-    lin, b_vec, const, c_sig, a_mat, n_vec = _power_coefficients(
-        d_fixed, gamma_aux, u, gamma, beta, gram, params, form=form)
+    lin, b_vec, const, c_sig, a_mat, n_vec = _power_coefficients(form, gamma_aux, u, params)
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
     tol = 1e-8
 
@@ -389,14 +389,12 @@ def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemPar
 
 
 def _qos_approximation(x0, model, gth):
-    """(const, lin, v) of the inner approximation of a QoS target, psi(x) =
-    2 v sqrt(S(x)) - v^2 I(x) - gth = const + lin.x - v^2 ||w^T x||^2 <= SINR(x) - gth,
-    tight at x0 (v = sqrt(S(x0)) / I(x0)). For one column, None without a target,
-    signal or interference; for a stack x0 of columns, stacked, with psi = 0 there."""
+    """(const, lin, v), stacked, of the inner approximations of the QoS targets gth of
+    a stack x0 of columns with the stacked model: psi(x) = 2 v sqrt(S(x)) - v^2 I(x) - gth
+    = const + lin.x - v^2 ||w^T x||^2 <= SINR(x) - gth, tight at x0 (v = sqrt(S(x0)) /
+    I(x0)); v = 0 and psi = 0 for a column without a target, signal or interference."""
     s0, i0 = _column_terms(x0, model)
     has = (gth > 0) & (s0 > 0) & (i0 > 0)
-    if np.ndim(has) == 0 and not has:
-        return None
     c, _, h = model
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(has, np.sqrt(s0) / i0, 0.0)
@@ -653,14 +651,15 @@ def _vertex_face(z, g_f, g_psi, psi_z, tight, tol):
     return nu, free, pair
 
 
-def _settled_columns(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemParams, *,
-                     state, gth):
-    """Columns of d that solve their column problem as they stand: binary, a KKT
-    point of the block objective over the box and coverage, and meeting the QoS
-    target (gth, the SINR thresholds of _qos_thresholds). Optimal over a superset of
-    the constraints and feasible for the QoS target, such a column is optimal for the
-    full column problem."""
-    grad = block_objective_d_grad(eta, d, gamma_aux, u, gamma, beta, gram, params, state=state)
+def _settled_columns(eta, form: PowerForm, gamma_aux, u, gamma, beta, gram,
+                     params: SystemParams, gth):
+    """Columns of the form's matrix d that solve their column problem as they stand:
+    binary, a KKT point of the block objective over the box and coverage, and meeting
+    the QoS target (gth, the SINR thresholds of _qos_thresholds). Optimal over a
+    superset of the constraints and feasible for the QoS target, such a column is
+    optimal for the full column problem."""
+    d = form.d
+    grad = block_objective_d_grad(eta, form, gamma_aux, u, gamma, beta, params)
     ones = d == 1.0
     count = ones.sum(axis=0)
     g_ones = np.min(np.where(ones, grad, np.inf), axis=0)
@@ -671,29 +670,24 @@ def _settled_columns(eta, d, gamma_aux, u, gamma, beta, gram, params: SystemPara
                    g_zeros <= np.minimum(0.0, g_ones))
     # The QoS half is read from the state, not from gamma_aux, with a margin so that
     # a column on its target is left to _bound_column.
-    sinr = sinr_all(eta, d, gamma, beta, gram, params, state=state)
+    sinr = sinr_all(eta, d, gamma, beta, gram, params, state=form.state)
     qos_met = sinr >= gth * (1.0 + 1e-9)
     return np.all(ones | (d == 0.0), axis=0) & kkt & qos_met
 
 
-def solve_association(eta_fixed, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                      options: SolverOptions, d_init=None, *, state=None) -> np.ndarray:
-    """Maximize the block objective over the relaxed association matrix.
+def solve_association(eta_fixed, form: PowerForm, gamma_aux, u, gamma, beta, gram,
+                      params: SystemParams, options: SolverOptions) -> np.ndarray:
+    """Maximize the block objective over the relaxed association matrix, starting
+    from the matrix d of the power form.
 
     The problem separates per UE column; each column solve keeps the box,
     coverage (column sum >= 1) and QoS constraints. One batched test first
-    settles the columns of d_init that are already optimal (_settled_columns);
-    only the others go to _association_columns. `state` is interference_state of
-    d_init, built here when omitted.
+    settles the columns of d that are already optimal (_settled_columns); only
+    the others go to _association_columns.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    num_aps, num_ues = gamma.shape
-    d = np.ones((num_aps, num_ues)) if d_init is None else np.asarray(d_init, dtype=float).copy()
-    if state is None:
-        state = interference_state(d, gamma, beta, gram)
-    gth = _qos_thresholds(params, num_ues)
-    settled = _settled_columns(eta_fixed, d, gamma_aux, u, gamma, beta, gram, params,
-                               state=state, gth=gth)
+    d = form.d.copy()
+    gth = _qos_thresholds(params, d.shape[1])
+    settled = _settled_columns(eta_fixed, form, gamma_aux, u, gamma, beta, gram, params, gth)
     cols = np.flatnonzero(~settled)
     if cols.size:
         d[:, cols] = _association_columns(cols, eta_fixed, gamma_aux, u, gamma, beta, gram,
@@ -741,14 +735,13 @@ def _repair_columns(eta, d_binary, d_relaxed, ses, qos, gamma, beta, gram,
     return out
 
 
-def _qos_start(d, gamma, beta, gram, params: SystemParams, margin=1.05, *, form=None):
+def _qos_start(form: PowerForm, params: SystemParams, margin=1.05):
     """Least powers meeting every QoS target at margin * threshold, else at the bare
-    threshold, with the UEs without a target held at full power; None when
-    neither lies in [0,1]. The SINR is linear-fractional in eta, so in the box
-    these are the fixed point of target tracking eta <- min(1, eta * target/SINR).
-    `form` is the power form of d, built here when omitted."""
-    form = _power_form(d, gamma, beta, gram, params) if form is None else form
-    c_sig, a_mat, n_vec = form[:3]
+    threshold, on the matrix of the power form, with the UEs without a target held at
+    full power; None when neither lies in [0,1]. The SINR is linear-fractional in eta,
+    so in the box these are the fixed point of target tracking
+    eta <- min(1, eta * target/SINR)."""
+    c_sig, a_mat, n_vec = form.c_sig, form.a_mat, form.n_vec
     gth = _qos_thresholds(params, c_sig.size)
     free = gth <= 0
     for target in (margin * gth, gth):
@@ -791,22 +784,23 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     enforce_qos = bool(np.any(qos > 0))
     power_is_free = mode in ("joint", "power_only")
 
-    def matrix_forms(dm):
-        # One interference state and one power form per association matrix formed
-        # below (d after each association block, the rounded and the repaired
-        # d_binary); every evaluation on that matrix reuses them.
-        st = interference_state(dm, gamma, beta, gram)
-        return st, _power_form(dm, gamma, beta, gram, params, state=st)
-
     def rows_hold(fm):
         gth = _qos_thresholds(params, num_ues)
         return _rows_hold(_qos_rows(fm.c_sig, fm.a_mat, fm.n_vec, gth)[2])
 
-    state, form = matrix_forms(d)
+    def qos_met(eta, fm):
+        return qos_satisfied(eta, fm.d, gamma, beta, gram, params, state=fm.state)
+
+    def se_on(eta, fm):
+        return se_all(eta, fm.d, gamma, beta, gram, params, state=fm.state)
+
+    # One power form per association matrix formed below (the start, d after each
+    # association block, the rounded and the repaired d_binary); every evaluation on
+    # that matrix reads it.
+    form = _power_form(d, gamma, beta, gram, params)
     phase_one = mode == "joint" and enforce_qos and not rows_hold(form)
-    if (enforce_qos and power_is_free
-            and not qos_satisfied(eta, d, gamma, beta, gram, params, state=state).all()):
-        start = _qos_start(d, gamma, beta, gram, params, form=form)
+    if enforce_qos and power_is_free and not qos_met(eta, form).all():
+        start = _qos_start(form, params)
         if start is not None:
             eta = start
         elif options.qos_infeasible_policy == "error":
@@ -818,29 +812,24 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     for i in range(1, options.max_outer_iters + 1):
         iterations = i
         if mode in ("joint", "power_only"):
-            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
-            eta = solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram,
-                              params, options, eta_init=eta, form=form)
+            aux = refresh_aux(eta, form, params)
+            eta = solve_power(form, aux.gamma_aux, aux.u, params, options, eta_init=eta)
         if mode in ("joint", "association_only"):
-            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
-            d_prev, state_prev = d, state
-            d = solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram,
-                                  params, options, d_init=d, state=state)
-            state, form = matrix_forms(d)
+            aux = refresh_aux(eta, form, params)
+            form_prev = form
+            d = solve_association(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                  options)
+            form = _power_form(d, gamma, beta, gram, params)
         if phase_one and rows_hold(form):
             phase_one = False
-            start = _qos_start(d, gamma, beta, gram, params, form=form)
-            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
-            eta = solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram, params, options,
-                              eta_init=start, form=form)
-            aux = refresh_aux(eta, d, gamma, beta, gram, params, form=form)
+            start = _qos_start(form, params)
+            aux = refresh_aux(eta, form, params)
+            eta = solve_power(form, aux.gamma_aux, aux.u, params, options, eta_init=start)
+            aux = refresh_aux(eta, form, params)
             trace, f_prev = [], None
-        f_val = block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                form=form)
+        f_val = block_objective(eta, form, aux.gamma_aux, aux.u, params)
         if (f_prev is not None and f_val < f_prev and enforce_qos and mode != "power_only"
-                and np.any(qos_satisfied(eta, d, gamma, beta, gram, params, state=state)
-                           & ~qos_satisfied(eta, d_prev, gamma, beta, gram, params,
-                                            state=state_prev))):
+                and np.any(qos_met(eta, form) & ~qos_met(eta, form_prev))):
             trace, f_prev = [], None
         trace.append(f_val)
         if f_prev is not None and abs(f_val - f_prev) <= options.epsilon * max(abs(f_prev), 1e-12):
@@ -848,25 +837,26 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         f_prev = f_val
 
     d_binary = round_association(d, options, gamma)
-    # Rounding that leaves d unchanged (always so in power_only) keeps d's state and form.
-    state_b, form_b = (state, form) if np.array_equal(d_binary, d) else matrix_forms(d_binary)
-    se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
+    # Rounding that leaves d unchanged (always so in power_only) keeps d's form.
+    form_b = form
+    if not np.array_equal(d_binary, d):
+        form_b = _power_form(d_binary, gamma, beta, gram, params)
+    se = se_on(eta, form_b)
     if enforce_qos and not meets_qos(se, qos).all():
         # Rounding broke a QoS target: re-add APs to the violated columns, then
         # (when power is a free variable) refit the powers on the binary matrix.
         d_binary = _repair_columns(eta, d_binary, d, se, qos, gamma, beta, gram, params)
-        state_b, form_b = matrix_forms(d_binary)
-        se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
+        form_b = _power_form(d_binary, gamma, beta, gram, params)
+        se = se_on(eta, form_b)
         if power_is_free and not meets_qos(se, qos).all():
-            aux_b = refresh_aux(eta, d_binary, gamma, beta, gram, params, form=form_b)
-            eta = solve_power(d_binary, aux_b.gamma_aux, aux_b.u, gamma, beta, gram,
-                              params, options, eta_init=eta, form=form_b)
-            se = se_all(eta, d_binary, gamma, beta, gram, params, state=state_b)
+            aux_b = refresh_aux(eta, form_b, params)
+            eta = solve_power(form_b, aux_b.gamma_aux, aux_b.u, params, options, eta_init=eta)
+            se = se_on(eta, form_b)
     feasibility = meets_qos(se, qos)
     if enforce_qos and not feasibility.all() and options.qos_infeasible_policy == "error":
         raise InfeasibleProblemError(
             f"QoS violated for UE(s) {np.flatnonzero(~feasibility).tolist()} after rounding")
-    se_relaxed = se if state_b is state else se_all(eta, d, gamma, beta, gram, params, state=state)
+    se_relaxed = se if form_b is form else se_on(eta, form)
     return SolveResult(eta_star=eta, d_relaxed=d, d_binary=d_binary,
                        objective_trace=np.asarray(trace), iterations=iterations,
                        feasibility=feasibility, se=se, se_relaxed=se_relaxed,

@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("drops must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0 < self.pilot_snr < math.inf:
+            raise ValueError(f"pilot_snr must be finite and positive, not {self.pilot_snr}")
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         if not self.scenarios:

@@ -1,11 +1,13 @@
 """Convex-optimization primitives: the exact box-and-halfspace projection, projected
-ascent (projected Newton on concave quadratics, with a projected gradient
-safeguard), and Dykstra and a superlevel projection the solver no longer calls.
+ascent (projected Newton on concave quadratics over the box and one halfspace, with a
+projected gradient safeguard), and Dykstra and a superlevel projection the solver no
+longer calls.
 
 The projection and the ascent work on a stack of k problems at once, one per row,
 so numpy's per-call cost is paid once per step of the stack rather than once per
-problem; each problem still takes the steps it takes alone. A 1-D point is a stack
-of one."""
+problem; each problem still takes the steps it takes alone. The ascent takes only
+a (k, n) stack, with its Hessian factors and the halfspace; the projection also
+takes a single point."""
 
 from __future__ import annotations
 
@@ -162,15 +164,17 @@ def dykstra(y, projections, max_cycles=150, tol=1e-11):
     return x
 
 
-def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor=None, row=None):
+def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor, row):
     """Projected ascent with an Armijo line search, k problems at once; returns (x, fun(x)).
 
-    Maximizes concave functions over a convex set given its Euclidean projection.
-    x0 of shape (k, n) is a stack of starts, one per member. grad maps a stack to a
-    stack; fun and project also take stacks of trial stacks, of shape (w, k, n), and
+    Maximizes concave quadratics over [0,1]^n intersected with {row[0] . z >= row[1]}
+    (one (n,) normal and one scalar offset), given the Euclidean projection onto that
+    set. x0 of shape (k, n) is a stack of starts, one per member. grad maps a stack to
+    a stack; fun and project also take stacks of trial stacks, of shape (w, k, n), and
     map them to values (w, k) and to projections. They always see the whole stack, a
-    member that has stopped as it stands. A 1-D x0 is a stack of one, with fun, grad
-    and project on single points and a scalar value returned.
+    member that has stopped as it stands. Member i's fun must have the Hessian
+    -2 L_i L_i^T, with hess_factor L of shape (k, n, r); zero columns of L_i are
+    padding, and its rank is its count of nonzero columns.
 
     Every member keeps its own free set, step choice, Armijo test, step length and
     stop test, so it takes the steps it would take alone. A member stops when its
@@ -180,43 +184,19 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     project(x0). One iteration takes one grad call, so the calls are the slowest
     member's iterations plus one; max_iters caps every member.
 
-    With hess_factor L of shape (k, n, r) ((n, r) for a 1-D x0), member i's fun must
-    be a concave quadratic with Hessian -2 L_i L_i^T; zero columns of L_i are padding,
-    and its rank is its count of nonzero columns. project must be the projection
-    onto [0,1]^n intersected with {row[0] . z >= row[1]} (the box when row is None;
-    row[0] is (n,) or (k, n), row[1] a scalar or (k,)). Each iteration then first
-    tries a two-metric projected Newton step (Bertsekas 1982): the entries that
-    project(x + g) puts on a bound go there, and the free entries F take the exact
-    maximizer of the quadratic over F, with the row as an equality when
+    Each iteration first tries a two-metric projected Newton step (Bertsekas 1982):
+    the entries that project(x + g) puts on a bound go there, and the free entries F
+    take the exact maximizer of the quadratic over F, with the row as an equality when
     project(x + g) lies on it. Where the reduced Hessian is singular (|F| beyond the
     rank of L, plus the row) the objective is linear along its null space; the step
     then follows the null-space part of the gradient along the projection arc, at
     least to the first bound, so each such step holds one more entry. A projected
     gradient step, its trial length a safeguarded Barzilai-Borwein estimate, is
     taken at a vertex with a singular reduced Hessian (the free set is still
-    changing), when a reduced system is singular or neither step is an Armijo
-    ascent step, and as the only step without hess_factor.
+    changing), and when a reduced system is singular or neither step is an Armijo
+    ascent step.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim > 1:
-        return _ascend(fun, grad, project, x0, max_iters, tol, hess_factor, row)
-    n = x0.size
-
-    def fun_rows(z):
-        return np.array([fun(p) for p in z.reshape(-1, n)], dtype=float).reshape(z.shape[:-1])
-
-    def project_rows(z):
-        return np.array([project(p) for p in z.reshape(-1, n)], dtype=float).reshape(z.shape)
-
-    x, fx = _ascend(fun_rows, lambda z: np.asarray(grad(z[0]), dtype=float)[None], project_rows,
-                    x0[None], max_iters, tol, None if hess_factor is None else hess_factor[None],
-                    row)
-    return x[0], fx[0]
-
-
-def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
-    """pga_maximize on a stack x0 of shape (k, n)."""
-    x = np.asarray(project(x0), dtype=float)
+    x = np.asarray(project(np.asarray(x0, dtype=float)), dtype=float)
     fx = np.asarray(fun(x), dtype=float)
     g = np.asarray(grad(x), dtype=float)
     k = x.shape[0]
@@ -228,10 +208,9 @@ def _ascend(fun, grad, project, x0, max_iters, tol, lfac, row):
         live &= np.abs(y - x).max(axis=1) > tol
         if not live.any():
             break
-        if lfac is not None and newton is None:
-            newton = _newton_setup(lfac, row, x.shape)
-        first, rounds, count = (None, 0, np.zeros(k, dtype=int)) if lfac is None else \
-            _newton_steps(x, g, y, live, *newton)
+        if newton is None:
+            newton = _newton_setup(hess_factor, row, x.shape)
+        first, rounds, count = _newton_steps(x, g, y, live, *newton)
         x_new, f_new, moved = _arc_search(fun, project, x, fx, g, first, rounds, count, step,
                                           live)
         if not moved.any():
@@ -256,8 +235,6 @@ def _newton_setup(lfac, row, shape):
     if not nonzero.all():
         order = np.argsort(~nonzero, axis=1, kind="stable")[:, :rank.max(initial=0)]
         lfac = np.take_along_axis(lfac, order[:, None, :], axis=2)
-    if row is None:
-        return lfac, rank, lfac, None
     basis = np.empty((k, n, lfac.shape[2] + 1))
     basis[:, :, 0] = row[0]
     basis[:, :, 1:] = lfac
@@ -274,8 +251,7 @@ def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
     geometry is the row as (normal, offset, tight test)."""
     free = (y > 0.0) & (y < 1.0)
     nf = free.sum(axis=1)
-    tight = np.zeros(x.shape[0], dtype=bool) if geometry is None else \
-        np.vecdot(geometry[0], y) <= geometry[2]
+    tight = np.vecdot(geometry[0], y) <= geometry[2]
     null = nf > rank + tight
     newton = live & ~null
     null &= live
@@ -355,8 +331,7 @@ def _null_steps(x, g, free, tight, basis, geometry):
     # p = g_F - B (B^T B)^-1 B^T g_F for B the free rows of basis, the normal kept only
     # when tight; zero columns (padding, a loose row) solve as the identity.
     b = basis * free[:, :, None]
-    if geometry is not None:
-        b[:, :, 0] *= tight[:, None]
+    b[:, :, 0] *= tight[:, None]
     g_f = g * free
     gram = b.mT @ b
     diagonal = gram.reshape(k, -1)[:, ::gram.shape[-1] + 1]     # a writable view
@@ -379,18 +354,16 @@ def _null_steps(x, g, free, tight, basis, geometry):
         lengths[:-1] = np.where(limits < np.inf, limits, 0.0).max(axis=1) * _QUARTERS
         n_long = (lengths[:-1] > 2.0 * s_first).sum(axis=0)
         lengths[n_long, members] = s_first
-        if geometry is not None:
-            # A loose row that p leaves before the first bound ends the arc there.
-            slope = np.vecdot(geometry[0], p)
-            s_row = (np.vecdot(geometry[0], x) - geometry[1]) / -slope
-            short = go & ~tight & (slope < 0.0) & (s_row < s_first)
-            if short.any():
-                lengths[n_long[short], short.nonzero()[0]] = s_row[short]
-                go_exact = go & ~short
-            else:
-                go_exact = go
+        # A loose row that p leaves before the first bound ends the arc there.
+        slope = np.vecdot(geometry[0], p)
+        s_row = (np.vecdot(geometry[0], x) - geometry[1]) / -slope
+        short = go & ~tight & (slope < 0.0) & (s_row < s_first)
+        exact = go
+        if short.any():
+            lengths[n_long[short], short.nonzero()[0]] = s_row[short]
+            exact = go & ~short
         steps = lengths[:, :, None] * p
-    e = (go if geometry is None else go_exact).nonzero()[0]
+    e = exact.nonzero()[0]
     steps[n_long[e], e, first[e]] = gap[e, first[e]]
     return steps, go, n_long
 

@@ -24,8 +24,8 @@ class SystemParams:
     def __post_init__(self):
         if self.antennas_per_ap < 1:
             raise ValueError("antennas_per_ap must be >= 1")
-        if self.uplink_snr <= 0:
-            raise ValueError("uplink_snr must be positive")
+        if not 0 < self.uplink_snr < np.inf:
+            raise ValueError(f"uplink_snr must be finite and positive, not {self.uplink_snr}")
         if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and >= 0, not {self.alpha}")
         if not 0 < self.pilot_len < self.coherence_len:

@@ -26,8 +26,8 @@ class NetworkConfig:
     wrap_around: bool = True
 
     def __post_init__(self):
-        if self.area_side <= 0:
-            raise ValueError("area_side must be positive")
+        if not 0 < self.area_side < math.inf:
+            raise ValueError(f"area_side must be finite and positive, not {self.area_side}")
         if self.num_aps < 1 or self.num_ues < 1:
             raise ValueError("num_aps and num_ues must be >= 1")
         if self.rng_seed < 0:
@@ -56,8 +56,8 @@ class ShadowingModel:
     apply_beyond_d1: bool = True
 
     def __post_init__(self):
-        if self.sigma_db < 0:
-            raise ValueError("sigma_db must be >= 0")
+        if not 0 <= self.sigma_db < math.inf:
+            raise ValueError(f"sigma_db must be finite and >= 0, not {self.sigma_db}")
 
 
 def generate_topology(config: NetworkConfig, rng: np.random.Generator):

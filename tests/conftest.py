@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import _power_coefficients, _qos_rows, _qos_thresholds, refresh_aux
+from cfmimo.fp_solver import (_power_coefficients, _power_form, _qos_rows, _qos_thresholds,
+                              refresh_aux)
 from cfmimo.se_model import SystemParams, sinr_all
 
 
 def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
-                        max_iters=200, margin=1.05, *, state=None) -> np.ndarray:
+                        max_iters=200, margin=1.05) -> np.ndarray:
     """Target-tracking power control toward the QoS SINR thresholds.
 
     Standard-interference-function iteration eta <- min(1, eta * target/SINR);
@@ -23,7 +24,7 @@ def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
     gth = _qos_thresholds(params, num_ues)
     eta = np.ones(num_ues)
     for _ in range(max_iters):
-        vals = sinr_all(eta, d, gamma, beta, gram, params, state=state)
+        vals = sinr_all(eta, d, gamma, beta, gram, params)
         ratio = np.where(gth > 0, margin * gth / np.maximum(vals, 1e-300), 1.0)
         new = np.clip(eta * ratio, 0.0, 1.0)
         if np.max(np.abs(new - eta)) <= 1e-10 and np.all(vals >= gth):
@@ -62,14 +63,16 @@ def build_synthetic_channel(rng, num_aps=8, num_ues=4, antennas=2, num_pilots=2,
 
 def build_power_block(seed, qos=1.0):
     """The power block of build_desk_channel(seed, qos) at D = ones, warm-started
-    at the QoS-tracking powers: (channel, d, eta0, aux, power coefficients, rows)."""
+    at the QoS-tracking powers: (channel, power form, eta0, aux, power coefficients,
+    rows)."""
     gamma, beta, gram, params = build_desk_channel(seed, qos=qos)
     d = np.ones(gamma.shape)
     eta0 = _feasibility_powers(d, gamma, beta, gram, params)
-    aux = refresh_aux(eta0, d, gamma, beta, gram, params)
-    coefs = _power_coefficients(d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+    form = _power_form(d, gamma, beta, gram, params)
+    aux = refresh_aux(eta0, form, params)
+    coefs = _power_coefficients(form, aux.gamma_aux, aux.u, params)
     normals, offsets, _ = _qos_rows(*coefs[3:], _qos_thresholds(params, d.shape[1]))
-    return (gamma, beta, gram, params), d, eta0, aux, coefs, (normals, offsets)
+    return (gamma, beta, gram, params), form, eta0, aux, coefs, (normals, offsets)
 
 
 def qos_psi(model, qos):

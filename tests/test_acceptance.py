@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import block_objective_d_grad, refresh_aux
+from cfmimo.fp_solver import _power_form, block_objective_d_grad, refresh_aux
 from conftest import build_synthetic_channel
 from reference import block_objective_eta_grad, dual_transform_objective, penalized_objective
 
@@ -98,16 +98,16 @@ def test_criterion_2_transform_identity_chain():
         num_aps, num_ues = gamma.shape
         eta = rng.uniform(0.05, 1.0, num_ues)
         d = rng.uniform(0.05, 1.0, (num_aps, num_ues))
-        aux = refresh_aux(eta, d, gamma, beta, gram, params)
+        form = _power_form(d, gamma, beta, gram, params)
+        aux = refresh_aux(eta, form, params)
         relaxed = penalized_objective(eta, d, gamma, beta, gram, params)
         dual = dual_transform_objective(eta, d, aux.gamma_aux, gamma, beta, gram, params)
-        block = cf.block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+        block = cf.block_objective(eta, form, aux.gamma_aux, aux.u, params)
         scale = max(abs(relaxed), 1e-12)
         worst_gap = max(worst_gap, abs(dual - relaxed) / scale, abs(block - relaxed) / scale)
         for _ in range(10):
             u_rand = aux.u * rng.uniform(0.2, 2.5, num_ues)
-            val = cf.block_objective(eta, d, aux.gamma_aux, u_rand,
-                                     gamma, beta, gram, params)
+            val = cf.block_objective(eta, form, aux.gamma_aux, u_rand, params)
             if val > dual + 1e-10 * abs(dual):
                 violations += 1
     report("C2", "transform identity chain and lower bound",
@@ -137,20 +137,19 @@ def test_criterion_4_gradient_correctness():
             rng, num_aps=6, num_ues=4, num_pilots=2, alpha=float(rng.uniform(0, 0.1)))
         eta = rng.uniform(0.1, 0.9, 4)
         d = rng.uniform(0.1, 0.9, (6, 4))
-        aux = refresh_aux(eta, d, gamma, beta, gram, params)
+        form = _power_form(d, gamma, beta, gram, params)
+        aux = refresh_aux(eta, form, params)
 
         def f_eta(x):
-            return cf.block_objective(x, d, aux.gamma_aux, aux.u,
-                                      gamma, beta, gram, params)
+            return cf.block_objective(x, form, aux.gamma_aux, aux.u, params)
 
         def f_d(x):
-            return cf.block_objective(eta, x, aux.gamma_aux, aux.u,
-                                      gamma, beta, gram, params)
+            return cf.block_objective(eta, _power_form(x, gamma, beta, gram, params),
+                                      aux.gamma_aux, aux.u, params)
 
         fd_eta = np.array([(f_eta(eta + h * e) - f_eta(eta - h * e)) / (2 * h)
                            for e in np.eye(4)])
-        g_eta = block_objective_eta_grad(eta, d, aux.gamma_aux, aux.u,
-                                         gamma, beta, gram, params)
+        g_eta = block_objective_eta_grad(eta, form, aux.gamma_aux, aux.u, params)
         worst = max(worst, np.linalg.norm(g_eta - fd_eta) / np.linalg.norm(fd_eta))
         fd_d = np.zeros((6, 4))
         for m in range(6):
@@ -158,8 +157,7 @@ def test_criterion_4_gradient_correctness():
                 step = np.zeros((6, 4))
                 step[m, t] = h
                 fd_d[m, t] = (f_d(d + step) - f_d(d - step)) / (2 * h)
-        g_d = block_objective_d_grad(eta, d, aux.gamma_aux, aux.u,
-                                     gamma, beta, gram, params)
+        g_d = block_objective_d_grad(eta, form, aux.gamma_aux, aux.u, gamma, beta, params)
         worst = max(worst, np.linalg.norm(g_d - fd_d) / np.linalg.norm(fd_d))
     report("C4", "analytic gradients vs central differences",
            worst <= GRADIENT_RTOL, f"(worst relative error {worst:.2e})")

@@ -8,11 +8,12 @@ import pytest
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
 from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagrangian,
-                              _column_objective, _dual_power_solve, _power_coefficients,
+                              _column_model, _column_objective, _dual_power_solve,
+                              _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
                               _qos_thresholds, _settled_columns, block_objective_d_grad,
                               refresh_aux)
-from cfmimo.se_model import interference_state, l1_penalty, meets_qos, sinr_terms
+from cfmimo.se_model import l1_penalty, meets_qos, sinr_terms
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_inner_iterations, count_power_forms, count_state_builds, qos_psi)
 from reference import (block_objective_eta_grad, dual_transform_objective, lambda_star,
@@ -38,7 +39,7 @@ def test_refresh_aux_synchronized():
     rng = np.random.default_rng(0)
     gamma, beta, gram, params, _ = build_synthetic_channel(rng)
     eta, d = random_point(rng, 8, 4)
-    aux = refresh_aux(eta, d, gamma, beta, gram, params)
+    aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
     assert np.allclose(aux.gamma_aux, cf.sinr_all(eta, d, gamma, beta, gram, params))
     assert np.allclose(aux.u, update_u(aux.gamma_aux, eta, d, gamma, beta, gram, params))
 
@@ -55,22 +56,23 @@ def test_transform_identities_and_lower_bound():
                                                            num_pilots=2, alpha=0.02)
     for _ in range(10):
         eta, d = random_point(rng, 8, 5)
-        aux = refresh_aux(eta, d, gamma, beta, gram, params)
+        form = _power_form(d, gamma, beta, gram, params)
+        aux = refresh_aux(eta, form, params)
         relaxed = penalized_objective(eta, d, gamma, beta, gram, params)
         dual = dual_transform_objective(eta, d, aux.gamma_aux, gamma, beta, gram, params)
-        block = cf.block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+        block = cf.block_objective(eta, form, aux.gamma_aux, aux.u, params)
         assert dual == pytest.approx(relaxed, rel=1e-10)
         assert block == pytest.approx(relaxed, rel=1e-10)
         for _ in range(5):
             u_pert = aux.u * rng.uniform(0.4, 1.8, 5)
-            val = cf.block_objective(eta, d, aux.gamma_aux, u_pert, gamma, beta, gram, params)
+            val = cf.block_objective(eta, form, aux.gamma_aux, u_pert, params)
             assert val <= dual + 1e-10 * abs(dual)
             if np.max(np.abs(u_pert - aux.u)) > 1e-9:
                 assert val < block
         # lower bound also holds at non-optimal auxiliary SINR values
         g_pert = aux.gamma_aux * rng.uniform(0.3, 2.5, 5)
         u_for_g = update_u(g_pert, eta, d, gamma, beta, gram, params)
-        val = cf.block_objective(eta, d, g_pert, u_for_g, gamma, beta, gram, params)
+        val = cf.block_objective(eta, form, g_pert, u_for_g, params)
         assert val <= relaxed + 1e-10 * abs(relaxed)
 
 
@@ -94,17 +96,20 @@ def test_block_objective_all_zero_transform_terms():
     eta = rng.uniform(0.1, 1, 4)
     d = np.ones((8, 4))
     zero = np.zeros(4)
-    assert cf.block_objective(eta, d, zero, zero, gamma, beta, gram, params) == 0.0
+    form = _power_form(d, gamma, beta, gram, params)
+    assert cf.block_objective(eta, form, zero, zero, params) == 0.0
 
 
 def test_block_objective_linear_in_alpha():
     rng = np.random.default_rng(5)
     gamma, beta, gram, params, _ = build_synthetic_channel(rng, alpha=0.1)
     eta, d = random_point(rng, 8, 4)
-    aux = refresh_aux(eta, d, gamma, beta, gram, params)
-    v1 = cf.block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
-    v2 = cf.block_objective(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram,
-                            replace(params, alpha=0.2))
+    form = _power_form(d, gamma, beta, gram, params)
+    aux = refresh_aux(eta, form, params)
+    v1 = cf.block_objective(eta, form, aux.gamma_aux, aux.u, params)
+    doubled = replace(params, alpha=0.2)
+    v2 = cf.block_objective(eta, _power_form(d, gamma, beta, gram, doubled), aux.gamma_aux,
+                            aux.u, doubled)
     assert v1 - v2 == pytest.approx(0.1 * d.sum(), rel=1e-9)
 
 
@@ -113,12 +118,12 @@ def test_power_coefficients_reproduce_block_objective():
     gamma, beta, gram, params, _ = build_synthetic_channel(rng, num_ues=5,
                                                            num_pilots=3, alpha=0.03)
     eta, d = random_point(rng, 8, 5)
-    aux = refresh_aux(eta, d, gamma, beta, gram, params)
-    lin, b_vec, const, _, _, _ = _power_coefficients(d, aux.gamma_aux, aux.u,
-                                                     gamma, beta, gram, params)
+    form = _power_form(d, gamma, beta, gram, params)
+    aux = refresh_aux(eta, form, params)
+    lin, b_vec, const, _, _, _ = _power_coefficients(form, aux.gamma_aux, aux.u, params)
     for _ in range(5):
         probe = rng.uniform(0, 1, 5)
-        direct = cf.block_objective(probe, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+        direct = cf.block_objective(probe, form, aux.gamma_aux, aux.u, params)
         closure = const - lin @ probe + b_vec @ np.sqrt(probe)
         assert closure == pytest.approx(direct, rel=1e-10)
 
@@ -143,18 +148,16 @@ def test_analytic_gradients_match_finite_differences():
     for _ in range(5):
         eta = rng.uniform(0.1, 0.9, 4)
         d = rng.uniform(0.1, 0.9, (6, 4))
-        aux = refresh_aux(eta, d, gamma, beta, gram, params)
-        g_eta = block_objective_eta_grad(eta, d, aux.gamma_aux, aux.u,
-                                         gamma, beta, gram, params)
-        fd_eta = central_diff(lambda x: cf.block_objective(x, d, aux.gamma_aux, aux.u,
-                                                           gamma, beta, gram, params),
+        form = _power_form(d, gamma, beta, gram, params)
+        aux = refresh_aux(eta, form, params)
+        g_eta = block_objective_eta_grad(eta, form, aux.gamma_aux, aux.u, params)
+        fd_eta = central_diff(lambda x: cf.block_objective(x, form, aux.gamma_aux, aux.u, params),
                               eta, 1e-4)
         assert np.linalg.norm(g_eta - fd_eta) <= 1e-5 * np.linalg.norm(fd_eta)
-        g_d = block_objective_d_grad(eta, d, aux.gamma_aux, aux.u,
-                                     gamma, beta, gram, params)
-        fd_d = central_diff(lambda x: cf.block_objective(eta, x, aux.gamma_aux, aux.u,
-                                                         gamma, beta, gram, params),
-                            d, 1e-4)
+        g_d = block_objective_d_grad(eta, form, aux.gamma_aux, aux.u, gamma, beta, params)
+        fd_d = central_diff(lambda x: cf.block_objective(eta, _power_form(x, gamma, beta, gram,
+                                                                          params),
+                                                         aux.gamma_aux, aux.u, params), d, 1e-4)
         assert np.linalg.norm(g_d - fd_d) <= 1e-5 * np.linalg.norm(fd_d)
 
 
@@ -170,8 +173,9 @@ def test_batched_d_gradient_is_the_stack_of_column_gradients(desk_channel, seed)
     for d in (relaxed, binary):
         eta = rng.uniform(0.0, 1.0, gamma.shape[1])
         eta[rng.integers(gamma.shape[1])] = 0.0
-        aux = refresh_aux(eta, d, gamma, beta, gram, params)
-        batched = block_objective_d_grad(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+        form = _power_form(d, gamma, beta, gram, params)
+        aux = refresh_aux(eta, form, params)
+        batched = block_objective_d_grad(eta, form, aux.gamma_aux, aux.u, gamma, beta, params)
         stacked = np.stack([_column_lagrangian(*_column_objective(
             t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params))[1](d[:, t])
                             for t in range(d.shape[1])], axis=1)
@@ -197,9 +201,10 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
                                (res.eta_star, res.d_binary, params),
                                (res.eta_star, single, replace(params, alpha=0.1, qos=0.0))):
             gth = _qos_thresholds(params, gamma.shape[1])
-            aux = refresh_aux(eta, d, gamma, beta, gram, params)
-            settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                       state=interference_state(d, gamma, beta, gram), gth=gth)
+            form = _power_form(d, gamma, beta, gram, params)
+            aux = refresh_aux(eta, form, params)
+            settled = _settled_columns(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                       gth)
             for t in np.flatnonzero(settled):
                 x = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta,
                                          gram, params, opts, d[:, [t]].T, gth[[t]])[0]
@@ -222,11 +227,12 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
         gth = _qos_thresholds(params, gamma.shape[1])
         for eta, d in ((np.ones(gamma.shape[1]), np.ones(gamma.shape)),
                        (res.eta_star, res.d_binary)):
-            aux = refresh_aux(eta, d, gamma, beta, gram, params)
-            block = cf.solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                         opts, d_init=d)
-            settled = _settled_columns(eta, d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                       state=interference_state(d, gamma, beta, gram), gth=gth)
+            form = _power_form(d, gamma, beta, gram, params)
+            aux = refresh_aux(eta, form, params)
+            block = cf.solve_association(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram,
+                                         params, opts)
+            settled = _settled_columns(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram, params,
+                                       gth)
             for t in np.flatnonzero(~settled):
                 alone = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma,
                                              beta, gram, params, opts, d[:, [t]].T, gth[[t]])[0]
@@ -247,7 +253,7 @@ def test_power_form_matches_sinr_terms(desk_channel, seed):
     eta[::3] = 0.0
     for d in (np.ones(gamma.shape), rng.uniform(0.05, 1.0, gamma.shape), binary):
         form = _power_form(d, gamma, beta, gram, params)
-        assert form.penalty == l1_penalty(d, params)
+        assert form.d is d and form.penalty == l1_penalty(d, params)
         signal, interference = form.terms(eta)
         s_ref, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
         np.testing.assert_allclose(signal, s_ref, rtol=1e-12, atol=0.0)
@@ -267,11 +273,10 @@ def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_chan
     for seed in range(4):
         gamma, beta, gram, params = desk_channel(seed, qos=0.0)
         num_ues = gamma.shape[1]
-        d = np.ones(gamma.shape)
+        form = _power_form(np.ones(gamma.shape), gamma, beta, gram, params)
         rng = np.random.default_rng(seed)
-        aux = refresh_aux(rng.uniform(0.0, 1.0, num_ues), d, gamma, beta, gram, params)
-        lin, b_vec, const, _, _, _ = _power_coefficients(d, aux.gamma_aux, aux.u,
-                                                         gamma, beta, gram, params)
+        aux = refresh_aux(rng.uniform(0.0, 1.0, num_ues), form, params)
+        lin, b_vec, const, _, _, _ = _power_coefficients(form, aux.gamma_aux, aux.u, params)
         closed = _box_maximizer(lin, b_vec)
 
         def value(x):
@@ -280,8 +285,7 @@ def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_chan
         # The last start is the box maximizer moved by rounding: eta_init may win the tie.
         for eta0 in (None, np.ones(num_ues), rng.uniform(0.0, 1.0, num_ues),
                      np.nextafter(closed, 0.5)):
-            eta = cf.solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram, params, opts,
-                                 eta_init=eta0)
+            eta = cf.solve_power(form, aux.gamma_aux, aux.u, params, opts, eta_init=eta0)
             start = np.ones(num_ues) if eta0 is None else eta0
             assert np.array_equal(eta, closed) or np.array_equal(eta, start)
             assert value(eta) >= value(start)
@@ -289,17 +293,13 @@ def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_chan
 
 def test_solve_power_with_targets_reads_its_rows():
     # With targets the rows still bind: unsatisfiable rows go to the policy, and
-    # satisfiable ones hold where the box maximizer breaks one. A form built from
-    # the interference state changes nothing.
+    # satisfiable ones hold where the box maximizer breaks one.
     opts = cf.SolverOptions()
     unsatisfiable = broken = 0
     for seed in range(10):
-        channel, d, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
-        eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, opts, eta_init=eta0)
-        form = _power_form(d, *channel, state=interference_state(d, *channel[:3]))
-        assert np.array_equal(eta, cf.solve_power(d, aux.gamma_aux, aux.u, *channel, opts,
-                                                  eta_init=eta0, form=form))
-        least = _qos_rows(*coefs[3:], _qos_thresholds(channel[3], d.shape[1]))[2]
+        channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
+        eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], opts, eta_init=eta0)
+        least = _qos_rows(*coefs[3:], _qos_thresholds(channel[3], eta0.size))[2]
         if np.max(least) > 1.0:
             unsatisfiable += 1
             assert np.array_equal(eta, np.clip(eta0, 0.0, 1.0))
@@ -314,12 +314,13 @@ def test_solve_power_alpha_invariant():
     gamma, beta, gram, params, _ = build_synthetic_channel(rng, alpha=0.0)
     d = rng.uniform(0.2, 1, (8, 4))
     eta0 = np.ones(4)
-    aux = refresh_aux(eta0, d, gamma, beta, gram, params)
+    form = _power_form(d, gamma, beta, gram, params)
+    aux = refresh_aux(eta0, form, params)
     opts = cf.SolverOptions()
-    out1 = cf.solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram, params, opts,
-                          eta_init=eta0)
-    out2 = cf.solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram,
-                          replace(params, alpha=0.5), opts, eta_init=eta0)
+    out1 = cf.solve_power(form, aux.gamma_aux, aux.u, params, opts, eta_init=eta0)
+    penalized = replace(params, alpha=0.5)
+    out2 = cf.solve_power(_power_form(d, gamma, beta, gram, penalized), aux.gamma_aux, aux.u,
+                          penalized, opts, eta_init=eta0)
     assert np.allclose(out1, out2, atol=1e-9)
 
 
@@ -328,14 +329,13 @@ def test_solve_power_single_ue_matches_grid_search():
     gamma, beta, gram, params, _ = build_synthetic_channel(rng, num_ues=1, num_pilots=1)
     d = np.ones((8, 1))
     eta0 = np.array([0.35])
-    aux = refresh_aux(eta0, d, gamma, beta, gram, params)
-    lin, b_vec, const, _, _, _ = _power_coefficients(d, aux.gamma_aux, aux.u,
-                                                     gamma, beta, gram, params)
+    form = _power_form(d, gamma, beta, gram, params)
+    aux = refresh_aux(eta0, form, params)
+    lin, b_vec, const, _, _, _ = _power_coefficients(form, aux.gamma_aux, aux.u, params)
     grid = np.linspace(0.0, 1.0, 200001)
     values = const - lin[0] * grid + b_vec[0] * np.sqrt(grid)
     best = grid[np.argmax(values)]
-    out = cf.solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                         cf.SolverOptions(), eta_init=eta0)
+    out = cf.solve_power(form, aux.gamma_aux, aux.u, params, cf.SolverOptions(), eta_init=eta0)
     assert out[0] == pytest.approx(best, abs=1e-4)
 
 
@@ -345,11 +345,11 @@ def test_solve_power_never_decreases_block(desk_channel):
         gamma, beta, gram, params = desk_channel(seed)
         d = np.ones(gamma.shape)
         eta0 = _feasibility_powers(d, gamma, beta, gram, params)
-        aux = refresh_aux(eta0, d, gamma, beta, gram, params)
-        before = cf.block_objective(eta0, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
-        eta1 = cf.solve_power(d, aux.gamma_aux, aux.u, gamma, beta, gram, params, opts,
-                              eta_init=eta0)
-        after = cf.block_objective(eta1, d, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+        form = _power_form(d, gamma, beta, gram, params)
+        aux = refresh_aux(eta0, form, params)
+        before = cf.block_objective(eta0, form, aux.gamma_aux, aux.u, params)
+        eta1 = cf.solve_power(form, aux.gamma_aux, aux.u, params, opts, eta_init=eta0)
+        after = cf.block_objective(eta1, form, aux.gamma_aux, aux.u, params)
         assert after >= before - 1e-9 * abs(before)
         assert cf.qos_satisfied(eta1, d, gamma, beta, gram, params, tol=1e-6).all()
 
@@ -357,7 +357,7 @@ def test_solve_power_never_decreases_block(desk_channel):
 @pytest.mark.parametrize("seed", [1, 4, 7, 9, 10])
 def test_solve_power_reaches_constrained_optimum(seed):
     optimize = pytest.importorskip("scipy.optimize")
-    channel, d, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
+    channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
     lin, b_vec, const = coefs[:3]
 
     def neg_block(x):
@@ -367,10 +367,11 @@ def test_solve_power_reaches_constrained_optimum(seed):
                             constraints=[{"type": "ineq", "fun": lambda x: normals @ x - offsets,
                                           "jac": lambda x: normals}],
                             options={"ftol": 1e-14, "maxiter": 1000})
-    eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    params = channel[3]
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, params, cf.SolverOptions(), eta_init=eta0)
     assert np.all((eta >= 0) & (eta <= 1))
     assert np.all(normals @ eta - offsets >= -1e-8)
-    value = cf.block_objective(eta, d, aux.gamma_aux, aux.u, *channel)
+    value = cf.block_objective(eta, form, aux.gamma_aux, aux.u, params)
     assert value >= -ref.fun - 1e-6 * abs(ref.fun)
 
 
@@ -387,18 +388,20 @@ def test_dual_power_solve_meets_binding_rows(seed, qos):
 def test_solve_power_meets_satisfiable_rows_from_infeasible_init(seed):
     # Nearly empty polyhedra: the dual stops short and the QoS-tracking powers
     # miss a target, so the step back goes toward the least QoS powers.
-    channel, d, eta0, aux, _, (normals, offsets) = build_power_block(seed, qos=1.2)
+    channel, form, eta0, aux, _, (normals, offsets) = build_power_block(seed, qos=1.2)
     assert np.min(normals @ eta0 - offsets) < -1e-8
-    eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], cf.SolverOptions(),
+                         eta_init=eta0)
     assert np.min(normals @ eta - offsets) >= -1e-8
 
 
 def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
-    channel, d, eta0, aux, (lin, b_vec, *_), (normals, offsets) = build_power_block(4)
+    channel, form, eta0, aux, (lin, b_vec, *_), (normals, offsets) = build_power_block(4)
     unconstrained = _dual_power_solve(lin, b_vec, normals[:0], offsets[:0])
     assert np.min(normals @ unconstrained - offsets) < -1e-8 <= np.min(normals @ eta0 - offsets)
     monkeypatch.setattr(fp_solver, "_dual_power_solve", lambda *args: unconstrained)
-    eta = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], cf.SolverOptions(),
+                         eta_init=eta0)
     # The first point of the segment toward eta0 where every row holds: one row is tight.
     direction = eta0 - unconstrained
     s = (eta - unconstrained) @ direction / (direction @ direction)
@@ -408,11 +411,12 @@ def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
 
 
 def test_solve_power_unsatisfiable_qos_policies():
-    channel, d, eta0, aux, _, _ = build_power_block(0, qos=10.0)
+    channel, form, eta0, aux, _, _ = build_power_block(0, qos=10.0)
+    params = channel[3]
     with pytest.raises(cf.InfeasibleProblemError, match="QoS rows unsatisfiable"):
-        cf.solve_power(d, aux.gamma_aux, aux.u, *channel,
+        cf.solve_power(form, aux.gamma_aux, aux.u, params,
                        cf.SolverOptions(qos_infeasible_policy="error"), eta_init=eta0)
-    out = cf.solve_power(d, aux.gamma_aux, aux.u, *channel, cf.SolverOptions(), eta_init=eta0)
+    out = cf.solve_power(form, aux.gamma_aux, aux.u, params, cf.SolverOptions(), eta_init=eta0)
     assert np.array_equal(out, np.clip(eta0, 0.0, 1.0))
 
 
@@ -421,12 +425,13 @@ def test_solve_association_feasible_and_never_decreases(desk_channel):
     for seed in range(3):
         gamma, beta, gram, params = desk_channel(seed, qos=0.0)
         eta = np.full(gamma.shape[1], 0.8)
-        d0 = np.ones(gamma.shape)
-        aux = refresh_aux(eta, d0, gamma, beta, gram, params)
-        before = cf.block_objective(eta, d0, aux.gamma_aux, aux.u, gamma, beta, gram, params)
-        d1 = cf.solve_association(eta, aux.gamma_aux, aux.u, gamma, beta, gram,
-                                  params, opts, d_init=d0)
-        after = cf.block_objective(eta, d1, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+        form0 = _power_form(np.ones(gamma.shape), gamma, beta, gram, params)
+        aux = refresh_aux(eta, form0, params)
+        before = cf.block_objective(eta, form0, aux.gamma_aux, aux.u, params)
+        d1 = cf.solve_association(eta, form0, aux.gamma_aux, aux.u, gamma, beta, gram,
+                                  params, opts)
+        after = cf.block_objective(eta, _power_form(d1, gamma, beta, gram, params),
+                                   aux.gamma_aux, aux.u, params)
         assert after >= before - 1e-9 * abs(before)
         assert np.all(d1 >= -1e-12) and np.all(d1 <= 1 + 1e-12)
         assert np.all(d1.sum(axis=0) >= 1 - 1e-9)
@@ -438,13 +443,15 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
     gamma, beta, gram, params = desk_channel(seed, qos=0.5, alpha=0.1)
     d = np.ones(gamma.shape)
     eta = _feasibility_powers(d, gamma, beta, gram, params)
-    aux = refresh_aux(eta, d, gamma, beta, gram, params)
+    aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
     gth = _qos_thresholds(params, d.shape[1])
     for t in range(d.shape[1]):
         model, objective = _column_objective(t, eta, aux.gamma_aux, aux.u,
                                              gamma, beta, gram, params)
         fun, grad, _ = _column_lagrangian(model, objective)
-        psi, psi_grad = qos_psi(model, _qos_approximation(d[:, t], model, gth[t]))
+        stacked = _column_model(np.array([t]), eta, gamma, beta, gram, params)
+        qos = _qos_approximation(d[:, [t]].T, stacked, gth[[t]])
+        psi, psi_grad = qos_psi(model, tuple(part[0] for part in qos))
         ref = optimize.minimize(
             lambda z: -fun(z), d[:, t], jac=lambda z: -grad(z), method="SLSQP",
             bounds=[(0.0, 1.0)] * d.shape[0],
@@ -501,9 +508,9 @@ def test_association_zero_penalty_single_ue_serves_all():
                        mode="association_only")
     assert np.all(res.d_binary == 1.0)
     # every AP has a positive marginal gain at the box bound
-    aux = refresh_aux(np.ones(1), res.d_relaxed, gamma, beta, gram, params)
-    grad = block_objective_d_grad(np.ones(1), res.d_relaxed, aux.gamma_aux, aux.u,
-                                  gamma, beta, gram, params)
+    form = _power_form(res.d_relaxed, gamma, beta, gram, params)
+    aux = refresh_aux(np.ones(1), form, params)
+    grad = block_objective_d_grad(np.ones(1), form, aux.gamma_aux, aux.u, gamma, beta, params)
     assert np.all(grad > 0)
 
 
@@ -604,7 +611,7 @@ def test_feasibility_powers_restores_targets(desk_channel):
         d = np.ones(gamma.shape)
         if cf.qos_satisfied(ones, d, gamma, beta, gram, params).all():
             continue
-        eta = _qos_start(d, gamma, beta, gram, params)
+        eta = _qos_start(_power_form(d, gamma, beta, gram, params), params)
         sinr = cf.sinr_all(eta, d, gamma, beta, gram, params)
         assert np.all((eta >= 0) & (eta <= 1))
         assert np.all(sinr >= 1.05 * _qos_thresholds(params, d.shape[1]) * (1 - 1e-12))
@@ -623,9 +630,9 @@ def test_qos_start_matches_target_tracking(desk_channel):
         for qos in (0.5, 1.0, 1.2):
             gamma, beta, gram, params = desk_channel(seed, qos=qos)
             d = np.ones(gamma.shape)
-            eta = _qos_start(d, gamma, beta, gram, params)
-            if eta is None or np.array_equal(eta, _qos_start(d, gamma, beta, gram, params,
-                                                             margin=1.0)):
+            form = _power_form(d, gamma, beta, gram, params)
+            eta = _qos_start(form, params)
+            if eta is None or np.array_equal(eta, _qos_start(form, params, margin=1.0)):
                 continue    # no start, or the margin powers leave the box
             sinr = cf.sinr_all(eta, d, gamma, beta, gram, params)
             target = 1.05 * _qos_thresholds(params, d.shape[1])
@@ -672,7 +679,7 @@ def test_alternate_keeps_ues_without_target_powered(desk_channel, seed, has_star
     params = replace(params, qos=qos)
     d = np.ones(gamma.shape)
     assert not cf.qos_satisfied(np.ones(qos.size), d, gamma, beta, gram, params).all()
-    assert (_qos_start(d, gamma, beta, gram, params) is not None) == has_start
+    assert (_qos_start(_power_form(d, gamma, beta, gram, params), params) is not None) == has_start
     res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions())
     assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()

@@ -222,7 +222,14 @@ def test_load_config_merges_over_base(tmp_path):
     {"drops": 1.7}, {"drops": True}, {"workers": 1.5}, {"workers": True},
     {"network": {"num_aps": 30.5}}, {"network": {"num_ues": 9.5}},
     {"network": {"rng_seed": 7.5}}, {"params": {"antennas_per_ap": 2.5}},
-    {"params": {"pilot_len": 2.5}}, {"params": {"coherence_len": 200.5}}])
+    {"params": {"pilot_len": 2.5}}, {"params": {"coherence_len": 200.5}},
+    # Solver tolerances must be finite, iteration caps integers.
+    {"solver": {"inner_tolerance": float("nan")}}, {"solver": {"epsilon": float("nan")}},
+    {"solver": {"max_outer_iters": 2.5}}, {"solver": {"max_inner_iters": True}},
+    # Real-valued run parameters are checked when the configuration is built.
+    {"pilot_snr": 0.0}, {"pilot_snr": -1.0}, {"pilot_snr": float("nan")},
+    {"params": {"uplink_snr": float("nan")}}, {"network": {"area_side": float("nan")}},
+    {"shadowing": {"sigma_db": float("nan")}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -312,7 +319,8 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "unknown_pilot_strategy.json"],
                                   ["--config", "qos_per_ue_mismatch.json"],
                                   ["--config", "nan_qos.json"],
-                                  ["--validate-oracle", "--seed", "-1"]])
+                                  ["--validate-oracle", "--seed", "-1"],
+                                  ["--config", "zero_pilot_snr.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
@@ -322,7 +330,8 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
              "top_level_list.json": [1, 2],
              "unknown_pilot_strategy.json": {"pilot_strategy": "fooo"},
              "qos_per_ue_mismatch.json": {"params": {"qos": [0.2, 0.3]}},   # T = 10
-             "nan_qos.json": {"params": {"qos": float("nan")}}}
+             "nan_qos.json": {"params": {"qos": float("nan")}},
+             "zero_pilot_snr.json": {"pilot_snr": 0.0}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

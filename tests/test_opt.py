@@ -118,57 +118,53 @@ def test_superlevel_projection_shrinks_distance_vs_alternatives():
             assert np.linalg.norm(cand - y) >= dist - 1e-7
 
 
+def _box_quadratic(b, diag, grads):
+    """(fun, grad, hess_factor) of b.x - 0.5 diag.x^2 = b.x - ||L^T x||^2 on a stack of one,
+    L = diag(sqrt(diag / 2)); grads counts the grad calls."""
+    fac = np.diag(np.sqrt(diag / 2.0))[None]
+    return (*_counted_quadratic(b[None], fac, grads), fac)
+
+
+def _coverage(z):
+    return project_box_polyhedron(z, np.ones(z.shape[-1]), 1.0)
+
+
 def test_pga_matches_box_quadratic_closed_form():
+    # The box maximizer clip(b / diag) meets the coverage row, so it is the maximizer.
     rng = np.random.default_rng(3)
     diag = rng.uniform(0.5, 3.0, size=6)
     b = rng.normal(size=6)
-
-    def fun(x):
-        return float(b @ x - 0.5 * diag @ (x * x))
-
-    def grad(x):
-        return b - diag * x
-
-    x, fx = pga_maximize(fun, grad, lambda z: np.clip(z, 0.0, 1.0), np.full(6, 0.5),
-                         max_iters=500, tol=1e-10)
+    fun, grad, fac = _box_quadratic(b, diag, [0])
+    start = np.full((1, 6), 0.5)
+    x, fx = pga_maximize(fun, grad, _coverage, start, max_iters=500, tol=1e-10,
+                         hess_factor=fac, row=(np.ones(6), 1.0))
     expected = np.clip(b / diag, 0.0, 1.0)
-    assert np.allclose(x, expected, atol=1e-7)
-    assert fx >= fun(np.full(6, 0.5)) - 1e-12
+    assert expected.sum() >= 1.0
+    assert np.allclose(x[0], expected, atol=1e-7)
+    assert fx[0] >= fun(start)[0] - 1e-12
 
 
 def test_pga_never_returns_worse_than_start():
     rng = np.random.default_rng(4)
     diag = rng.uniform(0.5, 3.0, size=4)
-
-    def fun(x):
-        return float(-0.5 * diag @ (x * x))
-
-    def grad(x):
-        return -diag * x
-
-    start = np.array([0.3, 0.1, 0.9, 0.5])
-    x, fx = pga_maximize(fun, grad, lambda z: np.clip(z, 0.0, 1.0), start,
-                         max_iters=3, tol=1e-14)
-    assert fx >= fun(start)
+    fun, grad, fac = _box_quadratic(np.zeros(4), diag, [0])
+    start = np.array([[0.3, 0.1, 0.9, 0.5]])
+    x, fx = pga_maximize(fun, grad, _coverage, start, max_iters=3, tol=1e-14,
+                         hess_factor=fac, row=(np.ones(4), 1.0))
+    assert fx[0] >= fun(start)[0]
 
 
 def test_newton_steps_reach_box_quadratic_closed_form_exactly():
-    # With the Hessian factor, b.x - 0.5 diag.x^2 = b.x - ||L^T x||^2 for
-    # L = diag(sqrt(diag / 2)): the reduced Newton system is exact, so the box
-    # maximizer is reached to rounding in a few steps, without a row.
+    # With the Hessian factor the reduced Newton system is exact, so the box maximizer,
+    # where the coverage row is loose, is reached to rounding in a few steps.
     rng = np.random.default_rng(3)
     diag = rng.uniform(0.5, 3.0, size=6)
     b = rng.normal(size=6)
     grads = [0]
-
-    def grad(x):
-        grads[0] += 1
-        return b - diag * x
-
-    x, fx = pga_maximize(lambda x: float(b @ x - 0.5 * diag @ (x * x)), grad,
-                         lambda z: np.clip(z, 0.0, 1.0), np.full(6, 0.5), max_iters=500,
-                         tol=1e-14, hess_factor=np.diag(np.sqrt(diag / 2.0)))
-    assert np.allclose(x, np.clip(b / diag, 0.0, 1.0), rtol=0.0, atol=1e-15)
+    fun, grad, fac = _box_quadratic(b, diag, grads)
+    x, fx = pga_maximize(fun, grad, _coverage, np.full((1, 6), 0.5), max_iters=500,
+                         tol=1e-14, hess_factor=fac, row=(np.ones(6), 1.0))
+    assert np.allclose(x[0], np.clip(b / diag, 0.0, 1.0), rtol=0.0, atol=1e-15)
     assert grads[0] - 1 <= 3
 
 
@@ -224,7 +220,7 @@ def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
     monkeypatch.setattr(opt, "_solve_each", recording)
     grads = [0]
     x, fx = pga_maximize(*_counted_quadratic(lin, fac, grads),
-                         lambda z: project_box_polyhedron(z, ones, 1.0), x0, max_iters=300,
+                         _coverage, x0, max_iters=300,
                          tol=1e-12, hess_factor=fac, row=(ones, 1.0))
     assert [0] in singular
     iters = []
@@ -232,7 +228,7 @@ def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
         one = slice(i, i + 1)
         single = [0]
         xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], single),
-                              lambda z: project_box_polyhedron(z, ones, 1.0), x0[one],
+                              _coverage, x0[one],
                               max_iters=300, tol=1e-12, hess_factor=fac[one], row=(ones, 1.0))
         iters.append(single[0] - 1)
         assert np.max(np.abs(x[i] - xi[0])) <= 1e-10

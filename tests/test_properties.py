@@ -7,8 +7,8 @@ import pytest
 
 import cfmimo as cf
 from cfmimo.fp_solver import (_association_columns, _bound_column, _column_lagrangian,
-                              _column_objective, _column_terms, _qos_approximation, _qos_start,
-                              _qos_thresholds, _quadratic, refresh_aux)
+                              _column_objective, _column_terms, _power_form, _qos_approximation,
+                              _qos_start, _qos_thresholds, _quadratic, refresh_aux)
 from cfmimo.opt import pga_maximize, project_box_polyhedron
 from conftest import build_synthetic_channel, qos_psi
 from reference import bisect_bound_column
@@ -29,7 +29,7 @@ def test_qos_start_is_least_power_solution(seed, qos):
                                                            num_ues=num_ues, qos=np.array(qos))
     d = rng.uniform(0.05, 1.0, (num_aps, num_ues)) * (rng.uniform(size=(num_aps, num_ues)) < 0.6)
     d[rng.integers(num_aps, size=num_ues), np.arange(num_ues)] = 1.0
-    eta = _qos_start(d, gamma, beta, gram, params)
+    eta = _qos_start(_power_form(d, gamma, beta, gram, params), params)
     if eta is None:
         return
     gth = _qos_thresholds(params, num_ues)
@@ -83,29 +83,37 @@ def test_stacked_projection_is_the_rows_projections(seed, k, n, shared):
 
 def _column_problem(seed):
     """A random synthetic column problem of one UE t: its channel, solver inputs,
-    column model and objective, and a start x0 that is all ones, binary or
-    fractional."""
+    column model and objective as a stack of one (the shapes of the association
+    block), and a start x0 (one column) that is all ones, binary or fractional."""
     rng = np.random.default_rng(seed)
     num_aps, num_ues = int(rng.integers(3, 13)), int(rng.integers(2, 6))
     gamma, beta, gram, params, _ = build_synthetic_channel(
         rng, num_aps=num_aps, num_ues=num_ues, alpha=float(rng.choice([0.0, 0.01, 0.1])))
     eta = rng.uniform(0.05, 1.0, num_ues)
     d = rng.uniform(0.0, 1.0, (num_aps, num_ues))
-    aux = refresh_aux(eta, d, gamma, beta, gram, params)
+    aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
     t = int(rng.integers(num_ues))
-    model, objective = _column_objective(t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params)
+    model, objective = _column_objective(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta,
+                                         gram, params)
     fun, grad, _ = _column_lagrangian(model, objective)
     x0 = [np.ones(num_aps), (rng.uniform(size=num_aps) < 0.5).astype(float), d[:, t]][seed % 3]
     x0[int(rng.integers(num_aps))] = 1.0
-    signal, interference = _column_terms(x0, model)
+    signal, interference = _column_terms(x0[None], model)
     return SimpleNamespace(t=t, channel=(gamma, beta, gram, params), eta=eta, aux=aux,
                            fun=fun, grad=grad, model=model, objective=objective, x0=x0,
-                           sinr0=signal / interference)
+                           sinr0=float(signal[0] / interference[0]))
+
+
+def _first(parts):
+    """The single column of a stack of one, part by part."""
+    return tuple(part[0] for part in parts)
 
 
 def _slsqp_max(fun, grad, x0, extra=()):
+    """The SLSQP maximum over the box and coverage (and extra) of the stacked fun, grad."""
     optimize = pytest.importorskip("scipy.optimize")
-    ref = optimize.minimize(lambda z: -fun(z), x0, jac=lambda z: -grad(z), method="SLSQP",
+    ref = optimize.minimize(lambda z: -fun(z[None])[0], x0, jac=lambda z: -grad(z[None])[0],
+                            method="SLSQP",
                             bounds=[(0.0, 1.0)] * x0.size,
                             constraints=[{"type": "ineq", "fun": lambda z: z.sum() - 1.0,
                                           "jac": lambda z: np.ones_like(z)}, *extra],
@@ -122,8 +130,8 @@ def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
     # multiplier loop's fun + nu psi, as the solver builds it (_column_lagrangian).
     col = _column_problem(seed)
     x0 = col.x0
-    qos = _qos_approximation(x0, col.model, target * col.sinr0)
-    hypothesis.assume(qos is not None)
+    qos = _qos_approximation(x0[None], col.model, np.array([target * col.sinr0]))
+    hypothesis.assume(qos[2][0] != 0.0)
     opts = cf.SolverOptions()
     ones = np.ones_like(x0)
 
@@ -131,12 +139,12 @@ def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
         return project_box_polyhedron(z, ones, 1.0)
 
     f, g, fac = _column_lagrangian(col.model, col.objective, qos, nu)
-    x, fx = pga_maximize(f, g, project, x0, max_iters=opts.max_inner_iters,
+    x, fx = pga_maximize(f, g, project, x0[None], max_iters=opts.max_inner_iters,
                          tol=opts.inner_tolerance, hess_factor=fac, row=(ones, 1.0))
-    assert fx == f(x)
+    assert fx[0] == f(x)[0]
     assert np.max(np.abs(project(x + g(x)) - x)) <= opts.inner_tolerance
     best = _slsqp_max(f, g, x0)
-    assert fx >= best - 1e-6 * abs(best)
+    assert fx[0] >= best - 1e-6 * abs(best)
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -147,17 +155,19 @@ def test_lagrangian_quadratic_is_objective_plus_nu_psi(seed, nu, target):
     # The multiplier loop ascends one quadratic with K + 1 factor columns (the
     # signal and the K co-pilot UEs); it must be fun + nu psi, psi from its definition.
     col = _column_problem(seed)
-    qos = _qos_approximation(col.x0, col.model, target * col.sinr0)
-    hypothesis.assume(qos is not None)
-    psi, psi_grad = qos_psi(col.model, qos)
+    qos = _qos_approximation(col.x0[None], col.model, np.array([target * col.sinr0]))
+    hypothesis.assume(qos[2][0] != 0.0)
+    psi, psi_grad = qos_psi(_first(col.model), _first(qos))
     assert abs(psi(col.x0) - (1.0 - target) * col.sinr0) <= 1e-12 * col.sinr0   # tight at x0
     f, g, fac = _column_lagrangian(col.model, col.objective, qos, nu)
-    assert fac.shape[1] == 1 + col.model[1].shape[1]
+    assert fac.shape[2] == 1 + col.model[1].shape[2]
     rng = np.random.default_rng(seed)
     for x in (col.x0, rng.uniform(0.0, 1.0, col.x0.size)):
-        value, gradient = col.fun(x) + nu * psi(x), col.grad(x) + nu * psi_grad(x)
-        assert abs(f(x) - value) <= 1e-12 * abs(value)
-        assert np.max(np.abs(g(x) - gradient)) <= 1e-12 * np.max(np.abs(gradient))
+        x = x[None]
+        value = col.fun(x)[0] + nu * psi(x[0])
+        gradient = col.grad(x)[0] + nu * psi_grad(x[0])
+        assert abs(f(x)[0] - value) <= 1e-12 * abs(value)
+        assert np.max(np.abs(g(x)[0] - gradient)) <= 1e-12 * np.max(np.abs(gradient))
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -168,9 +178,9 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     col = _column_problem(seed)
     gamma, beta, gram, params = col.channel
     gth_t = target * col.sinr0
-    qos = _qos_approximation(col.x0, col.model, gth_t)
-    hypothesis.assume(qos is not None)
-    psi, psi_grad = qos_psi(col.model, qos)
+    qos = _qos_approximation(col.x0[None], col.model, np.array([gth_t]))
+    hypothesis.assume(qos[2][0] != 0.0)
+    psi, psi_grad = qos_psi(_first(col.model), _first(qos))
     x = _association_columns(np.array([col.t]), col.eta, col.aux.gamma_aux, col.aux.u, gamma,
                              beta, gram, params, cf.SolverOptions(), col.x0[None],
                              np.array([gth_t]))[0]
@@ -178,7 +188,7 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     assert x.sum() >= 1.0 - 1e-9
     best = _slsqp_max(col.fun, col.grad, col.x0,
                       [{"type": "ineq", "fun": psi, "jac": psi_grad}])
-    assert col.fun(x) >= best - 1e-6 * abs(best)
+    assert col.fun(x[None])[0] >= best - 1e-6 * abs(best)
 
 
 def _bound_problem(seed, start, on_target, target):
@@ -189,7 +199,6 @@ def _bound_problem(seed, start, on_target, target):
     bind (or there is none)."""
     col = _column_problem(seed)
     rng = np.random.default_rng(seed + 1)
-    gamma, beta, gram, params = col.channel
     m = col.x0.size
     x0 = col.x0.copy()
     if start != "random":
@@ -198,16 +207,13 @@ def _bound_problem(seed, start, on_target, target):
         if start == "edge":
             x0[int(rng.integers(m))] = rng.uniform(0.05, 0.95)
             hypothesis.assume(x0.sum() >= 1.0)
-    cols = np.array([col.t])
-    model, objective = _column_objective(cols, col.eta, col.aux.gamma_aux, col.aux.u, gamma,
-                                         beta, gram, params)
-    sinr0 = float(np.divide(*_column_terms(x0[None], model))[0])
+    sinr0 = float(np.divide(*_column_terms(x0[None], col.model))[0])
     gth = sinr0 * (1.0 if on_target else target)
-    qos = _qos_approximation(x0[None], model, np.array([gth]))
+    qos = _qos_approximation(x0[None], col.model, np.array([gth]))
     if qos[2][0] == 0.0:
         return None
-    c, w, h = model
-    model = (c, w[:, :, w[0].any(axis=0)], h)
+    c, w, h = col.model
+    model, objective = (c, w[:, :, w[0].any(axis=0)], h), col.objective
     fun, grad, fac = _column_lagrangian(model, objective)
     psi, psi_grad = _quadratic(qos[0], qos[1], qos[2][:, None, None] * model[1])
     opts = cf.SolverOptions()
