@@ -13,8 +13,8 @@ its box-and-coverage problem and meets its QoS target. Each other column x has o
 model (which the repair reads too): signal (c.x)^2 and interference plus noise
 ||w^T x||^2 + h.x. So its objective term, its QoS inner approximation psi and each
 objective + nu psi are one concave quadratic const + lin.x - ||F^T x||^2. The block
-builds the models of all its unsettled columns at once (the co-pilot factors
-zero-padded to the widest) and ascends their objectives in one batched call of
+takes the models of its unsettled columns (the co-pilot factors zero-padded to the
+widest of them) and ascends their objectives in one batched call of
 projected Newton steps (opt.pga_maximize with the stacked Hessian factors F) over the
 exact box-and-coverage projection. Only a column whose maximizer breaks psi goes on
 alone, as a stack of one: Newton's method solves the KKT system of its target on a
@@ -25,17 +25,17 @@ whose matrix admits no such powers runs without the targets (phase I) until an
 association block forms a matrix that does; phase II starts there from feasible
 powers, with a fresh objective trace.
 
-The SINR terms of every UE share power-independent sums over the association
-matrix (se_model.interference_state), and for a fixed matrix every UE's signal
-S = c_sig eta and interference plus noise I = a_mat eta + n_vec are linear in eta.
-alternate builds one PowerForm (_power_form) for each association matrix it forms:
-the matrix d, its interference state and these linear forms. The auxiliary refresh,
-the power block, the block objective, the QoS start and the association block take
-that form in place of the matrix; the first four read S and I from one matrix-vector
-product, and the association block and the SE evaluations read its state. A solve
-returns the per-UE SE of its powers on the binary and the relaxed matrix
-(SolveResult.se, se_relaxed); the QoS check after rounding, the repair and the
-feasibility flags all read that one evaluation.
+For a fixed matrix every UE's S = c_sig eta and I = a_mat eta + n_vec are linear
+in eta (se_model.sinr_form). alternate builds one PowerForm (_power_form: that
+form, the matrix d and its l1 penalty) for each matrix it forms; the auxiliary
+refresh, the power block, the block objective, the QoS start, the SE evaluations
+and the association screen read S and I from it with one matrix-vector product.
+The association block builds one stacked column model of every UE per call: the
+screen reads its KKT test from the model's gradient at d, and the ascent takes the
+model's unsettled rows. A solve returns the per-UE SE of its powers on the binary
+and the relaxed matrix (SolveResult.se, se_relaxed), the SE se_model.se_all gives
+there; the QoS check after rounding, the repair and the feasibility flags all read
+that one evaluation.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .opt import pga_maximize, project_box_polyhedron
-from .se_model import (SystemParams, interference_state, l1_penalty, meets_qos,
-                       qos_satisfied, qos_vector, se_all, sinr_all)
+from .se_model import (SinrForm, SystemParams, l1_penalty, meets_qos, qos_vector, sinr_form,
+                       spectral_efficiency)
 
 _LN2 = math.log(2.0)
 
@@ -110,36 +110,22 @@ def _u_star(gamma_aux, signal, total, params: SystemParams) -> np.ndarray:
 
 
 class PowerForm(NamedTuple):
-    """One association matrix d, its interference state (se_model.interference_state)
-    and its SINR terms as linear functions of eta: S = c_sig eta and
-    I = a_mat @ eta + n_vec, with the matrix's l1 penalty."""
+    """One association matrix d, its SINR form (se_model.sinr_form: the interference
+    state, S = c_sig eta and I = a_mat @ eta + n_vec) and its l1 penalty."""
     d: np.ndarray
-    state: tuple
-    c_sig: np.ndarray
-    a_mat: np.ndarray
-    n_vec: np.ndarray
+    sinr: SinrForm
     penalty: float
-
-    def terms(self, eta):
-        """(S, I) at the powers eta."""
-        eta = np.asarray(eta, dtype=float)
-        return self.c_sig * eta, self.a_mat @ eta + self.n_vec
 
 
 def _power_form(d, gamma, beta, gram, params: SystemParams) -> PowerForm:
     """The PowerForm of the association matrix d."""
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
-    state = interference_state(d, gamma, beta, gram)
-    sg, coh, ncoh, g_off = state
-    return PowerForm(d, state, a * a * pu * sg ** 2,
-                     a * a * pu * g_off * coh ** 2 + a * pu * ncoh, a * sg, l1_penalty(d, params))
+    return PowerForm(d, sinr_form(d, gamma, beta, gram, params), l1_penalty(d, params))
 
 
 def refresh_aux(eta, form: PowerForm, params: SystemParams) -> AuxState:
     """The closed-form auxiliaries at eta: Gamma_t = SINR_t and u_t = sqrt(w'(1 + Gamma_t) S_t)
     / (S_t + I_t), from one evaluation of the power form."""
-    signal, interference = form.terms(eta)
+    signal, interference = form.sinr.terms(eta)
     g = signal / interference
     return AuxState(gamma_aux=g, u=_u_star(g, signal, signal + interference, params))
 
@@ -155,7 +141,7 @@ def block_objective(eta, form: PowerForm, gamma_aux, u, params: SystemParams) ->
     closed-form optimum."""
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     u = np.asarray(u, dtype=float)
-    signal, interference = form.terms(eta)
+    signal, interference = form.sinr.terms(eta)
     val = (_dual_const(gamma_aux, params) - u ** 2 * (signal + interference)
            + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
     return float(val.sum() - form.penalty)
@@ -168,33 +154,12 @@ def _power_coefficients(form: PowerForm, gamma_aux, u, params: SystemParams):
     wp = _wprime(params)
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    _, (sg, *_), c_sig, a_mat, n_vec, penalty = form
+    (sg, *_), c_sig, a_mat, n_vec = form.sinr
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
     b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
-    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - penalty)
-    return lin, b_vec, const, c_sig, a_mat, n_vec
-
-
-def block_objective_d_grad(eta, form: PowerForm, gamma_aux, u, gamma, beta,
-                           params: SystemParams) -> np.ndarray:
-    """Analytic gradient of block_objective with respect to the association entries,
-    every column at once from the form's interference state. Column t is the gradient
-    of UE t's term const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2) (_column_objective),
-    where c.d_t = a sqrt(pu eta_t) sg[t] and (w^T d_t)_t' = a sqrt(pu eta_t' gram_tt')
-    coh[t, t']."""
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
-    eta = np.asarray(eta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    u2 = u ** 2
-    gamma_aux = np.asarray(gamma_aux, dtype=float)
-    sg, coh, _, g_off = form.state
-    sqrt_coef = 2.0 * u * a * np.sqrt(pu * eta * _wprime(params) * (1.0 + gamma_aux))
-    q = gamma * (sqrt_coef - a * u2 * (1.0 + pu * (beta @ eta))[:, None]) - params.alpha
-    rho_sig = u2 * a * a * pu * eta
-    rho = (a * a * pu) * u2[:, None] * g_off * eta     # rho[t, t'] of co-pilot t' in column t
-    return q - 2.0 * (rho_sig * sg) * gamma - 2.0 * gamma / beta * (beta @ (rho * coh).T)
+    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - form.penalty)
+    return lin, b_vec, const
 
 
 def _qos_thresholds(params: SystemParams, num_ues: int) -> np.ndarray:
@@ -292,7 +257,7 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
     eta_init (or, if that breaks a row too, toward the least QoS powers) until
     every row holds. The result is never worse than a feasible eta_init.
     """
-    lin, b_vec, const, c_sig, a_mat, n_vec = _power_coefficients(form, gamma_aux, u, params)
+    lin, b_vec, const = _power_coefficients(form, gamma_aux, u, params)
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
     tol = 1e-8
 
@@ -305,8 +270,7 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
     if not np.any(np.asarray(params.qos) > 0):
         x, feasible = _box_maximizer(lin, b_vec), in_box
     else:
-        normals, offsets, least = _qos_rows(c_sig, a_mat, n_vec,
-                                            _qos_thresholds(params, lin.size))
+        normals, offsets, least = _qos_rows(*form.sinr[1:], _qos_thresholds(params, lin.size))
         if not _rows_hold(least):
             if options.qos_infeasible_policy == "error":
                 raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
@@ -418,12 +382,12 @@ def _column_lagrangian(model, objective, qos=None, nu=0.0):
     return (*_quadratic(const, lin, fac), fac)
 
 
-def _association_columns(cols, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams,
-                         options: SolverOptions, x0, gth):
-    """Maximize the block objective over the association columns of the UEs cols, each
-    a concave quadratic, subject to the box, coverage (column sum >= 1) and its QoS
-    target. x0 is the stack of start columns (one row per UE) and gth their SINR
-    thresholds; returns the stack of solutions.
+def _association_columns(model, objective, options: SolverOptions, x0, gth):
+    """Maximize the block objective over a stack of association columns, each a
+    concave quadratic, subject to the box, coverage (column sum >= 1) and its QoS
+    target. model and objective are the stacked _column_objective of their UEs, x0
+    the stack of start columns (one row per UE) and gth their SINR thresholds;
+    returns the stack of solutions.
 
     One projected Newton ascent (pga_maximize with the exact Hessian factors) moves
     every column at once over the exact box-and-coverage projection. A column whose
@@ -431,7 +395,6 @@ def _association_columns(cols, eta, gamma_aux, u, gamma, beta, gram, params: Sys
     No column ends worse than a feasible start.
     """
     x0 = np.asarray(x0, dtype=float)
-    model, objective = _column_objective(cols, eta, gamma_aux, u, gamma, beta, gram, params)
     fun, grad, fac = _column_lagrangian(model, objective)
     ones = np.ones(x0.shape[1])
 
@@ -651,15 +614,15 @@ def _vertex_face(z, g_f, g_psi, psi_z, tight, tol):
     return nu, free, pair
 
 
-def _settled_columns(eta, form: PowerForm, gamma_aux, u, gamma, beta, gram,
-                     params: SystemParams, gth):
+def _settled_columns(eta, form: PowerForm, model, objective, gth):
     """Columns of the form's matrix d that solve their column problem as they stand:
     binary, a KKT point of the block objective over the box and coverage, and meeting
-    the QoS target (gth, the SINR thresholds of _qos_thresholds). Optimal over a
-    superset of the constraints and feasible for the QoS target, such a column is
-    optimal for the full column problem."""
+    the QoS target (gth, the SINR thresholds of _qos_thresholds). model and objective
+    are the stacked _column_objective of every UE. Optimal over a superset of the
+    constraints and feasible for the QoS target, such a column is optimal for the
+    full column problem."""
     d = form.d
-    grad = block_objective_d_grad(eta, form, gamma_aux, u, gamma, beta, params)
+    grad = _column_lagrangian(model, objective)[1](d.T).T
     ones = d == 1.0
     count = ones.sum(axis=0)
     g_ones = np.min(np.where(ones, grad, np.inf), axis=0)
@@ -668,10 +631,9 @@ def _settled_columns(eta, form: PowerForm, gamma_aux, u, gamma, beta, gram,
     # one AP j the coverage multiplier mu >= max(0, -g_j) must keep every zero down.
     kkt = np.where(count >= 2, (g_ones >= 0.0) & (g_zeros <= 0.0),
                    g_zeros <= np.minimum(0.0, g_ones))
-    # The QoS half is read from the state, not from gamma_aux, with a margin so that
+    # The QoS half is read from the form, not from gamma_aux, with a margin so that
     # a column on its target is left to _bound_column.
-    sinr = sinr_all(eta, d, gamma, beta, gram, params, state=form.state)
-    qos_met = sinr >= gth * (1.0 + 1e-9)
+    qos_met = form.sinr.at(eta) >= gth * (1.0 + 1e-9)
     return np.all(ones | (d == 0.0), axis=0) & kkt & qos_met
 
 
@@ -681,17 +643,23 @@ def solve_association(eta_fixed, form: PowerForm, gamma_aux, u, gamma, beta, gra
     from the matrix d of the power form.
 
     The problem separates per UE column; each column solve keeps the box,
-    coverage (column sum >= 1) and QoS constraints. One batched test first
-    settles the columns of d that are already optimal (_settled_columns); only
-    the others go to _association_columns.
+    coverage (column sum >= 1) and QoS constraints. One stacked column model of
+    every UE (_column_objective) serves the block: a batched test first settles
+    the columns of d that are already optimal (_settled_columns), and only the
+    rows of the others go to _association_columns.
     """
     d = form.d.copy()
     gth = _qos_thresholds(params, d.shape[1])
-    settled = _settled_columns(eta_fixed, form, gamma_aux, u, gamma, beta, gram, params, gth)
-    cols = np.flatnonzero(~settled)
+    model, objective = _column_objective(np.arange(d.shape[1]), eta_fixed, gamma_aux, u, gamma,
+                                         beta, gram, params)
+    cols = np.flatnonzero(~_settled_columns(eta_fixed, form, model, objective, gth))
     if cols.size:
-        d[:, cols] = _association_columns(cols, eta_fixed, gamma_aux, u, gamma, beta, gram,
-                                          params, options, d[:, cols].T, gth[cols]).T
+        # Contiguous rows, the co-pilot factors trimmed to the widest of them: the
+        # ascent's products see the shapes of a model built for these columns alone.
+        c, w, h = (part[cols] for part in model)
+        w = np.ascontiguousarray(w[:, :, w.any(axis=(0, 1))])
+        d[:, cols] = _association_columns((c, w, h), tuple(part[cols] for part in objective),
+                                          options, d[:, cols].T, gth[cols]).T
     return d
 
 
@@ -741,7 +709,7 @@ def _qos_start(form: PowerForm, params: SystemParams, margin=1.05):
     full power; None when neither lies in [0,1]. The SINR is linear-fractional in eta,
     so in the box these are the fixed point of target tracking
     eta <- min(1, eta * target/SINR)."""
-    c_sig, a_mat, n_vec = form.c_sig, form.a_mat, form.n_vec
+    _, c_sig, a_mat, n_vec = form.sinr
     gth = _qos_thresholds(params, c_sig.size)
     free = gth <= 0
     for target in (margin * gth, gth):
@@ -786,13 +754,13 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
 
     def rows_hold(fm):
         gth = _qos_thresholds(params, num_ues)
-        return _rows_hold(_qos_rows(fm.c_sig, fm.a_mat, fm.n_vec, gth)[2])
-
-    def qos_met(eta, fm):
-        return qos_satisfied(eta, fm.d, gamma, beta, gram, params, state=fm.state)
+        return _rows_hold(_qos_rows(*fm.sinr[1:], gth)[2])
 
     def se_on(eta, fm):
-        return se_all(eta, fm.d, gamma, beta, gram, params, state=fm.state)
+        return spectral_efficiency(fm.sinr.at(eta), params)
+
+    def qos_met(eta, fm):
+        return meets_qos(se_on(eta, fm), qos)
 
     # One power form per association matrix formed below (the start, d after each
     # association block, the rounded and the repaired d_binary); every evaluation on

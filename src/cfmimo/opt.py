@@ -25,10 +25,10 @@ _QUARTERS = 0.25 ** np.arange(_NULL_TRIALS - 1)[:, None]
 
 
 def project_box_polyhedron(y, normal, offset):
-    """Euclidean projection onto {z in [0,1]^n : normal . z >= offset} (one row), of
-    one point y or of each row of a stack y of shape (..., n); normal and offset
-    broadcast against the rows. Each row is projected on its own, so a row of a
-    stack gets the bits it gets alone.
+    """Euclidean projection onto {z in [0,1]^n : normal . z >= offset} (one row: an
+    (n,) normal and a scalar offset), of one point y or of each row of a stack y of
+    shape (..., n). Each row is projected on its own, so a row of a stack gets the
+    bits it gets alone.
 
     If the box clip meets the row it is the projection. Otherwise the projection
     is clip(y + tau normal) for the least tau > 0 that meets the row (KKT with the
@@ -47,16 +47,14 @@ def project_box_polyhedron(y, normal, offset):
     n = y.shape[-1]
     low = low.reshape(-1).nonzero()[0]
     yl = y.reshape(-1, n)[low]
-    nl = np.broadcast_to(normal, y.shape).reshape(-1, n)[low] if normal.ndim > 1 else normal
-    ol = np.broadcast_to(offset, h0.shape).reshape(-1)[low]
-    n2 = np.concatenate([nl, nl], axis=-1)
+    n2 = np.concatenate([normal, normal])
     with np.errstate(divide="ignore", invalid="ignore"):
         knots = np.concatenate([-yl, 1.0 - yl], axis=1) / n2
     knots = np.sort(np.where((n2 != 0.0) & (knots > 0.0), knots, np.inf), axis=1)
     finite = knots < np.inf
-    h = (np.clip(yl[:, None, :] + np.where(finite, knots, 0.0)[:, :, None] * nl[..., None, :],
-                 0.0, 1.0) @ nl[..., :, None])[:, :, 0]
-    hit = finite & (h >= ol[:, None])
+    h = (np.clip(yl[:, None, :] + np.where(finite, knots, 0.0)[:, :, None] * normal,
+                 0.0, 1.0) @ normal[:, None])[:, :, 0]
+    hit = finite & (h >= offset)
     # Without a hit, the last knot (or tau = 0 without knots).
     rows = np.arange(low.size)
     last = np.maximum(finite.sum(axis=1) - 1, 0)
@@ -66,8 +64,8 @@ def project_box_polyhedron(y, normal, offset):
     prev = j > 0
     tau_a = np.where(prev, knots[a, j - 1], 0.0)
     h_a = np.where(prev, h[a, j - 1], h0.reshape(-1)[low[a]])
-    tau[a] = tau_a + (ol[a] - h_a) * (knots[a, j] - tau_a) / (h[a, j] - h_a)
-    z.reshape(-1, n)[low] = np.clip(yl + tau[:, None] * nl, 0.0, 1.0)
+    tau[a] = tau_a + (offset - h_a) * (knots[a, j] - tau_a) / (h[a, j] - h_a)
+    z.reshape(-1, n)[low] = np.clip(yl + tau[:, None] * normal, 0.0, 1.0)
     return z
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,10 +56,9 @@ def interference_state(d, gamma, beta, gram):
     coh[t, t'] = sum_m d_mt gamma_mt beta_mt'/beta_mt, ncoh[t, t'] = sum_m
     d_mt gamma_mt beta_mt' and the off-diagonal pilot gram g_off.
 
-    The state depends on the association matrix but not on the powers, so a
-    caller that evaluates one d at many powers (fp_solver.alternate) builds it
-    once and hands it to the functions below through their `state` argument.
-    Raises DegenerateAssociationError when a column of d is all zero."""
+    The state depends on the association matrix but not on the powers; sinr_form
+    builds it once per matrix. Raises DegenerateAssociationError when a column
+    of d is all zero."""
     _check_columns(d)
     w_mat = np.asarray(d, dtype=float) * np.asarray(gamma, dtype=float)   # (M, T)
     sg = w_mat.sum(axis=0)
@@ -68,34 +68,61 @@ def interference_state(d, gamma, beta, gram):
     return sg, coh, ncoh, g_off
 
 
-def sinr_terms(eta, d, gamma, beta, gram, params: SystemParams, *, state=None):
-    """Vectorized numerator and interference terms for all UEs.
+class SinrForm(NamedTuple):
+    """The SINR of every UE on one association matrix: its interference state
+    (interference_state) and its signal S = c_sig eta and interference plus noise
+    I = a_mat @ eta + n_vec, both linear in the powers eta."""
+    state: tuple
+    c_sig: np.ndarray
+    a_mat: np.ndarray
+    n_vec: np.ndarray
+
+    def terms(self, eta):
+        """(S, I) at the powers eta."""
+        eta = np.asarray(eta, dtype=float)
+        return self.c_sig * eta, self.a_mat @ eta + self.n_vec
+
+    def at(self, eta) -> np.ndarray:
+        """Per-UE SINR S / I at the powers eta."""
+        signal, interference = self.terms(eta)
+        return signal / interference
+
+
+def sinr_form(d, gamma, beta, gram, params: SystemParams) -> SinrForm:
+    """The SinrForm of the association matrix d, from one interference state."""
+    a, pu = params.antennas_per_ap, params.uplink_snr
+    sg, coh, ncoh, g_off = state = interference_state(d, gamma, beta, gram)
+    return SinrForm(state, a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh,
+                    a * sg)
+
+
+def sinr_terms(eta, d, gamma, beta, gram, params: SystemParams):
+    """Vectorized numerator and interference terms for all UEs, the breakdown the
+    Monte-Carlo oracle checks.
 
     Returns (signal, pilot_contamination, beamforming_uncertainty, noise),
-    each of shape (T,). Accepts relaxed (fractional) d in [0, 1]. `state` is
-    interference_state(d, gamma, beta, gram), built here when omitted.
+    each of shape (T,). Accepts relaxed (fractional) d in [0, 1].
     """
     eta = np.asarray(eta, dtype=float)
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
-    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram) if state is None else state
-    signal = a * a * pu * eta * sg ** 2
-    pilot_contamination = a * a * pu * ((g_off * coh ** 2) @ eta)
-    beamforming_uncertainty = a * pu * (ncoh @ eta)
-    noise = a * sg
-    return signal, pilot_contamination, beamforming_uncertainty, noise
+    a, pu = params.antennas_per_ap, params.uplink_snr
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
+    return (a * a * pu * eta * sg ** 2, a * a * pu * ((g_off * coh ** 2) @ eta),
+            a * pu * (ncoh @ eta), a * sg)
 
 
-def sinr_all(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> np.ndarray:
-    """Per-UE SINR values, shape (T,)."""
-    signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params, state=state)
-    return signal / (pc + bu + noise)
+def sinr_all(eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
+    """Per-UE SINR values, shape (T,), from the SinrForm of d."""
+    return sinr_form(d, gamma, beta, gram, params).at(eta)
 
 
-def se_all(eta, d, gamma, beta, gram, params: SystemParams, *, state=None) -> np.ndarray:
+def spectral_efficiency(sinr, params: SystemParams) -> np.ndarray:
+    """Per-UE spectral efficiency w*log2(1 + SINR)."""
+    return params.prelog * np.log2(1.0 + sinr)
+
+
+def se_all(eta, d, gamma, beta, gram, params: SystemParams) -> np.ndarray:
     """Per-UE spectral efficiency w*log2(1 + SINR), shape (T,)."""
-    return params.prelog * np.log2(1.0 + sinr_all(eta, d, gamma, beta, gram, params,
-                                                  state=state))
+    return spectral_efficiency(sinr_all(eta, d, gamma, beta, gram, params), params)
 
 
 def l1_penalty(d, params: SystemParams) -> float:
@@ -115,8 +142,8 @@ def meets_qos(se, qos, tol: float = 1e-9):
     return se + tol >= qos
 
 
-def qos_satisfied(eta, d, gamma, beta, gram, params: SystemParams, tol: float = 1e-9, *,
-                  state=None) -> np.ndarray:
+def qos_satisfied(eta, d, gamma, beta, gram, params: SystemParams,
+                  tol: float = 1e-9) -> np.ndarray:
     """Boolean per-UE flags SE_t >= qos_t (closed constraint, tolerance tol)."""
-    ses = se_all(eta, d, gamma, beta, gram, params, state=state)
+    ses = se_all(eta, d, gamma, beta, gram, params)
     return meets_qos(ses, qos_vector(params, ses.shape[0]), tol)

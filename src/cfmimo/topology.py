@@ -46,8 +46,12 @@ class PathLossModel:
     slopes: tuple[float, float, float] = (35.0, 20.0, 20.0)  # far, mid, near
 
     def __post_init__(self):
-        if not 0 < self.d0 < self.d1:
-            raise ValueError("breakpoints must satisfy 0 < d0 < d1")
+        if not 0 < self.d0 < self.d1 < math.inf:
+            raise ValueError(f"need 0 < d0 < d1 < inf, not d0={self.d0}, d1={self.d1}")
+        finite = np.isfinite([*np.ravel(self.slopes), self.fixed_loss_db]).all()
+        if np.shape(self.slopes) != (3,) or not finite:
+            raise ValueError(f"need three finite slopes and a finite fixed_loss_db, not "
+                             f"{self.slopes} and {self.fixed_loss_db}")
 
 
 @dataclass(frozen=True)

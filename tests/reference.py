@@ -42,7 +42,7 @@ def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: Syste
 
 def block_objective_eta_grad(eta, form, gamma_aux, u, params: SystemParams) -> np.ndarray:
     """Analytic gradient of block_objective with respect to the power factors."""
-    lin, b_vec, _, _, _, _ = _power_coefficients(form, gamma_aux, u, params)
+    lin, b_vec, _ = _power_coefficients(form, gamma_aux, u, params)
     return -lin + b_vec / (2.0 * np.sqrt(np.maximum(eta, _ETA_FLOOR)))
 
 

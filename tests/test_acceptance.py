@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import _power_form, block_objective_d_grad, refresh_aux
+from cfmimo.fp_solver import _column_lagrangian, _column_objective, _power_form, refresh_aux
 from conftest import build_synthetic_channel
 from reference import block_objective_eta_grad, dual_transform_objective, penalized_objective
 
@@ -157,7 +157,10 @@ def test_criterion_4_gradient_correctness():
                 step = np.zeros((6, 4))
                 step[m, t] = h
                 fd_d[m, t] = (f_d(d + step) - f_d(d - step)) / (2 * h)
-        g_d = block_objective_d_grad(eta, form, aux.gamma_aux, aux.u, gamma, beta, params)
+        # The stacked column gradients at d^T, which the association screen and ascent run.
+        model, objective = _column_objective(np.arange(4), eta, aux.gamma_aux, aux.u, gamma, beta,
+                                             gram, params)
+        g_d = _column_lagrangian(model, objective)[1](d.T).T
         worst = max(worst, np.linalg.norm(g_d - fd_d) / np.linalg.norm(fd_d))
     report("C4", "analytic gradients vs central differences",
            worst <= GRADIENT_RTOL, f"(worst relative error {worst:.2e})")

@@ -31,5 +31,5 @@ def test_solver_runs_through_traced_names(monkeypatch, desk_channel):
     metrics = spans.layer_metrics()
     assert metrics["fp_solver.alternate.outer_iters"] == res.iterations
     for name in ("fp_solver.refresh_aux", "fp_solver.solve_power",
-                 "fp_solver.block_objective", "se_model.sinr_terms"):
+                 "fp_solver.block_objective"):
         assert metrics[f"{name}.calls"] > 0, name

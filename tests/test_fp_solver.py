@@ -11,8 +11,7 @@ from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagr
                               _column_model, _column_objective, _dual_power_solve,
                               _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
-                              _qos_thresholds, _settled_columns, block_objective_d_grad,
-                              refresh_aux)
+                              _qos_thresholds, _settled_columns, refresh_aux)
 from cfmimo.se_model import l1_penalty, meets_qos, sinr_terms
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_inner_iterations, count_power_forms, count_state_builds, qos_psi)
@@ -26,6 +25,19 @@ LN2 = math.log(2.0)
 
 def random_point(rng, num_aps, num_ues):
     return rng.uniform(0.1, 1.0, num_ues), rng.uniform(0.05, 1.0, (num_aps, num_ues))
+
+
+def column_objectives(eta, aux, gamma, beta, gram, params):
+    """The stacked _column_objective of every UE, as solve_association builds it."""
+    return _column_objective(np.arange(gamma.shape[1]), eta, aux.gamma_aux, aux.u, gamma, beta,
+                             gram, params)
+
+
+def d_gradient(eta, d, aux, gamma, beta, gram, params):
+    """Gradient of the block objective in d, read as the association screen reads
+    it: the stacked column gradients at d^T, one column per UE."""
+    model, objective = column_objectives(eta, aux, gamma, beta, gram, params)
+    return _column_lagrangian(model, objective)[1](d.T).T
 
 
 def test_lambda_star_values():
@@ -120,7 +132,7 @@ def test_power_coefficients_reproduce_block_objective():
     eta, d = random_point(rng, 8, 5)
     form = _power_form(d, gamma, beta, gram, params)
     aux = refresh_aux(eta, form, params)
-    lin, b_vec, const, _, _, _ = _power_coefficients(form, aux.gamma_aux, aux.u, params)
+    lin, b_vec, const = _power_coefficients(form, aux.gamma_aux, aux.u, params)
     for _ in range(5):
         probe = rng.uniform(0, 1, 5)
         direct = cf.block_objective(probe, form, aux.gamma_aux, aux.u, params)
@@ -154,32 +166,11 @@ def test_analytic_gradients_match_finite_differences():
         fd_eta = central_diff(lambda x: cf.block_objective(x, form, aux.gamma_aux, aux.u, params),
                               eta, 1e-4)
         assert np.linalg.norm(g_eta - fd_eta) <= 1e-5 * np.linalg.norm(fd_eta)
-        g_d = block_objective_d_grad(eta, form, aux.gamma_aux, aux.u, gamma, beta, params)
+        g_d = d_gradient(eta, d, aux, gamma, beta, gram, params)
         fd_d = central_diff(lambda x: cf.block_objective(eta, _power_form(x, gamma, beta, gram,
                                                                           params),
                                                          aux.gamma_aux, aux.u, params), d, 1e-4)
         assert np.linalg.norm(g_d - fd_d) <= 1e-5 * np.linalg.norm(fd_d)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_batched_d_gradient_is_the_stack_of_column_gradients(desk_channel, seed):
-    # The screen of solve_association reads the batched closed form; the column
-    # solves ascend the per-column gradients. Both must be one gradient.
-    gamma, beta, gram, params = desk_channel(seed, qos=0.5)
-    rng = np.random.default_rng(seed)
-    relaxed = rng.uniform(0.0, 1.0, gamma.shape)
-    binary = (rng.uniform(size=gamma.shape) < 0.3).astype(float)
-    binary[rng.integers(gamma.shape[0], size=gamma.shape[1]), np.arange(gamma.shape[1])] = 1.0
-    for d in (relaxed, binary):
-        eta = rng.uniform(0.0, 1.0, gamma.shape[1])
-        eta[rng.integers(gamma.shape[1])] = 0.0
-        form = _power_form(d, gamma, beta, gram, params)
-        aux = refresh_aux(eta, form, params)
-        batched = block_objective_d_grad(eta, form, aux.gamma_aux, aux.u, gamma, beta, params)
-        stacked = np.stack([_column_lagrangian(*_column_objective(
-            t, eta, aux.gamma_aux, aux.u, gamma, beta, gram, params))[1](d[:, t])
-                            for t in range(d.shape[1])], axis=1)
-        assert np.max(np.abs(batched - stacked)) <= 1e-12 * np.max(np.abs(stacked))
 
 
 @pytest.mark.parametrize("qos", [0.2, 1.0])
@@ -203,11 +194,12 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
             gth = _qos_thresholds(params, gamma.shape[1])
             form = _power_form(d, gamma, beta, gram, params)
             aux = refresh_aux(eta, form, params)
-            settled = _settled_columns(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                       gth)
+            settled = _settled_columns(eta, form, *column_objectives(eta, aux, gamma, beta, gram,
+                                                                     params), gth)
             for t in np.flatnonzero(settled):
-                x = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta,
-                                         gram, params, opts, d[:, [t]].T, gth[[t]])[0]
+                x = _association_columns(*_column_objective(np.array([t]), eta, aux.gamma_aux,
+                                                            aux.u, gamma, beta, gram, params),
+                                         opts, d[:, [t]].T, gth[[t]])[0]
                 assert np.array_equal(x, d[:, t]), (seed, t)
             settled_total += int(settled.sum())
             open_total += int((~settled).sum())
@@ -231,11 +223,13 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
             aux = refresh_aux(eta, form, params)
             block = cf.solve_association(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram,
                                          params, opts)
-            settled = _settled_columns(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                       gth)
+            settled = _settled_columns(eta, form, *column_objectives(eta, aux, gamma, beta, gram,
+                                                                     params), gth)
             for t in np.flatnonzero(~settled):
-                alone = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma,
-                                             beta, gram, params, opts, d[:, [t]].T, gth[[t]])[0]
+                alone = _association_columns(*_column_objective(np.array([t]), eta,
+                                                                aux.gamma_aux, aux.u, gamma, beta,
+                                                                gram, params),
+                                             opts, d[:, [t]].T, gth[[t]])[0]
                 assert np.max(np.abs(block[:, t] - alone)) <= 1e-10 * max(1.0, np.max(alone))
             batched += int((~settled).sum() > 1)
     assert batched >= 10
@@ -243,7 +237,8 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_power_form_matches_sinr_terms(desk_channel, seed):
-    # The form is the closed form's signal and interference plus noise, linear in eta.
+    # The form is the closed form's signal and interference plus noise, linear in eta;
+    # sinr_all evaluates the form, so it is held to the four-term breakdown too.
     gamma, beta, gram, params = desk_channel(seed)
     num_aps, num_ues = gamma.shape
     rng = np.random.default_rng(seed)
@@ -254,10 +249,12 @@ def test_power_form_matches_sinr_terms(desk_channel, seed):
     for d in (np.ones(gamma.shape), rng.uniform(0.05, 1.0, gamma.shape), binary):
         form = _power_form(d, gamma, beta, gram, params)
         assert form.d is d and form.penalty == l1_penalty(d, params)
-        signal, interference = form.terms(eta)
+        signal, interference = form.sinr.terms(eta)
         s_ref, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
         np.testing.assert_allclose(signal, s_ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(interference, pc + bu + noise, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cf.sinr_all(eta, d, gamma, beta, gram, params),
+                                   s_ref / (pc + bu + noise), rtol=1e-12, atol=0.0)
         assert np.all(signal[::3] == 0.0)
 
 
@@ -276,7 +273,7 @@ def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_chan
         form = _power_form(np.ones(gamma.shape), gamma, beta, gram, params)
         rng = np.random.default_rng(seed)
         aux = refresh_aux(rng.uniform(0.0, 1.0, num_ues), form, params)
-        lin, b_vec, const, _, _, _ = _power_coefficients(form, aux.gamma_aux, aux.u, params)
+        lin, b_vec, const = _power_coefficients(form, aux.gamma_aux, aux.u, params)
         closed = _box_maximizer(lin, b_vec)
 
         def value(x):
@@ -299,7 +296,7 @@ def test_solve_power_with_targets_reads_its_rows():
     for seed in range(10):
         channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
         eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], opts, eta_init=eta0)
-        least = _qos_rows(*coefs[3:], _qos_thresholds(channel[3], eta0.size))[2]
+        least = _qos_rows(*form.sinr[1:], _qos_thresholds(channel[3], eta0.size))[2]
         if np.max(least) > 1.0:
             unsatisfiable += 1
             assert np.array_equal(eta, np.clip(eta0, 0.0, 1.0))
@@ -331,7 +328,7 @@ def test_solve_power_single_ue_matches_grid_search():
     eta0 = np.array([0.35])
     form = _power_form(d, gamma, beta, gram, params)
     aux = refresh_aux(eta0, form, params)
-    lin, b_vec, const, _, _, _ = _power_coefficients(form, aux.gamma_aux, aux.u, params)
+    lin, b_vec, const = _power_coefficients(form, aux.gamma_aux, aux.u, params)
     grid = np.linspace(0.0, 1.0, 200001)
     values = const - lin[0] * grid + b_vec[0] * np.sqrt(grid)
     best = grid[np.argmax(values)]
@@ -358,7 +355,7 @@ def test_solve_power_never_decreases_block(desk_channel):
 def test_solve_power_reaches_constrained_optimum(seed):
     optimize = pytest.importorskip("scipy.optimize")
     channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
-    lin, b_vec, const = coefs[:3]
+    lin, b_vec, const = coefs
 
     def neg_block(x):
         return -(const - lin @ x + b_vec @ np.sqrt(np.maximum(x, 0.0)))
@@ -459,8 +456,9 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
                           "jac": lambda z: np.ones_like(z)},
                          {"type": "ineq", "fun": psi, "jac": psi_grad}],
             options={"ftol": 1e-14, "maxiter": 1000})
-        x = _association_columns(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta, gram,
-                                 params, cf.SolverOptions(), d[:, [t]].T, gth[[t]])[0]
+        x = _association_columns(*_column_objective(np.array([t]), eta, aux.gamma_aux, aux.u,
+                                                    gamma, beta, gram, params),
+                                 cf.SolverOptions(), d[:, [t]].T, gth[[t]])[0]
         assert psi(x) >= -1e-9
         assert x.sum() >= 1.0 - 1e-9
         assert fun(x) >= -ref.fun - 1e-6 * abs(ref.fun)
@@ -508,9 +506,8 @@ def test_association_zero_penalty_single_ue_serves_all():
                        mode="association_only")
     assert np.all(res.d_binary == 1.0)
     # every AP has a positive marginal gain at the box bound
-    form = _power_form(res.d_relaxed, gamma, beta, gram, params)
-    aux = refresh_aux(np.ones(1), form, params)
-    grad = block_objective_d_grad(np.ones(1), form, aux.gamma_aux, aux.u, gamma, beta, params)
+    aux = refresh_aux(np.ones(1), _power_form(res.d_relaxed, gamma, beta, gram, params), params)
+    grad = d_gradient(np.ones(1), res.d_relaxed, aux, gamma, beta, gram, params)
     assert np.all(grad > 0)
 
 

@@ -229,7 +229,12 @@ def test_load_config_merges_over_base(tmp_path):
     # Real-valued run parameters are checked when the configuration is built.
     {"pilot_snr": 0.0}, {"pilot_snr": -1.0}, {"pilot_snr": float("nan")},
     {"params": {"uplink_snr": float("nan")}}, {"network": {"area_side": float("nan")}},
-    {"shadowing": {"sigma_db": float("nan")}}])
+    {"shadowing": {"sigma_db": float("nan")}},
+    # Path loss: three finite slopes, a finite fixed loss and a finite outer breakpoint.
+    {"path_loss": {"slopes": [35, 20]}}, {"path_loss": {"slopes": [35, 20, 20, 5]}},
+    {"path_loss": {"slopes": [float("nan"), 20, 20]}},
+    {"path_loss": {"fixed_loss_db": float("nan")}},
+    {"path_loss": {"fixed_loss_db": float("inf")}}, {"path_loss": {"d1": float("inf")}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -320,7 +325,8 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "qos_per_ue_mismatch.json"],
                                   ["--config", "nan_qos.json"],
                                   ["--validate-oracle", "--seed", "-1"],
-                                  ["--config", "zero_pilot_snr.json"]])
+                                  ["--config", "zero_pilot_snr.json"],
+                                  ["--config", "two_slopes.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
@@ -331,7 +337,8 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
              "unknown_pilot_strategy.json": {"pilot_strategy": "fooo"},
              "qos_per_ue_mismatch.json": {"params": {"qos": [0.2, 0.3]}},   # T = 10
              "nan_qos.json": {"params": {"qos": float("nan")}},
-             "zero_pilot_snr.json": {"pilot_snr": 0.0}}
+             "zero_pilot_snr.json": {"pilot_snr": 0.0},
+             "two_slopes.json": {"path_loss": {"slopes": [35, 20]}}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

@@ -43,30 +43,24 @@ def test_qos_start_is_least_power_solution(seed, qos):
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 8), n=st.integers(1, 12),
-                  shared=st.booleans())
-def test_stacked_projection_is_the_rows_projections(seed, k, n, shared):
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 8), n=st.integers(1, 12))
+def test_stacked_projection_is_the_rows_projections(seed, k, n):
     # project_box_polyhedron on a (k, n) stack projects each row on its own, bit for
-    # bit, with a shared row or one per row. Rows where the clip already meets the row,
+    # bit, onto the one row they share. Rows where the clip already meets the row,
     # where the row binds, and where no box point meets it all occur.
     rng = np.random.default_rng(seed)
     y = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=(k, n))
-    normal = rng.uniform(0.0, 2.0, (k, n)) * (rng.uniform(size=(k, n)) < 0.8)
-    offset = rng.uniform(0.2, 1.5, k) * np.maximum(normal.sum(axis=1), 0.1)
-    offset[rng.uniform(size=k) < 0.2] = normal.sum(axis=1).max() + 1.0    # out of reach
-    if shared:
-        normal, offset = normal[0], float(offset[0])
-    z = project_box_polyhedron(y, normal, offset)
-    rows_n = np.broadcast_to(normal, (k, n))
-    rows_o = np.broadcast_to(offset, (k,))
+    w = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
+    reach = w.sum()
+    # Out of reach a fifth of the time.
+    b = reach + 1.0 if rng.uniform() < 0.2 else rng.uniform(0.2, 1.5) * max(reach, 0.1)
+    z = project_box_polyhedron(y, w, b)
     for i in range(k):
-        zi = project_box_polyhedron(y[i], rows_n[i], rows_o[i])
+        zi = project_box_polyhedron(y[i], w, b)
         assert np.array_equal(z[i], zi)
         # KKT: z = clip(y + tau normal) with tau >= 0; tau > 0 only on a tight row, or
         # at the box point with the largest normal . z when no point meets the row.
         assert np.all((zi >= 0.0) & (zi <= 1.0))
-        w, b = rows_n[i], rows_o[i]
-        reach = w.sum()
         clip = np.clip(y[i], 0.0, 1.0)
         if w @ clip >= b:
             assert np.array_equal(zi, clip)
@@ -82,9 +76,9 @@ def test_stacked_projection_is_the_rows_projections(seed, k, n, shared):
 
 
 def _column_problem(seed):
-    """A random synthetic column problem of one UE t: its channel, solver inputs,
-    column model and objective as a stack of one (the shapes of the association
-    block), and a start x0 (one column) that is all ones, binary or fractional."""
+    """A random synthetic column problem of one UE t: its column model and objective
+    as a stack of one (the shapes of the association block), the objective's (fun,
+    grad), and a start x0 (one column) that is all ones, binary or fractional."""
     rng = np.random.default_rng(seed)
     num_aps, num_ues = int(rng.integers(3, 13)), int(rng.integers(2, 6))
     gamma, beta, gram, params, _ = build_synthetic_channel(
@@ -99,8 +93,7 @@ def _column_problem(seed):
     x0 = [np.ones(num_aps), (rng.uniform(size=num_aps) < 0.5).astype(float), d[:, t]][seed % 3]
     x0[int(rng.integers(num_aps))] = 1.0
     signal, interference = _column_terms(x0[None], model)
-    return SimpleNamespace(t=t, channel=(gamma, beta, gram, params), eta=eta, aux=aux,
-                           fun=fun, grad=grad, model=model, objective=objective, x0=x0,
+    return SimpleNamespace(fun=fun, grad=grad, model=model, objective=objective, x0=x0,
                            sinr0=float(signal[0] / interference[0]))
 
 
@@ -176,13 +169,11 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     # x0 meets the target (target <= 1), so the feasible set is not empty; where the
     # unconstrained maximizer breaks it, the multiplier loop holds it.
     col = _column_problem(seed)
-    gamma, beta, gram, params = col.channel
     gth_t = target * col.sinr0
     qos = _qos_approximation(col.x0[None], col.model, np.array([gth_t]))
     hypothesis.assume(qos[2][0] != 0.0)
     psi, psi_grad = qos_psi(_first(col.model), _first(qos))
-    x = _association_columns(np.array([col.t]), col.eta, col.aux.gamma_aux, col.aux.u, gamma,
-                             beta, gram, params, cf.SolverOptions(), col.x0[None],
+    x = _association_columns(col.model, col.objective, cf.SolverOptions(), col.x0[None],
                              np.array([gth_t]))[0]
     assert psi(x) >= -1e-9
     assert x.sum() >= 1.0 - 1e-9
