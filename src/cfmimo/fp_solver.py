@@ -8,9 +8,9 @@ With (Gamma, u) held at their closed-form optima the lifted objective equals the
 original one; for fixed (Gamma, u) it is concave in the power factors and in each
 association column, so the two block maximizations never decrease it. The power
 block is solved through its separable Lagrangian dual. The association block first
-settles, in one batched (M, T) test, every column that is binary, a KKT point of
-its box-and-coverage problem and meets its QoS target. Each other column x has one
-model (which the repair reads too): signal (c.x)^2 and interference plus noise
+settles, in one batched (M, T) test, every column that passes the column ascent's
+own stop test and meets its QoS target. Each other column x has one model (which
+the repair reads too): signal (c.x)^2 and interference plus noise
 ||w^T x||^2 + h.x. So its objective term, its QoS inner approximation psi and each
 objective + nu psi are one concave quadratic const + lin.x - ||F^T x||^2. The block
 takes the models of its unsettled columns (the co-pilot factors zero-padded to the
@@ -28,14 +28,16 @@ powers, with a fresh objective trace.
 For a fixed matrix every UE's S = c_sig eta and I = a_mat eta + n_vec are linear
 in eta (se_model.sinr_form). alternate builds one PowerForm (_power_form: that
 form, the matrix d and its l1 penalty) for each matrix it forms; the auxiliary
-refresh, the power block, the block objective, the QoS start, the SE evaluations
-and the association screen read S and I from it with one matrix-vector product.
-The association block builds one stacked column model of every UE per call: the
-screen reads its KKT test from the model's gradient at d, and the ascent takes the
-model's unsettled rows. A solve returns the per-UE SE of its powers on the binary
-and the relaxed matrix (SolveResult.se, se_relaxed), the SE se_model.se_all gives
-there; the QoS check after rounding, the repair and the feasibility flags all read
-that one evaluation.
+refresh, the power block, the QoS start, the SE evaluations and the association
+screen read S and I from it with one matrix-vector product. The power block and
+the trace's block objective evaluate one form of the surrogate in eta,
+const - lin.eta + b.sqrt(eta) (_power_value). The association block builds one
+stacked column model of every UE per call: the screen runs the ascent's stop test
+on the model's gradient at d, the ascent takes the model's unsettled rows, and a
+binding column's Newton steps read the model's gradient and Hessian factor. A
+solve returns the per-UE SE of its powers on the binary and the relaxed matrix
+(SolveResult.se, se_relaxed), the SE se_model.se_all gives there; the QoS check
+after rounding, the repair and the feasibility flags all read that one evaluation.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ def _u_star(gamma_aux, signal, total, params: SystemParams) -> np.ndarray:
 
 
 class PowerForm(NamedTuple):
-    """One association matrix d, its SINR form (se_model.sinr_form: the interference
-    state, S = c_sig eta and I = a_mat @ eta + n_vec) and its l1 penalty."""
+    """One association matrix d, its SINR form (se_model.sinr_form: S = c_sig eta and
+    I = a_mat @ eta + n_vec) and its l1 penalty."""
     d: np.ndarray
     sinr: SinrForm
     penalty: float
@@ -138,28 +140,28 @@ def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
 def block_objective(eta, form: PowerForm, gamma_aux, u, params: SystemParams) -> float:
     """Quadratic-transform surrogate at the matrix of the power form; a global lower
     bound of the relaxed objective, tight at gamma_aux = SINR(eta, d) and u at its
-    closed-form optimum."""
-    gamma_aux = np.asarray(gamma_aux, dtype=float)
-    u = np.asarray(u, dtype=float)
-    signal, interference = form.sinr.terms(eta)
-    val = (_dual_const(gamma_aux, params) - u ** 2 * (signal + interference)
-           + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
-    return float(val.sum() - form.penalty)
+    closed-form optimum. The power block maximizes this same value (_power_value)."""
+    return _power_value(_power_coefficients(form, gamma_aux, u, params), eta)
 
 
 def _power_coefficients(form: PowerForm, gamma_aux, u, params: SystemParams):
-    """The block objective as a function of eta:  const - lin.eta + b.sqrt(eta)."""
-    a = params.antennas_per_ap
-    pu = params.uplink_snr
-    wp = _wprime(params)
+    """(lin, b, const): the block objective as a function of eta, const - lin.eta +
+    b.sqrt(eta), with S = c_sig eta and I = a_mat eta + n_vec of the form and
+    sqrt(S) = sqrt(p_u) n_vec sqrt(eta) (n_vec = A sg)."""
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
-    (sg, *_), c_sig, a_mat, n_vec = form.sinr
+    c_sig, a_mat, n_vec = form.sinr
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
-    b_vec = 2.0 * u * a * np.sqrt(pu * wp * (1.0 + gamma_aux)) * sg
+    b_vec = 2.0 * u * np.sqrt(params.uplink_snr * _wprime(params) * (1.0 + gamma_aux)) * n_vec
     const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - form.penalty)
     return lin, b_vec, const
+
+
+def _power_value(coefficients, eta) -> float:
+    """const - lin.eta + b.sqrt(eta) of the coefficients (lin, b, const) at eta."""
+    lin, b_vec, const = coefficients
+    return const - float(lin @ eta) + float(b_vec @ np.sqrt(np.maximum(eta, 0.0)))
 
 
 def _qos_thresholds(params: SystemParams, num_ues: int) -> np.ndarray:
@@ -206,20 +208,14 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
     For fixed multipliers mu the inner maximization splits per UE with a
     closed-form solution; the convex dual is minimized by projected gradient
     steps with backtracking. Returns the (near-feasible) primal iterate; without
-    rows, the closed-form maximizer over the box.
+    rows, the closed-form maximizer over the box, where the first stop test holds.
     """
     mu = np.zeros(offsets.size)
 
-    def eta_of(m):
-        return _box_maximizer(lin - normals.T @ m, b_vec)
-
-    if not offsets.size:
-        return eta_of(mu)
-
     def state(m):
-        e = eta_of(m)
+        e = _box_maximizer(lin - normals.T @ m, b_vec)
         grad = normals @ e - offsets
-        return e, grad, -float(lin @ e) + float(b_vec @ np.sqrt(e)) + float(m @ grad)
+        return e, grad, _power_value((lin, b_vec, 0.0), e) + float(m @ grad)
 
     e, grad, val = state(mu)
     step = 1.0
@@ -257,12 +253,13 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
     eta_init (or, if that breaks a row too, toward the least QoS powers) until
     every row holds. The result is never worse than a feasible eta_init.
     """
-    lin, b_vec, const = _power_coefficients(form, gamma_aux, u, params)
+    coefficients = _power_coefficients(form, gamma_aux, u, params)
+    lin, b_vec, _ = coefficients
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
     tol = 1e-8
 
     def fun(x):
-        return const - float(lin @ x) + float(b_vec @ np.sqrt(np.maximum(x, 0.0)))
+        return _power_value(coefficients, x)
 
     def in_box(x):
         return bool(np.all((x >= -tol) & (x <= 1 + tol)))
@@ -270,7 +267,7 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
     if not np.any(np.asarray(params.qos) > 0):
         x, feasible = _box_maximizer(lin, b_vec), in_box
     else:
-        normals, offsets, least = _qos_rows(*form.sinr[1:], _qos_thresholds(params, lin.size))
+        normals, offsets, least = _qos_rows(*form.sinr, _qos_thresholds(params, lin.size))
         if not _rows_hold(least):
             if options.qos_infeasible_policy == "error":
                 raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
@@ -346,10 +343,9 @@ def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemPar
     c, _, h = model
     u_t = np.asarray(u, dtype=float)[t]
     gaux_t = np.asarray(gamma_aux, dtype=float)[t]
-    wp = _wprime(params)
-    lin = ((2.0 * u_t * np.sqrt(wp * (1.0 + gaux_t)))[..., None] * c
+    lin = ((2.0 * u_t * np.sqrt(_wprime(params) * (1.0 + gaux_t)))[..., None] * c
            - (u_t ** 2)[..., None] * h - params.alpha)
-    return model, (params.prelog * np.log2(1.0 + gaux_t) - wp * gaux_t, lin, u_t)
+    return model, (_dual_const(gaux_t, params), lin, u_t)
 
 
 def _qos_approximation(x0, model, gth):
@@ -443,18 +439,15 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
     bisection steps where Newton's nu leaves it or its system is singular. An
     unreachable target is dropped; psi <= q_const + q_lin.x on the box often shows it
     without an ascent."""
-    c, w = model[0][0], model[1][0]
-    lin, u2 = objective[1][0], objective[2][0] ** 2
-    q_const, q_lin, v2 = qos[0][0], qos[1][0], qos[2][0] ** 2
+    _, grad, fac = _column_lagrangian(model, objective)
     b_psi = qos[2][:, None, None] * model[1]
     psi, psi_grad = _quadratic(qos[0], qos[1], b_psi)
+    q_const, q_lin = qos[0][0], qos[1][0]
 
     def grads(z):
         # (grad fun, grad psi, psi) at the column z.
-        wz = z @ w
-        ww = w @ wz
-        return lin - 2.0 * u2 * (c * (c @ z) + ww), q_lin - 2.0 * v2 * ww, \
-            q_const + q_lin @ z - v2 * (wz @ wz)
+        z = z[None]
+        return grad(z)[0], psi_grad(z)[0], psi(z)[0]
 
     def accept(z, nu):
         # The ascent's own tests: z in the box and coverage, nu >= 0, psi(z) >= -tol
@@ -478,7 +471,7 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
     for _ in range(100):
         nu = start = None
         for face in faces:
-            point = _face_point(face, grads, c, w, u2, v2, tol)
+            point = _face_point(face, grads, (fac[0], b_psi[0]), tol)
             if point is None:
                 continue
             found = accept(*point)
@@ -495,7 +488,7 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
             nu = max(1.0, 4.0 * nu_lo) if nu_hi == math.inf else 0.5 * (nu_lo + nu_hi)
         z = ascend(*_column_lagrangian(model, objective, qos, nu),
                    (faces[0] if start is None else start)[None])[0][0]
-        if grads(z)[2] >= -tol:
+        if psi(z[None])[0] >= -tol:
             nu_hi, x_hi = nu, z
         else:
             nu_lo, x_lo = nu, z
@@ -507,13 +500,14 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
     return x_hi[None], False
 
 
-def _face_point(z, grads, c, w, u2, v2, tol):
+def _face_point(z, grads, factors, tol):
     """(x, nu) solving the KKT conditions of the column problem held to psi = 0 on the
     face of z, or None where they have no solution there. The face holds z's entries
     at 0 or 1, frees the others (F) and keeps coverage 1.x = 1 where z meets it: grad
     fun + nu grad psi + mu 1 = 0 on F, psi = 0 (and 1.x = 1). Newton's method solves
     them in (x_F, nu, mu) at once from z, nu from z's stationarity on F by least
-    squares; each step is one solve of the reduced Hessian of fun + nu psi, bordered
+    squares; each step is one solve of the reduced Hessian of fun + nu psi,
+    -2 (F_F F_F^T + nu B_F B_F^T) from the factors (F, B) of fun and psi, bordered
     by grad psi on F (and 1). At a vertex psi does not move with nu: a vertex on its
     target (or off it where nu = 0 keeps it stationary) is its own point, and
     otherwise nu steps to the breakpoint where the vertex stops being stationary for
@@ -532,7 +526,8 @@ def _face_point(z, grads, c, w, u2, v2, tol):
             return z, nu
     fi = np.flatnonzero(free)
     m, border = fi.size, 1 + int(tight)
-    if m < border or m - border > 1 + w.shape[1]:
+    fac_f, fac_psi = (part[fi] for part in factors)
+    if m < border or m - border > fac_f.shape[1]:
         return None                  # a singular system
     if nu is None:
         # Least-squares nu (and mu) of grad fun + nu grad psi + mu 1 = 0 on F.
@@ -543,7 +538,8 @@ def _face_point(z, grads, c, w, u2, v2, tol):
         nu = max(0.0, -(a @ b) / bb) if bb > 0.0 else 1.0
     mu = -float(np.mean(g_f[fi] + nu * g_psi[fi])) if tight else 0.0
     x = z.copy()
-    cf, wf = c[fi], w[fi]
+    # nu may go negative between steps, so the two Hessians stay apart.
+    hess_f, hess_psi = -2.0 * (fac_f @ fac_f.T), -2.0 * (fac_psi @ fac_psi.T)
     mat = np.zeros((m + border, m + border))
     if tight:
         mat[:m, m + 1] = mat[m + 1, :m] = 1.0
@@ -553,7 +549,7 @@ def _face_point(z, grads, c, w, u2, v2, tol):
         res[m] = psi_z
         if tight:
             res[m + 1] = x.sum() - 1.0
-        mat[:m, :m] = -2.0 * (u2 * np.outer(cf, cf) + (u2 + nu * v2) * (wf @ wf.T))
+        mat[:m, :m] = hess_f + nu * hess_psi
         mat[:m, m] = mat[m, :m] = g_psi[fi]
         try:
             step = np.linalg.solve(mat, -res)
@@ -614,27 +610,20 @@ def _vertex_face(z, g_f, g_psi, psi_z, tight, tol):
     return nu, free, pair
 
 
-def _settled_columns(eta, form: PowerForm, model, objective, gth):
+def _settled_columns(eta, form: PowerForm, model, objective, gth, tol):
     """Columns of the form's matrix d that solve their column problem as they stand:
-    binary, a KKT point of the block objective over the box and coverage, and meeting
-    the QoS target (gth, the SINR thresholds of _qos_thresholds). model and objective
-    are the stacked _column_objective of every UE. Optimal over a superset of the
-    constraints and feasible for the QoS target, such a column is optimal for the
-    full column problem."""
-    d = form.d
-    grad = _column_lagrangian(model, objective)[1](d.T).T
-    ones = d == 1.0
-    count = ones.sum(axis=0)
-    g_ones = np.min(np.where(ones, grad, np.inf), axis=0)
-    g_zeros = np.max(np.where(ones, -np.inf, grad), axis=0)
-    # Two or more APs leave coverage slack: no entry may gain by moving inward. With
-    # one AP j the coverage multiplier mu >= max(0, -g_j) must keep every zero down.
-    kkt = np.where(count >= 2, (g_ones >= 0.0) & (g_zeros <= 0.0),
-                   g_zeros <= np.minimum(0.0, g_ones))
+    the column ascent's own stop test holds there (max |project(x + grad f(x)) - x|
+    <= tol over the box and coverage, _association_columns), and they meet the QoS
+    target (gth, the SINR thresholds of _qos_thresholds). model and objective are the
+    stacked _column_objective of every UE. The ascent would stop at such a column at
+    once, and it needs no hold on its target."""
+    x = form.d.T
+    step = project_box_polyhedron(x + _column_lagrangian(model, objective)[1](x),
+                                  np.ones(x.shape[1]), 1.0)
     # The QoS half is read from the form, not from gamma_aux, with a margin so that
     # a column on its target is left to _bound_column.
     qos_met = form.sinr.at(eta) >= gth * (1.0 + 1e-9)
-    return np.all(ones | (d == 0.0), axis=0) & kkt & qos_met
+    return (np.max(np.abs(step - x), axis=1) <= tol) & qos_met
 
 
 def solve_association(eta_fixed, form: PowerForm, gamma_aux, u, gamma, beta, gram,
@@ -652,7 +641,8 @@ def solve_association(eta_fixed, form: PowerForm, gamma_aux, u, gamma, beta, gra
     gth = _qos_thresholds(params, d.shape[1])
     model, objective = _column_objective(np.arange(d.shape[1]), eta_fixed, gamma_aux, u, gamma,
                                          beta, gram, params)
-    cols = np.flatnonzero(~_settled_columns(eta_fixed, form, model, objective, gth))
+    cols = np.flatnonzero(~_settled_columns(eta_fixed, form, model, objective, gth,
+                                            options.inner_tolerance))
     if cols.size:
         # Contiguous rows, the co-pilot factors trimmed to the widest of them: the
         # ascent's products see the shapes of a model built for these columns alone.
@@ -709,7 +699,7 @@ def _qos_start(form: PowerForm, params: SystemParams, margin=1.05):
     full power; None when neither lies in [0,1]. The SINR is linear-fractional in eta,
     so in the box these are the fixed point of target tracking
     eta <- min(1, eta * target/SINR)."""
-    _, c_sig, a_mat, n_vec = form.sinr
+    c_sig, a_mat, n_vec = form.sinr
     gth = _qos_thresholds(params, c_sig.size)
     free = gth <= 0
     for target in (margin * gth, gth):
@@ -754,7 +744,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
 
     def rows_hold(fm):
         gth = _qos_thresholds(params, num_ues)
-        return _rows_hold(_qos_rows(*fm.sinr[1:], gth)[2])
+        return _rows_hold(_qos_rows(*fm.sinr, gth)[2])
 
     def se_on(eta, fm):
         return spectral_efficiency(fm.sinr.at(eta), params)

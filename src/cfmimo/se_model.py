@@ -69,10 +69,9 @@ def interference_state(d, gamma, beta, gram):
 
 
 class SinrForm(NamedTuple):
-    """The SINR of every UE on one association matrix: its interference state
-    (interference_state) and its signal S = c_sig eta and interference plus noise
-    I = a_mat @ eta + n_vec, both linear in the powers eta."""
-    state: tuple
+    """The SINR of every UE on one association matrix: its signal S = c_sig eta and
+    interference plus noise I = a_mat @ eta + n_vec, both linear in the powers eta
+    (n_vec = A sg holds the matrix's summed estimation quality)."""
     c_sig: np.ndarray
     a_mat: np.ndarray
     n_vec: np.ndarray
@@ -91,8 +90,8 @@ class SinrForm(NamedTuple):
 def sinr_form(d, gamma, beta, gram, params: SystemParams) -> SinrForm:
     """The SinrForm of the association matrix d, from one interference state."""
     a, pu = params.antennas_per_ap, params.uplink_snr
-    sg, coh, ncoh, g_off = state = interference_state(d, gamma, beta, gram)
-    return SinrForm(state, a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh,
+    sg, coh, ncoh, g_off = interference_state(d, gamma, beta, gram)
+    return SinrForm(a * a * pu * sg ** 2, a * a * pu * g_off * coh ** 2 + a * pu * ncoh,
                     a * sg)
 
 

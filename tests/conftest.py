@@ -71,7 +71,7 @@ def build_power_block(seed, qos=1.0):
     form = _power_form(d, gamma, beta, gram, params)
     aux = refresh_aux(eta0, form, params)
     coefs = _power_coefficients(form, aux.gamma_aux, aux.u, params)
-    normals, offsets, _ = _qos_rows(*form.sinr[1:], _qos_thresholds(params, d.shape[1]))
+    normals, offsets, _ = _qos_rows(*form.sinr, _qos_thresholds(params, d.shape[1]))
     return (gamma, beta, gram, params), form, eta0, aux, coefs, (normals, offsets)
 
 

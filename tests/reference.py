@@ -1,7 +1,8 @@
 """Reference implementations the tests check the solver against. Nothing in the
 package calls them: the solver reads the same quantities from its power form
-(fp_solver.refresh_aux, block_objective) and holds a binding QoS target by Newton's
-method on the KKT system of a face (fp_solver._bound_column)."""
+(fp_solver.refresh_aux, and block_objective from the power coefficients) and holds a
+binding QoS target by Newton's method on the KKT system of a face
+(fp_solver._bound_column)."""
 
 import math
 
@@ -38,6 +39,18 @@ def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: Syste
     total = signal + pc + bu + noise
     val = _dual_const(gamma_aux, params) + _wprime(params) * (1.0 + gamma_aux) * signal / total
     return float(val.sum() - l1_penalty(d, params))
+
+
+def block_objective_of_terms(eta, form, gamma_aux, u, params: SystemParams) -> float:
+    """fp_solver.block_objective from its definition in S and I of the power form:
+    sum_t (w log2(1 + Gamma_t) - w' Gamma_t + 2 u_t sqrt(w'(1 + Gamma_t) S_t)
+    - u_t^2 (S_t + I_t)) - alpha ||d||_1."""
+    gamma_aux = np.asarray(gamma_aux, dtype=float)
+    u = np.asarray(u, dtype=float)
+    signal, interference = form.sinr.terms(eta)
+    val = (_dual_const(gamma_aux, params) - u ** 2 * (signal + interference)
+           + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
+    return float(val.sum() - form.penalty)
 
 
 def block_objective_eta_grad(eta, form, gamma_aux, u, params: SystemParams) -> np.ndarray:

@@ -12,11 +12,12 @@ from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagr
                               _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
                               _qos_thresholds, _settled_columns, refresh_aux)
-from cfmimo.se_model import l1_penalty, meets_qos, sinr_terms
+from cfmimo.se_model import l1_penalty, meets_qos, qos_vector, sinr_terms
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_inner_iterations, count_power_forms, count_state_builds, qos_psi)
-from reference import (block_objective_eta_grad, dual_transform_objective, lambda_star,
-                       penalized_objective, update_gamma, update_u)
+from reference import (block_objective_eta_grad, block_objective_of_terms,
+                       dual_transform_objective, lambda_star, penalized_objective, update_gamma,
+                       update_u)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -126,18 +127,19 @@ def test_block_objective_linear_in_alpha():
 
 
 def test_power_coefficients_reproduce_block_objective():
+    # block_objective evaluates the power coefficients; it must be the surrogate of its
+    # definition in S and I.
     rng = np.random.default_rng(6)
     gamma, beta, gram, params, _ = build_synthetic_channel(rng, num_ues=5,
                                                            num_pilots=3, alpha=0.03)
     eta, d = random_point(rng, 8, 5)
     form = _power_form(d, gamma, beta, gram, params)
     aux = refresh_aux(eta, form, params)
-    lin, b_vec, const = _power_coefficients(form, aux.gamma_aux, aux.u, params)
     for _ in range(5):
         probe = rng.uniform(0, 1, 5)
-        direct = cf.block_objective(probe, form, aux.gamma_aux, aux.u, params)
-        closure = const - lin @ probe + b_vec @ np.sqrt(probe)
-        assert closure == pytest.approx(direct, rel=1e-10)
+        direct = block_objective_of_terms(probe, form, aux.gamma_aux, aux.u, params)
+        assert cf.block_objective(probe, form, aux.gamma_aux, aux.u, params) == \
+            pytest.approx(direct, rel=1e-10)
 
 
 def central_diff(fun, x, h):
@@ -195,7 +197,8 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
             form = _power_form(d, gamma, beta, gram, params)
             aux = refresh_aux(eta, form, params)
             settled = _settled_columns(eta, form, *column_objectives(eta, aux, gamma, beta, gram,
-                                                                     params), gth)
+                                                                     params), gth,
+                                       opts.inner_tolerance)
             for t in np.flatnonzero(settled):
                 x = _association_columns(*_column_objective(np.array([t]), eta, aux.gamma_aux,
                                                             aux.u, gamma, beta, gram, params),
@@ -224,7 +227,8 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
             block = cf.solve_association(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram,
                                          params, opts)
             settled = _settled_columns(eta, form, *column_objectives(eta, aux, gamma, beta, gram,
-                                                                     params), gth)
+                                                                     params), gth,
+                                       opts.inner_tolerance)
             for t in np.flatnonzero(~settled):
                 alone = _association_columns(*_column_objective(np.array([t]), eta,
                                                                 aux.gamma_aux, aux.u, gamma, beta,
@@ -296,7 +300,7 @@ def test_solve_power_with_targets_reads_its_rows():
     for seed in range(10):
         channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
         eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], opts, eta_init=eta0)
-        least = _qos_rows(*form.sinr[1:], _qos_thresholds(channel[3], eta0.size))[2]
+        least = _qos_rows(*form.sinr, _qos_thresholds(channel[3], eta0.size))[2]
         if np.max(least) > 1.0:
             unsatisfiable += 1
             assert np.array_equal(eta, np.clip(eta0, 0.0, 1.0))
@@ -740,6 +744,32 @@ def test_paper_scale_joint_drop_reaches_no_inner_cap(monkeypatch):
     records = cf.harness._run_drop(config, 1)
     assert counts["calls"] > 0 and counts["cap_hits"] == 0
     _check_solve_records(records, config.params.qos)
+
+
+def test_paper_scale_association_block_keeps_its_guarantees(monkeypatch):
+    # The association block at paper scale (M = 100, T = 40, A = 4): drop 0 of
+    # paper_config seed 7 at alpha 0.001, association_only and joint.
+    config = cf.paper_config(seed=7, drops=1, alphas=(0.001,))
+    config = replace(config, scenarios=tuple(cf.Scenario(kind=k)
+                                             for k in ("association_only", "joint")))
+    solves = []
+    original = cf.harness.run_scenario
+
+    def run(scenario, *channel):
+        solves.append((original(scenario, *channel), channel[:4]))
+        return solves[-1][0]
+
+    monkeypatch.setattr(cf.harness, "run_scenario", run)
+    records = cf.harness._run_drop(config, 0)
+    assert [rec.scenario for rec in records] == ["association_only", "joint"]
+    for rec, (res, channel) in zip(records, solves):
+        trace = res.objective_trace
+        assert trace.size and np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+        assert np.array_equal(res.se, cf.se_all(res.eta_star, res.d_binary, *channel))
+        assert np.array_equal(res.feasibility, meets_qos(res.se, qos_vector(channel[3], 40)))
+        assert rec.feasible == bool(res.feasibility.all())
+        d = res.d_relaxed
+        assert np.all((d >= 0.0) & (d <= 1.0)) and np.all(d.sum(axis=0) >= 1.0 - 1e-9)
 
 
 def test_desk_sweep_call_reaches_no_inner_cap(monkeypatch):

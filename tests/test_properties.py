@@ -75,14 +75,16 @@ def test_stacked_projection_is_the_rows_projections(seed, k, n):
                 assert np.allclose(zi, np.clip(y[i] + tau * w, 0.0, 1.0), rtol=0.0, atol=1e-9)
 
 
-def _column_problem(seed):
+def _column_problem(seed, alpha=None):
     """A random synthetic column problem of one UE t: its column model and objective
     as a stack of one (the shapes of the association block), the objective's (fun,
-    grad), and a start x0 (one column) that is all ones, binary or fractional."""
+    grad), and a start x0 (one column) that is all ones, binary or fractional. alpha
+    replaces the drawn l1 weight where given."""
     rng = np.random.default_rng(seed)
     num_aps, num_ues = int(rng.integers(3, 13)), int(rng.integers(2, 6))
+    drawn = float(rng.choice([0.0, 0.01, 0.1]))
     gamma, beta, gram, params, _ = build_synthetic_channel(
-        rng, num_aps=num_aps, num_ues=num_ues, alpha=float(rng.choice([0.0, 0.01, 0.1])))
+        rng, num_aps=num_aps, num_ues=num_ues, alpha=drawn if alpha is None else alpha)
     eta = rng.uniform(0.05, 1.0, num_ues)
     d = rng.uniform(0.0, 1.0, (num_aps, num_ues))
     aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
@@ -185,14 +187,19 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
 def _bound_problem(seed, start, on_target, target):
     """A binding column problem of _column_problem(seed) as _association_columns hands
     it to _bound_column, as a stack of one: (args, fun, grad, psi, psi_grad, free, rank). The
-    start x0 is a vertex, on an edge (one free entry) or the random column; its target
-    is its own SINR (psi(x0) = 0) or target times it. None where the target does not
-    bind (or there is none)."""
-    col = _column_problem(seed)
+    start x0 is a vertex, on an edge (one free entry), the random column or on a
+    coverage-tight face (two free entries summing to 1, with an l1 weight alpha up to 3
+    that pulls the column onto coverage); its target is its own SINR (psi(x0) = 0) or
+    target times it. None where the target does not bind (or there is none)."""
     rng = np.random.default_rng(seed + 1)
+    col = _column_problem(seed, rng.uniform(0.0, 3.0) if start == "tight" else None)
     m = col.x0.size
     x0 = col.x0.copy()
-    if start != "random":
+    if start == "tight":
+        x0[:] = 0.0
+        share = rng.uniform(0.05, 0.95)
+        x0[rng.choice(m, 2, replace=False)] = share, 1.0 - share
+    elif start != "random":
         x0 = (rng.uniform(size=m) < 0.5).astype(float)
         x0[int(rng.integers(m))] = 1.0
         if start == "edge":
@@ -241,7 +248,7 @@ def _multiplier(x, grad, psi_grad):
 def _check_bound_column(problem):
     """Run _bound_column and the bisection reference on one problem of _bound_problem;
     assert the Newton solve drops the same targets, meets psi and ends at least as high.
-    Returns its count of ascents."""
+    Returns its count of ascents and its column (None where it drops the target)."""
     args, fun, grad, psi, psi_grad, _, _ = problem
     ref, ref_dropped = bisect_bound_column(*args[:7])
     ascents = [0]
@@ -254,7 +261,7 @@ def _check_bound_column(problem):
     x, dropped = _bound_column(*args[:6], counted, *args[7:])
     assert dropped == ref_dropped
     if dropped:
-        return ascents[0]
+        return ascents[0], None
     tol = args[5]
     assert psi(x)[0] >= -tol
     assert np.all((x >= 0.0) & (x <= 1.0)) and x.sum() >= 1.0 - 1e-12
@@ -263,22 +270,36 @@ def _check_bound_column(problem):
     f_ref = fun(ref)[0]
     gain = _multiplier(x[0], grad, psi_grad) * max(0.0, psi(x)[0] - psi(ref)[0])
     assert fun(x)[0] >= f_ref - 1e-9 * abs(f_ref) - gain
-    return ascents[0]
+    return ascents[0], x[0]
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
-                  start=st.sampled_from(["vertex", "edge", "random"]),
+                  start=st.sampled_from(["vertex", "edge", "random", "tight"]),
                   on_target=st.booleans(), target=st.floats(0.3, 3.0))
 def test_newton_bound_column_reaches_the_bisection_reference(seed, start, on_target, target):
     # The Newton solve of a binding target ends at least as high as the bisection loop it
-    # replaced and meets psi, from a start at a vertex, on an edge or at the random column, on its
-    # target (psi(x0) = 0) or off it.
+    # replaced and meets psi, from a start at a vertex, on an edge, at the random column or
+    # on a coverage-tight face, on its target (psi(x0) = 0) or off it.
     problem = _bound_problem(seed, start, on_target, target)
     hypothesis.assume(problem is not None)
     if on_target:
         assert abs(problem[3](problem[0][3])[0]) <= 1e-10
     _check_bound_column(problem)
+
+
+def test_coverage_tight_faces_reach_the_bisection_reference():
+    # From a start of two fractional entries summing to 1, Newton's method runs on faces
+    # where coverage is tight (its mu border) and at vertices that free a pair of entries;
+    # enough of the solves end on such a face to show it.
+    tight = 0
+    for seed in range(600):
+        problem = _bound_problem(seed, "tight", True, 1.0)
+        if problem is not None:
+            x = _check_bound_column(problem)[1]
+            tight += bool(x is not None and abs(x.sum() - 1.0) <= 1e-9
+                          and np.any((x > 0.0) & (x < 1.0)))
+    assert tight >= 40
 
 
 def test_singular_face_takes_the_safeguard_ascent():
@@ -290,7 +311,7 @@ def test_singular_face_takes_the_safeguard_ascent():
         problem = _bound_problem(seed, "random", True, 1.0)
         if problem is not None and problem[5] - 1 > problem[6]:
             singular += 1
-            assert _check_bound_column(problem) >= 1
+            assert _check_bound_column(problem)[0] >= 1
     assert singular >= 5
 
 

@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Dump the solver records of fixed record sets from one source tree, and diff two dumps.
+
+    python3 tools/record_diff.py dump --src DIR --out F.npz
+    python3 tools/record_diff.py diff A.npz B.npz
+
+`dump` runs ``harness.run_experiment`` without a deadline on three sets, in one
+subprocess that imports ``cfmimo`` from DIR/src and the workload definitions from
+DIR/bench/workloads.py (read, never edited):
+
+- ``desk_sweep``: benchmark seed 7, calls 0-149 (``--desk-calls``);
+- ``paper_fixed``: benchmark seed 7, calls 0-2;
+- ``paper_qos``: ``paper_config(seed=7, drops=40, alphas=(0.001,))`` with the
+  ``association_only`` and ``joint`` scenarios.
+
+`diff` prints, per set, how many records are identical bit for bit, the largest
+relative move of the per-UE SE, sum SE, objective, max front-haul and trace, and
+every record whose feasible flag, iteration count or trace length differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+SETS = ("desk_sweep", "paper_fixed", "paper_qos")
+FIELDS = ("se", "sum_se", "objective", "max_fronthaul", "trace")
+
+CHILD = """\
+import sys
+sys.path[:0] = [{src!r}, {bench!r}, {tools!r}]
+import record_diff
+record_diff.write_records({out!r}, {desk_calls!r}, {full!r})
+"""
+
+
+def record_sets(desk_calls: int, full: bool):
+    """(set name, call, config) of every record set, built with the imported workloads."""
+    import cfmimo as cf
+    from workloads import WORKLOADS, call_seed
+
+    for k in range(desk_calls):
+        yield "desk_sweep", k, WORKLOADS["desk_sweep"].build(cf, call_seed(7, k), "unused")
+    if not full:
+        return
+    for k in range(3):
+        yield "paper_fixed", k, WORKLOADS["paper_fixed"].build(cf, call_seed(7, k), "unused")
+    config = cf.paper_config(seed=7, drops=40, alphas=(0.001,), output_dir="unused")
+    yield "paper_qos", 0, replace(config, scenarios=tuple(
+        cf.Scenario(kind=k) for k in ("association_only", "joint")))
+
+
+def write_records(out: str, desk_calls: int, full: bool):
+    """Run every record set and save each record's fields under its key."""
+    from cfmimo.harness import run_experiment
+
+    arrays = {}
+    for name, call, config in record_sets(desk_calls, full):
+        for rec in run_experiment(config).records:
+            key = f"{name}/{call}/{rec.drop}/{rec.scenario}/{rec.alpha!r}"
+            arrays[f"{key}:se"] = rec.per_ue_se
+            arrays[f"{key}:trace"] = rec.trace
+            arrays[f"{key}:scalars"] = np.array([rec.sum_se, rec.objective, rec.max_fronthaul,
+                                                 rec.feasible, rec.iterations], dtype=float)
+    np.savez(out, **arrays)
+
+
+def load(path) -> dict:
+    """key -> {field: value} of one dump."""
+    records = {}
+    with np.load(path) as data:
+        for name in data.files:
+            key, part = name.rsplit(":", 1)
+            rec = records.setdefault(key, {})
+            if part == "scalars":
+                sum_se, objective, max_fh, feasible, iterations = data[name]
+                rec.update(sum_se=sum_se, objective=objective, max_fronthaul=max_fh,
+                           feasible=bool(feasible), iterations=int(iterations))
+            else:
+                rec[part] = data[name]
+    return records
+
+
+def _relative(a, b) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries (0 where both are 0)."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    moved = np.abs(a - b)
+    return float(np.max(np.where(scale > 0, moved / np.where(scale > 0, scale, 1.0), 0.0),
+                        initial=0.0))
+
+
+def diff(first: dict, second: dict) -> list:
+    """The report lines of two loaded dumps."""
+    lines = []
+    for name in SETS:
+        keys = sorted(k for k in first.keys() | second.keys() if k.startswith(name + "/"))
+        if not keys:
+            continue
+        identical, moves, changed = 0, dict.fromkeys(FIELDS, 0.0), []
+        for key in keys:
+            a, b = first.get(key), second.get(key)
+            if a is None or b is None:
+                changed.append(f"  {key}: only in {'second' if a is None else 'first'}")
+                continue
+            if all(np.array_equal(a[f], b[f]) for f in (*FIELDS, "feasible", "iterations")):
+                identical += 1
+                continue
+            for f in FIELDS:
+                if a[f].shape == b[f].shape:
+                    moves[f] = max(moves[f], _relative(a[f], b[f]))
+            flags = [f"{f} {a[f]} -> {b[f]}" for f in ("feasible", "iterations") if a[f] != b[f]]
+            if a["trace"].size != b["trace"].size:
+                flags.append(f"trace length {a['trace'].size} -> {b['trace'].size}")
+            if flags:
+                changed.append(f"  {key}: " + ", ".join(flags))
+        lines.append(f"{name}: {identical} of {len(keys)} records identical; max relative "
+                     + ", ".join(f"{f} {moves[f]:.3g}" for f in FIELDS))
+        lines.extend(changed)
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    dump = sub.add_parser("dump", help="run the record sets of one source tree")
+    dump.add_argument("--src", required=True, help="root of the tree (holds src/ and bench/)")
+    dump.add_argument("--out", required=True, help="the .npz file to write")
+    dump.add_argument("--desk-calls", type=int, default=150, help="desk_sweep calls to run")
+    dump.add_argument("--desk-only", action="store_true", help="skip the paper-scale sets")
+    compare = sub.add_parser("diff", help="compare two dumps")
+    compare.add_argument("first")
+    compare.add_argument("second")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        root = Path(args.src).resolve()
+        code = CHILD.format(src=str(root / "src"), bench=str(root / "bench"),
+                            tools=str(Path(__file__).resolve().parent),
+                            out=str(Path(args.out).resolve()), desk_calls=args.desk_calls,
+                            full=not args.desk_only)
+        subprocess.run([sys.executable, "-c", code], check=True, cwd=root)
+    else:
+        print("\n".join(diff(load(args.first), load(args.second))))
+
+
+if __name__ == "__main__":
+    main()
