@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fp_solver import SolveResult, SolverOptions, alternate
-from .se_model import SystemParams, meets_qos, qos_vector, se_all
+from .se_model import (SinrForm, SystemParams, meets_qos, qos_vector, sinr_form,
+                       spectral_efficiency)
 
 SCENARIO_KINDS = ("full_power_all_serve", "fractional_power_control",
                   "power_only", "association_only", "joint")
@@ -32,18 +33,17 @@ def fractional_powers(beta, exponent: float = -0.5) -> np.ndarray:
     return s / s.max()
 
 
-def _evaluate_only(eta, gamma, beta, gram, params, t_start) -> SolveResult:
-    num_aps, num_ues = np.asarray(gamma).shape
-    d = np.ones((num_aps, num_ues))
-    se = se_all(eta, d, gamma, beta, gram, params)
+def _evaluate_only(eta, ones: SinrForm, shape, params, t_start) -> SolveResult:
+    d = np.ones(shape)
+    se = spectral_efficiency(ones.at(eta), params)
     return SolveResult(eta_star=np.asarray(eta, dtype=float), d_relaxed=d, d_binary=d.copy(),
                        objective_trace=np.empty(0), iterations=0,
-                       feasibility=meets_qos(se, qos_vector(params, num_ues)), se=se,
+                       feasibility=meets_qos(se, qos_vector(params, shape[1])), se=se,
                        se_relaxed=se, wall_time=time.perf_counter() - t_start)
 
 
 def run_scenario(scenario: Scenario, gamma, beta, gram, params: SystemParams,
-                 options: SolverOptions) -> SolveResult:
+                 options: SolverOptions, *, ones_form: SinrForm | None = None) -> SolveResult:
     """Run one comparison scenario.
 
     full_power_all_serve and fractional_power_control only evaluate a fixed point;
@@ -51,19 +51,24 @@ def run_scenario(scenario: Scenario, gamma, beta, gram, params: SystemParams,
     block; joint runs it in full. QoS is enforced only for association_only and
     joint (the fixed-power baselines generally cannot meet it), but every
     scenario's feasibility flags whether its per-UE SE meets params.qos.
+
+    Every scenario starts from D = ones. ones_form is its se_model.sinr_form, which
+    depends on neither alpha nor qos, so a drop builds it once for all its runs;
+    without it the run builds its own. No run writes to it.
     """
     t_start = time.perf_counter()
-    num_ues = np.asarray(gamma).shape[1]
+    shape = np.shape(gamma)
+    if ones_form is None:
+        ones_form = sinr_form(np.ones(shape), gamma, beta, gram, params)
     kind = scenario.kind
     if kind == "full_power_all_serve":
-        return _evaluate_only(np.ones(num_ues), gamma, beta, gram, params, t_start)
+        return _evaluate_only(np.ones(shape[1]), ones_form, shape, params, t_start)
     if kind == "fractional_power_control":
-        return _evaluate_only(fractional_powers(beta, scenario.fpc_exponent),
-                              gamma, beta, gram, params, t_start)
+        return _evaluate_only(fractional_powers(beta, scenario.fpc_exponent), ones_form, shape,
+                              params, t_start)
     if kind == "power_only":
         res = alternate(None, None, gamma, beta, gram, replace(params, qos=0.0), options,
-                        mode="power_only")
-        return replace(res, feasibility=meets_qos(res.se, qos_vector(params, num_ues)))
-    if kind == "association_only":
-        return alternate(None, None, gamma, beta, gram, params, options, mode="association_only")
-    return alternate(None, None, gamma, beta, gram, params, options, mode="joint")
+                        mode="power_only", start_form=ones_form)
+        return replace(res, feasibility=meets_qos(res.se, qos_vector(params, shape[1])))
+    return alternate(None, None, gamma, beta, gram, params, options, mode=kind,
+                     start_form=ones_form)

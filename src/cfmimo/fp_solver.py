@@ -137,11 +137,15 @@ def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
     return params.prelog * np.log2(1.0 + gamma_aux) - _wprime(params) * gamma_aux
 
 
-def block_objective(eta, form: PowerForm, gamma_aux, u, params: SystemParams) -> float:
+def block_objective(eta, form: PowerForm, gamma_aux, u, params: SystemParams, *,
+                    coefficients=None) -> float:
     """Quadratic-transform surrogate at the matrix of the power form; a global lower
     bound of the relaxed objective, tight at gamma_aux = SINR(eta, d) and u at its
-    closed-form optimum. The power block maximizes this same value (_power_value)."""
-    return _power_value(_power_coefficients(form, gamma_aux, u, params), eta)
+    closed-form optimum. The power block maximizes this same value (_power_value).
+    coefficients, if given, are _power_coefficients(form, gamma_aux, u, params)."""
+    if coefficients is None:
+        coefficients = _power_coefficients(form, gamma_aux, u, params)
+    return _power_value(coefficients, eta)
 
 
 def _power_coefficients(form: PowerForm, gamma_aux, u, params: SystemParams):
@@ -242,7 +246,7 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
 
 
 def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: SolverOptions,
-                eta_init=None) -> np.ndarray:
+                eta_init=None, *, coefficients=None) -> np.ndarray:
     """Maximize the block objective over eta in [0,1]^T at the matrix of the power form,
     subject to the QoS rows, which are linear in eta. Concave: the sqrt terms are
     concave, the rest affine.
@@ -252,8 +256,10 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
     Otherwise the dual maximizer is used; if it breaks a row it moves toward
     eta_init (or, if that breaks a row too, toward the least QoS powers) until
     every row holds. The result is never worse than a feasible eta_init.
+    coefficients, if given, are _power_coefficients(form, gamma_aux, u, params).
     """
-    coefficients = _power_coefficients(form, gamma_aux, u, params)
+    if coefficients is None:
+        coefficients = _power_coefficients(form, gamma_aux, u, params)
     lin, b_vec, _ = coefficients
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
     tol = 1e-8
@@ -711,12 +717,14 @@ def _qos_start(form: PowerForm, params: SystemParams, margin=1.05):
 
 
 def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
-              options: SolverOptions, mode: str = "joint") -> SolveResult:
+              options: SolverOptions, mode: str = "joint", *,
+              start_form: SinrForm | None = None) -> SolveResult:
     """Alternating block maximization with auxiliary refreshes before each block.
 
     mode selects which blocks run: 'joint', 'power_only' or 'association_only'.
     Stops when the relative change of the post-block objective value falls
-    below options.epsilon.
+    below options.epsilon. start_form, if given, is the se_model.sinr_form of the
+    start matrix (initial_d, or all ones); the solve reads it and never writes it.
 
     The ascent is monotone while the same QoS targets are enforced, and the trace
     restarts where they change. A joint solve with QoS targets runs in two phases:
@@ -755,7 +763,10 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     # One power form per association matrix formed below (the start, d after each
     # association block, the rounded and the repaired d_binary); every evaluation on
     # that matrix reads it.
-    form = _power_form(d, gamma, beta, gram, params)
+    if start_form is None:
+        form = _power_form(d, gamma, beta, gram, params)
+    else:
+        form = PowerForm(d, start_form, l1_penalty(d, params))
     phase_one = mode == "joint" and enforce_qos and not rows_hold(form)
     if enforce_qos and power_is_free and not qos_met(eta, form).all():
         start = _qos_start(form, params)
@@ -769,10 +780,16 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     iterations = 0
     for i in range(1, options.max_outer_iters + 1):
         iterations = i
+        # The power coefficients of (form, aux) while both hold; in power_only the
+        # power block and the trace share them.
+        coefficients = None
         if mode in ("joint", "power_only"):
             aux = refresh_aux(eta, form, params)
-            eta = solve_power(form, aux.gamma_aux, aux.u, params, options, eta_init=eta)
+            coefficients = _power_coefficients(form, aux.gamma_aux, aux.u, params)
+            eta = solve_power(form, aux.gamma_aux, aux.u, params, options, eta_init=eta,
+                              coefficients=coefficients)
         if mode in ("joint", "association_only"):
+            coefficients = None
             aux = refresh_aux(eta, form, params)
             form_prev = form
             d = solve_association(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram, params,
@@ -785,7 +802,8 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
             eta = solve_power(form, aux.gamma_aux, aux.u, params, options, eta_init=start)
             aux = refresh_aux(eta, form, params)
             trace, f_prev = [], None
-        f_val = block_objective(eta, form, aux.gamma_aux, aux.u, params)
+        f_val = block_objective(eta, form, aux.gamma_aux, aux.u, params,
+                                coefficients=coefficients)
         if (f_prev is not None and f_val < f_prev and enforce_qos and mode != "power_only"
                 and np.any(qos_met(eta, form) & ~qos_met(eta, form_prev))):
             trace, f_prev = [], None

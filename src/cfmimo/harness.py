@@ -15,7 +15,7 @@ import numpy as np
 from .baselines import SCENARIO_KINDS, Scenario, run_scenario
 from .fp_solver import SolverOptions
 from .pilots import PILOT_STRATEGIES, assign_pilots, estimation_quality, pilot_gram
-from .se_model import SystemParams, fronthaul_load, l1_penalty
+from .se_model import SystemParams, fronthaul_load, l1_penalty, sinr_form
 from .topology import (NetworkConfig, PathLossModel, ShadowingModel,
                        compute_lsfc, generate_topology)
 
@@ -133,11 +133,15 @@ def _run_drop(config: ExperimentConfig, drop: int) -> list:
                                config.pilot_strategy, rng, pilot_snr=config.pilot_snr)
     gram = pilot_gram(assignment)
     gamma = estimation_quality(beta, gram, assignment.pilot_snr, assignment.num_pilots)
+    # Every scenario starts from D = ones, whose SINR form depends on neither alpha
+    # nor qos: one build serves every run of the drop.
+    ones = sinr_form(np.ones(gamma.shape), gamma, beta, gram, config.params)
     records = []
     for alpha in config.alphas:
         params = replace(config.params, alpha=alpha)
         for scenario in config.scenarios:
-            res = run_scenario(scenario, gamma, beta, gram, params, config.solver)
+            res = run_scenario(scenario, gamma, beta, gram, params, config.solver,
+                               ones_form=ones)
             sum_se = float(res.se.sum())
             _, max_fh = fronthaul_load(res.d_binary, res.se)
             objective = sum_se - l1_penalty(res.d_binary, params)
@@ -213,22 +217,25 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
     shape = [str(config.network.num_aps), str(config.network.num_ues), str(config.drops)]
     stats = {key: (s.mean_sum_se, s.ninety_likely_se, s.max_fronthaul, s.objective_value,
                    s.rounding_gap) for key, s in result.summaries.items()}
+    # Each alpha is formatted once; array values go through .tolist(), whose Python
+    # floats format as _fmt formats them.
+    alpha_text = {a: _fmt(a) for a in alphas}
     files = {"summary.csv": _table(
         "scenario,alpha,M,T,drops,mean_sum_se,ninety_likely_se,max_fronthaul,"
         "objective,rounding_gap",
-        (",".join([k, _fmt(a), *shape, *map(_fmt, stats[(k, a)])])
+        (",".join([k, alpha_text[a], *shape, *map(_fmt, stats[(k, a)])])
          for k in kinds for a in alphas))}
     for k in kinds:
         files[f"cdf_{k}.csv"] = _table("alpha,drop,ue,se", (
-            f"{_fmt(a)},{d},{ue},{_fmt(v)}" for a in alphas for d in drops
-            for ue, v in enumerate(record[(k, a, d)].per_ue_se)))
+            f"{alpha_text[a]},{d},{ue},{v:.12g}" for a in alphas for d in drops
+            for ue, v in enumerate(record[(k, a, d)].per_ue_se.tolist())))
     for k in kinds:
         for d in drops:
             files[f"trace_{k}_{d}.csv"] = _table("alpha,iteration,objective", (
-                f"{_fmt(a)},{it},{_fmt(v)}"
-                for a in alphas for it, v in enumerate(record[(k, a, d)].trace, start=1)))
+                f"{alpha_text[a]},{it},{v:.12g}" for a in alphas
+                for it, v in enumerate(record[(k, a, d)].trace.tolist(), start=1)))
     files["feasibility.csv"] = _table("scenario,alpha,drop,feasible", (
-        f"{k},{_fmt(a)},{d},{int(record[(k, a, d)].feasible)}"
+        f"{k},{alpha_text[a]},{d},{int(record[(k, a, d)].feasible)}"
         for k in kinds for a in alphas for d in drops))
     files["config_echo.json"] = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
     out = Path(output_dir)

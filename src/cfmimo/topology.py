@@ -82,11 +82,12 @@ def wrap_distance_matrix(points_a, points_b, side: float, wrap_around: bool = Tr
         return np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1)
     # Torus distance: the nearest of the 3x3 translated images of each b. The
     # rounded norm is monotone in each |offset|, so that minimum falls on the
-    # nearest image along each axis on its own.
-    a = pa[:, None, :]
-    b = pb[None, :, :]
-    near = np.minimum(np.abs(a - b), np.minimum(np.abs(a - (b - side)), np.abs(a - (b + side))))
-    dx, dy = near[..., 0], near[..., 1]
+    # nearest image along each axis on its own, computed on that axis's (M, T) arrays.
+    def nearest(a, b):
+        return np.minimum(np.abs(a - b), np.minimum(np.abs(a - (b - side)), np.abs(a - (b + side))))
+
+    dx = nearest(pa[:, 0, None], pb[None, :, 0])
+    dy = nearest(pa[:, 1, None], pb[None, :, 1])
     return np.sqrt(dx * dx + dy * dy)
 
 
@@ -99,9 +100,9 @@ def path_loss_db(d, model: PathLossModel):
     km = 1e-3
     # Anchor so the mid branch meets the far branch at d1.
     anchor = -model.fixed_loss_db - (far - mid) * math.log10(model.d1 * km)
-    d_safe = np.maximum(d, model.d0) * km
-    far_val = -model.fixed_loss_db - far * np.log10(d_safe)
-    mid_val = anchor - mid * np.log10(d_safe)
+    log_d = np.log10(np.maximum(d, model.d0) * km)
+    far_val = -model.fixed_loss_db - far * log_d
+    mid_val = anchor - mid * log_d
     near_val = anchor - mid * math.log10(model.d0 * km)
     out = np.where(d > model.d1, far_val, np.where(d > model.d0, mid_val, near_val))
     return float(out) if out.ndim == 0 else out

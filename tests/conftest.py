@@ -119,6 +119,11 @@ def count_power_forms(monkeypatch):
     return _count_calls(monkeypatch, cf.fp_solver._power_form)
 
 
+def count_power_coefficients(monkeypatch):
+    """Count the builds of the power coefficients (fp_solver._power_coefficients)."""
+    return _count_calls(monkeypatch, cf.fp_solver._power_coefficients)
+
+
 def count_inner_iterations(monkeypatch):
     """Replace fp_solver.pga_maximize by a counting wrapper; returns a dict of calls,
     iters and cap_hits, counted by the benchmark tracer's rule: a call's iterations

@@ -11,6 +11,7 @@ import numpy as np
 from cfmimo.fp_solver import (_column_lagrangian, _dual_const, _power_coefficients, _quadratic,
                               _u_star, _wprime)
 from cfmimo.se_model import SystemParams, l1_penalty, se_all, sinr_all, sinr_terms
+from cfmimo.topology import PathLossModel
 
 _ETA_FLOOR = 1e-30
 
@@ -106,3 +107,18 @@ def bisect_bound_column(model, objective, qos, x0, x, tol, ascend):
         if psi(rec)[0] >= -tol and fun(rec)[0] > fun(x_hi)[0]:
             x = rec
     return x, False
+
+
+def path_loss_db_two_logs(d, model: PathLossModel):
+    """topology.path_loss_db as it read with one log10 per branch: the far and the mid
+    branch each take np.log10 of the clamped distance."""
+    d = np.asarray(d, dtype=float)
+    far, mid, _near = model.slopes
+    km = 1e-3
+    anchor = -model.fixed_loss_db - (far - mid) * math.log10(model.d1 * km)
+    d_safe = np.maximum(d, model.d0) * km
+    far_val = -model.fixed_loss_db - far * np.log10(d_safe)
+    mid_val = anchor - mid * np.log10(d_safe)
+    near_val = anchor - mid * math.log10(model.d0 * km)
+    out = np.where(d > model.d1, far_val, np.where(d > model.d0, mid_val, near_val))
+    return float(out) if out.ndim == 0 else out

@@ -14,7 +14,8 @@ from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagr
                               _qos_thresholds, _settled_columns, refresh_aux)
 from cfmimo.se_model import l1_penalty, meets_qos, qos_vector, sinr_terms
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
-                      count_inner_iterations, count_power_forms, count_state_builds, qos_psi)
+                      count_inner_iterations, count_power_coefficients, count_power_forms,
+                      count_state_builds, qos_psi)
 from reference import (block_objective_eta_grad, block_objective_of_terms,
                        dual_transform_objective, lambda_star, penalized_objective, update_gamma,
                        update_u)
@@ -724,6 +725,19 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
     assert forms[0] == calls[0] >= res.iterations + 1
 
 
+@pytest.mark.parametrize("seed", [3, 14])
+def test_power_only_builds_the_power_coefficients_once_per_iteration(desk_channel, monkeypatch,
+                                                                      seed):
+    # The power block and the trace's block objective read one build of the
+    # coefficients of (form, aux) per iteration.
+    gamma, beta, gram, params = desk_channel(seed, qos=1.0)
+    builds = count_power_coefficients(monkeypatch)
+    res = cf.run_scenario(cf.Scenario(kind="power_only"), gamma, beta, gram, params,
+                          cf.SolverOptions())
+    assert res.iterations > 1
+    assert builds[0] == res.iterations
+
+
 def _check_solve_records(records, qos):
     # Monotone traces, flags that agree with the SE, and (as before the change that
     # removed the cap hits) every QoS-enforcing solve feasible.
@@ -755,8 +769,8 @@ def test_paper_scale_association_block_keeps_its_guarantees(monkeypatch):
     solves = []
     original = cf.harness.run_scenario
 
-    def run(scenario, *channel):
-        solves.append((original(scenario, *channel), channel[:4]))
+    def run(scenario, *channel, **kwargs):
+        solves.append((original(scenario, *channel, **kwargs), channel[:4]))
         return solves[-1][0]
 
     monkeypatch.setattr(cf.harness, "run_scenario", run)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -154,15 +154,51 @@ def test_power_only_feasible_flag_reports_qos_target(tmp_path):
     assert not all(met)
 
 
-def test_fixed_scenarios_build_at_most_four_states_per_drop(monkeypatch):
-    # One D = ones state per evaluated scenario, and d and d_binary for power_only:
-    # the records read the solve's SE instead of evaluating it again.
+def test_fixed_scenarios_build_one_state_per_drop(monkeypatch):
+    # The drop builds the D = ones state once and every fixed scenario reads its
+    # form; power_only never moves d, and the records read the solve's SE instead of
+    # evaluating it again.
     config = replace(cf.paper_config(seed=7, drops=2, alphas=(0.001,)),
                      scenarios=tuple(cf.Scenario(kind=k) for k in (
                          "full_power_all_serve", "fractional_power_control", "power_only")))
     calls = count_state_builds(monkeypatch)
     cf.run_experiment(config)
-    assert calls[0] <= 4 * config.drops
+    assert calls[0] == config.drops
+
+
+@pytest.mark.parametrize("config", [
+    replace(cf.desk_config(seed=14, drops=1, alphas=(0.001, 0.004)),
+            params=replace(cf.desk_config().params, qos=1.0)),
+    cf.paper_config(seed=7, drops=1, alphas=(0.001,))], ids=["desk_qos", "paper"])
+def test_shared_ones_form_changes_no_solve(monkeypatch, config):
+    # Every run of a drop reads the one D = ones form the drop builds. Each gives the
+    # fields of a run that builds its own, bit for bit except wall_time, and after
+    # all of the drop's runs the shared form still holds its built values.
+    runs = []
+    original = cf.harness.run_scenario
+
+    def run(scenario, *channel, **kwargs):
+        runs.append((scenario, channel, kwargs["ones_form"], original(scenario, *channel,
+                                                                      **kwargs)))
+        return runs[-1][3]
+
+    monkeypatch.setattr(cf.harness, "run_scenario", run)
+    cf.harness._run_drop(config, 0)
+    assert sorted({r[0].kind for r in runs}) == sorted(cf.SCENARIO_KINDS)
+    shared = runs[0][2]
+    assert all(r[2] is shared for r in runs)
+    gamma, beta, gram, params, _ = runs[0][1]
+    built = cf.se_model.sinr_form(np.ones(gamma.shape), gamma, beta, gram, params)
+    for part, fresh in zip(shared, built):
+        assert np.array_equal(part, fresh)
+    for scenario, channel, _, res in runs:
+        alone = original(scenario, *channel)
+        for field in fields(res):
+            if field.name == "wall_time":
+                continue
+            mine, theirs = getattr(res, field.name), getattr(alone, field.name)
+            assert np.asarray(mine).dtype == np.asarray(theirs).dtype, field.name
+            assert np.array_equal(mine, theirs), (scenario.kind, field.name)
 
 
 def test_unchanged_rounding_reuses_the_loop_state(monkeypatch, desk_channel):
@@ -175,13 +211,13 @@ def test_unchanged_rounding_reuses_the_loop_state(monkeypatch, desk_channel):
     assert calls[0] == 1
     assert np.array_equal(res.se_relaxed, cf.se_all(res.eta_star, res.d_relaxed, gamma, beta,
                                                     gram, params))
-    # One D = ones state per fixed scenario and drop.
+    # One D = ones state per drop, shared by its fixed scenarios.
     config = replace(cf.paper_config(seed=7, drops=2, alphas=(0.001,)),
                      scenarios=tuple(cf.Scenario(kind=k) for k in (
                          "full_power_all_serve", "fractional_power_control", "power_only")))
     calls[0] = 0
     cf.run_experiment(config)
-    assert calls[0] <= 3 * config.drops
+    assert calls[0] == config.drops
 
 
 def test_config_roundtrip_and_echo(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
+from reference import path_loss_db_two_logs
 
 
 def wrap_distance(a, b, side):
@@ -120,6 +121,23 @@ def test_wrap_distance_matrix_matches_image_reference(seed):
     assert np.array_equal(half, image_distance_matrix([[0.0, 0.0], [0.0, 10.0]],
                                                       [[5.0, 5.0], [10.0, 0.0]], 10.0))
     assert half[1, 1] == 0.0
+
+
+@pytest.mark.parametrize("model", [cf.PathLossModel(),
+                                   cf.PathLossModel(d0=3.0, d1=120.0, slopes=(37.6, 15.0, 0.0))])
+def test_path_loss_matches_two_log_reference(model):
+    # One log10 of the clamped distance serves both sloped branches; every regime
+    # (below d0, between d0 and d1, above d1, and both breakpoints) is bit for bit
+    # the value with one log10 per branch.
+    rng = np.random.default_rng(3)
+    grid = np.concatenate([[0.0, model.d0, model.d1, np.nextafter(model.d0, 0.0),
+                            np.nextafter(model.d1, np.inf)],
+                           rng.uniform(0.0, model.d0, 500),
+                           rng.uniform(model.d0, model.d1, 500),
+                           rng.uniform(model.d1, 3000.0, 500)])
+    assert np.array_equal(cf.path_loss_db(grid, model), path_loss_db_two_logs(grid, model))
+    for d in (0.5 * model.d0, 0.5 * (model.d0 + model.d1), 10.0 * model.d1):
+        assert cf.path_loss_db(d, model) == path_loss_db_two_logs(d, model)
 
 
 def test_path_loss_continuity_at_breakpoints():

@@ -13,16 +13,24 @@ DIR/bench/workloads.py (read, never edited):
 - ``paper_qos``: ``paper_config(seed=7, drops=40, alphas=(0.001,))`` with the
   ``association_only`` and ``joint`` scenarios.
 
+Each set's configurations are also emitted (``harness.emit_results``) into a
+temporary directory, and the dump keeps one SHA-256 digest per emitted file, with
+the ``output_dir`` of ``config_echo.json`` blanked.
+
 `diff` prints, per set, how many records are identical bit for bit, the largest
 relative move of the per-UE SE, sum SE, objective, max front-haul and trace, and
-every record whose feasible flag, iteration count or trace length differs.
+every record whose feasible flag, iteration count or trace length differs; then
+how many emitted files are identical, and every file that differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,27 +63,46 @@ def record_sets(desk_calls: int, full: bool):
         cf.Scenario(kind=k) for k in ("association_only", "joint")))
 
 
+def _digest(path: Path) -> str:
+    """SHA-256 of an emitted file; config_echo.json with its output_dir blanked."""
+    data = path.read_bytes()
+    if path.name == "config_echo.json":
+        echo = json.loads(data)
+        echo["output_dir"] = ""
+        data = (json.dumps(echo, indent=2, sort_keys=True) + "\n").encode()
+    return hashlib.sha256(data).hexdigest()
+
+
 def write_records(out: str, desk_calls: int, full: bool):
-    """Run every record set and save each record's fields under its key."""
-    from cfmimo.harness import run_experiment
+    """Run every record set and save each record's fields under its key, and the
+    digest of each emitted file under its set, call and file name."""
+    from cfmimo.harness import emit_results, run_experiment
 
     arrays = {}
     for name, call, config in record_sets(desk_calls, full):
-        for rec in run_experiment(config).records:
+        result = run_experiment(config)
+        for rec in result.records:
             key = f"{name}/{call}/{rec.drop}/{rec.scenario}/{rec.alpha!r}"
             arrays[f"{key}:se"] = rec.per_ue_se
             arrays[f"{key}:trace"] = rec.trace
             arrays[f"{key}:scalars"] = np.array([rec.sum_se, rec.objective, rec.max_fronthaul,
                                                  rec.feasible, rec.iterations], dtype=float)
+        with tempfile.TemporaryDirectory() as tmp:
+            for path in emit_results(result, tmp):
+                arrays[f"{name}/{call}/{path.name}:sha256"] = np.array(_digest(path))
     np.savez(out, **arrays)
 
 
-def load(path) -> dict:
-    """key -> {field: value} of one dump."""
-    records = {}
+def load(path):
+    """(records, files) of one dump: key -> {field: value}, and set/call/file name
+    -> SHA-256 digest."""
+    records, files = {}, {}
     with np.load(path) as data:
         for name in data.files:
             key, part = name.rsplit(":", 1)
+            if part == "sha256":
+                files[key] = str(data[name])
+                continue
             rec = records.setdefault(key, {})
             if part == "scalars":
                 sum_se, objective, max_fh, feasible, iterations = data[name]
@@ -83,7 +110,7 @@ def load(path) -> dict:
                            feasible=bool(feasible), iterations=int(iterations))
             else:
                 rec[part] = data[name]
-    return records
+    return records, files
 
 
 def _relative(a, b) -> float:
@@ -95,18 +122,25 @@ def _relative(a, b) -> float:
                         initial=0.0))
 
 
-def diff(first: dict, second: dict) -> list:
-    """The report lines of two loaded dumps."""
+def _only_in(a, b) -> str:
+    return f"only in {'second' if a is None else 'first'}"
+
+
+def diff(first, second) -> list:
+    """The report lines of two loaded dumps, each the (records, files) of load."""
+    (first, first_files), (second, second_files) = first, second
     lines = []
     for name in SETS:
         keys = sorted(k for k in first.keys() | second.keys() if k.startswith(name + "/"))
-        if not keys:
+        names = sorted(k for k in first_files.keys() | second_files.keys()
+                       if k.startswith(name + "/"))
+        if not keys and not names:
             continue
         identical, moves, changed = 0, dict.fromkeys(FIELDS, 0.0), []
         for key in keys:
             a, b = first.get(key), second.get(key)
             if a is None or b is None:
-                changed.append(f"  {key}: only in {'second' if a is None else 'first'}")
+                changed.append(f"  {key}: {_only_in(a, b)}")
                 continue
             if all(np.array_equal(a[f], b[f]) for f in (*FIELDS, "feasible", "iterations")):
                 identical += 1
@@ -122,6 +156,14 @@ def diff(first: dict, second: dict) -> list:
         lines.append(f"{name}: {identical} of {len(keys)} records identical; max relative "
                      + ", ".join(f"{f} {moves[f]:.3g}" for f in FIELDS))
         lines.extend(changed)
+        differ = []
+        for key in names:
+            a, b = first_files.get(key), second_files.get(key)
+            if a != b:
+                differ.append(f"  {key}: " + ("differs" if a and b else _only_in(a, b)))
+        lines.append(f"{name}: {len(names) - len(differ)} of {len(names)} emitted files "
+                     "identical")
+        lines.extend(differ)
     return lines
 
 
