@@ -132,9 +132,10 @@ def refresh_aux(eta, form: PowerForm, params: SystemParams) -> AuxState:
     return AuxState(gamma_aux=g, u=_u_star(g, signal, signal + interference, params))
 
 
-def _dual_const(gamma_aux, params: SystemParams) -> np.ndarray:
-    """Per-UE w log2(1 + Gamma) - w' Gamma, the part of both surrogates free of (eta, D)."""
-    return params.prelog * np.log2(1.0 + gamma_aux) - _wprime(params) * gamma_aux
+def _dual_const(gamma_aux, one_plus, wprime, params: SystemParams) -> np.ndarray:
+    """Per-UE w log2(1 + Gamma) - w' Gamma, the part of both surrogates free of (eta, D),
+    from the caller's one_plus = 1 + Gamma and wprime = w'."""
+    return params.prelog * np.log2(one_plus) - wprime * gamma_aux
 
 
 def block_objective(eta, form: PowerForm, gamma_aux, u, params: SystemParams, *,
@@ -155,10 +156,12 @@ def _power_coefficients(form: PowerForm, gamma_aux, u, params: SystemParams):
     u = np.asarray(u, dtype=float)
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     c_sig, a_mat, n_vec = form.sinr
+    wprime, one_plus = _wprime(params), 1.0 + gamma_aux
     u2 = u ** 2
     lin = u2 * c_sig + a_mat.T @ u2
-    b_vec = 2.0 * u * np.sqrt(params.uplink_snr * _wprime(params) * (1.0 + gamma_aux)) * n_vec
-    const = float(np.sum(_dual_const(gamma_aux, params)) - u2 @ n_vec - form.penalty)
+    b_vec = 2.0 * u * np.sqrt(params.uplink_snr * wprime * one_plus) * n_vec
+    const = float(_dual_const(gamma_aux, one_plus, wprime, params).sum() - u2 @ n_vec
+                  - form.penalty)
     return lin, b_vec, const
 
 
@@ -245,17 +248,29 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
     return e
 
 
+def _has_targets(params: SystemParams) -> bool:
+    """Whether any UE has a QoS target."""
+    qos = params.qos
+    return qos > 0 if isinstance(qos, float) else bool(np.any(np.asarray(qos) > 0))
+
+
+def _in_box(x, tol) -> bool:
+    """Whether x lies in [0,1]^T to within tol."""
+    return bool(np.all((x >= -tol) & (x <= 1 + tol)))
+
+
 def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: SolverOptions,
                 eta_init=None, *, coefficients=None) -> np.ndarray:
     """Maximize the block objective over eta in [0,1]^T at the matrix of the power form,
     subject to the QoS rows, which are linear in eta. Concave: the sqrt terms are
     concave, the rest affine.
 
-    Without a QoS target there are no rows, and the closed-form maximizer over the
-    box is used. Rows with no point in the box go to the QoS policy unsolved.
-    Otherwise the dual maximizer is used; if it breaks a row it moves toward
-    eta_init (or, if that breaks a row too, toward the least QoS powers) until
-    every row holds. The result is never worse than a feasible eta_init.
+    Without a QoS target there are no rows: the closed-form maximizer over the box
+    is returned at once, unless eta_init in the box is better. Rows with no point in
+    the box go to the QoS policy unsolved. Otherwise the dual maximizer is used; if
+    it breaks a row (only when the dual stops at its cap) it moves toward eta_init
+    (or, if that breaks a row too, toward the least QoS powers) until every row
+    holds. The result is never worse than a feasible eta_init.
     coefficients, if given, are _power_coefficients(form, gamma_aux, u, params).
     """
     if coefficients is None:
@@ -263,37 +278,32 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
     lin, b_vec, _ = coefficients
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
     tol = 1e-8
-
-    def fun(x):
-        return _power_value(coefficients, x)
-
-    def in_box(x):
-        return bool(np.all((x >= -tol) & (x <= 1 + tol)))
-
-    if not np.any(np.asarray(params.qos) > 0):
-        x, feasible = _box_maximizer(lin, b_vec), in_box
-    else:
-        normals, offsets, least = _qos_rows(*form.sinr, _qos_thresholds(params, lin.size))
-        if not _rows_hold(least):
-            if options.qos_infeasible_policy == "error":
-                raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
-                                             f"powers meeting them {least.tolist()} are not in "
-                                             "[0, 1]")
+    if not _has_targets(params):
+        x = _box_maximizer(lin, b_vec)
+        if _in_box(eta0, tol) and _power_value(coefficients, eta0) > _power_value(coefficients, x):
             return np.clip(eta0, 0.0, 1.0)
-        scale = np.maximum(1.0, np.abs(offsets))
+        return x
+    normals, offsets, least = _qos_rows(*form.sinr, _qos_thresholds(params, lin.size))
+    if not _rows_hold(least):
+        if options.qos_infeasible_policy == "error":
+            raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
+                                         f"powers meeting them {least.tolist()} are not in "
+                                         "[0, 1]")
+        return np.clip(eta0, 0.0, 1.0)
+    scale = np.maximum(1.0, np.abs(offsets))
 
-        def feasible(x):
-            return in_box(x) and bool(np.all(normals @ x >= offsets - tol * scale))
+    def feasible(x):
+        return _in_box(x, tol) and bool(np.all(normals @ x >= offsets - tol * scale))
 
-        x = _dual_power_solve(lin, b_vec, normals, offsets)
-        if not feasible(x):
-            # x lies in the box, so only rows are broken; each holds again once the
-            # step toward the feasible anchor exceeds its ratio of slacks.
-            anchor = eta0 if feasible(eta0) else least
-            slack, slack0 = normals @ x - offsets, normals @ anchor - offsets
-            bad = slack < -tol * scale
-            x = x + min(1.0, float(np.max(slack[bad] / (slack[bad] - slack0[bad])))) * (anchor - x)
-    if feasible(eta0) and fun(eta0) > fun(x):
+    x = _dual_power_solve(lin, b_vec, normals, offsets)
+    if not feasible(x):
+        # x lies in the box, so only rows are broken; each holds again once the
+        # step toward the feasible anchor exceeds its ratio of slacks.
+        anchor = eta0 if feasible(eta0) else least
+        slack, slack0 = normals @ x - offsets, normals @ anchor - offsets
+        bad = slack < -tol * scale
+        x = x + min(1.0, float(np.max(slack[bad] / (slack[bad] - slack0[bad])))) * (anchor - x)
+    if feasible(eta0) and _power_value(coefficients, eta0) > _power_value(coefficients, x):
         x = eta0
     return np.clip(x, 0.0, 1.0)
 
@@ -349,9 +359,10 @@ def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemPar
     c, _, h = model
     u_t = np.asarray(u, dtype=float)[t]
     gaux_t = np.asarray(gamma_aux, dtype=float)[t]
-    lin = ((2.0 * u_t * np.sqrt(_wprime(params) * (1.0 + gaux_t)))[..., None] * c
+    wprime, one_plus = _wprime(params), 1.0 + gaux_t
+    lin = ((2.0 * u_t * np.sqrt(wprime * one_plus))[..., None] * c
            - (u_t ** 2)[..., None] * h - params.alpha)
-    return model, (_dual_const(gaux_t, params), lin, u_t)
+    return model, (_dual_const(gaux_t, one_plus, wprime, params), lin, u_t)
 
 
 def _qos_approximation(x0, model, gth):
@@ -812,11 +823,15 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
             break
         f_prev = f_val
 
-    d_binary = round_association(d, options, gamma)
-    # Rounding that leaves d unchanged (always so in power_only) keeps d's form.
+    # Rounding that leaves d unchanged keeps d's form. power_only never moves d, and
+    # its default all-ones start needs no rounding.
     form_b = form
-    if not np.array_equal(d_binary, d):
-        form_b = _power_form(d_binary, gamma, beta, gram, params)
+    if mode == "power_only" and initial_d is None:
+        d_binary = d.copy()
+    else:
+        d_binary = round_association(d, options, gamma)
+        if not np.array_equal(d_binary, d):
+            form_b = _power_form(d_binary, gamma, beta, gram, params)
     se = se_on(eta, form_b)
     if enforce_qos and not meets_qos(se, qos).all():
         # Rounding broke a QoS target: re-add APs to the violated columns, then

@@ -38,7 +38,8 @@ def dual_transform_objective(eta, d, gamma_aux, gamma, beta, gram, params: Syste
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     signal, pc, bu, noise = sinr_terms(eta, d, gamma, beta, gram, params)
     total = signal + pc + bu + noise
-    val = _dual_const(gamma_aux, params) + _wprime(params) * (1.0 + gamma_aux) * signal / total
+    wprime, one_plus = _wprime(params), 1.0 + gamma_aux
+    val = _dual_const(gamma_aux, one_plus, wprime, params) + wprime * one_plus * signal / total
     return float(val.sum() - l1_penalty(d, params))
 
 
@@ -49,8 +50,9 @@ def block_objective_of_terms(eta, form, gamma_aux, u, params: SystemParams) -> f
     gamma_aux = np.asarray(gamma_aux, dtype=float)
     u = np.asarray(u, dtype=float)
     signal, interference = form.sinr.terms(eta)
-    val = (_dual_const(gamma_aux, params) - u ** 2 * (signal + interference)
-           + 2.0 * u * np.sqrt(_wprime(params) * (1.0 + gamma_aux) * signal))
+    wprime, one_plus = _wprime(params), 1.0 + gamma_aux
+    val = (_dual_const(gamma_aux, one_plus, wprime, params) - u ** 2 * (signal + interference)
+           + 2.0 * u * np.sqrt(wprime * one_plus * signal))
     return float(val.sum() - form.penalty)
 
 
