@@ -213,39 +213,95 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
     with {normals @ eta >= offsets} via the separable Lagrangian dual.
 
     For fixed multipliers mu the inner maximization splits per UE with a
-    closed-form solution; the convex dual is minimized by projected gradient
-    steps with backtracking. Returns the (near-feasible) primal iterate; without
-    rows, the closed-form maximizer over the box, where the first stop test holds.
+    closed-form solution e(mu), at lam = lin - normals^T mu. The convex dual is
+    minimized by projected Newton steps (Bertsekas 1982): the multipliers at 0 with a
+    positive gradient are held, and the free ones take the Newton step of the dual
+    Hessian normals diag(2 e_t/lam_t) normals^T, whose UE t terms are those off the
+    cap (lam_t > 0, e_t < 1), where e_t = (b_t/2 lam_t)^2. A backtracked projected
+    gradient step is the safeguard where that step fails. Without rows, the
+    closed-form maximizer over the box, where the first stop test holds.
     """
     mu = np.zeros(offsets.size)
 
     def state(m):
-        e = _box_maximizer(lin - normals.T @ m, b_vec)
+        lam = lin - normals.T @ m
+        e = _box_maximizer(lam, b_vec)
         grad = normals @ e - offsets
-        return e, grad, _power_value((lin, b_vec, 0.0), e) + float(m @ grad)
+        return lam, e, grad, _power_value((lin, b_vec, 0.0), e) + float(m @ grad)
 
-    e, grad, val = state(mu)
+    def descends(new, m_new):
+        # The dual is convex, so a nonpositive slope at m_new along the step proves
+        # descent where the two values agree to rounding.
+        return new[3] <= cur[3] or float(new[2] @ (m_new - mu)) <= 0.0
+
+    cur = state(mu)
     step = 1.0
     for _ in range(max_iters):
+        lam, e, grad, val = cur
         # Stop on primal feasibility and a duality gap mu.grad near rounding.
         if (np.max(-np.minimum(grad, 0.0), initial=0.0) <= tol
                 and abs(float(mu @ grad)) <= 1e-12 * (1.0 + abs(val))):
             break
-        accepted = False
-        for _ in range(40):
-            mu_new = np.maximum(mu - step * grad, 0.0)
-            e_new, grad_new, val_new = state(mu_new)
-            # The dual is convex, so a nonpositive slope at mu_new along the step
-            # proves descent where the two values agree to rounding.
-            if val_new <= val or float(grad_new @ (mu_new - mu)) <= 0.0:
-                accepted = True
+        new = None
+        direction = _newton_direction(lam, e, grad, mu, normals)
+        if direction is not None:
+            scale = 1.0
+            for _ in range(30):
+                mu_new = np.maximum(mu - scale * direction, 0.0)
+                trial = state(mu_new)
+                if descends(trial, mu_new):
+                    new = trial
+                    break
+                scale *= 0.5
+        if new is None:
+            for _ in range(40):
+                mu_new = np.maximum(mu - step * grad, 0.0)
+                trial = state(mu_new)
+                if descends(trial, mu_new):
+                    new = trial
+                    break
+                step *= 0.5
+            else:
                 break
-            step *= 0.5
-        if not accepted or not np.any(mu_new - mu):
+            step *= 1.5
+        if not np.any(mu_new - mu):
             break
-        mu, e, grad, val = mu_new, e_new, grad_new, val_new
-        step *= 1.5
-    return e
+        mu, cur = mu_new, new
+    # The stop test leaves rows broken by up to tol in eta, and a UE's SE can then miss
+    # its target by more than se_model.meets_qos allows. Newton converges fast on the
+    # active set: its steps, while they shrink the broken rows, meet them to rounding.
+    for _ in range(3):
+        broken = np.max(-np.minimum(cur[2], 0.0), initial=0.0)
+        direction = _newton_direction(*cur[:3], mu, normals) if broken > 0 else None
+        if direction is None:
+            break
+        mu_new = np.maximum(mu - direction, 0.0)
+        trial = state(mu_new)
+        if np.max(-np.minimum(trial[2], 0.0), initial=0.0) >= broken:
+            break
+        mu, cur = mu_new, trial
+    return cur[1]
+
+
+def _newton_direction(lam, e, grad, mu, normals):
+    """The projected Newton direction of the power dual at mu: the Newton step of the
+    free multipliers, 0 on the held ones (at 0 with a positive gradient); None where
+    the free Hessian is singular or the step is no descent direction."""
+    free = (mu > 0) | (grad <= 0)
+    # -de_t/dlam_t = b_t^2/(2 lam_t^3) = 2 e_t/lam_t off the cap, 0 on it.
+    bend = (lam > 0) & (e < 1)
+    curv = np.zeros(lam.size)
+    curv[bend] = 2.0 * e[bend] / lam[bend]
+    rows = normals[free]
+    try:
+        step = np.linalg.solve((rows * curv) @ rows.T, grad[free])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(step)) or float(grad[free] @ step) <= 0.0:
+        return None
+    direction = np.zeros(mu.size)
+    direction[free] = step
+    return direction
 
 
 def _has_targets(params: SystemParams) -> bool:
@@ -255,8 +311,8 @@ def _has_targets(params: SystemParams) -> bool:
 
 
 def _in_box(x, tol) -> bool:
-    """Whether x lies in [0,1]^T to within tol."""
-    return bool(np.all((x >= -tol) & (x <= 1 + tol)))
+    """Whether the array x lies in [0,1]^T to within tol (False where it holds a NaN)."""
+    return bool(x.min() >= -tol and x.max() <= 1 + tol)
 
 
 def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: SolverOptions,

@@ -124,6 +124,12 @@ def count_power_coefficients(monkeypatch):
     return _count_calls(monkeypatch, cf.fp_solver._power_coefficients)
 
 
+def count_box_maximizers(monkeypatch):
+    """Count the evaluations of the power block's closed form (fp_solver._box_maximizer),
+    one per dual point the power dual visits."""
+    return _count_calls(monkeypatch, cf.fp_solver._box_maximizer)
+
+
 def count_inner_iterations(monkeypatch):
     """Replace fp_solver.pga_maximize by a counting wrapper; returns a dict of calls,
     iters and cap_hits, counted by the benchmark tracer's rule: a call's iterations

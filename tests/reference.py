@@ -124,3 +124,49 @@ def path_loss_db_two_logs(d, model: PathLossModel):
     near_val = anchor - mid * math.log10(model.d0 * km)
     out = np.where(d > model.d1, far_val, np.where(d > model.d0, mid_val, near_val))
     return float(out) if out.ndim == 0 else out
+
+
+def refresh_aux_as_written(eta, form, params: SystemParams):
+    """(Gamma, u) as fp_solver.refresh_aux computed them when the power block's
+    no-row step was made lean: Gamma_t = S_t/I_t and u_t = sqrt(w'(1 + Gamma_t) S_t)
+    / (S_t + I_t), from the power form's (S, I)."""
+    signal, interference = form.sinr.terms(eta)
+    g = signal / interference
+    return g, np.sqrt(params.prelog / math.log(2.0) * (1.0 + g) * signal) / (signal + interference)
+
+
+def power_coefficients_as_written(form, gamma_aux, u, params: SystemParams):
+    """fp_solver._power_coefficients as it read before it shared 1 + Gamma and w':
+    (lin, b, const) of const - lin.eta + b.sqrt(eta)."""
+    u = np.asarray(u, dtype=float)
+    gamma_aux = np.asarray(gamma_aux, dtype=float)
+    c_sig, a_mat, n_vec = form.sinr
+    u2 = u ** 2
+    lin = u2 * c_sig + a_mat.T @ u2
+    wprime = params.prelog / math.log(2.0)
+    b_vec = 2.0 * u * np.sqrt(params.uplink_snr * wprime * (1.0 + gamma_aux)) * n_vec
+    dual_const = params.prelog * np.log2(1.0 + gamma_aux) - wprime * gamma_aux
+    const = float(np.sum(dual_const) - u2 @ n_vec - form.penalty)
+    return lin, b_vec, const
+
+
+def solve_power_without_rows(coefficients, eta_init=None):
+    """fp_solver.solve_power without a QoS target, as it read before its no-row step
+    returned early: the closed-form maximizer over the box, replaced by eta_init where
+    that lies in the box to 1e-8 and is better, then clipped to the box."""
+    lin, b_vec, const = coefficients
+    eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
+    tol = 1e-8
+
+    def fun(x):
+        return const - float(lin @ x) + float(b_vec @ np.sqrt(np.maximum(x, 0.0)))
+
+    def in_box(x):
+        return bool(np.all((x >= -tol) & (x <= 1 + tol)))
+
+    x = np.ones_like(lin)
+    pos = lin > 0
+    x[pos] = np.minimum(1.0, b_vec[pos] / (2.0 * lin[pos])) ** 2
+    if in_box(eta0) and fun(eta0) > fun(x):
+        x = eta0
+    return np.clip(x, 0.0, 1.0)

@@ -1,5 +1,5 @@
-"""Smoke tests of tools/record_diff.py: dump one desk call, diff it against itself and
-against a copy with changed file digests."""
+"""Smoke tests of tools/record_diff.py: dump one desk call, diff it against itself,
+against a copy with changed file digests and against one with a moved record."""
 
 import hashlib
 import subprocess
@@ -30,7 +30,22 @@ def test_one_desk_call_diffs_identical_to_itself(desk_dump):
     assert _diff(desk_dump, desk_dump) == [
         "desk_sweep: 15 of 15 records identical; max relative se 0, sum_se 0, "
         "objective 0, max_fronthaul 0, trace 0",
+        "desk_sweep: identical by kind association_only 3/3, fractional_power_control 3/3, "
+        "full_power_all_serve 3/3, joint 3/3, power_only 3/3",
         "desk_sweep: 13 of 13 emitted files identical"]
+
+
+def test_diff_counts_identical_records_per_scenario_kind(desk_dump, tmp_path):
+    # One joint record's trace moved: the kind line shows where, in one line.
+    with np.load(desk_dump) as data:
+        arrays = dict(data)
+    (key,) = [k for k in arrays if k.startswith("desk_sweep/0/0/joint/0.002:trace")]
+    arrays[key] = arrays[key] * (1.0 + 1e-12)
+    moved = tmp_path / "moved.npz"
+    np.savez(moved, **arrays)
+    assert _diff(desk_dump, moved)[1] == (
+        "desk_sweep: identical by kind association_only 3/3, fractional_power_control 3/3, "
+        "full_power_all_serve 3/3, joint 2/3, power_only 3/3")
 
 
 def test_diff_lists_the_emitted_files_that_differ(desk_dump, tmp_path):
@@ -41,7 +56,7 @@ def test_diff_lists_the_emitted_files_that_differ(desk_dump, tmp_path):
     arrays["desk_sweep/0/summary.csv:sha256"] = np.array(hashlib.sha256(b"").hexdigest())
     changed = tmp_path / "changed.npz"
     np.savez(changed, **arrays)
-    assert _diff(desk_dump, changed)[1:] == [
+    assert _diff(desk_dump, changed)[2:] == [
         "desk_sweep: 11 of 13 emitted files identical",
         "  desk_sweep/0/feasibility.csv: only in first",
         "  desk_sweep/0/summary.csv: differs"]

@@ -17,10 +17,11 @@ Each set's configurations are also emitted (``harness.emit_results``) into a
 temporary directory, and the dump keeps one SHA-256 digest per emitted file, with
 the ``output_dir`` of ``config_echo.json`` blanked.
 
-`diff` prints, per set, how many records are identical bit for bit, the largest
-relative move of the per-UE SE, sum SE, objective, max front-haul and trace, and
-every record whose feasible flag, iteration count or trace length differs; then
-how many emitted files are identical, and every file that differs.
+`diff` prints, per set, how many records are identical bit for bit, in all and per
+scenario kind, the largest relative move of the per-UE SE, sum SE, objective, max
+front-haul and trace, and every record whose feasible flag, iteration count or trace
+length differs; then how many emitted files are identical, and every file that
+differs.
 """
 
 from __future__ import annotations
@@ -137,13 +138,17 @@ def diff(first, second) -> list:
         if not keys and not names:
             continue
         identical, moves, changed = 0, dict.fromkeys(FIELDS, 0.0), []
+        kinds = {}   # scenario kind -> [identical, records]
         for key in keys:
+            kind = kinds.setdefault(key.split("/")[3], [0, 0])
+            kind[1] += 1
             a, b = first.get(key), second.get(key)
             if a is None or b is None:
                 changed.append(f"  {key}: {_only_in(a, b)}")
                 continue
             if all(np.array_equal(a[f], b[f]) for f in (*FIELDS, "feasible", "iterations")):
                 identical += 1
+                kind[0] += 1
                 continue
             for f in FIELDS:
                 if a[f].shape == b[f].shape:
@@ -155,6 +160,9 @@ def diff(first, second) -> list:
                 changed.append(f"  {key}: " + ", ".join(flags))
         lines.append(f"{name}: {identical} of {len(keys)} records identical; max relative "
                      + ", ".join(f"{f} {moves[f]:.3g}" for f in FIELDS))
+        if kinds:
+            lines.append(f"{name}: identical by kind "
+                         + ", ".join(f"{k} {n}/{m}" for k, (n, m) in sorted(kinds.items())))
         lines.extend(changed)
         differ = []
         for key in names:
