@@ -7,7 +7,10 @@ transform with auxiliaries u_t replaces the remaining signal/interference ratio.
 With (Gamma, u) held at their closed-form optima the lifted objective equals the
 original one; for fixed (Gamma, u) it is concave in the power factors and in each
 association column, so the two block maximizations never decrease it. The power
-block is solved through its separable Lagrangian dual. The association block first
+block is solved through its separable Lagrangian dual, each UE's power in closed
+form for fixed multipliers: without a QoS target it returns that closed form over
+the box at once, and with targets it takes projected Newton steps on the
+multipliers of the QoS rows (Bertsekas 1982). The association block first
 settles, in one batched (M, T) test, every column that passes the column ascent's
 own stop test and meets its QoS target. Each other column x has one model (which
 the repair reads too): signal (c.x)^2 and interference plus noise
@@ -229,57 +232,49 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
         grad = normals @ e - offsets
         return lam, e, grad, _power_value((lin, b_vec, 0.0), e) + float(m @ grad)
 
-    def descends(new, m_new):
-        # The dual is convex, so a nonpositive slope at m_new along the step proves
-        # descent where the two values agree to rounding.
-        return new[3] <= cur[3] or float(new[2] @ (m_new - mu)) <= 0.0
+    def broken(st):
+        return float(np.max(-np.minimum(st[2], 0.0), initial=0.0))
+
+    def arc(direction, scale, tries):
+        # (mu', state, scale) at the first mu' = max(mu - scale direction, 0), halving
+        # scale, where the dual descends. It is convex, so a nonpositive slope at mu'
+        # along the step proves descent where the two values agree to rounding.
+        for _ in range(tries):
+            m = np.maximum(mu - scale * direction, 0.0)
+            st = state(m)
+            if st[3] <= cur[3] or float(st[2] @ (m - mu)) <= 0.0:
+                return m, st, scale
+            scale *= 0.5
+        return None
 
     cur = state(mu)
     step = 1.0
     for _ in range(max_iters):
-        lam, e, grad, val = cur
         # Stop on primal feasibility and a duality gap mu.grad near rounding.
-        if (np.max(-np.minimum(grad, 0.0), initial=0.0) <= tol
-                and abs(float(mu @ grad)) <= 1e-12 * (1.0 + abs(val))):
+        if broken(cur) <= tol and abs(float(mu @ cur[2])) <= 1e-12 * (1.0 + abs(cur[3])):
             break
-        new = None
-        direction = _newton_direction(lam, e, grad, mu, normals)
-        if direction is not None:
-            scale = 1.0
-            for _ in range(30):
-                mu_new = np.maximum(mu - scale * direction, 0.0)
-                trial = state(mu_new)
-                if descends(trial, mu_new):
-                    new = trial
-                    break
-                scale *= 0.5
-        if new is None:
-            for _ in range(40):
-                mu_new = np.maximum(mu - step * grad, 0.0)
-                trial = state(mu_new)
-                if descends(trial, mu_new):
-                    new = trial
-                    break
-                step *= 0.5
-            else:
+        direction = _newton_direction(*cur[:3], mu, normals)
+        found = None if direction is None else arc(direction, 1.0, 30)
+        if found is None:
+            found = arc(cur[2], step, 40)
+            if found is None:
                 break
-            step *= 1.5
-        if not np.any(mu_new - mu):
+            step = 1.5 * found[2]
+        if not np.any(found[0] - mu):
             break
-        mu, cur = mu_new, new
+        mu, cur = found[:2]
     # The stop test leaves rows broken by up to tol in eta, and a UE's SE can then miss
     # its target by more than se_model.meets_qos allows. Newton converges fast on the
-    # active set: its steps, while they shrink the broken rows, meet them to rounding.
+    # active set: its full steps, while they shrink the broken rows, meet them to rounding.
     for _ in range(3):
-        broken = np.max(-np.minimum(cur[2], 0.0), initial=0.0)
-        direction = _newton_direction(*cur[:3], mu, normals) if broken > 0 else None
+        direction = _newton_direction(*cur[:3], mu, normals) if broken(cur) > 0 else None
         if direction is None:
             break
-        mu_new = np.maximum(mu - direction, 0.0)
-        trial = state(mu_new)
-        if np.max(-np.minimum(trial[2], 0.0), initial=0.0) >= broken:
+        m = np.maximum(mu - direction, 0.0)
+        st = state(m)
+        if broken(st) >= broken(cur):
             break
-        mu, cur = mu_new, trial
+        mu, cur = m, st
     return cur[1]
 
 
