@@ -319,7 +319,7 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
     Without a QoS target there are no rows: the closed-form maximizer over the box
     is returned at once, unless eta_init in the box is better. Rows with no point in
     the box go to the QoS policy unsolved. Otherwise the dual maximizer is used; if
-    it breaks a row (only when the dual stops at its cap) it moves toward eta_init
+    it breaks a row (only where the dual stops short) it moves toward eta_init
     (or, if that breaks a row too, toward the least QoS powers) until every row
     holds. The result is never worse than a feasible eta_init.
     coefficients, if given, are _power_coefficients(form, gamma_aux, u, params).

@@ -462,8 +462,7 @@ def test_dual_power_solve_meets_binding_rows(monkeypatch, seed, qos, least_start
 
 
 @pytest.mark.parametrize("seed", [4, 12, 14, 15, 31])
-def test_joint_keeps_ues_without_target_powered_where_only_their_silence_meets_targets(
-        desk_channel, seed):
+def test_joint_keeps_untargeted_ues_powered_without_a_least_power_start(desk_channel, seed):
     # UEs 0 and 4 have no target, and the targets hold on D = ones only with both
     # silent, so there is no least-power start. A power block that stepped back toward
     # the least powers silenced both for good (u_t = 0 then zeroes b_t); with its rows
