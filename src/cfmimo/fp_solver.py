@@ -288,8 +288,9 @@ def _newton_direction(lam, e, grad, mu, normals):
     curv = np.zeros(lam.size)
     curv[bend] = 2.0 * e[bend] / lam[bend]
     rows = normals[free]
+    hess = (rows * curv) @ rows.T
     try:
-        step = np.linalg.solve((rows * curv) @ rows.T, grad[free])
+        step = np.linalg.solve(hess, grad[free])
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(step)) or float(grad[free] @ step) <= 0.0:
