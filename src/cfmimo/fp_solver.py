@@ -22,11 +22,12 @@ projected Newton steps (opt.pga_maximize with the stacked Hessian factors F) ove
 exact box-and-coverage projection. Only a column whose maximizer breaks psi goes on
 alone, as a stack of one: Newton's method solves the KKT system of its target on a
 face of the box and coverage, in the free entries and the multipliers at once.
-When power is free and full power breaks a QoS target, the solve starts from the
-least powers that meet every target (one linear solve, Yates 1995). A joint solve
-whose matrix admits no such powers runs without the targets (phase I) until an
-association block forms a matrix that does; phase II starts there from feasible
-powers, with a fresh objective trace.
+Only alternate reads the QoS targets: joint and association_only hold them, power_only
+none, and the blocks take the SINR thresholds of the held ones. When power is free and
+full power breaks a held target, the solve starts from the least powers that meet every
+target (one linear solve, Yates 1995). A joint solve whose matrix admits no such powers
+runs no power block (phase I) until an association block forms a matrix that does;
+phase II starts there from feasible powers, with a fresh objective trace.
 
 For a fixed matrix every UE's S = c_sig eta and I = a_mat eta + n_vec are linear
 in eta (se_model.sinr_form). alternate builds one PowerForm (_power_form: that
@@ -58,6 +59,9 @@ from .se_model import (SinrForm, SystemParams, l1_penalty, meets_qos, qos_vector
                        spectral_efficiency)
 
 _LN2 = math.log(2.0)
+_ETA_TOL = 1e-8          # tolerance in eta of the box and the QoS power rows
+_DUAL_MAX_ITERS = 2000   # iteration cap of the power dual
+_DUAL_TOL = 1e-10        # largest broken row, in eta, where the power dual may stop
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -197,9 +201,9 @@ def _qos_rows(c_sig, a_mat, n_vec, gth):
     return normals, offsets, least
 
 
-def _rows_hold(least, tol=1e-8):
+def _rows_hold(least):
     """Whether the QoS rows with least powers `least` (_qos_rows) hold somewhere in the box."""
-    return not (np.any(least < 0) or np.any(least > 1 + tol))
+    return not (np.any(least < 0) or np.any(least > 1 + _ETA_TOL))
 
 
 def _box_maximizer(lam, b_vec):
@@ -211,7 +215,7 @@ def _box_maximizer(lam, b_vec):
     return out
 
 
-def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
+def _dual_power_solve(lin, b_vec, normals, offsets):
     """Approximate maximizer of -lin.eta + b.sqrt(eta) over the box intersected
     with {normals @ eta >= offsets} via the separable Lagrangian dual.
 
@@ -249,9 +253,9 @@ def _dual_power_solve(lin, b_vec, normals, offsets, max_iters=2000, tol=1e-10):
 
     cur = state(mu)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(_DUAL_MAX_ITERS):
         # Stop on primal feasibility and a duality gap mu.grad near rounding.
-        if broken(cur) <= tol and abs(float(mu @ cur[2])) <= 1e-12 * (1.0 + abs(cur[3])):
+        if broken(cur) <= _DUAL_TOL and abs(float(mu @ cur[2])) <= 1e-12 * (1.0 + abs(cur[3])):
             break
         direction = _newton_direction(*cur[:3], mu, normals)
         found = None if direction is None else arc(direction, 1.0, 30)
@@ -300,24 +304,19 @@ def _newton_direction(lam, e, grad, mu, normals):
     return direction
 
 
-def _has_targets(params: SystemParams) -> bool:
-    """Whether any UE has a QoS target."""
-    qos = params.qos
-    return qos > 0 if isinstance(qos, float) else bool(np.any(np.asarray(qos) > 0))
-
-
 def _in_box(x, tol) -> bool:
     """Whether the array x lies in [0,1]^T to within tol (False where it holds a NaN)."""
     return bool(x.min() >= -tol and x.max() <= 1 + tol)
 
 
-def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: SolverOptions,
-                eta_init=None, *, coefficients=None) -> np.ndarray:
+def solve_power(form: PowerForm, gamma_aux, u, gth, params: SystemParams,
+                options: SolverOptions, eta_init=None, *, coefficients=None) -> np.ndarray:
     """Maximize the block objective over eta in [0,1]^T at the matrix of the power form,
-    subject to the QoS rows, which are linear in eta. Concave: the sqrt terms are
+    subject to the QoS rows of the SINR thresholds gth (0 for a UE whose target the
+    solve does not hold), which are linear in eta. Concave: the sqrt terms are
     concave, the rest affine.
 
-    Without a QoS target there are no rows: the closed-form maximizer over the box
+    Without a held target there are no rows: the closed-form maximizer over the box
     is returned at once, unless eta_init in the box is better. Rows with no point in
     the box go to the QoS policy unsolved. Otherwise the dual maximizer is used; if
     it breaks a row (only where the dual stops short) it moves toward eta_init
@@ -329,23 +328,24 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
         coefficients = _power_coefficients(form, gamma_aux, u, params)
     lin, b_vec, _ = coefficients
     eta0 = np.ones(lin.size) if eta_init is None else np.asarray(eta_init, dtype=float)
-    tol = 1e-8
-    if not _has_targets(params):
+    # count_nonzero: the cheapest such test of a (T,) array, a third of the cost of .any().
+    if not np.count_nonzero(gth):
         x = _box_maximizer(lin, b_vec)
-        if _in_box(eta0, tol) and _power_value(coefficients, eta0) > _power_value(coefficients, x):
+        if (_in_box(eta0, _ETA_TOL)
+                and _power_value(coefficients, eta0) > _power_value(coefficients, x)):
             return np.clip(eta0, 0.0, 1.0)
         return x
-    normals, offsets, least = _qos_rows(*form.sinr, _qos_thresholds(params, lin.size))
+    normals, offsets, least = _qos_rows(*form.sinr, gth)
     if not _rows_hold(least):
         if options.qos_infeasible_policy == "error":
             raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
                                          f"powers meeting them {least.tolist()} are not in "
                                          "[0, 1]")
         return np.clip(eta0, 0.0, 1.0)
-    scale = np.maximum(1.0, np.abs(offsets))
+    row_tol = _ETA_TOL * np.maximum(1.0, np.abs(offsets))
 
     def feasible(x):
-        return _in_box(x, tol) and bool(np.all(normals @ x >= offsets - tol * scale))
+        return _in_box(x, _ETA_TOL) and bool(np.all(normals @ x >= offsets - row_tol))
 
     x = _dual_power_solve(lin, b_vec, normals, offsets)
     if not feasible(x):
@@ -353,7 +353,7 @@ def solve_power(form: PowerForm, gamma_aux, u, params: SystemParams, options: So
         # step toward the feasible anchor exceeds its ratio of slacks.
         anchor = eta0 if feasible(eta0) else least
         slack, slack0 = normals @ x - offsets, normals @ anchor - offsets
-        bad = slack < -tol * scale
+        bad = slack < -row_tol
         x = x + min(1.0, float(np.max(slack[bad] / (slack[bad] - slack0[bad])))) * (anchor - x)
     if feasible(eta0) and _power_value(coefficients, eta0) > _power_value(coefficients, x):
         x = eta0
@@ -695,19 +695,18 @@ def _settled_columns(eta, form: PowerForm, model, objective, gth, tol):
     return (np.max(np.abs(step - x), axis=1) <= tol) & qos_met
 
 
-def solve_association(eta_fixed, form: PowerForm, gamma_aux, u, gamma, beta, gram,
+def solve_association(eta_fixed, form: PowerForm, gamma_aux, u, gth, gamma, beta, gram,
                       params: SystemParams, options: SolverOptions) -> np.ndarray:
     """Maximize the block objective over the relaxed association matrix, starting
     from the matrix d of the power form.
 
     The problem separates per UE column; each column solve keeps the box,
-    coverage (column sum >= 1) and QoS constraints. One stacked column model of
-    every UE (_column_objective) serves the block: a batched test first settles
-    the columns of d that are already optimal (_settled_columns), and only the
-    rows of the others go to _association_columns.
+    coverage (column sum >= 1) and its QoS target, the SINR threshold gth_t > 0. One
+    stacked column model of every UE (_column_objective) serves the block: a batched
+    test first settles the columns of d that are already optimal (_settled_columns),
+    and only the rows of the others go to _association_columns.
     """
     d = form.d.copy()
-    gth = _qos_thresholds(params, d.shape[1])
     model, objective = _column_objective(np.arange(d.shape[1]), eta_fixed, gamma_aux, u, gamma,
                                          beta, gram, params)
     cols = np.flatnonzero(~_settled_columns(eta_fixed, form, model, objective, gth,
@@ -762,14 +761,13 @@ def _repair_columns(eta, d_binary, d_relaxed, ses, qos, gamma, beta, gram,
     return out
 
 
-def _qos_start(form: PowerForm, params: SystemParams, margin=1.05):
-    """Least powers meeting every QoS target at margin * threshold, else at the bare
-    threshold, on the matrix of the power form, with the UEs without a target held at
-    full power; None when neither lies in [0,1]. The SINR is linear-fractional in eta,
-    so in the box these are the fixed point of target tracking
+def _qos_start(form: PowerForm, gth, margin=1.05):
+    """Least powers meeting every SINR threshold gth at margin * threshold, else at the
+    bare threshold, on the matrix of the power form, with the UEs without a threshold
+    held at full power; None when neither lies in [0,1]. The SINR is linear-fractional
+    in eta, so in the box these are the fixed point of target tracking
     eta <- min(1, eta * target/SINR)."""
     c_sig, a_mat, n_vec = form.sinr
-    gth = _qos_thresholds(params, c_sig.size)
     free = gth <= 0
     for target in (margin * gth, gth):
         least = _qos_rows(c_sig, a_mat, n_vec + a_mat[:, free].sum(axis=1), target)[2]
@@ -784,17 +782,19 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
               start_form: SinrForm | None = None) -> SolveResult:
     """Alternating block maximization with auxiliary refreshes before each block.
 
-    mode selects which blocks run: 'joint', 'power_only' or 'association_only'.
-    Stops when the relative change of the post-block objective value falls
-    below options.epsilon. start_form, if given, is the se_model.sinr_form of the
-    start matrix (initial_d, or all ones); the solve reads it and never writes it.
+    mode selects which blocks run: 'joint', 'power_only' or 'association_only'; joint
+    and association_only hold the QoS targets params.qos, power_only holds none, and
+    the feasibility flags report params.qos in every mode. Stops when the relative
+    change of the post-block objective value falls below options.epsilon. start_form,
+    if given, is the se_model.sinr_form of the start matrix (initial_d, or all ones);
+    the solve reads it and never writes it.
 
     The ascent is monotone while the same QoS targets are enforced, and the trace
     restarts where they change. A joint solve with QoS targets runs in two phases:
     while the power rows of the current matrix have no point in the box (phase I,
-    the test of solve_power), the power block leaves eta as it is. On the first
-    matrix whose rows hold, one power block from feasible powers (from _qos_start's,
-    else from the least powers of _qos_rows) starts phase II, and the objective
+    the test of solve_power), no power block runs. On the first matrix whose rows
+    hold, one power block from feasible powers (from _qos_start's, else from the
+    least powers of _qos_rows) starts phase II, and the objective
     trace and the stop test restart there. A solve that never leaves phase I keeps
     its trace. An association block that meets a target the previous matrix broke
     may lower the objective; where it does, the trace and the stop test restart at
@@ -802,6 +802,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     """
     if mode not in ("joint", "power_only", "association_only"):
         raise ValueError(f"unknown mode: {mode!r}")
+    power_is_free, association_is_free = mode != "association_only", mode != "power_only"
     t_start = time.perf_counter()
     gamma = np.asarray(gamma, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -810,11 +811,10 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     eta = np.ones(num_ues) if initial_eta is None else np.asarray(initial_eta, dtype=float).copy()
     d = np.ones((num_aps, num_ues)) if initial_d is None else np.asarray(initial_d, dtype=float).copy()
     qos = qos_vector(params, num_ues)
-    enforce_qos = bool(np.any(qos > 0))
-    power_is_free = mode in ("joint", "power_only")
+    gth = _qos_thresholds(params, num_ues) if association_is_free else np.zeros(num_ues)
+    enforce_qos = bool(np.count_nonzero(gth))
 
     def rows_hold(fm):
-        gth = _qos_thresholds(params, num_ues)
         return _rows_hold(_qos_rows(*fm.sinr, gth)[2])
 
     def se_on(eta, fm):
@@ -830,9 +830,9 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         form = _power_form(d, gamma, beta, gram, params)
     else:
         form = PowerForm(d, start_form, l1_penalty(d, params))
-    phase_one = mode == "joint" and enforce_qos and not rows_hold(form)
+    phase_one = enforce_qos and power_is_free and not rows_hold(form)
     if enforce_qos and power_is_free and not qos_met(eta, form).all():
-        start = _qos_start(form, params)
+        start = _qos_start(form, gth)
         if start is not None:
             eta = start
         elif options.qos_infeasible_policy == "error":
@@ -846,28 +846,28 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         # The power coefficients of (form, aux) while both hold; in power_only the
         # power block and the trace share them.
         coefficients = None
-        if mode in ("joint", "power_only"):
+        if power_is_free and not phase_one:
             aux = refresh_aux(eta, form, params)
             coefficients = _power_coefficients(form, aux.gamma_aux, aux.u, params)
-            eta = solve_power(form, aux.gamma_aux, aux.u, params, options, eta_init=eta,
+            eta = solve_power(form, aux.gamma_aux, aux.u, gth, params, options, eta_init=eta,
                               coefficients=coefficients)
-        if mode in ("joint", "association_only"):
+        if association_is_free:
             coefficients = None
             aux = refresh_aux(eta, form, params)
             form_prev = form
-            d = solve_association(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram, params,
-                                  options)
+            d = solve_association(eta, form, aux.gamma_aux, aux.u, gth, gamma, beta, gram,
+                                  params, options)
             form = _power_form(d, gamma, beta, gram, params)
         if phase_one and rows_hold(form):
             phase_one = False
-            start = _qos_start(form, params)
+            start = _qos_start(form, gth)
             aux = refresh_aux(eta, form, params)
-            eta = solve_power(form, aux.gamma_aux, aux.u, params, options, eta_init=start)
+            eta = solve_power(form, aux.gamma_aux, aux.u, gth, params, options, eta_init=start)
             aux = refresh_aux(eta, form, params)
             trace, f_prev = [], None
         f_val = block_objective(eta, form, aux.gamma_aux, aux.u, params,
                                 coefficients=coefficients)
-        if (f_prev is not None and f_val < f_prev and enforce_qos and mode != "power_only"
+        if (f_prev is not None and f_val < f_prev and enforce_qos
                 and np.any(qos_met(eta, form) & ~qos_met(eta, form_prev))):
             trace, f_prev = [], None
         trace.append(f_val)
@@ -878,7 +878,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     # Rounding that leaves d unchanged keeps d's form. power_only never moves d, and
     # its default all-ones start needs no rounding.
     form_b = form
-    if mode == "power_only" and initial_d is None:
+    if not association_is_free and initial_d is None:
         d_binary = d.copy()
     else:
         d_binary = round_association(d, options, gamma)
@@ -893,7 +893,8 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         se = se_on(eta, form_b)
         if power_is_free and not meets_qos(se, qos).all():
             aux_b = refresh_aux(eta, form_b, params)
-            eta = solve_power(form_b, aux_b.gamma_aux, aux_b.u, params, options, eta_init=eta)
+            eta = solve_power(form_b, aux_b.gamma_aux, aux_b.u, gth, params, options,
+                              eta_init=eta)
             se = se_on(eta, form_b)
     feasibility = meets_qos(se, qos)
     if enforce_qos and not feasibility.all() and options.qos_infeasible_policy == "error":

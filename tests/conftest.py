@@ -124,6 +124,11 @@ def count_power_coefficients(monkeypatch):
     return _count_calls(monkeypatch, cf.fp_solver._power_coefficients)
 
 
+def count_qos_rows(monkeypatch):
+    """Count the builds of the QoS power rows (fp_solver._qos_rows)."""
+    return _count_calls(monkeypatch, cf.fp_solver._qos_rows)
+
+
 def count_box_maximizers(monkeypatch):
     """Count the evaluations of the power block's closed form (fp_solver._box_maximizer),
     one per dual point the power dual visits."""

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +11,11 @@ from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagr
                               _column_model, _column_objective, _dual_power_solve,
                               _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
-                              _qos_thresholds, _settled_columns, refresh_aux)
+                              _qos_thresholds, _rows_hold, _settled_columns, refresh_aux)
 from cfmimo.se_model import l1_penalty, meets_qos, qos_vector, sinr_terms, spectral_efficiency
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_box_maximizers, count_inner_iterations, count_power_coefficients,
-                      count_power_forms, count_state_builds, qos_psi)
+                      count_power_forms, count_qos_rows, count_state_builds, qos_psi)
 from reference import (block_objective_eta_grad, block_objective_of_terms,
                        dual_transform_objective, lambda_star, penalized_objective,
                        power_coefficients_as_written, refresh_aux_as_written,
@@ -226,8 +226,8 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
                        (res.eta_star, res.d_binary)):
             form = _power_form(d, gamma, beta, gram, params)
             aux = refresh_aux(eta, form, params)
-            block = cf.solve_association(eta, form, aux.gamma_aux, aux.u, gamma, beta, gram,
-                                         params, opts)
+            block = cf.solve_association(eta, form, aux.gamma_aux, aux.u, gth, gamma, beta,
+                                         gram, params, opts)
             settled = _settled_columns(eta, form, *column_objectives(eta, aux, gamma, beta, gram,
                                                                      params), gth,
                                        opts.inner_tolerance)
@@ -288,7 +288,8 @@ def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_chan
         # The last start is the box maximizer moved by rounding: eta_init may win the tie.
         for eta0 in (None, np.ones(num_ues), rng.uniform(0.0, 1.0, num_ues),
                      np.nextafter(closed, 0.5)):
-            eta = cf.solve_power(form, aux.gamma_aux, aux.u, params, opts, eta_init=eta0)
+            eta = cf.solve_power(form, aux.gamma_aux, aux.u, np.zeros(num_ues), params, opts,
+                                 eta_init=eta0)
             start = np.ones(num_ues) if eta0 is None else eta0
             assert np.array_equal(eta, closed) or np.array_equal(eta, start)
             assert value(eta) >= value(start)
@@ -329,8 +330,9 @@ def test_no_row_power_step_matches_its_reference(desk_channel, scale):
             for coefficients, starts in ((coefs, (None, eta, np.ones(num_ues))),
                                          (capped, (winner, closed))):
                 for eta0 in starts:
-                    got = cf.solve_power(form, aux.gamma_aux, aux.u, params, opts, eta_init=eta0,
-                                         coefficients=coefficients)
+                    got = cf.solve_power(form, aux.gamma_aux, aux.u,
+                                         _qos_thresholds(params, num_ues), params, opts,
+                                         eta_init=eta0, coefficients=coefficients)
                     ref = solve_power_without_rows(coefficients, eta0)
                     assert np.array_equal(got, ref)
                     if eta0 is winner and np.array_equal(ref, np.clip(winner, 0.0, 1.0)):
@@ -346,8 +348,9 @@ def test_solve_power_with_targets_reads_its_rows():
     unsatisfiable = broken = 0
     for seed in range(10):
         channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
-        eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], opts, eta_init=eta0)
-        least = _qos_rows(*form.sinr, _qos_thresholds(channel[3], eta0.size))[2]
+        gth = _qos_thresholds(channel[3], eta0.size)
+        eta = cf.solve_power(form, aux.gamma_aux, aux.u, gth, channel[3], opts, eta_init=eta0)
+        least = _qos_rows(*form.sinr, gth)[2]
         if np.max(least) > 1.0:
             unsatisfiable += 1
             assert np.array_equal(eta, np.clip(eta0, 0.0, 1.0))
@@ -365,10 +368,11 @@ def test_solve_power_alpha_invariant():
     form = _power_form(d, gamma, beta, gram, params)
     aux = refresh_aux(eta0, form, params)
     opts = cf.SolverOptions()
-    out1 = cf.solve_power(form, aux.gamma_aux, aux.u, params, opts, eta_init=eta0)
+    gth = _qos_thresholds(params, 4)
+    out1 = cf.solve_power(form, aux.gamma_aux, aux.u, gth, params, opts, eta_init=eta0)
     penalized = replace(params, alpha=0.5)
     out2 = cf.solve_power(_power_form(d, gamma, beta, gram, penalized), aux.gamma_aux, aux.u,
-                          penalized, opts, eta_init=eta0)
+                          gth, penalized, opts, eta_init=eta0)
     assert np.allclose(out1, out2, atol=1e-9)
 
 
@@ -383,7 +387,8 @@ def test_solve_power_single_ue_matches_grid_search():
     grid = np.linspace(0.0, 1.0, 200001)
     values = const - lin[0] * grid + b_vec[0] * np.sqrt(grid)
     best = grid[np.argmax(values)]
-    out = cf.solve_power(form, aux.gamma_aux, aux.u, params, cf.SolverOptions(), eta_init=eta0)
+    out = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(params, 1), params,
+                         cf.SolverOptions(), eta_init=eta0)
     assert out[0] == pytest.approx(best, abs=1e-4)
 
 
@@ -396,7 +401,8 @@ def test_solve_power_never_decreases_block(desk_channel):
         form = _power_form(d, gamma, beta, gram, params)
         aux = refresh_aux(eta0, form, params)
         before = cf.block_objective(eta0, form, aux.gamma_aux, aux.u, params)
-        eta1 = cf.solve_power(form, aux.gamma_aux, aux.u, params, opts, eta_init=eta0)
+        eta1 = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(params, eta0.size),
+                              params, opts, eta_init=eta0)
         after = cf.block_objective(eta1, form, aux.gamma_aux, aux.u, params)
         assert after >= before - 1e-9 * abs(before)
         assert cf.qos_satisfied(eta1, d, gamma, beta, gram, params, tol=1e-6).all()
@@ -424,7 +430,8 @@ def test_solve_power_reaches_constrained_optimum(seed):
     channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
     ref = slsqp_power_value(coefs, (normals, offsets), eta0)
     params = channel[3]
-    eta = cf.solve_power(form, aux.gamma_aux, aux.u, params, cf.SolverOptions(), eta_init=eta0)
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(params, eta0.size), params,
+                         cf.SolverOptions(), eta_init=eta0)
     assert np.all((eta >= 0) & (eta <= 1))
     assert np.all(normals @ eta - offsets >= -1e-8)
     value = cf.block_objective(eta, form, aux.gamma_aux, aux.u, params)
@@ -446,7 +453,7 @@ def test_dual_power_solve_meets_binding_rows(monkeypatch, seed, qos, least_start
     channel, form, eta0, aux, coefs, rows = build_power_block(seed, qos)
     params = channel[3]
     if least_start:
-        eta0 = _qos_start(form, params)
+        eta0 = _qos_start(form, _qos_thresholds(params, eta0.size))
         aux = refresh_aux(eta0, form, params)
         coefs = _power_coefficients(form, aux.gamma_aux, aux.u, params)
     lin, b_vec, const = coefs
@@ -472,21 +479,45 @@ def test_joint_keeps_untargeted_ues_powered_without_a_least_power_start(desk_cha
     qos[[0, 4]] = 0.0
     params = replace(params, qos=qos)
     d = np.ones(gamma.shape)
-    assert _qos_start(_power_form(d, gamma, beta, gram, params), params) is None
+    assert _qos_start(_power_form(d, gamma, beta, gram, params),
+                      _qos_thresholds(params, qos.size)) is None
     res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions())
     assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()
 
 
-@pytest.mark.parametrize("seed", [25, 32, 36])
-def test_solve_power_meets_satisfiable_rows_from_infeasible_init(seed):
+@pytest.mark.parametrize("seed, newton", [
+    *(pytest.param(seed, True, id=str(seed)) for seed in (25, 32, 36)),
+    *(pytest.param(seed, False, id=f"{seed}-safeguard") for seed in (25, 32, 36))])
+def test_solve_power_meets_satisfiable_rows_from_infeasible_init(monkeypatch, seed, newton):
     # Nearly empty polyhedra where the QoS-tracking powers miss a target, so eta_init
-    # cannot anchor a step-back; the dual meets the rows itself.
-    channel, form, eta0, aux, _, (normals, offsets) = build_power_block(seed, qos=1.2)
+    # cannot anchor a step-back; the dual meets the rows itself. Without Newton steps,
+    # its projected gradient safeguard alone runs into the dual's iteration cap with a
+    # row broken, and the step-back toward the least powers meets every row.
+    channel, form, eta0, aux, (lin, b_vec, _), (normals, offsets) = build_power_block(seed,
+                                                                                      qos=1.2)
     assert np.min(normals @ eta0 - offsets) < -1e-8
-    eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], cf.SolverOptions(),
-                         eta_init=eta0)
+    if not newton:
+        monkeypatch.setattr(fp_solver, "_newton_direction", lambda *args: None)
+        assert np.min(normals @ _dual_power_solve(lin, b_vec, normals, offsets) - offsets) < -1e-8
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(channel[3], eta0.size),
+                         channel[3], cf.SolverOptions(), eta_init=eta0)
     assert np.min(normals @ eta - offsets) >= -1e-8
+
+
+@pytest.mark.parametrize("seed, qos", [(0, 0.8), (13, 1.2)])
+def test_dual_power_safeguard_alone_reaches_the_constrained_optimum(monkeypatch, seed, qos):
+    # Newton steps leave the projected gradient safeguard no work on any record set;
+    # with every Newton direction refused it still reaches SLSQP's optimum and meets
+    # the rows to the dual's stop tolerance.
+    monkeypatch.setattr(fp_solver, "_newton_direction", lambda *args: None)
+    channel, form, eta0, aux, coefs, rows = build_power_block(seed, qos)
+    lin, b_vec, const = coefs
+    normals, offsets = rows
+    eta = _dual_power_solve(lin, b_vec, normals, offsets)
+    assert np.min(normals @ eta - offsets) >= -1e-10
+    value = const - lin @ eta + b_vec @ np.sqrt(eta)
+    assert value == pytest.approx(slsqp_power_value(coefs, rows, eta0), rel=1e-6)
 
 
 def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
@@ -494,8 +525,8 @@ def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
     unconstrained = _dual_power_solve(lin, b_vec, normals[:0], offsets[:0])
     assert np.min(normals @ unconstrained - offsets) < -1e-8 <= np.min(normals @ eta0 - offsets)
     monkeypatch.setattr(fp_solver, "_dual_power_solve", lambda *args: unconstrained)
-    eta = cf.solve_power(form, aux.gamma_aux, aux.u, channel[3], cf.SolverOptions(),
-                         eta_init=eta0)
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(channel[3], eta0.size),
+                         channel[3], cf.SolverOptions(), eta_init=eta0)
     # The first point of the segment toward eta0 where every row holds: one row is tight.
     direction = eta0 - unconstrained
     s = (eta - unconstrained) @ direction / (direction @ direction)
@@ -507,10 +538,12 @@ def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
 def test_solve_power_unsatisfiable_qos_policies():
     channel, form, eta0, aux, _, _ = build_power_block(0, qos=10.0)
     params = channel[3]
+    gth = _qos_thresholds(params, eta0.size)
     with pytest.raises(cf.InfeasibleProblemError, match="QoS rows unsatisfiable"):
-        cf.solve_power(form, aux.gamma_aux, aux.u, params,
+        cf.solve_power(form, aux.gamma_aux, aux.u, gth, params,
                        cf.SolverOptions(qos_infeasible_policy="error"), eta_init=eta0)
-    out = cf.solve_power(form, aux.gamma_aux, aux.u, params, cf.SolverOptions(), eta_init=eta0)
+    out = cf.solve_power(form, aux.gamma_aux, aux.u, gth, params, cf.SolverOptions(),
+                         eta_init=eta0)
     assert np.array_equal(out, np.clip(eta0, 0.0, 1.0))
 
 
@@ -522,8 +555,8 @@ def test_solve_association_feasible_and_never_decreases(desk_channel):
         form0 = _power_form(np.ones(gamma.shape), gamma, beta, gram, params)
         aux = refresh_aux(eta, form0, params)
         before = cf.block_objective(eta, form0, aux.gamma_aux, aux.u, params)
-        d1 = cf.solve_association(eta, form0, aux.gamma_aux, aux.u, gamma, beta, gram,
-                                  params, opts)
+        d1 = cf.solve_association(eta, form0, aux.gamma_aux, aux.u, np.zeros(gamma.shape[1]),
+                                  gamma, beta, gram, params, opts)
         after = cf.block_objective(eta, _power_form(d1, gamma, beta, gram, params),
                                    aux.gamma_aux, aux.u, params)
         assert after >= before - 1e-9 * abs(before)
@@ -705,10 +738,11 @@ def test_feasibility_powers_restores_targets(desk_channel):
         d = np.ones(gamma.shape)
         if cf.qos_satisfied(ones, d, gamma, beta, gram, params).all():
             continue
-        eta = _qos_start(_power_form(d, gamma, beta, gram, params), params)
+        gth = _qos_thresholds(params, d.shape[1])
+        eta = _qos_start(_power_form(d, gamma, beta, gram, params), gth)
         sinr = cf.sinr_all(eta, d, gamma, beta, gram, params)
         assert np.all((eta >= 0) & (eta <= 1))
-        assert np.all(sinr >= 1.05 * _qos_thresholds(params, d.shape[1]) * (1 - 1e-12))
+        assert np.all(sinr >= 1.05 * gth * (1 - 1e-12))
         restored += 1
     assert restored >= 1  # at least one drop actually exercised the start
 
@@ -725,11 +759,12 @@ def test_qos_start_matches_target_tracking(desk_channel):
             gamma, beta, gram, params = desk_channel(seed, qos=qos)
             d = np.ones(gamma.shape)
             form = _power_form(d, gamma, beta, gram, params)
-            eta = _qos_start(form, params)
-            if eta is None or np.array_equal(eta, _qos_start(form, params, margin=1.0)):
+            gth = _qos_thresholds(params, d.shape[1])
+            eta = _qos_start(form, gth)
+            if eta is None or np.array_equal(eta, _qos_start(form, gth, margin=1.0)):
                 continue    # no start, or the margin powers leave the box
             sinr = cf.sinr_all(eta, d, gamma, beta, gram, params)
-            target = 1.05 * _qos_thresholds(params, d.shape[1])
+            target = 1.05 * gth
             assert np.allclose(sinr, target, rtol=1e-12, atol=0.0)
             if (seed, qos) not in TRACKING_CAPPED:
                 tracked = _feasibility_powers(d, gamma, beta, gram, params)
@@ -773,7 +808,8 @@ def test_alternate_keeps_ues_without_target_powered(desk_channel, seed, has_star
     params = replace(params, qos=qos)
     d = np.ones(gamma.shape)
     assert not cf.qos_satisfied(np.ones(qos.size), d, gamma, beta, gram, params).all()
-    assert (_qos_start(_power_form(d, gamma, beta, gram, params), params) is not None) == has_start
+    assert (_qos_start(_power_form(d, gamma, beta, gram, params),
+                       _qos_thresholds(params, qos.size)) is not None) == has_start
     res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions())
     assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()
@@ -795,8 +831,8 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
     gamma, beta, gram, params = desk_channel(14, qos=1.0)
     calls = count_state_builds(monkeypatch)
     forms = count_power_forms(monkeypatch)
-    res = cf.alternate(None, None, gamma, beta, gram, replace(params, qos=0.0),
-                       cf.SolverOptions(), mode="power_only")
+    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(),
+                       mode="power_only")
     assert res.iterations > 1
     assert calls[0] <= 2    # d, then d_binary
     assert forms[0] == calls[0] == 1    # every power block reads the one form of d
@@ -828,6 +864,63 @@ def test_power_only_builds_the_power_coefficients_once_per_iteration(desk_channe
                           cf.SolverOptions())
     assert res.iterations > 1
     assert builds[0] == res.iterations
+
+
+def test_power_only_holds_no_target(desk_channel, monkeypatch):
+    # alternate alone decides which targets a solve holds: power_only holds none, so a
+    # direct call equals run_scenario's and builds no QoS row, and its feasibility
+    # flags still report params.qos (seed 4 misses it at qos 1.0).
+    gamma, beta, gram, params = desk_channel(4, qos=1.0)
+    opts = cf.SolverOptions(qos_infeasible_policy="error")
+    rows = count_qos_rows(monkeypatch)
+    res = cf.alternate(None, None, gamma, beta, gram, params, opts, mode="power_only")
+    assert rows[0] == 0
+    scenario = cf.run_scenario(cf.Scenario(kind="power_only"), gamma, beta, gram, params, opts)
+    for field in fields(res):
+        if field.name != "wall_time":
+            assert np.array_equal(getattr(res, field.name), getattr(scenario, field.name))
+    assert np.array_equal(res.feasibility, meets_qos(res.se, qos_vector(params, res.se.size)))
+    assert not res.feasibility.all()
+
+
+def test_joint_phase_one_runs_no_power_block(monkeypatch, tmp_path):
+    # desk_sweep seed 5203 call 168: every joint solve starts on a matrix whose QoS
+    # power rows no power in the box meets (phase I). Until an association block forms
+    # a matrix whose rows hold, no power block runs; phase II then runs them.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS, call_seed
+
+    config = WORKLOADS["desk_sweep"].build(cf, call_seed(5203, 168), str(tmp_path))
+    config = replace(config, scenarios=(cf.Scenario(kind="joint"),))
+    events = []
+    original = {name: getattr(fp_solver, name)
+                for name in ("alternate", "solve_power", "solve_association")}
+
+    def alternate(*args, **kwargs):
+        events.append([])
+        return original["alternate"](*args, **kwargs)
+
+    def solve_power(*args, **kwargs):
+        events[-1].append("power")
+        return original["solve_power"](*args, **kwargs)
+
+    def solve_association(eta, form, gamma_aux, u, gth, gamma, beta, gram, params, options):
+        d = original["solve_association"](eta, form, gamma_aux, u, gth, gamma, beta, gram,
+                                          params, options)
+        form = _power_form(d, gamma, beta, gram, params)
+        events[-1].append("rows hold" if _rows_hold(_qos_rows(*form.sinr, gth)[2])
+                          else "rows broken")
+        return d
+
+    monkeypatch.setattr(cf.baselines, "alternate", alternate)
+    monkeypatch.setattr(fp_solver, "solve_power", solve_power)
+    monkeypatch.setattr(fp_solver, "solve_association", solve_association)
+    cf.run_experiment(config)
+    assert len(events) == 3
+    for solve in events:
+        phase_one = solve[:solve.index("rows hold") + 1]
+        assert "power" not in phase_one
+        assert "power" in solve[len(phase_one):]
 
 
 def _check_solve_records(records, qos):

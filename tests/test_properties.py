@@ -29,10 +29,10 @@ def test_qos_start_is_least_power_solution(seed, qos):
                                                            num_ues=num_ues, qos=np.array(qos))
     d = rng.uniform(0.05, 1.0, (num_aps, num_ues)) * (rng.uniform(size=(num_aps, num_ues)) < 0.6)
     d[rng.integers(num_aps, size=num_ues), np.arange(num_ues)] = 1.0
-    eta = _qos_start(_power_form(d, gamma, beta, gram, params), params)
+    gth = _qos_thresholds(params, num_ues)
+    eta = _qos_start(_power_form(d, gamma, beta, gram, params), gth)
     if eta is None:
         return
-    gth = _qos_thresholds(params, num_ues)
     has = gth > 0
     assert np.all((eta >= 0) & (eta <= 1))
     assert np.all(eta[~has] == 1.0)
@@ -300,6 +300,21 @@ def test_coverage_tight_faces_reach_the_bisection_reference():
             tight += bool(x is not None and abs(x.sum() - 1.0) <= 1e-9
                           and np.any((x > 0.0) & (x < 1.0)))
     assert tight >= 40
+
+
+def test_vertex_starts_reach_their_point_without_an_ascent():
+    # From a vertex start, _vertex_face reads the interval of nu where the vertex stays
+    # stationary and keeps it, or frees the entry that moves at the breakpoint for
+    # Newton's method: many kept targets then need no ascent. Without that path each
+    # of them takes at least one.
+    settled = 0
+    for seed in range(300):
+        for on_target in (True, False):
+            problem = _bound_problem(seed, "vertex", on_target, 2.0)
+            if problem is not None:
+                ascents, x = _check_bound_column(problem)
+                settled += x is not None and ascents == 0
+    assert settled >= 10
 
 
 def test_singular_face_takes_the_safeguard_ascent():

@@ -4,14 +4,19 @@
     python3 tools/record_diff.py dump --src DIR --out F.npz
     python3 tools/record_diff.py diff A.npz B.npz
 
-`dump` runs ``harness.run_experiment`` without a deadline on three sets, in one
+`dump` runs ``harness.run_experiment`` without a deadline on four sets, in one
 subprocess that imports ``cfmimo`` from DIR/src and the workload definitions from
 DIR/bench/workloads.py (read, never edited):
 
 - ``desk_sweep``: benchmark seed 7, calls 0-149 (``--desk-calls``);
 - ``paper_fixed``: benchmark seed 7, calls 0-2;
 - ``paper_qos``: ``paper_config(seed=7, drops=40, alphas=(0.001,))`` with the
-  ``association_only`` and ``joint`` scenarios.
+  ``association_only`` and ``joint`` scenarios;
+- ``desk_pins``: the desk_sweep calls that tests/test_bench_checks.py pins, (seed,
+  call) in PINS. Two of them run joint phase I, and two restart their trace after
+  an association block; the other sets do neither.
+
+``--desk-only`` runs desk_sweep alone.
 
 Each set's configurations are also emitted (``harness.emit_results``) into a
 temporary directory, and the dump keeps one SHA-256 digest per emitted file, with
@@ -37,7 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-SETS = ("desk_sweep", "paper_fixed", "paper_qos")
+SETS = ("desk_sweep", "paper_fixed", "paper_qos", "desk_pins")
+PINS = ((5203, 168), (5210, 269), (202, 560), (7310, 213))
 FIELDS = ("se", "sum_se", "objective", "max_fronthaul", "trace")
 
 CHILD = """\
@@ -49,7 +55,8 @@ record_diff.write_records({out!r}, {desk_calls!r}, {full!r})
 
 
 def record_sets(desk_calls: int, full: bool):
-    """(set name, call, config) of every record set, built with the imported workloads."""
+    """(set name, call, config) of every record set, built with the imported workloads;
+    a desk_pins call is named seed-call."""
     import cfmimo as cf
     from workloads import WORKLOADS, call_seed
 
@@ -62,6 +69,9 @@ def record_sets(desk_calls: int, full: bool):
     config = cf.paper_config(seed=7, drops=40, alphas=(0.001,), output_dir="unused")
     yield "paper_qos", 0, replace(config, scenarios=tuple(
         cf.Scenario(kind=k) for k in ("association_only", "joint")))
+    for seed, k in PINS:
+        yield "desk_pins", f"{seed}-{k}", WORKLOADS["desk_sweep"].build(cf, call_seed(seed, k),
+                                                                        "unused")
 
 
 def _digest(path: Path) -> str:
