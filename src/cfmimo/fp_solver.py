@@ -17,11 +17,11 @@ the repair reads too): signal (c.x)^2 and interference plus noise
 ||w^T x||^2 + h.x. So its objective term, its QoS inner approximation psi and each
 objective + nu psi are one concave quadratic const + lin.x - ||F^T x||^2. The block
 takes the models of its unsettled columns (the co-pilot factors zero-padded to the
-widest of them) and ascends their objectives in one batched call of
-projected Newton steps (opt.pga_maximize with the stacked Hessian factors F) over the
-exact box-and-coverage projection. Only a column whose maximizer breaks psi goes on
-alone, as a stack of one: Newton's method solves the KKT system of its target on a
-face of the box and coverage, in the free entries and the multipliers at once.
+widest of them) and ascends their objectives in one batched call of projected Newton
+steps (opt.pga_maximize with the stacked Hessian factors F) over the exact projection
+onto opt's one constraint set, the box and coverage (opt.project_box_polyhedron).
+A column whose maximizer breaks psi goes on alone, as a stack of one: Newton's method
+solves its target's KKT system on a face, in the free entries and multipliers at once.
 Only alternate reads the QoS targets: joint and association_only hold them, power_only
 none, and the blocks take the SINR thresholds of the held ones. When power is free and
 full power breaks a held target, the solve starts from the least powers that meet every
@@ -454,22 +454,18 @@ def _association_columns(model, objective, options: SolverOptions, x0, gth):
     the stack of start columns (one row per UE) and gth their SINR thresholds;
     returns the stack of solutions.
 
-    One projected Newton ascent (pga_maximize with the exact Hessian factors) moves
-    every column at once over the exact box-and-coverage projection. A column whose
-    maximizer breaks its QoS inner approximation psi goes on alone (_bound_column).
-    No column ends worse than a feasible start.
+    One projected Newton ascent (pga_maximize with the exact Hessian factors) moves every
+    column at once over the exact box-and-coverage projection (project_box_polyhedron).
+    A column whose maximizer breaks its QoS inner approximation psi goes on alone
+    (_bound_column). No column ends worse than a feasible start.
     """
     x0 = np.asarray(x0, dtype=float)
     fun, grad, fac = _column_lagrangian(model, objective)
-    ones = np.ones(x0.shape[1])
-
-    def project(z):
-        return project_box_polyhedron(z, ones, 1.0)
 
     def ascend(f, g, hess_factor, start):
-        return pga_maximize(f, g, project, start, max_iters=options.max_inner_iters,
-                            tol=options.inner_tolerance, hess_factor=hess_factor,
-                            row=(ones, 1.0))
+        return pga_maximize(f, g, project_box_polyhedron, start,
+                            max_iters=options.max_inner_iters, tol=options.inner_tolerance,
+                            hess_factor=hess_factor)
 
     x, fx = ascend(fun, grad, fac, x0)
     qos = _qos_approximation(x0, model, gth)
@@ -483,7 +479,7 @@ def _association_columns(model, objective, options: SolverOptions, x0, gth):
         x[one], dropped[i] = _bound_column((c, w[:, :, w[0].any(axis=0)], h),
                                            tuple(part[one] for part in objective),
                                            tuple(part[one] for part in qos), x0[one], x[one],
-                                           tol[i], ascend, project, options.inner_tolerance)
+                                           tol[i], ascend, options.inner_tolerance)
     if bound.any():
         fx = fun(x)
     # Each ascent starts at project(x0) and never descends, so only a start that the
@@ -496,7 +492,7 @@ def _association_columns(model, objective, options: SolverOptions, x0, gth):
     return np.clip(x, 0.0, 1.0)
 
 
-def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
+def _bound_column(model, objective, qos, x0, x, tol, ascend, stop_tol):
     """(x, dropped): one column, as a stack of one, held to its QoS target; x is its
     maximizer without the target, which breaks psi (qos). If some point meets psi the
     target binds: x maximizes fun + nu psi over the box and coverage, with psi(x) = 0
@@ -527,7 +523,8 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
         z = np.clip(z, 0.0, 1.0)
         g_f, g_psi, psi_z = grads(z)
         if (z.sum() < 1.0 - 1e-12 or psi_z < -tol or (nu > 0.0 and psi_z > tol)
-                or np.max(np.abs(project(z + g_f + nu * g_psi) - z)) > stop_tol):
+                or np.max(np.abs(project_box_polyhedron(z + g_f + nu * g_psi) - z))
+                > stop_tol):
             return None
         return z
 
@@ -547,7 +544,7 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, project, stop_tol):
             if found is not None:
                 return found[None], False
             if nu_lo < point[1] < nu_hi:
-                nu, start = point[1], project(np.clip(point[0], -1.0, 2.0))
+                nu, start = point[1], project_box_polyhedron(np.clip(point[0], -1.0, 2.0))
         if not reached:
             x_hi, psi_max = ascend(psi, psi_grad, b_psi, x0)
             if psi_max[0] < -tol:
@@ -687,8 +684,7 @@ def _settled_columns(eta, form: PowerForm, model, objective, gth, tol):
     stacked _column_objective of every UE. The ascent would stop at such a column at
     once, and it needs no hold on its target."""
     x = form.d.T
-    step = project_box_polyhedron(x + _column_lagrangian(model, objective)[1](x),
-                                  np.ones(x.shape[1]), 1.0)
+    step = project_box_polyhedron(x + _column_lagrangian(model, objective)[1](x))
     # The QoS half is read from the form, not from gamma_aux, with a margin so that
     # a column on its target is left to _bound_column.
     qos_met = form.sinr.at(eta) >= gth * (1.0 + 1e-9)

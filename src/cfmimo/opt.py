@@ -1,15 +1,17 @@
-"""Convex-optimization primitives: the exact box-and-halfspace projection, projected
-ascent (projected Newton on concave quadratics over the box and one halfspace, with a
-projected gradient safeguard), and Dykstra and a superlevel projection the solver no
-longer calls.
+"""Convex-optimization primitives: the exact projection onto the box and coverage,
+[0,1]^n intersected with {1.z >= 1}, projected ascent (projected Newton on concave
+quadratics over that set, with a projected gradient safeguard), and Dykstra and a
+superlevel projection the solver no longer calls.
 
 The projection and the ascent work on a stack of k problems at once, one per row,
 so numpy's per-call cost is paid once per step of the stack rather than once per
 problem; each problem still takes the steps it takes alone. The ascent takes only
-a (k, n) stack, with its Hessian factors and the halfspace; the projection also
-takes a single point."""
+a (k, n) stack, with its Hessian factors; the projection also takes a single point
+and a stack of trial stacks."""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,37 +26,42 @@ _PASS_WIDTH = 8         # trials per member in each arc-search pass after the fi
 _QUARTERS = 0.25 ** np.arange(_NULL_TRIALS - 1)[:, None]
 
 
-def project_box_polyhedron(y, normal, offset):
-    """Euclidean projection onto {z in [0,1]^n : normal . z >= offset} (one row: an
-    (n,) normal and a scalar offset), of one point y or of each row of a stack y of
-    shape (..., n). Each row is projected on its own, so a row of a stack gets the
-    bits it gets alone.
+@functools.cache
+def _ones(n):
+    """The coverage normal 1 of length n, read-only (np.ones costs 1 us per call)."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
 
-    If the box clip meets the row it is the projection. Otherwise the projection
-    is clip(y + tau normal) for the least tau > 0 that meets the row (KKT with the
-    row tight). normal . clip(y + tau normal) is nondecreasing and piecewise
-    linear in tau, with a breakpoint wherever an entry reaches a bound, so tau is
-    interpolated between two breakpoints. If no point of the box meets the row,
-    the box point with the largest normal . z is returned.
+
+def project_box_polyhedron(y):
+    """Euclidean projection onto the box and coverage, {z in [0,1]^n : 1.z >= 1}, of
+    one point y or of each row of a stack y of shape (..., n). Each row is projected
+    on its own, so a row of a stack gets the bits it gets alone.
+
+    If the box clip meets coverage it is the projection. Otherwise the projection is
+    clip(y + tau) for the least tau > 0 with 1.clip(y + tau) = 1 (KKT with coverage
+    tight). 1.clip(y + tau) is nondecreasing and piecewise linear in tau, with a
+    breakpoint wherever an entry reaches a bound, so tau is interpolated between two
+    breakpoints. Where rounding leaves every breakpoint below 1 (y + (1 - y) can round
+    below 1), tau is the last one.
     """
     y = np.asarray(y, dtype=float)
-    normal = np.asarray(normal, dtype=float)
     z = np.minimum(np.maximum(y, 0.0), 1.0)
-    h0 = np.vecdot(normal, z)
-    low = h0 < offset
+    n = y.shape[-1]
+    ones = _ones(n)
+    h0 = np.vecdot(ones, z)
+    low = h0 < 1.0
     if not low.any():
         return z
-    n = y.shape[-1]
     low = low.reshape(-1).nonzero()[0]
     yl = y.reshape(-1, n)[low]
-    n2 = np.concatenate([normal, normal])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        knots = np.concatenate([-yl, 1.0 - yl], axis=1) / n2
-    knots = np.sort(np.where((n2 != 0.0) & (knots > 0.0), knots, np.inf), axis=1)
+    knots = np.concatenate([-yl, 1.0 - yl], axis=1)
+    knots = np.sort(np.where(knots > 0.0, knots, np.inf), axis=1)
     finite = knots < np.inf
-    h = (np.clip(yl[:, None, :] + np.where(finite, knots, 0.0)[:, :, None] * normal,
-                 0.0, 1.0) @ normal[:, None])[:, :, 0]
-    hit = finite & (h >= offset)
+    h = (np.clip(yl[:, None, :] + np.where(finite, knots, 0.0)[:, :, None], 0.0, 1.0)
+         @ ones[:, None])[:, :, 0]
+    hit = finite & (h >= 1.0)
     # Without a hit, the last knot (or tau = 0 without knots).
     rows = np.arange(low.size)
     last = np.maximum(finite.sum(axis=1) - 1, 0)
@@ -64,8 +71,8 @@ def project_box_polyhedron(y, normal, offset):
     prev = j > 0
     tau_a = np.where(prev, knots[a, j - 1], 0.0)
     h_a = np.where(prev, h[a, j - 1], h0.reshape(-1)[low[a]])
-    tau[a] = tau_a + (offset - h_a) * (knots[a, j] - tau_a) / (h[a, j] - h_a)
-    z.reshape(-1, n)[low] = np.clip(yl + tau[:, None] * normal, 0.0, 1.0)
+    tau[a] = tau_a + (1.0 - h_a) * (knots[a, j] - tau_a) / (h[a, j] - h_a)
+    z.reshape(-1, n)[low] = np.clip(yl + tau[:, None], 0.0, 1.0)
     return z
 
 
@@ -162,17 +169,17 @@ def dykstra(y, projections, max_cycles=150, tol=1e-11):
     return x
 
 
-def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor, row):
+def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor):
     """Projected ascent with an Armijo line search, k problems at once; returns (x, fun(x)).
 
-    Maximizes concave quadratics over [0,1]^n intersected with {row[0] . z >= row[1]}
-    (one (n,) normal and one scalar offset), given the Euclidean projection onto that
-    set. x0 of shape (k, n) is a stack of starts, one per member. grad maps a stack to
-    a stack; fun and project also take stacks of trial stacks, of shape (w, k, n), and
-    map them to values (w, k) and to projections. They always see the whole stack, a
-    member that has stopped as it stands. Member i's fun must have the Hessian
-    -2 L_i L_i^T, with hess_factor L of shape (k, n, r); zero columns of L_i are
-    padding, and its rank is its count of nonzero columns.
+    Maximizes concave quadratics over the box and coverage, [0,1]^n intersected with
+    {1.z >= 1}, given the Euclidean projection onto that set (project_box_polyhedron,
+    or a wrapper of it). x0 of shape (k, n) is a stack of starts, one per member. grad
+    maps a stack to a stack; fun and project also take stacks of trial stacks, of
+    shape (w, k, n), and map them to values (w, k) and to projections. They always
+    see the whole stack, a member that has stopped as it stands. Member i's fun must
+    have the Hessian -2 L_i L_i^T, with hess_factor L of shape (k, n, r); zero
+    columns of L_i are padding, and its rank is its count of nonzero columns.
 
     Every member keeps its own free set, step choice, Armijo test, step length and
     stop test, so it takes the steps it would take alone. A member stops when its
@@ -184,9 +191,9 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
 
     Each iteration first tries a two-metric projected Newton step (Bertsekas 1982):
     the entries that project(x + g) puts on a bound go there, and the free entries F
-    take the exact maximizer of the quadratic over F, with the row as an equality when
+    take the exact maximizer of the quadratic over F, with coverage as an equality when
     project(x + g) lies on it. Where the reduced Hessian is singular (|F| beyond the
-    rank of L, plus the row) the objective is linear along its null space; the step
+    rank of L, plus coverage) the objective is linear along its null space; the step
     then follows the null-space part of the gradient along the projection arc, at
     least to the first bound, so each such step holds one more entry. A projected
     gradient step, its trial length a safeguarded Barzilai-Borwein estimate, is
@@ -207,7 +214,7 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
         if not live.any():
             break
         if newton is None:
-            newton = _newton_setup(hess_factor, row, x.shape)
+            newton = _newton_setup(hess_factor, x.shape)
         first, rounds, count = _newton_steps(x, g, y, live, *newton)
         x_new, f_new, moved = _arc_search(fun, project, x, fx, g, first, rounds, count, step,
                                           live)
@@ -223,10 +230,10 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     return x, fx
 
 
-def _newton_setup(lfac, row, shape):
-    """(lfac, rank, basis, geometry) for _newton_steps: each member's nonzero factor
-    columns first, in order (the rest is padding), their count, the null step's basis
-    (the row normal, then the factor) and the row as (normal, offset, tight test)."""
+def _newton_setup(lfac, shape):
+    """(lfac, rank, basis) for _newton_steps: each member's nonzero factor columns
+    first, in order (the rest is padding), their count and the null step's basis (the
+    coverage normal 1, then the factor)."""
     k, n = shape
     nonzero = (lfac != 0.0).any(axis=1)
     rank = nonzero.sum(axis=1)
@@ -234,22 +241,19 @@ def _newton_setup(lfac, row, shape):
         order = np.argsort(~nonzero, axis=1, kind="stable")[:, :rank.max(initial=0)]
         lfac = np.take_along_axis(lfac, order[:, None, :], axis=2)
     basis = np.empty((k, n, lfac.shape[2] + 1))
-    basis[:, :, 0] = row[0]
+    basis[:, :, 0] = 1.0
     basis[:, :, 1:] = lfac
-    offset = np.full(k, row[1], dtype=float)
-    return lfac, rank, basis, (basis[:, :, 0], offset,
-                               offset + 1e-12 * np.maximum(1.0, np.abs(offset)))
+    return lfac, rank, basis
 
 
-def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
+def _newton_steps(x, g, y, live, lfac, rank, basis):
     """The trial steps of each live member's projected Newton step, (first, rounds,
     count): first(js) stacks the steps of rounds js, and member i tries its rounds
     j < count[i] <= rounds. count is 0 where there is no Newton step: a singular
-    reduced system, or a null step that does not apply. y is project(x + g);
-    geometry is the row as (normal, offset, tight test)."""
+    reduced system, or a null step that does not apply. y is project(x + g)."""
     free = (y > 0.0) & (y < 1.0)
     nf = free.sum(axis=1)
-    tight = np.vecdot(geometry[0], y) <= geometry[2]
+    tight = np.vecdot(basis[:, :, 0], y) <= 1.0 + 1e-12
     null = nf > rank + tight
     newton = live & ~null
     null &= live
@@ -258,11 +262,11 @@ def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
     if newton.any():
         sub = (free, nf, tight) if newton.all() else \
             (free & newton[:, None], nf * newton, tight & newton)
-        d, ok = _reduced_steps(x, g, y, *sub, lfac, geometry)
+        d, ok = _reduced_steps(x, g, y, *sub, lfac)
         count[newton & ok] = _NEWTON_TRIALS
     if null.any():
         sub = (free, tight) if null.all() else (free & null[:, None], tight & null)
-        trials, go, n_long = _null_steps(x, g, *sub, basis, geometry)
+        trials, go, n_long = _null_steps(x, g, *sub, basis)
         count[go] = n_long[go] + 1
 
     def first(js):
@@ -278,7 +282,7 @@ def _newton_steps(x, g, y, live, lfac, rank, basis, geometry):
     return first, (_NEWTON_TRIALS if d is not None else _NULL_TRIALS), count
 
 
-def _reduced_steps(x, g, y, free, nf, tight, lfac, geometry):
+def _reduced_steps(x, g, y, free, nf, tight, lfac):
     """(d, ok): the Newton steps of the members with nf free entries (marked in free);
     ok is False where a reduced system is singular. The systems are zero-padded to
     the largest and solved at once; a member without free entries gets its step
@@ -291,8 +295,8 @@ def _reduced_steps(x, g, y, free, nf, tight, lfac, geometry):
     ok = True
     if m:
         # Exact maximizer over the free entries, each member's moved to the front (slot),
-        # the others at x + d: 2 L_F L_F^T d_F (+ lam n_F) = g_F - 2 L_F L^T d
-        # (and n . (x + d) = offset).
+        # the others at x + d: 2 L_F L_F^T d_F (+ lam 1_F) = g_F - 2 L_F L^T d
+        # (and 1.(x + d) = 1).
         k = x.shape[0]
         rows, cols = free.nonzero()
         slot = (free.cumsum(axis=1) - 1)[rows, cols]
@@ -303,12 +307,11 @@ def _reduced_steps(x, g, y, free, nf, tight, lfac, geometry):
         mat = 2.0 * lf @ lf.mT
         if tight.any():
             t = tight.nonzero()[0]
-            normal, offset = geometry[0], geometry[1]
             border = np.zeros((k, m))
-            border[rows, slot] = normal[rows, cols]
+            border[rows, slot] = 1.0
             mat[t, nf[t], :] = border[t]
             mat[t, :, nf[t]] = border[t]
-            rhs[t, nf[t]] = offset[t] - np.vecdot(normal[t], x[t] + d[t])
+            rhs[t, nf[t]] = 1.0 - np.vecdot(_ones(x.shape[1]), x[t] + d[t])
         if size.min() < m:
             pad_row, pad = (np.arange(m) >= size[:, None]).nonzero()
             mat[pad_row, pad, pad] = 1.0
@@ -317,17 +320,17 @@ def _reduced_steps(x, g, y, free, nf, tight, lfac, geometry):
     return d, ok
 
 
-def _null_steps(x, g, free, tight, basis, geometry):
+def _null_steps(x, g, free, tight, basis):
     """(steps, go, n_long) for the members with free entries (marked in free), whose
     reduced Hessian is singular. The objective is linear along the part p of the free
-    gradient orthogonal to the free rows of L (and to the row normal when tight), up
-    to the first bound of the box or the row. Member i tries steps[j, i] for
-    j <= n_long[i] where go; go is False for the other members, when p would push an
-    entry on a bound out, and at once at a vertex (every free entry on a bound), where
-    it nearly always would: the gradient step then changes the free set faster."""
+    gradient orthogonal to the free rows of L (and to the coverage normal 1 when
+    tight), up to the first bound of the box or coverage. Member i tries steps[j, i]
+    for j <= n_long[i] where go; go is False for the other members, when p would push
+    an entry on a bound out, and at once at a vertex (every free entry on a bound),
+    where it nearly always would: the gradient step then changes the free set faster."""
     k = x.shape[0]
     # p = g_F - B (B^T B)^-1 B^T g_F for B the free rows of basis, the normal kept only
-    # when tight; zero columns (padding, a loose row) solve as the identity.
+    # when tight; zero columns (padding, coverage where loose) solve as the identity.
     b = basis * free[:, :, None]
     b[:, :, 0] *= tight[:, None]
     g_f = g * free
@@ -352,9 +355,9 @@ def _null_steps(x, g, free, tight, basis, geometry):
         lengths[:-1] = np.where(limits < np.inf, limits, 0.0).max(axis=1) * _QUARTERS
         n_long = (lengths[:-1] > 2.0 * s_first).sum(axis=0)
         lengths[n_long, members] = s_first
-        # A loose row that p leaves before the first bound ends the arc there.
-        slope = np.vecdot(geometry[0], p)
-        s_row = (np.vecdot(geometry[0], x) - geometry[1]) / -slope
+        # Loose coverage that p leaves before the first bound ends the arc there.
+        slope = np.vecdot(basis[:, :, 0], p)
+        s_row = (np.vecdot(basis[:, :, 0], x) - 1.0) / -slope
         short = go & ~tight & (slope < 0.0) & (s_row < s_first)
         exact = go
         if short.any():

@@ -21,37 +21,34 @@ def test_dykstra_box_halfspace_hand_cases():
 
 
 def test_box_polyhedron_projection_hand_case():
-    z = project_box_polyhedron(np.array([-0.624, -1.563, -0.648]), np.ones(3), 1.0)
+    z = project_box_polyhedron(np.array([-0.624, -1.563, -0.648]))
     assert np.allclose(z, [0.512, 0.0, 0.488], atol=1e-12)
     inside = np.array([0.2, 1.0, 0.4])
-    assert np.array_equal(project_box_polyhedron(inside + [0.0, 0.5, 0.0], np.ones(3), 1.0),
-                          inside)
+    assert np.array_equal(project_box_polyhedron(inside + [0.0, 0.5, 0.0]), inside)
 
 
 @pytest.mark.parametrize("n", [1, 3, 30])
 def test_box_polyhedron_projection_kkt(n):
-    # KKT of the projection onto [0,1]^n with one row w.z >= 1: z = clip(y + tau w)
-    # with tau >= 0, and tau > 0 only when the row is tight.
+    # KKT of the projection onto [0,1]^n with coverage 1.z >= 1: z = clip(y + tau)
+    # with tau >= 0, and tau > 0 only when coverage is tight.
     rng = np.random.default_rng(n)
     for _ in range(200):
-        w = rng.uniform(0.05, 2.0, n)
-        w *= max(1.0, 1.0 / w.sum()) * rng.uniform(1.0, 1.5)
         y = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=n)
-        z = project_box_polyhedron(y, w, 1.0)
+        z = project_box_polyhedron(y)
         assert np.all((z >= 0.0) & (z <= 1.0))
-        assert w @ z >= 1.0 - 1e-12
-        # tau by bisection on the nondecreasing w.clip(y + tau w)
+        assert z.sum() >= 1.0 - 1e-12
+        # tau by bisection on the nondecreasing 1.clip(y + tau)
         lo, hi = 0.0, 1.0
-        while w @ np.clip(y + hi * w, 0.0, 1.0) < 1.0:
+        while np.clip(y + hi, 0.0, 1.0).sum() < 1.0:
             hi *= 2.0
-        if w @ np.clip(y, 0.0, 1.0) >= 1.0:
+        if np.clip(y, 0.0, 1.0).sum() >= 1.0:
             hi = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if w @ np.clip(y + mid * w, 0.0, 1.0) >= 1.0 else (mid, hi)
-        assert np.allclose(z, np.clip(y + hi * w, 0.0, 1.0), atol=1e-9)
+            lo, hi = (lo, mid) if np.clip(y + mid, 0.0, 1.0).sum() >= 1.0 else (mid, hi)
+        assert np.allclose(z, np.clip(y + hi, 0.0, 1.0), atol=1e-9)
         if hi > 0.0:
-            assert w @ z == pytest.approx(1.0, abs=1e-12)
+            assert z.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_superlevel_projection_properties():
@@ -125,10 +122,6 @@ def _box_quadratic(b, diag, grads):
     return (*_counted_quadratic(b[None], fac, grads), fac)
 
 
-def _coverage(z):
-    return project_box_polyhedron(z, np.ones(z.shape[-1]), 1.0)
-
-
 def test_pga_matches_box_quadratic_closed_form():
     # The box maximizer clip(b / diag) meets the coverage row, so it is the maximizer.
     rng = np.random.default_rng(3)
@@ -136,8 +129,8 @@ def test_pga_matches_box_quadratic_closed_form():
     b = rng.normal(size=6)
     fun, grad, fac = _box_quadratic(b, diag, [0])
     start = np.full((1, 6), 0.5)
-    x, fx = pga_maximize(fun, grad, _coverage, start, max_iters=500, tol=1e-10,
-                         hess_factor=fac, row=(np.ones(6), 1.0))
+    x, fx = pga_maximize(fun, grad, project_box_polyhedron, start, max_iters=500, tol=1e-10,
+                         hess_factor=fac)
     expected = np.clip(b / diag, 0.0, 1.0)
     assert expected.sum() >= 1.0
     assert np.allclose(x[0], expected, atol=1e-7)
@@ -149,8 +142,8 @@ def test_pga_never_returns_worse_than_start():
     diag = rng.uniform(0.5, 3.0, size=4)
     fun, grad, fac = _box_quadratic(np.zeros(4), diag, [0])
     start = np.array([[0.3, 0.1, 0.9, 0.5]])
-    x, fx = pga_maximize(fun, grad, _coverage, start, max_iters=3, tol=1e-14,
-                         hess_factor=fac, row=(np.ones(4), 1.0))
+    x, fx = pga_maximize(fun, grad, project_box_polyhedron, start, max_iters=3, tol=1e-14,
+                         hess_factor=fac)
     assert fx[0] >= fun(start)[0]
 
 
@@ -162,8 +155,8 @@ def test_newton_steps_reach_box_quadratic_closed_form_exactly():
     b = rng.normal(size=6)
     grads = [0]
     fun, grad, fac = _box_quadratic(b, diag, grads)
-    x, fx = pga_maximize(fun, grad, _coverage, np.full((1, 6), 0.5), max_iters=500,
-                         tol=1e-14, hess_factor=fac, row=(np.ones(6), 1.0))
+    x, fx = pga_maximize(fun, grad, project_box_polyhedron, np.full((1, 6), 0.5),
+                         max_iters=500, tol=1e-14, hess_factor=fac)
     assert np.allclose(x[0], np.clip(b / diag, 0.0, 1.0), rtol=0.0, atol=1e-15)
     assert grads[0] - 1 <= 3
 
@@ -208,7 +201,6 @@ def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     k, n = 6, 12
     lin, fac, x0 = _box_coverage_quadratics(rng, k, n)
-    ones = np.ones(n)
     singular = []
     solve_each = opt._solve_each
 
@@ -220,16 +212,16 @@ def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
     monkeypatch.setattr(opt, "_solve_each", recording)
     grads = [0]
     x, fx = pga_maximize(*_counted_quadratic(lin, fac, grads),
-                         _coverage, x0, max_iters=300,
-                         tol=1e-12, hess_factor=fac, row=(ones, 1.0))
+                         project_box_polyhedron, x0, max_iters=300,
+                         tol=1e-12, hess_factor=fac)
     assert [0] in singular
     iters = []
     for i in range(k):
         one = slice(i, i + 1)
         single = [0]
         xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], single),
-                              _coverage, x0[one],
-                              max_iters=300, tol=1e-12, hess_factor=fac[one], row=(ones, 1.0))
+                              project_box_polyhedron, x0[one],
+                              max_iters=300, tol=1e-12, hess_factor=fac[one])
         iters.append(single[0] - 1)
         assert np.max(np.abs(x[i] - xi[0])) <= 1e-10
         assert abs(fx[i] - fi[0]) <= 1e-10 * max(1.0, abs(fi[0]))

@@ -43,36 +43,33 @@ def test_qos_start_is_least_power_solution(seed, qos):
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 8), n=st.integers(1, 12))
-def test_stacked_projection_is_the_rows_projections(seed, k, n):
-    # project_box_polyhedron on a (k, n) stack projects each row on its own, bit for
-    # bit, onto the one row they share. Rows where the clip already meets the row,
-    # where the row binds, and where no box point meets it all occur.
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), w=st.integers(0, 8), k=st.integers(1, 8),
+                  n=st.integers(1, 12))
+def test_stacked_projection_is_the_rows_projections(seed, w, k, n):
+    # project_box_polyhedron on a (k, n) stack, or on a (w, k, n) stack of trial
+    # stacks as the ascent's arc search passes it (w = 0: no trial axis), projects
+    # each member on its own, bit for bit, onto the box and coverage. Members where
+    # the clip already meets coverage and where coverage binds both occur.
     rng = np.random.default_rng(seed)
-    y = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=(k, n))
-    w = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
-    reach = w.sum()
-    # Out of reach a fifth of the time.
-    b = reach + 1.0 if rng.uniform() < 0.2 else rng.uniform(0.2, 1.5) * max(reach, 0.1)
-    z = project_box_polyhedron(y, w, b)
-    for i in range(k):
-        zi = project_box_polyhedron(y[i], w, b)
-        assert np.array_equal(z[i], zi)
-        # KKT: z = clip(y + tau normal) with tau >= 0; tau > 0 only on a tight row, or
-        # at the box point with the largest normal . z when no point meets the row.
+    shape = (w, k, n) if w else (k, n)
+    y = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=shape)
+    z = project_box_polyhedron(y)
+    ones = np.ones(n)
+    for member in np.ndindex(shape[:-1]):
+        zi = project_box_polyhedron(y[member])
+        assert np.array_equal(z[member], zi)
+        # KKT: z = clip(y + tau) with tau >= 0, and tau > 0 only with coverage tight.
         assert np.all((zi >= 0.0) & (zi <= 1.0))
-        clip = np.clip(y[i], 0.0, 1.0)
-        if w @ clip >= b:
+        clip = np.clip(y[member], 0.0, 1.0)
+        if ones @ clip >= 1.0:
             assert np.array_equal(zi, clip)
-        elif reach < b:
-            assert np.allclose(zi[w > 0], 1.0, rtol=0.0, atol=1e-12)
         else:
-            assert w @ zi == pytest.approx(b, rel=1e-12, abs=1e-12)
-            moved = (w > 0) & (zi > 0.0) & (zi < 1.0)
+            assert ones @ zi == pytest.approx(1.0, rel=1e-12, abs=1e-12)
+            moved = (zi > 0.0) & (zi < 1.0)
             if moved.any():
-                tau = np.median((zi[moved] - y[i][moved]) / w[moved])
+                tau = np.median(zi[moved] - y[member][moved])
                 assert tau >= 0.0
-                assert np.allclose(zi, np.clip(y[i] + tau * w, 0.0, 1.0), rtol=0.0, atol=1e-9)
+                assert np.allclose(zi, np.clip(y[member] + tau, 0.0, 1.0), rtol=0.0, atol=1e-9)
 
 
 def _column_problem(seed, alpha=None):
@@ -128,16 +125,11 @@ def test_newton_column_ascent_is_stationary_and_optimal(seed, nu, target):
     qos = _qos_approximation(x0[None], col.model, np.array([target * col.sinr0]))
     hypothesis.assume(qos[2][0] != 0.0)
     opts = cf.SolverOptions()
-    ones = np.ones_like(x0)
-
-    def project(z):
-        return project_box_polyhedron(z, ones, 1.0)
-
     f, g, fac = _column_lagrangian(col.model, col.objective, qos, nu)
-    x, fx = pga_maximize(f, g, project, x0[None], max_iters=opts.max_inner_iters,
-                         tol=opts.inner_tolerance, hess_factor=fac, row=(ones, 1.0))
+    x, fx = pga_maximize(f, g, project_box_polyhedron, x0[None], max_iters=opts.max_inner_iters,
+                         tol=opts.inner_tolerance, hess_factor=fac)
     assert fx[0] == f(x)[0]
-    assert np.max(np.abs(project(x + g(x)) - x)) <= opts.inner_tolerance
+    assert np.max(np.abs(project_box_polyhedron(x + g(x)) - x)) <= opts.inner_tolerance
     best = _slsqp_max(f, g, x0)
     assert fx[0] >= best - 1e-6 * abs(best)
 
@@ -215,21 +207,17 @@ def _bound_problem(seed, start, on_target, target):
     fun, grad, fac = _column_lagrangian(model, objective)
     psi, psi_grad = _quadratic(qos[0], qos[1], qos[2][:, None, None] * model[1])
     opts = cf.SolverOptions()
-    ones = np.ones(m)
-
-    def project(z):
-        return project_box_polyhedron(z, ones, 1.0)
 
     def ascend(f, g, hess_factor, start_):
-        return pga_maximize(f, g, project, start_, max_iters=opts.max_inner_iters,
-                            tol=opts.inner_tolerance, hess_factor=hess_factor, row=(ones, 1.0))
+        return pga_maximize(f, g, project_box_polyhedron, start_, max_iters=opts.max_inner_iters,
+                            tol=opts.inner_tolerance, hess_factor=hess_factor)
 
     tol = 1e-11 * max(1.0, gth)
     x = ascend(fun, grad, fac, x0[None])[0]
     if psi(x)[0] >= -tol:
         return None
     free = int(((x0 > 0.0) & (x0 < 1.0)).sum())
-    return ((model, objective, qos, x0[None], x, tol, ascend, project, opts.inner_tolerance),
+    return ((model, objective, qos, x0[None], x, tol, ascend, opts.inner_tolerance),
             fun, grad, psi, psi_grad, free, 1 + model[1].shape[2])
 
 

@@ -21,13 +21,16 @@ def desk_dump(tmp_path_factory):
     return dump
 
 
-def _diff(first, second):
-    return subprocess.run([sys.executable, str(TOOL), "diff", str(first), str(second)],
-                          check=True, capture_output=True, text=True).stdout.splitlines()
+def _diff(first, second, status):
+    # The report lines; the exit status is 0 when every record and file is identical.
+    run = subprocess.run([sys.executable, str(TOOL), "diff", str(first), str(second)],
+                         capture_output=True, text=True)
+    assert run.returncode == status, run.stderr
+    return run.stdout.splitlines()
 
 
 def test_one_desk_call_diffs_identical_to_itself(desk_dump):
-    assert _diff(desk_dump, desk_dump) == [
+    assert _diff(desk_dump, desk_dump, 0) == [
         "desk_sweep: 15 of 15 records identical; max relative se 0, sum_se 0, "
         "objective 0, max_fronthaul 0, trace 0",
         "desk_sweep: identical by kind association_only 3/3, fractional_power_control 3/3, "
@@ -43,7 +46,7 @@ def test_diff_counts_identical_records_per_scenario_kind(desk_dump, tmp_path):
     arrays[key] = arrays[key] * (1.0 + 1e-12)
     moved = tmp_path / "moved.npz"
     np.savez(moved, **arrays)
-    assert _diff(desk_dump, moved)[1] == (
+    assert _diff(desk_dump, moved, 1)[1] == (
         "desk_sweep: identical by kind association_only 3/3, fractional_power_control 3/3, "
         "full_power_all_serve 3/3, joint 2/3, power_only 3/3")
 
@@ -56,7 +59,7 @@ def test_diff_lists_the_emitted_files_that_differ(desk_dump, tmp_path):
     arrays["desk_sweep/0/summary.csv:sha256"] = np.array(hashlib.sha256(b"").hexdigest())
     changed = tmp_path / "changed.npz"
     np.savez(changed, **arrays)
-    assert _diff(desk_dump, changed)[2:] == [
+    assert _diff(desk_dump, changed, 1)[2:] == [
         "desk_sweep: 11 of 13 emitted files identical",
         "  desk_sweep/0/feasibility.csv: only in first",
         "  desk_sweep/0/summary.csv: differs"]

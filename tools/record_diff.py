@@ -26,7 +26,8 @@ the ``output_dir`` of ``config_echo.json`` blanked.
 scenario kind, the largest relative move of the per-UE SE, sum SE, objective, max
 front-haul and trace, and every record whose feasible flag, iteration count or trace
 length differs; then how many emitted files are identical, and every file that
-differs.
+differs. It exits with status 1 when any record or emitted file differs, and 0 when
+everything is identical.
 """
 
 from __future__ import annotations
@@ -137,10 +138,11 @@ def _only_in(a, b) -> str:
     return f"only in {'second' if a is None else 'first'}"
 
 
-def diff(first, second) -> list:
-    """The report lines of two loaded dumps, each the (records, files) of load."""
+def diff(first, second):
+    """(lines, identical): the report lines of two loaded dumps, each the (records,
+    files) of load, and whether every record and emitted file is identical."""
     (first, first_files), (second, second_files) = first, second
-    lines = []
+    lines, same = [], True
     for name in SETS:
         keys = sorted(k for k in first.keys() | second.keys() if k.startswith(name + "/"))
         names = sorted(k for k in first_files.keys() | second_files.keys()
@@ -182,7 +184,8 @@ def diff(first, second) -> list:
         lines.append(f"{name}: {len(names) - len(differ)} of {len(names)} emitted files "
                      "identical")
         lines.extend(differ)
-    return lines
+        same = same and identical == len(keys) and not differ
+    return lines, same
 
 
 def main(argv=None):
@@ -205,7 +208,9 @@ def main(argv=None):
                             full=not args.desk_only)
         subprocess.run([sys.executable, "-c", code], check=True, cwd=root)
     else:
-        print("\n".join(diff(load(args.first), load(args.second))))
+        lines, same = diff(load(args.first), load(args.second))
+        print("\n".join(lines))
+        sys.exit(0 if same else 1)
 
 
 if __name__ == "__main__":
