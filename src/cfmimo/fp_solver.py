@@ -35,13 +35,15 @@ form, the matrix d and its l1 penalty) for each matrix it forms; the auxiliary
 refresh, the power block, the QoS start, the SE evaluations and the association
 screen read S and I from it with one matrix-vector product. The power block and
 the trace's block objective evaluate one form of the surrogate in eta,
-const - lin.eta + b.sqrt(eta) (_power_value). The association block builds one
-stacked column model of every UE per call: the screen runs the ascent's stop test
-on the model's gradient at d, the ascent takes the model's unsettled rows, and a
-binding column's Newton steps read the model's gradient and Hessian factor. A
-solve returns the per-UE SE of its powers on the binary and the relaxed matrix
-(SolveResult.se, se_relaxed), the SE se_model.se_all gives there; the QoS check
-after rounding, the repair and the feasibility flags all read that one evaluation.
+const - lin.eta + b.sqrt(eta) (_power_value). The column models depend on the
+powers alone, so alternate builds one stacked column model of every UE per power
+vector it holds. Each association block builds one objective and Hessian factor of
+every column on it: the screen runs the ascent's stop test on that gradient at d,
+the ascent takes the unsettled rows of the model and the factor, and a binding
+column's Newton steps read the model's gradient and Hessian factor. A solve returns
+the per-UE SE of its powers on the binary and the relaxed matrix (SolveResult.se,
+se_relaxed), the SE se_model.se_all gives there; the QoS check after rounding, the
+repair and the feasibility flags all read that one evaluation.
 """
 
 from __future__ import annotations
@@ -402,19 +404,18 @@ def _quadratic(const, lin, fac):
     return fun, grad
 
 
-def _column_objective(t, eta, gamma_aux, u, gamma, beta, gram, params: SystemParams):
-    """(model, (const, lin, u_t)): UE t's block-objective term at its own column x,
+def _column_objective(t, model, gamma_aux, u, params: SystemParams):
+    """(const, lin, u_t): UE t's block-objective term at its own column x,
     const + 2 u_t sqrt(w'(1 + Gamma_t) S(x)) - u_t^2 (S(x) + I(x)) - alpha 1.x
-    = const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2), with model = _column_model;
+    = const + lin.x - u_t^2 ((c.x)^2 + ||w^T x||^2), on its model = _column_model(t, ...);
     stacked for an array of UEs t."""
-    model = _column_model(t, eta, gamma, beta, gram, params)
     c, _, h = model
     u_t = np.asarray(u, dtype=float)[t]
     gaux_t = np.asarray(gamma_aux, dtype=float)[t]
     wprime, one_plus = _wprime(params), 1.0 + gaux_t
     lin = ((2.0 * u_t * np.sqrt(wprime * one_plus))[..., None] * c
            - (u_t ** 2)[..., None] * h - params.alpha)
-    return model, (_dual_const(gaux_t, one_plus, wprime, params), lin, u_t)
+    return _dual_const(gaux_t, one_plus, wprime, params), lin, u_t
 
 
 def _qos_approximation(x0, model, gth):
@@ -447,12 +448,13 @@ def _column_lagrangian(model, objective, qos=None, nu=0.0):
     return (*_quadratic(const, lin, fac), fac)
 
 
-def _association_columns(model, objective, options: SolverOptions, x0, gth):
+def _association_columns(model, objective, fac, options: SolverOptions, x0, gth):
     """Maximize the block objective over a stack of association columns, each a
     concave quadratic, subject to the box, coverage (column sum >= 1) and its QoS
-    target. model and objective are the stacked _column_objective of their UEs, x0
-    the stack of start columns (one row per UE) and gth their SINR thresholds;
-    returns the stack of solutions.
+    target. model and objective are the stacked _column_model and _column_objective
+    of their UEs, fac the objective's factor (_column_lagrangian), x0 the stack of
+    start columns (one row per UE) and gth their SINR thresholds; returns the stack
+    of solutions.
 
     One projected Newton ascent (pga_maximize with the exact Hessian factors) moves every
     column at once over the exact box-and-coverage projection (project_box_polyhedron).
@@ -460,7 +462,7 @@ def _association_columns(model, objective, options: SolverOptions, x0, gth):
     (_bound_column). No column ends worse than a feasible start.
     """
     x0 = np.asarray(x0, dtype=float)
-    fun, grad, fac = _column_lagrangian(model, objective)
+    fun, grad = _quadratic(objective[0], objective[1], fac)
 
     def ascend(f, g, hess_factor, start):
         return pga_maximize(f, g, project_box_polyhedron, start,
@@ -676,44 +678,48 @@ def _vertex_face(z, g_f, g_psi, psi_z, tight, tol):
     return nu, free, pair
 
 
-def _settled_columns(eta, form: PowerForm, model, objective, gth, tol):
+def _settled_columns(eta, form: PowerForm, grad, gth, tol):
     """Columns of the form's matrix d that solve their column problem as they stand:
     the column ascent's own stop test holds there (max |project(x + grad f(x)) - x|
     <= tol over the box and coverage, _association_columns), and they meet the QoS
-    target (gth, the SINR thresholds of _qos_thresholds). model and objective are the
-    stacked _column_objective of every UE. The ascent would stop at such a column at
-    once, and it needs no hold on its target."""
+    target (gth, the SINR thresholds of _qos_thresholds). grad is the stacked
+    objective gradient of every UE's column (_column_lagrangian). The ascent would
+    stop at such a column at once, and it needs no hold on its target."""
     x = form.d.T
-    step = project_box_polyhedron(x + _column_lagrangian(model, objective)[1](x))
+    step = project_box_polyhedron(x + grad(x))
     # The QoS half is read from the form, not from gamma_aux, with a margin so that
     # a column on its target is left to _bound_column.
     qos_met = form.sinr.at(eta) >= gth * (1.0 + 1e-9)
     return (np.max(np.abs(step - x), axis=1) <= tol) & qos_met
 
 
-def solve_association(eta_fixed, form: PowerForm, gamma_aux, u, gth, gamma, beta, gram,
+def solve_association(eta_fixed, form: PowerForm, model, gamma_aux, u, gth,
                       params: SystemParams, options: SolverOptions) -> np.ndarray:
     """Maximize the block objective over the relaxed association matrix, starting
     from the matrix d of the power form.
 
     The problem separates per UE column; each column solve keeps the box,
-    coverage (column sum >= 1) and its QoS target, the SINR threshold gth_t > 0. One
-    stacked column model of every UE (_column_objective) serves the block: a batched
-    test first settles the columns of d that are already optimal (_settled_columns),
-    and only the rows of the others go to _association_columns.
+    coverage (column sum >= 1) and its QoS target, the SINR threshold gth_t > 0.
+    model is the stacked _column_model of every UE at eta_fixed; it depends on the
+    powers alone, so alternate builds it once per power vector and every block at
+    those powers reads it. The block builds one objective and one Hessian factor of
+    every column on it (_column_objective, _column_lagrangian): a batched test first
+    settles the columns of d that are already optimal (_settled_columns), and the
+    rows of the others, model and factor alike, go to _association_columns.
     """
     d = form.d.copy()
-    model, objective = _column_objective(np.arange(d.shape[1]), eta_fixed, gamma_aux, u, gamma,
-                                         beta, gram, params)
-    cols = np.flatnonzero(~_settled_columns(eta_fixed, form, model, objective, gth,
-                                            options.inner_tolerance))
+    objective = _column_objective(np.arange(d.shape[1]), model, gamma_aux, u, params)
+    _, grad, fac = _column_lagrangian(model, objective)
+    cols = np.flatnonzero(~_settled_columns(eta_fixed, form, grad, gth, options.inner_tolerance))
     if cols.size:
         # Contiguous rows, the co-pilot factors trimmed to the widest of them: the
         # ascent's products see the shapes of a model built for these columns alone.
         c, w, h = (part[cols] for part in model)
-        w = np.ascontiguousarray(w[:, :, w.any(axis=(0, 1))])
+        wide = w.any(axis=(0, 1))
+        w = np.ascontiguousarray(w[:, :, wide])
+        fac = np.ascontiguousarray(fac[cols][:, :, np.concatenate(([True], wide))])
         d[:, cols] = _association_columns((c, w, h), tuple(part[cols] for part in objective),
-                                          options, d[:, cols].T, gth[cols]).T
+                                          fac, options, d[:, cols].T, gth[cols]).T
     return d
 
 
@@ -834,6 +840,9 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         elif options.qos_infeasible_policy == "error":
             raise InfeasibleProblemError("no QoS-feasible initialization found")
 
+    # The stacked column model of every UE at the powers eta_model; eta is rebound,
+    # never written, so a model is built once per power vector the solve holds.
+    eta_model = model = None
     trace = []
     f_prev = None
     iterations = 0
@@ -851,8 +860,10 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
             coefficients = None
             aux = refresh_aux(eta, form, params)
             form_prev = form
-            d = solve_association(eta, form, aux.gamma_aux, aux.u, gth, gamma, beta, gram,
-                                  params, options)
+            if eta_model is not eta:
+                eta_model, model = eta, _column_model(np.arange(num_ues), eta, gamma, beta, gram,
+                                                      params)
+            d = solve_association(eta, form, model, aux.gamma_aux, aux.u, gth, params, options)
             form = _power_form(d, gamma, beta, gram, params)
         if phase_one and rows_hold(form):
             phase_one = False

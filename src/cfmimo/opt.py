@@ -52,7 +52,7 @@ def project_box_polyhedron(y):
     ones = _ones(n)
     h0 = np.vecdot(ones, z)
     low = h0 < 1.0
-    if not low.any():
+    if not np.count_nonzero(low):
         return z
     low = low.reshape(-1).nonzero()[0]
     yl = y.reshape(-1, n)[low]
@@ -195,51 +195,60 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     project(x + g) lies on it. Where the reduced Hessian is singular (|F| beyond the
     rank of L, plus coverage) the objective is linear along its null space; the step
     then follows the null-space part of the gradient along the projection arc, at
-    least to the first bound, so each such step holds one more entry. A projected
+    least to the first bound, so each such step holds one more entry. Such a step is
+    formed only for a member with a free entry strictly inside (0, 1). A projected
     gradient step, its trial length a safeguarded Barzilai-Borwein estimate, is
     taken at a vertex with a singular reduced Hessian (the free set is still
     changing), and when a reduced system is singular or neither step is an Armijo
-    ascent step.
+    ascent step; a stack with no Newton or null trial tries gradient steps at once.
+    The Barzilai-Borwein length of a step is computed only when another iteration
+    follows it.
     """
     x = np.asarray(project(np.asarray(x0, dtype=float)), dtype=float)
     fx = np.asarray(fun(x), dtype=float)
     g = np.asarray(grad(x), dtype=float)
     k = x.shape[0]
-    newton = None
+    newton = x_prev = None
     step = np.full(k, _STEP_INIT)
     live = np.ones(k, dtype=bool)
     for _ in range(max_iters):
         y = np.asarray(project(x + g), dtype=float)
         live &= np.abs(y - x).max(axis=1) > tol
-        if not live.any():
+        if not np.count_nonzero(live):
             break
         if newton is None:
             newton = _newton_setup(hess_factor, x.shape)
+        else:
+            # The Barzilai-Borwein length of the last step, taken only when one follows.
+            dx = x - x_prev
+            denom = np.vecdot(dx, g_prev - g)
+            step = np.minimum(np.where(denom > _EPS, np.vecdot(dx, dx) / np.maximum(denom, _EPS),
+                                       2.0 * step), _STEP_MAX)
         first, rounds, count = _newton_steps(x, g, y, live, *newton)
         x_new, f_new, moved = _arc_search(fun, project, x, fx, g, first, rounds, count, step,
                                           live)
-        if not moved.any():
+        if not np.count_nonzero(moved):
             break
         live &= moved            # a member without an ascent step stops
-        g_new = np.asarray(grad(x_new), dtype=float)
-        dx = x_new - x
-        denom = np.vecdot(dx, g - g_new)
-        step = np.minimum(np.where(denom > _EPS, np.vecdot(dx, dx) / np.maximum(denom, _EPS),
-                                   2.0 * step), _STEP_MAX)
-        x, fx, g = x_new, f_new, g_new
+        x_prev, g_prev = x, g
+        x, fx, g = x_new, f_new, np.asarray(grad(x_new), dtype=float)
     return x, fx
 
 
 def _newton_setup(lfac, shape):
     """(lfac, rank, basis) for _newton_steps: each member's nonzero factor columns
     first, in order (the rest is padding), their count and the null step's basis (the
-    coverage normal 1, then the factor)."""
+    coverage normal 1, then the factor). Where every member's padding already trails
+    its nonzero columns, as in the association factor [u c, s w], the factor is only
+    cut to the widest rank (a view); otherwise its columns are reordered."""
     k, n = shape
     nonzero = (lfac != 0.0).any(axis=1)
     rank = nonzero.sum(axis=1)
-    if not nonzero.all():
+    if (nonzero[:, 1:] > nonzero[:, :-1]).any():
         order = np.argsort(~nonzero, axis=1, kind="stable")[:, :rank.max(initial=0)]
         lfac = np.take_along_axis(lfac, order[:, None, :], axis=2)
+    else:
+        lfac = lfac[:, :, :rank.max(initial=0)]
     basis = np.empty((k, n, lfac.shape[2] + 1))
     basis[:, :, 0] = 1.0
     basis[:, :, 1:] = lfac
@@ -250,21 +259,27 @@ def _newton_steps(x, g, y, live, lfac, rank, basis):
     """The trial steps of each live member's projected Newton step, (first, rounds,
     count): first(js) stacks the steps of rounds js, and member i tries its rounds
     j < count[i] <= rounds. count is 0 where there is no Newton step: a singular
-    reduced system, or a null step that does not apply. y is project(x + g)."""
+    reduced system, or a null step that does not apply. y is project(x + g). Null
+    steps are formed only for the members with a free entry strictly inside (0, 1);
+    at a vertex the gradient step changes the free set faster (_null_steps). rounds
+    is 0 where no member has a Newton or null trial, and first is then never called."""
     free = (y > 0.0) & (y < 1.0)
     nf = free.sum(axis=1)
     tight = np.vecdot(basis[:, :, 0], y) <= 1.0 + 1e-12
     null = nf > rank + tight
     newton = live & ~null
     null &= live
+    if np.count_nonzero(null):
+        null &= (free & (x > 0.0) & (x < 1.0)).any(axis=1)
     count = np.zeros(x.shape[0], dtype=int)
     d = trials = None
-    if newton.any():
-        sub = (free, nf, tight) if newton.all() else \
+    n_newton = np.count_nonzero(newton)
+    if n_newton:
+        sub = (free, nf, tight) if n_newton == newton.size else \
             (free & newton[:, None], nf * newton, tight & newton)
         d, ok = _reduced_steps(x, g, y, *sub, lfac)
         count[newton & ok] = _NEWTON_TRIALS
-    if null.any():
+    if np.count_nonzero(null):
         sub = (free, tight) if null.all() else (free & null[:, None], tight & null)
         trials, go, n_long = _null_steps(x, g, *sub, basis)
         count[go] = n_long[go] + 1
@@ -279,7 +294,8 @@ def _newton_steps(x, g, y, live, lfac, rank, basis):
             return halved
         return np.where(null[:, None], trials[np.minimum(js, _NULL_TRIALS - 1)], halved)
 
-    return first, (_NEWTON_TRIALS if d is not None else _NULL_TRIALS), count
+    rounds = _NEWTON_TRIALS if d is not None else _NULL_TRIALS if trials is not None else 0
+    return first, rounds, count
 
 
 def _reduced_steps(x, g, y, free, nf, tight, lfac):
@@ -305,7 +321,7 @@ def _reduced_steps(x, g, y, free, nf, tight, lfac):
         rhs = np.zeros((k, m))
         rhs[rows, slot] = g[rows, cols] - 2.0 * np.vecdot(l_free, np.vecmat(d, lfac)[rows])
         mat = 2.0 * lf @ lf.mT
-        if tight.any():
+        if np.count_nonzero(tight):
             t = tight.nonzero()[0]
             border = np.zeros((k, m))
             border[rows, slot] = 1.0
@@ -325,9 +341,11 @@ def _null_steps(x, g, free, tight, basis):
     reduced Hessian is singular. The objective is linear along the part p of the free
     gradient orthogonal to the free rows of L (and to the coverage normal 1 when
     tight), up to the first bound of the box or coverage. Member i tries steps[j, i]
-    for j <= n_long[i] where go; go is False for the other members, when p would push
-    an entry on a bound out, and at once at a vertex (every free entry on a bound),
-    where it nearly always would: the gradient step then changes the free set faster."""
+    for j <= n_long[i] where go; go is False for the other members and when p would
+    push an entry on a bound out. Each member given has a free entry strictly inside
+    (0, 1): at a vertex (every free entry on a bound) p nearly always would push one
+    out, and the gradient step changes the free set faster, so _newton_steps forms no
+    null step there."""
     k = x.shape[0]
     # p = g_F - B (B^T B)^-1 B^T g_F for B the free rows of basis, the normal kept only
     # when tight; zero columns (padding, coverage where loose) solve as the identity.
@@ -347,7 +365,7 @@ def _null_steps(x, g, free, tight, basis):
         # In the box the limits are >= 0, and 0 where p pushes an entry on a bound out.
         first = limits.argmin(axis=1)
         s_first = limits[members, first]
-        go = (s_first > 0.0) & (s_first < np.inf) & (free & (x > 0.0) & (x < 1.0)).any(axis=1) & ok
+        go = (s_first > 0.0) & (s_first < np.inf) & ok
         s_first = np.where(go, s_first, 0.0)
         # Try the arc project(x + s p) from the step at which every entry p moves has
         # reached its bound, shortening it 4x down to the first bound, which is exact.
@@ -392,39 +410,41 @@ def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
     (which most members pass) and _PASS_WIDTH in each later one: one project call and
     at most one fun call on the (w, k, n) stack of trials."""
     x_new, f_new, todo = x, fx, live
-    # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step; members
-    # take gradient steps from round min(count) on, and run out from min(end) on.
-    gradient = step * 2.0 ** count
+    # Members take gradient steps from round min(count) on, and run out from min(end) on.
     live_count = count[live]
     start = int(live_count.min(initial=rounds))
     stop = int(live_count.max(initial=0)) + _GRADIENT_TRIALS
+    gradient = None
     j = 0
     while j < stop:
         js = np.arange(j, min(stop, j + (_PASS_WIDTH if j else 1)))
         j = int(js[-1]) + 1
-        if js[0] >= rounds:
+        if j > start:
+            if gradient is None:
+                # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step.
+                gradient = step * 2.0 ** count
             trial = (gradient * 0.5 ** js[:, None])[:, :, None] * g
+            if js[0] < rounds:
+                trial = np.where((js[:, None] < count)[:, :, None], first(js), trial)
         else:
             trial = first(js)
-            if j > start:
-                trial = np.where((js[:, None] < count)[:, :, None], trial,
-                                 (gradient * 0.5 ** js[:, None])[:, :, None] * g)
         # Members without a trial stay at x, which the projection keeps cheaply.
         z = np.asarray(project(x + np.where(todo[:, None], trial, 0.0)), dtype=float)
         slope = np.vecdot(g, z - x)
         test = todo & (slope > 0.0)
         if j > start + _GRADIENT_TRIALS:
             test &= js[:, None] < count + _GRADIENT_TRIALS
-        if test.any():
+        if np.count_nonzero(test):
             f = np.asarray(fun(z), dtype=float)
             ok = test & (f >= fx + _ARMIJO * slope)
-            hit = ok.any(axis=0)
             if js.size > 1:
-                pick, members = ok.argmax(axis=0), np.arange(x.shape[0])
+                hit, pick, members = ok.any(axis=0), ok.argmax(axis=0), np.arange(x.shape[0])
                 z, f = z[pick, members], f[pick, members]
-            x_new = np.where(hit[:, None], z.reshape(x.shape), x_new)
-            f_new = np.where(hit, f.reshape(fx.shape), f_new)
+            else:
+                hit, z, f = ok[0], z[0], f[0]
+            x_new = np.where(hit[:, None], z, x_new)
+            f_new = np.where(hit, f, f_new)
             todo = todo & ~hit
-            if not todo.any():
+            if not np.count_nonzero(todo):
                 break
     return x_new, f_new, live & ~todo

@@ -36,8 +36,8 @@ class SystemParams:
             raise ValueError(f"qos entries must be finite and >= 0: {qos.tolist()}")
         if self.prelog is None:
             object.__setattr__(self, "prelog", 1.0 - self.pilot_len / self.coherence_len)
-        if self.prelog <= 0:
-            raise ValueError("prelog must be positive")
+        if not 0 < self.prelog < np.inf:
+            raise ValueError(f"prelog must be finite and positive, not {self.prelog}")
 
 
 def qos_vector(params: SystemParams, num_ues: int) -> np.ndarray:

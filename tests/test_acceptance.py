@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import _column_lagrangian, _column_objective, _power_form, refresh_aux
+from cfmimo.fp_solver import (_column_lagrangian, _column_model, _column_objective, _power_form,
+                              refresh_aux)
 from conftest import build_synthetic_channel
 from reference import block_objective_eta_grad, dual_transform_objective, penalized_objective
 
@@ -158,8 +159,8 @@ def test_criterion_4_gradient_correctness():
                 step[m, t] = h
                 fd_d[m, t] = (f_d(d + step) - f_d(d - step)) / (2 * h)
         # The stacked column gradients at d^T, which the association screen and ascent run.
-        model, objective = _column_objective(np.arange(4), eta, aux.gamma_aux, aux.u, gamma, beta,
-                                             gram, params)
+        model = _column_model(np.arange(4), eta, gamma, beta, gram, params)
+        objective = _column_objective(np.arange(4), model, aux.gamma_aux, aux.u, params)
         g_d = _column_lagrangian(model, objective)[1](d.T).T
         worst = max(worst, np.linalg.norm(g_d - fd_d) / np.linalg.norm(fd_d))
     report("C4", "analytic gradients vs central differences",

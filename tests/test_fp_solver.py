@@ -30,17 +30,31 @@ def random_point(rng, num_aps, num_ues):
     return rng.uniform(0.1, 1.0, num_ues), rng.uniform(0.05, 1.0, (num_aps, num_ues))
 
 
-def column_objectives(eta, aux, gamma, beta, gram, params):
-    """The stacked _column_objective of every UE, as solve_association builds it."""
-    return _column_objective(np.arange(gamma.shape[1]), eta, aux.gamma_aux, aux.u, gamma, beta,
-                             gram, params)
+def column_objectives(t, eta, aux, gamma, beta, gram, params):
+    """(model, objective) of the UEs t (an array): their stacked _column_model and
+    _column_objective, as alternate and solve_association build them."""
+    model = _column_model(t, eta, gamma, beta, gram, params)
+    return model, _column_objective(t, model, aux.gamma_aux, aux.u, params)
+
+
+def column_solve(t, eta, aux, gamma, beta, gram, params, options, x0, gth):
+    """_association_columns on the UEs t alone, a stack of their own models."""
+    model, objective = column_objectives(t, eta, aux, gamma, beta, gram, params)
+    return _association_columns(model, objective, _column_lagrangian(model, objective)[2],
+                                options, x0, gth)
+
+
+def screen_gradient(eta, aux, gamma, beta, gram, params):
+    """The stacked objective gradient of every UE's column, as the screen reads it."""
+    everyone = np.arange(gamma.shape[1])
+    return _column_lagrangian(*column_objectives(everyone, eta, aux, gamma, beta, gram,
+                                                 params))[1]
 
 
 def d_gradient(eta, d, aux, gamma, beta, gram, params):
     """Gradient of the block objective in d, read as the association screen reads
     it: the stacked column gradients at d^T, one column per UE."""
-    model, objective = column_objectives(eta, aux, gamma, beta, gram, params)
-    return _column_lagrangian(model, objective)[1](d.T).T
+    return screen_gradient(eta, aux, gamma, beta, gram, params)(d.T).T
 
 
 def test_lambda_star_values():
@@ -198,13 +212,12 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
             gth = _qos_thresholds(params, gamma.shape[1])
             form = _power_form(d, gamma, beta, gram, params)
             aux = refresh_aux(eta, form, params)
-            settled = _settled_columns(eta, form, *column_objectives(eta, aux, gamma, beta, gram,
-                                                                     params), gth,
+            settled = _settled_columns(eta, form, screen_gradient(eta, aux, gamma, beta, gram,
+                                                                  params), gth,
                                        opts.inner_tolerance)
             for t in np.flatnonzero(settled):
-                x = _association_columns(*_column_objective(np.array([t]), eta, aux.gamma_aux,
-                                                            aux.u, gamma, beta, gram, params),
-                                         opts, d[:, [t]].T, gth[[t]])[0]
+                x = column_solve(np.array([t]), eta, aux, gamma, beta, gram, params, opts,
+                                 d[:, [t]].T, gth[[t]])[0]
                 assert np.array_equal(x, d[:, t]), (seed, t)
             settled_total += int(settled.sum())
             open_total += int((~settled).sum())
@@ -226,19 +239,46 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
                        (res.eta_star, res.d_binary)):
             form = _power_form(d, gamma, beta, gram, params)
             aux = refresh_aux(eta, form, params)
-            block = cf.solve_association(eta, form, aux.gamma_aux, aux.u, gth, gamma, beta,
-                                         gram, params, opts)
-            settled = _settled_columns(eta, form, *column_objectives(eta, aux, gamma, beta, gram,
-                                                                     params), gth,
+            model = _column_model(np.arange(gamma.shape[1]), eta, gamma, beta, gram, params)
+            block = cf.solve_association(eta, form, model, aux.gamma_aux, aux.u, gth, params,
+                                         opts)
+            settled = _settled_columns(eta, form, screen_gradient(eta, aux, gamma, beta, gram,
+                                                                  params), gth,
                                        opts.inner_tolerance)
             for t in np.flatnonzero(~settled):
-                alone = _association_columns(*_column_objective(np.array([t]), eta,
-                                                                aux.gamma_aux, aux.u, gamma, beta,
-                                                                gram, params),
-                                             opts, d[:, [t]].T, gth[[t]])[0]
+                alone = column_solve(np.array([t]), eta, aux, gamma, beta, gram, params, opts,
+                                     d[:, [t]].T, gth[[t]])[0]
                 assert np.max(np.abs(block[:, t] - alone)) <= 1e-10 * max(1.0, np.max(alone))
             batched += int((~settled).sum() > 1)
     assert batched >= 10
+
+
+@pytest.mark.parametrize("mode", ["association_only", "joint"])
+def test_alternate_builds_one_column_model_per_power_vector(desk_channel, monkeypatch, mode):
+    # The stacked column model depends on the powers alone: association_only holds them
+    # fixed and builds it once, and joint builds one after each power block.
+    gamma, beta, gram, params = desk_channel(2)
+    built, powers = [], []
+    column_model, solve_power = fp_solver._column_model, fp_solver.solve_power
+
+    def counted_model(t, eta, *args):
+        built.append(eta.copy())
+        return column_model(t, eta, *args)
+
+    def counted_power(*args, **kwargs):
+        powers.append(1)
+        return solve_power(*args, **kwargs)
+
+    monkeypatch.setattr(fp_solver, "_column_model", counted_model)
+    monkeypatch.setattr(fp_solver, "solve_power", counted_power)
+    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(), mode=mode)
+    # Every build is counted; the repair would add single columns, and this solve has none.
+    assert res.iterations >= 3
+    if mode == "association_only":
+        assert not powers and len(built) == 1
+    else:
+        assert len(powers) == res.iterations == len(built)
+        assert all(not np.array_equal(a, b) for a, b in zip(built, built[1:]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -555,8 +595,9 @@ def test_solve_association_feasible_and_never_decreases(desk_channel):
         form0 = _power_form(np.ones(gamma.shape), gamma, beta, gram, params)
         aux = refresh_aux(eta, form0, params)
         before = cf.block_objective(eta, form0, aux.gamma_aux, aux.u, params)
-        d1 = cf.solve_association(eta, form0, aux.gamma_aux, aux.u, np.zeros(gamma.shape[1]),
-                                  gamma, beta, gram, params, opts)
+        model = _column_model(np.arange(gamma.shape[1]), eta, gamma, beta, gram, params)
+        d1 = cf.solve_association(eta, form0, model, aux.gamma_aux, aux.u,
+                                  np.zeros(gamma.shape[1]), params, opts)
         after = cf.block_objective(eta, _power_form(d1, gamma, beta, gram, params),
                                    aux.gamma_aux, aux.u, params)
         assert after >= before - 1e-9 * abs(before)
@@ -573,9 +614,9 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
     aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
     gth = _qos_thresholds(params, d.shape[1])
     for t in range(d.shape[1]):
-        model, objective = _column_objective(t, eta, aux.gamma_aux, aux.u,
-                                             gamma, beta, gram, params)
-        fun, grad, _ = _column_lagrangian(model, objective)
+        model = _column_model(t, eta, gamma, beta, gram, params)
+        fun, grad, _ = _column_lagrangian(model, _column_objective(t, model, aux.gamma_aux,
+                                                                   aux.u, params))
         stacked = _column_model(np.array([t]), eta, gamma, beta, gram, params)
         qos = _qos_approximation(d[:, [t]].T, stacked, gth[[t]])
         psi, psi_grad = qos_psi(model, tuple(part[0] for part in qos))
@@ -586,9 +627,8 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
                           "jac": lambda z: np.ones_like(z)},
                          {"type": "ineq", "fun": psi, "jac": psi_grad}],
             options={"ftol": 1e-14, "maxiter": 1000})
-        x = _association_columns(*_column_objective(np.array([t]), eta, aux.gamma_aux, aux.u,
-                                                    gamma, beta, gram, params),
-                                 cf.SolverOptions(), d[:, [t]].T, gth[[t]])[0]
+        x = column_solve(np.array([t]), eta, aux, gamma, beta, gram, params, cf.SolverOptions(),
+                         d[:, [t]].T, gth[[t]])[0]
         assert psi(x) >= -1e-9
         assert x.sum() >= 1.0 - 1e-9
         assert fun(x) >= -ref.fun - 1e-6 * abs(ref.fun)
@@ -892,22 +932,22 @@ def test_joint_phase_one_runs_no_power_block(monkeypatch, tmp_path):
 
     config = WORKLOADS["desk_sweep"].build(cf, call_seed(5203, 168), str(tmp_path))
     config = replace(config, scenarios=(cf.Scenario(kind="joint"),))
-    events = []
+    events, channel = [], []
     original = {name: getattr(fp_solver, name)
                 for name in ("alternate", "solve_power", "solve_association")}
 
     def alternate(*args, **kwargs):
         events.append([])
+        channel[:] = args[2:5]     # gamma, beta, gram
         return original["alternate"](*args, **kwargs)
 
     def solve_power(*args, **kwargs):
         events[-1].append("power")
         return original["solve_power"](*args, **kwargs)
 
-    def solve_association(eta, form, gamma_aux, u, gth, gamma, beta, gram, params, options):
-        d = original["solve_association"](eta, form, gamma_aux, u, gth, gamma, beta, gram,
-                                          params, options)
-        form = _power_form(d, gamma, beta, gram, params)
+    def solve_association(eta, form, model, gamma_aux, u, gth, params, options):
+        d = original["solve_association"](eta, form, model, gamma_aux, u, gth, params, options)
+        form = _power_form(d, *channel, params)
         events[-1].append("rows hold" if _rows_hold(_qos_rows(*form.sinr, gth)[2])
                           else "rows broken")
         return d

@@ -227,3 +227,63 @@ def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
         assert abs(fx[i] - fi[0]) <= 1e-10 * max(1.0, abs(fi[0]))
     assert grads[0] - 1 == max(iters) and len(set(iters)) > 1
     assert np.array_equal(x[0, :2], [1.0, 1.0]) and not x[0, 2:].any()
+
+
+def test_vertex_start_enters_no_null_step(monkeypatch):
+    # The first association block's shape: a stack started at the all-ones vertex with
+    # mixed-rank factors padded by trailing zero columns. At the start every member's
+    # reduced Hessian is singular (12 free entries against a rank of at most 3), and
+    # a null step needs a free entry strictly inside (0, 1), so none is formed while
+    # the members sit at a vertex. Each member still ends where it ends alone.
+    rng = np.random.default_rng(11)
+    k, n = 6, 12
+    ranks = (1, 2, 3, 3, 2, 1)
+    fac = np.zeros((k, n, 3))
+    for i, r in enumerate(ranks):
+        fac[i, :, :r] = rng.normal(scale=0.3, size=(n, r))
+    # The gradient at ones is lin - 2 L L^T 1; put every entry of it in (-0.9, -0.1).
+    lin = 2.0 * np.matvec(fac, np.vecmat(np.ones((k, n)), fac)) + rng.uniform(-0.9, -0.1,
+                                                                              (k, n))
+    x0 = np.ones((k, n))
+    grads = [0]
+    fun, grad = _counted_quadratic(lin, fac, grads)
+    y = project_box_polyhedron(x0 + grad(x0))
+    assert np.all(((y > 0.0) & (y < 1.0)).sum(axis=1) > np.array(ranks) + 1)
+    entered = []
+    null_steps = opt._null_steps
+
+    def recording(x, g, free, tight, basis):
+        members = free.any(axis=1)
+        entered.append((free & (x > 0.0) & (x < 1.0)).any(axis=1)[members].all())
+        return null_steps(x, g, free, tight, basis)
+
+    monkeypatch.setattr(opt, "_null_steps", recording)
+    x, fx = pga_maximize(fun, grad, project_box_polyhedron, x0, max_iters=300, tol=1e-12,
+                         hess_factor=fac)
+    assert all(entered)
+    for i in range(k):
+        one = slice(i, i + 1)
+        xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], [0]),
+                              project_box_polyhedron, x0[one], max_iters=300, tol=1e-12,
+                              hess_factor=fac[one])
+        assert np.max(np.abs(x[i] - xi[0])) <= 1e-10
+        assert abs(fx[i] - fi[0]) <= 1e-10 * max(1.0, abs(fi[0]))
+
+
+def test_newton_setup_moves_padding_last():
+    # A factor whose padding trails is kept in place, cut to the widest rank; one with a
+    # zero column before a nonzero one has its nonzero columns moved first, in order.
+    rng = np.random.default_rng(2)
+    fac = rng.normal(size=(3, 5, 4))
+    fac[0, :, 2:] = 0.0
+    fac[1, :, 3:] = 0.0
+    trailing, rank, basis = opt._newton_setup(fac[:2], (2, 5))
+    assert rank.tolist() == [2, 3]
+    assert np.array_equal(trailing, fac[:2, :, :3])
+    assert np.array_equal(basis[:, :, 0], np.ones((2, 5)))
+    assert np.array_equal(basis[:, :, 1:], trailing)
+    fac[2, :, [0, 2]] = 0.0
+    moved, rank, _ = opt._newton_setup(fac, (3, 5))
+    assert rank.tolist() == [2, 3, 2]
+    assert np.array_equal(moved[:2], fac[:2, :, :3])
+    assert np.array_equal(moved[2], np.stack([fac[2, :, 1], fac[2, :, 3], np.zeros(5)], axis=1))

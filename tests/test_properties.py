@@ -7,8 +7,9 @@ import pytest
 
 import cfmimo as cf
 from cfmimo.fp_solver import (_association_columns, _bound_column, _column_lagrangian,
-                              _column_objective, _column_terms, _power_form, _qos_approximation,
-                              _qos_start, _qos_thresholds, _quadratic, refresh_aux)
+                              _column_model, _column_objective, _column_terms, _power_form,
+                              _qos_approximation, _qos_start, _qos_thresholds, _quadratic,
+                              refresh_aux)
 from cfmimo.opt import pga_maximize, project_box_polyhedron
 from conftest import build_synthetic_channel, qos_psi
 from reference import bisect_bound_column
@@ -86,13 +87,13 @@ def _column_problem(seed, alpha=None):
     d = rng.uniform(0.0, 1.0, (num_aps, num_ues))
     aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
     t = int(rng.integers(num_ues))
-    model, objective = _column_objective(np.array([t]), eta, aux.gamma_aux, aux.u, gamma, beta,
-                                         gram, params)
-    fun, grad, _ = _column_lagrangian(model, objective)
+    model = _column_model(np.array([t]), eta, gamma, beta, gram, params)
+    objective = _column_objective(np.array([t]), model, aux.gamma_aux, aux.u, params)
+    fun, grad, fac = _column_lagrangian(model, objective)
     x0 = [np.ones(num_aps), (rng.uniform(size=num_aps) < 0.5).astype(float), d[:, t]][seed % 3]
     x0[int(rng.integers(num_aps))] = 1.0
     signal, interference = _column_terms(x0[None], model)
-    return SimpleNamespace(fun=fun, grad=grad, model=model, objective=objective, x0=x0,
+    return SimpleNamespace(fun=fun, grad=grad, fac=fac, model=model, objective=objective, x0=x0,
                            sinr0=float(signal[0] / interference[0]))
 
 
@@ -167,8 +168,8 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     qos = _qos_approximation(col.x0[None], col.model, np.array([gth_t]))
     hypothesis.assume(qos[2][0] != 0.0)
     psi, psi_grad = qos_psi(_first(col.model), _first(qos))
-    x = _association_columns(col.model, col.objective, cf.SolverOptions(), col.x0[None],
-                             np.array([gth_t]))[0]
+    x = _association_columns(col.model, col.objective, col.fac, cf.SolverOptions(),
+                             col.x0[None], np.array([gth_t]))[0]
     assert psi(x) >= -1e-9
     assert x.sum() >= 1.0 - 1e-9
     best = _slsqp_max(col.fun, col.grad, col.x0,

@@ -1,7 +1,9 @@
 """Smoke tests of tools/record_diff.py: dump one desk call, diff it against itself,
-against a copy with changed file digests and against one with a moved record."""
+against a copy with changed file digests and against one with a moved record; time a
+tree against itself."""
 
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +65,24 @@ def test_diff_lists_the_emitted_files_that_differ(desk_dump, tmp_path):
         "desk_sweep: 11 of 13 emitted files identical",
         "  desk_sweep/0/feasibility.csv: only in first",
         "  desk_sweep/0/summary.csv: differs"]
+
+
+def test_time_runs_the_same_calls_in_both_trees():
+    # A tree against itself, 2 calls in 2 rounds: one total and per-solve p50 per tree,
+    # then the median per-call ratio over the 4 interleaved pairs.
+    run = subprocess.run([sys.executable, str(TOOL), "time", str(ROOT), str(ROOT), "--calls", "2",
+                          "--rounds", "2"], capture_output=True, text=True, check=True)
+    lines = run.stdout.splitlines()
+    assert len(lines) == 3
+    solves = []
+    for line in lines[:2]:
+        match = re.fullmatch(re.escape(str(ROOT)) + r": total (\S+) s, per-solve p50 (\S+) ms "
+                             r"\((\d+) solves\)", line)
+        assert match, line
+        assert float(match[1]) > 0 and float(match[2]) > 0
+        solves.append(int(match[3]))
+    # Each desk_sweep call iterates 3 solver kinds at 3 alphas; both trees see the same.
+    assert solves == [2 * 2 * 9] * 2
+    match = re.fullmatch(r"median per-call ratio second/first (\S+) over 4 calls; "
+                         r"second faster in (\d)", lines[2])
+    assert match and float(match[1]) > 0, lines[2]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -81,6 +82,23 @@ def test_se_prelog_log2_values():
     # SINR = 1 with unit prelog maps to exactly 1 bit/s/Hz
     params1 = cf.SystemParams(antennas_per_ap=4, uplink_snr=15.0, prelog=1.0)
     assert params1.prelog * math.log2(1 + 1) == 1.0
+
+
+@pytest.mark.parametrize("prelog", [float("nan"), float("inf"), 0.0, -0.5])
+def test_prelog_must_be_finite_and_positive(prelog):
+    # A NaN or infinite prelog would make every SE NaN or infinite.
+    with pytest.raises(ValueError, match=f"prelog must be finite and positive, not {prelog}"):
+        cf.SystemParams(antennas_per_ap=4, uplink_snr=15.0, prelog=prelog)
+
+
+def test_cli_rejects_a_nan_prelog_on_one_line(tmp_path, capsys):
+    from cfmimo.cli import main
+    path = tmp_path / "nan_prelog.json"
+    path.write_text(json.dumps({"params": {"prelog": float("nan")}}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid configuration: prelog must be finite and positive, not nan\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_penalized_objective():

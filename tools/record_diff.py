@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Dump the solver records of fixed record sets from one source tree, and diff two dumps.
+"""Dump the solver records of fixed record sets from one source tree, and diff two dumps;
+time two trees call by call.
 
     python3 tools/record_diff.py dump --src DIR --out F.npz
     python3 tools/record_diff.py diff A.npz B.npz
+    python3 tools/record_diff.py time A B --calls N --rounds R
 
 `dump` runs ``harness.run_experiment`` without a deadline on four sets, in one
 subprocess that imports ``cfmimo`` from DIR/src and the workload definitions from
@@ -28,6 +30,17 @@ front-haul and trace, and every record whose feasible flag, iteration count or t
 length differs; then how many emitted files are identical, and every file that
 differs. It exits with status 1 when any record or emitted file differs, and 0 when
 everything is identical.
+
+`time` keeps one subprocess per tree, each importing ``cfmimo`` from its tree's src/,
+and runs the same desk_sweep calls (benchmark seed 7, calls 0 to N-1) in both,
+alternately: call k runs in one tree, then in the other, and the tree that goes first
+switches each round. Each subprocess runs call 0 once untimed before the first round.
+It prints each tree's total wall time of ``harness.run_experiment`` over every call
+and round, and its median per-solve time (``SolveResult.wall_time`` of the solves that
+iterate, as the benchmark's ``solve_s``), then the median over calls and rounds of the
+second tree's call time over the first's. A shared host drifts by more within one
+whole run than a small change moves, and interleaving call by call lets both trees see
+the same drift.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +66,13 @@ import sys
 sys.path[:0] = [{src!r}, {bench!r}, {tools!r}]
 import record_diff
 record_diff.write_records({out!r}, {desk_calls!r}, {full!r})
+"""
+
+TIMER = """\
+import sys
+sys.path[:0] = [{src!r}, {bench!r}, {tools!r}]
+import record_diff
+record_diff.serve_calls({calls!r})
 """
 
 
@@ -188,6 +209,51 @@ def diff(first, second):
     return lines, same
 
 
+def serve_calls(calls: int):
+    """Time desk_sweep calls on request: read a call index per line of stdin, and write
+    one JSON line per call, [wall seconds of run_experiment, per-solve wall times]."""
+    import cfmimo as cf
+    from workloads import WORKLOADS, call_seed
+
+    configs = [WORKLOADS["desk_sweep"].build(cf, call_seed(7, k), "unused")
+               for k in range(calls)]
+    cf.run_experiment(configs[0])
+    for line in sys.stdin:
+        start = time.perf_counter()
+        result = cf.run_experiment(configs[int(line)])
+        wall = time.perf_counter() - start
+        print(json.dumps([wall, [rec.wall_time for rec in result.records if rec.iterations]]),
+              flush=True)
+
+
+def time_trees(roots, calls: int, rounds: int):
+    """(walls, solves): the wall seconds of every call in each tree, shape (2, rounds,
+    calls), and each tree's per-solve wall times, from one timing subprocess per tree
+    that runs the same calls alternately, the first tree first in even rounds."""
+    tools = str(Path(__file__).resolve().parent)
+    children = [subprocess.Popen(
+        [sys.executable, "-c", TIMER.format(src=str(root / "src"), bench=str(root / "bench"),
+                                            tools=tools, calls=calls)],
+        cwd=root, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for root in roots]
+    walls, solves = np.zeros((2, rounds, calls)), ([], [])
+    try:
+        for r in range(rounds):
+            for k in range(calls):
+                for i in (0, 1) if r % 2 == 0 else (1, 0):
+                    children[i].stdin.write(f"{k}\n")
+                    children[i].stdin.flush()
+                    reply = children[i].stdout.readline()
+                    if not reply:
+                        raise RuntimeError(f"the timing process of {roots[i]} ended early")
+                    walls[i, r, k], times = json.loads(reply)
+                    solves[i].extend(times)
+    finally:
+        for child in children:
+            child.stdin.close()
+            child.wait()
+    return walls, solves
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -199,6 +265,11 @@ def main(argv=None):
     compare = sub.add_parser("diff", help="compare two dumps")
     compare.add_argument("first")
     compare.add_argument("second")
+    timing = sub.add_parser("time", help="time desk_sweep calls of two trees, interleaved")
+    timing.add_argument("first", help="root of the first tree (holds src/ and bench/)")
+    timing.add_argument("second", help="root of the second tree")
+    timing.add_argument("--calls", type=int, default=40, help="desk_sweep calls per round")
+    timing.add_argument("--rounds", type=int, default=4, help="rounds over the calls")
     args = parser.parse_args(argv)
     if args.command == "dump":
         root = Path(args.src).resolve()
@@ -207,6 +278,17 @@ def main(argv=None):
                             out=str(Path(args.out).resolve()), desk_calls=args.desk_calls,
                             full=not args.desk_only)
         subprocess.run([sys.executable, "-c", code], check=True, cwd=root)
+    elif args.command == "time":
+        if args.calls < 1 or args.rounds < 1:
+            parser.error("--calls and --rounds must be positive")
+        roots = [Path(p).resolve() for p in (args.first, args.second)]
+        walls, solves = time_trees(roots, args.calls, args.rounds)
+        for root, wall, times in zip(roots, walls, solves):
+            print(f"{root}: total {wall.sum():.3f} s, per-solve p50 "
+                  f"{1e3 * np.median(times):.3f} ms ({len(times)} solves)")
+        ratio = walls[1] / walls[0]
+        print(f"median per-call ratio second/first {np.median(ratio):.3f} over {ratio.size} "
+              f"calls; second faster in {int((ratio < 1).sum())}")
     else:
         lines, same = diff(load(args.first), load(args.second))
         print("\n".join(lines))
