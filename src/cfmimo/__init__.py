@@ -2,8 +2,8 @@
 optimization via fractional programming, plus the simulation harness."""
 
 from .baselines import SCENARIO_KINDS, Scenario, fractional_powers, run_scenario
-from .fp_solver import (InfeasibleProblemError, SolveResult, SolverOptions, alternate,
-                        block_objective, round_association, solve_association, solve_power)
+from .fp_solver import (SolveResult, SolverOptions, alternate, block_objective,
+                        round_association, solve_association, solve_power)
 from .harness import (DESK_ALPHA, ExperimentConfig, ExperimentResult,
                       MetricsSummary, default_uplink_snr, desk_config,
                       emit_results, load_config, paper_config, percentile,

@@ -67,5 +67,4 @@ def run_scenario(scenario: Scenario, gamma, beta, gram, params: SystemParams,
     if kind == "fractional_power_control":
         return _evaluate_only(fractional_powers(beta, scenario.fpc_exponent), ones_form, shape,
                               params, t_start)
-    return alternate(None, None, gamma, beta, gram, params, options, mode=kind,
-                     start_form=ones_form)
+    return alternate(gamma, beta, gram, params, options, mode=kind, start_form=ones_form)

@@ -66,10 +66,6 @@ _DUAL_MAX_ITERS = 2000   # iteration cap of the power dual
 _DUAL_TOL = 1e-10        # largest broken row, in eta, where the power dual may stop
 
 
-class InfeasibleProblemError(RuntimeError):
-    """Raised when the QoS constraints cannot be met and the policy is 'error'."""
-
-
 @dataclass
 class AuxState:
     gamma_aux: np.ndarray   # per-UE auxiliary SINR values
@@ -82,7 +78,6 @@ class SolverOptions:
     max_outer_iters: int = 100
     inner_tolerance: float = 1e-7
     rounding_threshold: float = 0.5
-    qos_infeasible_policy: str = "report_and_continue"
     max_inner_iters: int = 300
 
     def __post_init__(self):
@@ -95,8 +90,6 @@ class SolverOptions:
                 raise ValueError(f"{name} must be a positive integer, not {value!r}")
         if not 0 < self.rounding_threshold < 1:
             raise ValueError("rounding_threshold must lie in (0, 1)")
-        if self.qos_infeasible_policy not in ("error", "report_and_continue"):
-            raise ValueError("qos_infeasible_policy must be 'error' or 'report_and_continue'")
 
 
 @dataclass
@@ -311,8 +304,8 @@ def _in_box(x, tol) -> bool:
     return bool(x.min() >= -tol and x.max() <= 1 + tol)
 
 
-def solve_power(form: PowerForm, gamma_aux, u, gth, params: SystemParams,
-                options: SolverOptions, eta_init=None, *, coefficients=None) -> np.ndarray:
+def solve_power(form: PowerForm, gamma_aux, u, gth, params: SystemParams, eta_init=None, *,
+                coefficients=None) -> np.ndarray:
     """Maximize the block objective over eta in [0,1]^T at the matrix of the power form,
     subject to the QoS rows of the SINR thresholds gth (0 for a UE whose target the
     solve does not hold), which are linear in eta. Concave: the sqrt terms are
@@ -320,10 +313,11 @@ def solve_power(form: PowerForm, gamma_aux, u, gth, params: SystemParams,
 
     Without a held target there are no rows: the closed-form maximizer over the box
     is returned at once, unless eta_init in the box is better. Rows with no point in
-    the box go to the QoS policy unsolved. Otherwise the dual maximizer is used; if
-    it breaks a row (only where the dual stops short) it moves toward eta_init
-    (or, if that breaks a row too, toward the least QoS powers) until every row
-    holds. The result is never worse than a feasible eta_init.
+    the box are left unsolved: eta_init comes back clipped to the box, and the
+    solve's feasibility flags report the targets it misses. Otherwise the dual
+    maximizer is used; if it breaks a row (only where the dual stops short) it moves
+    toward eta_init (or, if that breaks a row too, toward the least QoS powers) until
+    every row holds. The result is never worse than a feasible eta_init.
     coefficients, if given, are _power_coefficients(form, gamma_aux, u, params).
     """
     if coefficients is None:
@@ -339,10 +333,6 @@ def solve_power(form: PowerForm, gamma_aux, u, gth, params: SystemParams,
         return x
     normals, offsets, least = _qos_rows(*form.sinr, gth)
     if not _rows_hold(least):
-        if options.qos_infeasible_policy == "error":
-            raise InfeasibleProblemError("power subproblem: QoS rows unsatisfiable: least "
-                                         f"powers meeting them {least.tolist()} are not in "
-                                         "[0, 1]")
         return np.clip(eta0, 0.0, 1.0)
     row_tol = _ETA_TOL * np.maximum(1.0, np.abs(offsets))
 
@@ -779,17 +769,17 @@ def _qos_start(form: PowerForm, gth, margin=1.05):
     return None
 
 
-def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
-              options: SolverOptions, mode: str = "joint", *,
-              start_form: SinrForm | None = None) -> SolveResult:
+def alternate(gamma, beta, gram, params: SystemParams, options: SolverOptions,
+              mode: str = "joint", *, start_form: SinrForm | None = None) -> SolveResult:
     """Alternating block maximization with auxiliary refreshes before each block.
 
-    mode selects which blocks run: 'joint', 'power_only' or 'association_only'; joint
-    and association_only hold the QoS targets params.qos, power_only holds none, and
-    the feasibility flags report params.qos in every mode. Stops when the relative
-    change of the post-block objective value falls below options.epsilon. start_form,
-    if given, is the se_model.sinr_form of the start matrix (initial_d, or all ones);
-    the solve reads it and never writes it.
+    Every solve starts at eta = 1 and D = ones. mode selects which blocks run: 'joint',
+    'power_only' or 'association_only'; joint and association_only hold the QoS
+    targets params.qos, power_only holds none, and the feasibility flags report
+    params.qos in every mode, a target the solve cannot meet included. Stops when the
+    relative change of the post-block objective value falls below options.epsilon.
+    start_form, if given, is the se_model.sinr_form of D = ones; the solve reads it and
+    never writes it.
 
     The ascent is monotone while the same QoS targets are enforced, and the trace
     restarts where they change. A joint solve with QoS targets runs in two phases:
@@ -810,8 +800,8 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
     beta = np.asarray(beta, dtype=float)
     gram = np.asarray(gram, dtype=float)
     num_aps, num_ues = gamma.shape
-    eta = np.ones(num_ues) if initial_eta is None else np.asarray(initial_eta, dtype=float).copy()
-    d = np.ones((num_aps, num_ues)) if initial_d is None else np.asarray(initial_d, dtype=float).copy()
+    eta = np.ones(num_ues)
+    d = np.ones((num_aps, num_ues))
     qos = qos_vector(params, num_ues)
     gth = _qos_thresholds(params, num_ues) if association_is_free else np.zeros(num_ues)
     enforce_qos = bool(np.count_nonzero(gth))
@@ -837,8 +827,6 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         start = _qos_start(form, gth)
         if start is not None:
             eta = start
-        elif options.qos_infeasible_policy == "error":
-            raise InfeasibleProblemError("no QoS-feasible initialization found")
 
     # The stacked column model of every UE at the powers eta_model; eta is rebound,
     # never written, so a model is built once per power vector the solve holds.
@@ -854,7 +842,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         if power_is_free and not phase_one:
             aux = refresh_aux(eta, form, params)
             coefficients = _power_coefficients(form, aux.gamma_aux, aux.u, params)
-            eta = solve_power(form, aux.gamma_aux, aux.u, gth, params, options, eta_init=eta,
+            eta = solve_power(form, aux.gamma_aux, aux.u, gth, params, eta_init=eta,
                               coefficients=coefficients)
         if association_is_free:
             coefficients = None
@@ -869,7 +857,7 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
             phase_one = False
             start = _qos_start(form, gth)
             aux = refresh_aux(eta, form, params)
-            eta = solve_power(form, aux.gamma_aux, aux.u, gth, params, options, eta_init=start)
+            eta = solve_power(form, aux.gamma_aux, aux.u, gth, params, eta_init=start)
             aux = refresh_aux(eta, form, params)
             trace, f_prev = [], None
         f_val = block_objective(eta, form, aux.gamma_aux, aux.u, params,
@@ -882,10 +870,10 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
             break
         f_prev = f_val
 
-    # Rounding that leaves d unchanged keeps d's form. power_only never moves d, and
-    # its default all-ones start needs no rounding.
+    # Rounding that leaves d unchanged keeps d's form. power_only never moves d from
+    # its all-ones start, which needs no rounding.
     form_b = form
-    if not association_is_free and initial_d is None:
+    if not association_is_free:
         d_binary = d.copy()
     else:
         d_binary = round_association(d, options, gamma)
@@ -900,13 +888,9 @@ def alternate(initial_eta, initial_d, gamma, beta, gram, params: SystemParams,
         se = se_on(eta, form_b)
         if power_is_free and not meets_qos(se, qos).all():
             aux_b = refresh_aux(eta, form_b, params)
-            eta = solve_power(form_b, aux_b.gamma_aux, aux_b.u, gth, params, options,
-                              eta_init=eta)
+            eta = solve_power(form_b, aux_b.gamma_aux, aux_b.u, gth, params, eta_init=eta)
             se = se_on(eta, form_b)
     feasibility = meets_qos(se, qos)
-    if enforce_qos and not feasibility.all() and options.qos_infeasible_policy == "error":
-        raise InfeasibleProblemError(
-            f"QoS violated for UE(s) {np.flatnonzero(~feasibility).tolist()} after rounding")
     se_relaxed = se if form_b is form else se_on(eta, form)
     return SolveResult(eta_star=eta, d_relaxed=d, d_binary=d_binary,
                        objective_trace=np.asarray(trace), iterations=iterations,

@@ -279,11 +279,14 @@ def paper_config(seed: int = 7, drops: int = 100, num_aps: int = 100,
                    antennas_per_ap=4)
 
 
+# Fields of old configuration files that config_from_dict checks and drops.
+_LEGACY_FIELDS = ("network.antennas_per_ap", "solver.qos_infeasible_policy")
+
+
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = dict(base)
     for key, val in override.items():
-        # network.antennas_per_ap is the legacy copy that config_from_dict checks.
-        if key not in out and prefix + key != "network.antennas_per_ap":
+        if key not in out and prefix + key not in _LEGACY_FIELDS:
             raise ValueError(f"unknown configuration field {prefix + key!r}")
         if isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], val, f"{prefix}{key}.")
@@ -298,6 +301,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     antennas = data["params"].get("antennas_per_ap")
     if network.pop("antennas_per_ap", antennas) != antennas:
         raise ValueError("network.antennas_per_ap disagrees with params.antennas_per_ap")
+    # Old files also name the QoS policy; unmet targets are always reported now, so
+    # only the reporting policy loads.
+    solver = dict(data["solver"])
+    policy = solver.pop("qos_infeasible_policy", "report_and_continue")
+    if policy != "report_and_continue":
+        raise ValueError("solver.qos_infeasible_policy was removed: unmet QoS targets are "
+                         f"reported, and only 'report_and_continue' loads, not {policy!r}")
     scenarios = []
     for entry in data["scenarios"]:
         if isinstance(entry, str):
@@ -312,7 +322,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         network=NetworkConfig(**network),
         params=SystemParams(**params),
-        solver=SolverOptions(**data["solver"]),
+        solver=SolverOptions(**solver),
         path_loss=PathLossModel(**path_loss),
         shadowing=ShadowingModel(**data["shadowing"]),
         scenarios=tuple(scenarios),

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import cfmimo as cf
+from cfmimo.se_model import meets_qos, qos_vector
+from conftest import count_qos_rows
 
 
 def test_full_power_scenario_is_definitional(desk_channel):
@@ -58,12 +60,15 @@ def test_single_block_traces_nondecreasing(desk_channel):
             assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
 
 
-def test_power_only_runs_without_qos(desk_channel):
-    # the fixed-service baselines are evaluated without the QoS constraint
+def test_power_only_runs_without_qos(desk_channel, monkeypatch):
+    # the fixed-service baselines are evaluated without the QoS constraint: power_only
+    # builds no QoS row, and its flags are the SE flags of params.qos
     gamma, beta, gram, params = desk_channel(0)
+    rows = count_qos_rows(monkeypatch)
     res = cf.run_scenario(cf.Scenario(kind="power_only"), gamma, beta, gram, params,
-                          cf.SolverOptions(qos_infeasible_policy="error"))
-    assert res.iterations >= 1
+                          cf.SolverOptions())
+    assert res.iterations >= 1 and rows[0] == 0
+    assert np.array_equal(res.feasibility, meets_qos(res.se, qos_vector(params, res.se.size)))
 
 
 @pytest.mark.parametrize("seed, qos", [(4, 0.2), (14, 1.0)])

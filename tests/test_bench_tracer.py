@@ -26,7 +26,7 @@ def test_solver_runs_through_traced_names(monkeypatch, desk_channel):
 
     gamma, beta, gram, params = desk_channel(3)
     with tracer.Tracer() as spans:
-        res = cf.alternate(None, None, gamma, beta, gram, replace(params, qos=0.0),
+        res = cf.alternate(gamma, beta, gram, replace(params, qos=0.0),
                            cf.SolverOptions(), mode="power_only")
     metrics = spans.layer_metrics()
     assert metrics["fp_solver.alternate.outer_iters"] == res.iterations

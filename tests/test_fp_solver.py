@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from reference import (block_objective_eta_grad, block_objective_of_terms,
                        solve_power_without_rows, update_gamma, update_u)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 LN2 = math.log(2.0)
 
@@ -201,7 +204,7 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
     settled_total = open_total = 0
     for seed in range(10):
         gamma, beta, gram, params = desk_channel(seed, qos=qos)
-        res = cf.alternate(None, None, gamma, beta, gram, params, opts)
+        res = cf.alternate(gamma, beta, gram, params, opts)
         single = np.zeros(gamma.shape)
         single[np.random.default_rng(seed).integers(gamma.shape[0], size=gamma.shape[1]),
                np.arange(gamma.shape[1])] = 1.0
@@ -233,7 +236,7 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
     batched = 0
     for seed in range(10):
         gamma, beta, gram, params = desk_channel(seed, qos=qos)
-        res = cf.alternate(None, None, gamma, beta, gram, params, opts)
+        res = cf.alternate(gamma, beta, gram, params, opts)
         gth = _qos_thresholds(params, gamma.shape[1])
         for eta, d in ((np.ones(gamma.shape[1]), np.ones(gamma.shape)),
                        (res.eta_star, res.d_binary)):
@@ -271,7 +274,7 @@ def test_alternate_builds_one_column_model_per_power_vector(desk_channel, monkey
 
     monkeypatch.setattr(fp_solver, "_column_model", counted_model)
     monkeypatch.setattr(fp_solver, "solve_power", counted_power)
-    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(), mode=mode)
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode=mode)
     # Every build is counted; the repair would add single columns, and this solve has none.
     assert res.iterations >= 3
     if mode == "association_only":
@@ -312,7 +315,6 @@ def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_chan
 
     monkeypatch.setattr(fp_solver, "_qos_rows", no_rows)
     monkeypatch.setattr(fp_solver, "_dual_power_solve", no_rows)
-    opts = cf.SolverOptions()
     for seed in range(4):
         gamma, beta, gram, params = desk_channel(seed, qos=0.0)
         num_ues = gamma.shape[1]
@@ -328,7 +330,7 @@ def test_solve_power_without_targets_is_the_box_maximizer(monkeypatch, desk_chan
         # The last start is the box maximizer moved by rounding: eta_init may win the tie.
         for eta0 in (None, np.ones(num_ues), rng.uniform(0.0, 1.0, num_ues),
                      np.nextafter(closed, 0.5)):
-            eta = cf.solve_power(form, aux.gamma_aux, aux.u, np.zeros(num_ues), params, opts,
+            eta = cf.solve_power(form, aux.gamma_aux, aux.u, np.zeros(num_ues), params,
                                  eta_init=eta0)
             start = np.ones(num_ues) if eta0 is None else eta0
             assert np.array_equal(eta, closed) or np.array_equal(eta, start)
@@ -341,7 +343,6 @@ def test_no_row_power_step_matches_its_reference(desk_channel, scale):
     # the power coefficients and the powers, with scalar and vector qos = 0, for the
     # box maximizer and for an eta_init that wins the never-worse guard.
     shape = {"desk": {}, "paper": {"num_aps": 100, "num_ues": 40, "antennas": 4}}[scale]
-    opts = cf.SolverOptions()
     winners = 0
     for seed in range(3):
         gamma, beta, gram, params = desk_channel(seed, qos=0.0, **shape)
@@ -371,7 +372,7 @@ def test_no_row_power_step_matches_its_reference(desk_channel, scale):
                                          (capped, (winner, closed))):
                 for eta0 in starts:
                     got = cf.solve_power(form, aux.gamma_aux, aux.u,
-                                         _qos_thresholds(params, num_ues), params, opts,
+                                         _qos_thresholds(params, num_ues), params,
                                          eta_init=eta0, coefficients=coefficients)
                     ref = solve_power_without_rows(coefficients, eta0)
                     assert np.array_equal(got, ref)
@@ -382,14 +383,13 @@ def test_no_row_power_step_matches_its_reference(desk_channel, scale):
 
 
 def test_solve_power_with_targets_reads_its_rows():
-    # With targets the rows still bind: unsatisfiable rows go to the policy, and
+    # With targets the rows still bind: unsatisfiable rows are left unsolved, and
     # satisfiable ones hold where the box maximizer breaks one.
-    opts = cf.SolverOptions()
     unsatisfiable = broken = 0
     for seed in range(10):
         channel, form, eta0, aux, coefs, (normals, offsets) = build_power_block(seed)
         gth = _qos_thresholds(channel[3], eta0.size)
-        eta = cf.solve_power(form, aux.gamma_aux, aux.u, gth, channel[3], opts, eta_init=eta0)
+        eta = cf.solve_power(form, aux.gamma_aux, aux.u, gth, channel[3], eta_init=eta0)
         least = _qos_rows(*form.sinr, gth)[2]
         if np.max(least) > 1.0:
             unsatisfiable += 1
@@ -407,12 +407,11 @@ def test_solve_power_alpha_invariant():
     eta0 = np.ones(4)
     form = _power_form(d, gamma, beta, gram, params)
     aux = refresh_aux(eta0, form, params)
-    opts = cf.SolverOptions()
     gth = _qos_thresholds(params, 4)
-    out1 = cf.solve_power(form, aux.gamma_aux, aux.u, gth, params, opts, eta_init=eta0)
+    out1 = cf.solve_power(form, aux.gamma_aux, aux.u, gth, params, eta_init=eta0)
     penalized = replace(params, alpha=0.5)
     out2 = cf.solve_power(_power_form(d, gamma, beta, gram, penalized), aux.gamma_aux, aux.u,
-                          gth, penalized, opts, eta_init=eta0)
+                          gth, penalized, eta_init=eta0)
     assert np.allclose(out1, out2, atol=1e-9)
 
 
@@ -428,12 +427,11 @@ def test_solve_power_single_ue_matches_grid_search():
     values = const - lin[0] * grid + b_vec[0] * np.sqrt(grid)
     best = grid[np.argmax(values)]
     out = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(params, 1), params,
-                         cf.SolverOptions(), eta_init=eta0)
+                         eta_init=eta0)
     assert out[0] == pytest.approx(best, abs=1e-4)
 
 
 def test_solve_power_never_decreases_block(desk_channel):
-    opts = cf.SolverOptions()
     for seed in range(3):
         gamma, beta, gram, params = desk_channel(seed)
         d = np.ones(gamma.shape)
@@ -442,7 +440,7 @@ def test_solve_power_never_decreases_block(desk_channel):
         aux = refresh_aux(eta0, form, params)
         before = cf.block_objective(eta0, form, aux.gamma_aux, aux.u, params)
         eta1 = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(params, eta0.size),
-                              params, opts, eta_init=eta0)
+                              params, eta_init=eta0)
         after = cf.block_objective(eta1, form, aux.gamma_aux, aux.u, params)
         assert after >= before - 1e-9 * abs(before)
         assert cf.qos_satisfied(eta1, d, gamma, beta, gram, params, tol=1e-6).all()
@@ -471,7 +469,7 @@ def test_solve_power_reaches_constrained_optimum(seed):
     ref = slsqp_power_value(coefs, (normals, offsets), eta0)
     params = channel[3]
     eta = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(params, eta0.size), params,
-                         cf.SolverOptions(), eta_init=eta0)
+                         eta_init=eta0)
     assert np.all((eta >= 0) & (eta <= 1))
     assert np.all(normals @ eta - offsets >= -1e-8)
     value = cf.block_objective(eta, form, aux.gamma_aux, aux.u, params)
@@ -521,7 +519,7 @@ def test_joint_keeps_untargeted_ues_powered_without_a_least_power_start(desk_cha
     d = np.ones(gamma.shape)
     assert _qos_start(_power_form(d, gamma, beta, gram, params),
                       _qos_thresholds(params, qos.size)) is None
-    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions())
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions())
     assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()
 
@@ -541,20 +539,42 @@ def test_solve_power_meets_satisfiable_rows_from_infeasible_init(monkeypatch, se
         monkeypatch.setattr(fp_solver, "_newton_direction", lambda *args: None)
         assert np.min(normals @ _dual_power_solve(lin, b_vec, normals, offsets) - offsets) < -1e-8
     eta = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(channel[3], eta0.size),
-                         channel[3], cf.SolverOptions(), eta_init=eta0)
+                         channel[3], eta_init=eta0)
     assert np.min(normals @ eta - offsets) >= -1e-8
 
 
-@pytest.mark.parametrize("seed, qos", [(0, 0.8), (13, 1.2)])
-def test_dual_power_safeguard_alone_reaches_the_constrained_optimum(monkeypatch, seed, qos):
-    # Newton steps leave the projected gradient safeguard no work on any record set;
-    # with every Newton direction refused it still reaches SLSQP's optimum and meets
-    # the rows to the dual's stop tolerance.
-    monkeypatch.setattr(fp_solver, "_newton_direction", lambda *args: None)
+@pytest.mark.parametrize("seed, qos, capped", [
+    *(pytest.param(seed, qos, False, id=f"{seed}-{qos}") for seed, qos in ((0, 0.8), (13, 1.2))),
+    *(pytest.param(seed, qos, True, id=f"{seed}-{qos}-capped")
+      for seed, qos in ((0, 0.5), (2, 1.0), (6, 1.0)))])
+def test_dual_power_safeguard_alone_reaches_the_constrained_optimum(monkeypatch, seed, qos,
+                                                                   capped):
+    # Newton steps leave the projected gradient safeguard no work on any record set.
+    # With every Newton direction refused it still reaches SLSQP's optimum and meets
+    # the rows to the dual's stop tolerance. Unpatched, it runs on a block with
+    # b >= 2 lin + 1e-3: every UE sits at its cap at mu = 0, where the free dual
+    # Hessian is singular and _newton_direction returns None.
     channel, form, eta0, aux, coefs, rows = build_power_block(seed, qos)
     lin, b_vec, const = coefs
+    refused = []
+    if capped:
+        b_vec = np.maximum(b_vec, 2.0 * lin + 1e-3)
+        coefs = lin, b_vec, const
+        assert np.all(_box_maximizer(lin, b_vec) == 1.0)
+        newton_direction = fp_solver._newton_direction
+
+        def spied(*args):
+            direction = newton_direction(*args)
+            refused.append(direction is None)
+            return direction
+
+        monkeypatch.setattr(fp_solver, "_newton_direction", spied)
+    else:
+        monkeypatch.setattr(fp_solver, "_newton_direction", lambda *args: None)
     normals, offsets = rows
     eta = _dual_power_solve(lin, b_vec, normals, offsets)
+    if capped:
+        assert refused[0]    # the first direction, at mu = 0
     assert np.min(normals @ eta - offsets) >= -1e-10
     value = const - lin @ eta + b_vec @ np.sqrt(eta)
     assert value == pytest.approx(slsqp_power_value(coefs, rows, eta0), rel=1e-6)
@@ -566,7 +586,7 @@ def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
     assert np.min(normals @ unconstrained - offsets) < -1e-8 <= np.min(normals @ eta0 - offsets)
     monkeypatch.setattr(fp_solver, "_dual_power_solve", lambda *args: unconstrained)
     eta = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(channel[3], eta0.size),
-                         channel[3], cf.SolverOptions(), eta_init=eta0)
+                         channel[3], eta_init=eta0)
     # The first point of the segment toward eta0 where every row holds: one row is tight.
     direction = eta0 - unconstrained
     s = (eta - unconstrained) @ direction / (direction @ direction)
@@ -576,14 +596,13 @@ def test_solve_power_steps_back_toward_feasible_init(monkeypatch):
 
 
 def test_solve_power_unsatisfiable_qos_policies():
+    # Rows with no point in the box are left unsolved: eta_init comes back clipped to
+    # the box, and the solve's feasibility flags report the targets it misses.
     channel, form, eta0, aux, _, _ = build_power_block(0, qos=10.0)
     params = channel[3]
     gth = _qos_thresholds(params, eta0.size)
-    with pytest.raises(cf.InfeasibleProblemError, match="QoS rows unsatisfiable"):
-        cf.solve_power(form, aux.gamma_aux, aux.u, gth, params,
-                       cf.SolverOptions(qos_infeasible_policy="error"), eta_init=eta0)
-    out = cf.solve_power(form, aux.gamma_aux, aux.u, gth, params, cf.SolverOptions(),
-                         eta_init=eta0)
+    assert not _rows_hold(_qos_rows(*form.sinr, gth)[2])
+    out = cf.solve_power(form, aux.gamma_aux, aux.u, gth, params, eta_init=eta0)
     assert np.array_equal(out, np.clip(eta0, 0.0, 1.0))
 
 
@@ -646,7 +665,7 @@ def test_association_large_penalty_keeps_single_best_ap():
     gamma = cf.estimation_quality(beta, gram, 5.0, 2)
     params = cf.SystemParams(antennas_per_ap=2, uplink_snr=10.0, alpha=5.0,
                              qos=0.0, pilot_len=2)
-    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(),
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
                        mode="association_only")
     assert np.array_equal(res.d_binary.sum(axis=0), [1.0, 1.0])
     # exhaustive single-AP enumeration oracle on the binary problem
@@ -672,7 +691,7 @@ def test_association_zero_penalty_single_ue_serves_all():
     gamma = cf.estimation_quality(beta, gram, 5.0, 2)
     params = cf.SystemParams(antennas_per_ap=2, uplink_snr=2.0, alpha=0.0,
                              qos=0.0, pilot_len=2)
-    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(),
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
                        mode="association_only")
     assert np.all(res.d_binary == 1.0)
     # every AP has a positive marginal gain at the box bound
@@ -682,20 +701,33 @@ def test_association_zero_penalty_single_ue_serves_all():
 
 
 def test_alternate_fixed_point_terminates_quickly(desk_channel):
+    # The solve stops at a fixed point to within epsilon: from its (eta*, d_relaxed),
+    # one more power block and one more association block, each after its auxiliary
+    # refresh, raise the block objective by at most epsilon relative.
     gamma, beta, gram, params = desk_channel(0)
     opts = cf.SolverOptions()
-    res1 = cf.alternate(None, None, gamma, beta, gram, params, opts)
-    res2 = cf.alternate(res1.eta_star, res1.d_relaxed, gamma, beta, gram, params, opts)
-    assert res2.iterations <= 2
-    rel_span = (np.max(res2.objective_trace) - np.min(res2.objective_trace))
-    assert rel_span <= opts.epsilon * abs(res2.objective_trace[0]) * 1.01
+    res = cf.alternate(gamma, beta, gram, params, opts)
+    gth = _qos_thresholds(params, gamma.shape[1])
+    form = _power_form(res.d_relaxed, gamma, beta, gram, params)
+    aux = refresh_aux(res.eta_star, form, params)
+    start = cf.block_objective(res.eta_star, form, aux.gamma_aux, aux.u, params)
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, gth, params, eta_init=res.eta_star)
+    aux = refresh_aux(eta, form, params)
+    powered = cf.block_objective(eta, form, aux.gamma_aux, aux.u, params)
+    model = _column_model(np.arange(gamma.shape[1]), eta, gamma, beta, gram, params)
+    d = cf.solve_association(eta, form, model, aux.gamma_aux, aux.u, gth, params, opts)
+    associated = cf.block_objective(eta, _power_form(d, gamma, beta, gram, params),
+                                    aux.gamma_aux, aux.u, params)
+    slack = 1e-9 * abs(start)
+    assert start - slack <= powered <= associated + slack
+    assert associated - start <= opts.epsilon * abs(start)
 
 
 def test_alternate_monotone_trace_and_termination(desk_channel):
     opts = cf.SolverOptions()
     for seed in range(3):
         gamma, beta, gram, params = desk_channel(seed)
-        res = cf.alternate(None, None, gamma, beta, gram, params, opts)
+        res = cf.alternate(gamma, beta, gram, params, opts)
         trace = res.objective_trace
         assert res.iterations <= opts.max_outer_iters
         assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
@@ -704,9 +736,9 @@ def test_alternate_monotone_trace_and_termination(desk_channel):
 
 def test_alternate_nested_tolerance(desk_channel):
     gamma, beta, gram, params = desk_channel(1)
-    loose = cf.alternate(None, None, gamma, beta, gram, params,
+    loose = cf.alternate(gamma, beta, gram, params,
                          cf.SolverOptions(epsilon=5e-3))
-    tight = cf.alternate(None, None, gamma, beta, gram, params,
+    tight = cf.alternate(gamma, beta, gram, params,
                          cf.SolverOptions(epsilon=5e-4))
     assert tight.iterations >= loose.iterations
     assert tight.objective_trace[-1] >= loose.objective_trace[-1] - 1e-9
@@ -814,13 +846,9 @@ def test_qos_start_matches_target_tracking(desk_channel):
 
 
 def test_alternate_infeasible_policy(desk_channel):
+    # Targets no powers meet are reported in the feasibility flags, not raised.
     gamma, beta, gram, params = desk_channel(0)
-    absurd = replace(params, qos=10.0)
-    with pytest.raises(cf.InfeasibleProblemError):
-        cf.alternate(None, None, gamma, beta, gram, absurd,
-                     cf.SolverOptions(qos_infeasible_policy="error"))
-    res = cf.alternate(None, None, gamma, beta, gram, absurd,
-                       cf.SolverOptions(qos_infeasible_policy="report_and_continue"))
+    res = cf.alternate(gamma, beta, gram, replace(params, qos=10.0), cf.SolverOptions())
     assert not res.feasibility.any()
 
 
@@ -831,8 +859,9 @@ def test_alternate_starts_from_least_powers_when_tracking_misses(desk_channel, s
     d = np.ones(gamma.shape)
     eta = _feasibility_powers(d, gamma, beta, gram, params)
     assert not cf.qos_satisfied(eta, d, gamma, beta, gram, params).all()
-    res = cf.alternate(None, None, gamma, beta, gram, params,
-                       cf.SolverOptions(qos_infeasible_policy="error"))
+    assert _qos_start(_power_form(d, gamma, beta, gram, params),
+                      _qos_thresholds(params, d.shape[1])) is not None
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions())
     assert res.feasibility.all()
 
 
@@ -850,7 +879,7 @@ def test_alternate_keeps_ues_without_target_powered(desk_channel, seed, has_star
     assert not cf.qos_satisfied(np.ones(qos.size), d, gamma, beta, gram, params).all()
     assert (_qos_start(_power_form(d, gamma, beta, gram, params),
                        _qos_thresholds(params, qos.size)) is not None) == has_start
-    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions())
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions())
     assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()
 
@@ -866,12 +895,57 @@ def test_alternate_keeps_qos_target_of_column_on_its_boundary():
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
 
 
+def _count_line_runs(function, text, hits):
+    """A sys.settrace tracer that appends to hits each run of the line of function
+    whose source holds text."""
+    lines, first = inspect.getsourcelines(function)
+    target = first + next(i for i, line in enumerate(lines) if text in line)
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(target)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is function.__code__ else None
+
+    return tracer
+
+
+def test_joint_column_bisection_runs_to_its_end(monkeypatch):
+    # Record set desk_hard (tools/record_diff.py) at qos 1.0, drop 12, joint, alpha
+    # 0.004: _bound_column's bisection closes the bracket of nu three times, its one
+    # exit that no other record reaches. The solve alone gives its record in the set.
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import record_diff
+
+    (config,) = [c for name, call, c in record_diff.record_sets(0, True)
+                 if (name, call) == ("desk_hard", "qos1.0")]
+    (recorded,) = [r for r in cf.harness._run_drop(config, 12)
+                   if (r.scenario, r.alpha) == ("joint", 0.004)]
+    alone = replace(config, alphas=(0.004,), scenarios=(cf.Scenario(kind="joint"),))
+    hits, previous = [], sys.gettrace()
+    sys.settrace(_count_line_runs(fp_solver._bound_column, "return x_hi[None], False", hits))
+    try:
+        (record,) = cf.harness._run_drop(alone, 12)
+    finally:
+        sys.settrace(previous)
+    assert len(hits) == 3
+    assert record.feasible
+    trace = record.trace
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+    for field in fields(record):
+        if field.name != "wall_time":
+            assert np.array_equal(getattr(record, field.name), getattr(recorded, field.name))
+
+
 def test_alternate_builds_one_interference_state_per_association_matrix(desk_channel,
                                                                          monkeypatch):
     gamma, beta, gram, params = desk_channel(14, qos=1.0)
     calls = count_state_builds(monkeypatch)
     forms = count_power_forms(monkeypatch)
-    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(),
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
                        mode="power_only")
     assert res.iterations > 1
     assert calls[0] <= 2    # d, then d_binary
@@ -886,7 +960,7 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
 
     monkeypatch.setattr(fp_solver, "_repair_columns", repair)
     calls[0] = forms[0] = 0
-    res = cf.alternate(None, None, gamma, beta, gram, params, cf.SolverOptions(), mode="joint")
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode="joint")
     assert repairs and res.feasibility.all()
     # The start, one per association block, the rounded and the repaired d_binary.
     assert calls[0] <= res.iterations + 3
@@ -911,9 +985,9 @@ def test_power_only_holds_no_target(desk_channel, monkeypatch):
     # direct call equals run_scenario's and builds no QoS row, and its feasibility
     # flags still report params.qos (seed 4 misses it at qos 1.0).
     gamma, beta, gram, params = desk_channel(4, qos=1.0)
-    opts = cf.SolverOptions(qos_infeasible_policy="error")
+    opts = cf.SolverOptions()
     rows = count_qos_rows(monkeypatch)
-    res = cf.alternate(None, None, gamma, beta, gram, params, opts, mode="power_only")
+    res = cf.alternate(gamma, beta, gram, params, opts, mode="power_only")
     assert rows[0] == 0
     scenario = cf.run_scenario(cf.Scenario(kind="power_only"), gamma, beta, gram, params, opts)
     for field in fields(res):
@@ -938,7 +1012,7 @@ def test_joint_phase_one_runs_no_power_block(monkeypatch, tmp_path):
 
     def alternate(*args, **kwargs):
         events.append([])
-        channel[:] = args[2:5]     # gamma, beta, gram
+        channel[:] = args[:3]     # gamma, beta, gram
         return original["alternate"](*args, **kwargs)
 
     def solve_power(*args, **kwargs):
@@ -1025,15 +1099,3 @@ def test_desk_sweep_call_reaches_no_inner_cap(monkeypatch):
     assert 0 < counts["calls"] <= 120 and counts["cap_hits"] == 0
     _check_solve_records(result.records, config.params.qos)
 
-
-@pytest.mark.parametrize("mode", ["joint", "power_only", "association_only"])
-def test_all_zero_initial_column_raises(desk_channel, mode):
-    gamma, beta, gram, params = desk_channel(0)
-    d = np.ones(gamma.shape)
-    d[:, 4] = 0.0
-    with pytest.raises(cf.DegenerateAssociationError):
-        cf.sinr_terms(np.ones(gamma.shape[1]), d, gamma, beta, gram, params)
-    for qos in (0.0, params.qos):
-        with pytest.raises(cf.DegenerateAssociationError):
-            cf.alternate(None, d, gamma, beta, gram, replace(params, qos=qos),
-                         cf.SolverOptions(), mode=mode)

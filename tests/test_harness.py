@@ -206,7 +206,7 @@ def test_unchanged_rounding_reuses_the_loop_state(monkeypatch, desk_channel):
     # loop's state serves d_binary too, and the relaxed SE is the binary SE.
     gamma, beta, gram, params = desk_channel(14, qos=1.0)
     calls = count_state_builds(monkeypatch)
-    res = cf.alternate(None, None, gamma, beta, gram, replace(params, qos=0.0),
+    res = cf.alternate(gamma, beta, gram, replace(params, qos=0.0),
                        cf.SolverOptions(), mode="power_only")
     assert calls[0] == 1
     assert np.array_equal(res.se_relaxed, cf.se_all(res.eta_star, res.d_relaxed, gamma, beta,
@@ -270,7 +270,11 @@ def test_load_config_merges_over_base(tmp_path):
     {"path_loss": {"slopes": [35, 20]}}, {"path_loss": {"slopes": [35, 20, 20, 5]}},
     {"path_loss": {"slopes": [float("nan"), 20, 20]}},
     {"path_loss": {"fixed_loss_db": float("nan")}},
-    {"path_loss": {"fixed_loss_db": float("inf")}}, {"path_loss": {"d1": float("inf")}}])
+    {"path_loss": {"fixed_loss_db": float("inf")}}, {"path_loss": {"d1": float("inf")}},
+    # Switches take JSON booleans only, not strings.
+    {"network": {"wrap_around": "false"}}, {"shadowing": {"apply_beyond_d1": "true"}},
+    # The removed QoS policy loads only as the reporting policy old files name.
+    {"solver": {"qos_infeasible_policy": "error"}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -319,6 +323,21 @@ def test_old_configs_with_network_antenna_count_load(tmp_path):
         config_from_dict(echo)
 
 
+def test_old_configs_with_qos_policy_load(tmp_path):
+    # Files written before every solve reported its unmet targets name the policy
+    # report_and_continue; they load to the same configuration. The removed policy
+    # 'error' is an invalid configuration.
+    echo = config_to_dict(cf.desk_config())
+    assert "qos_infeasible_policy" not in echo["solver"]
+    echo["solver"]["qos_infeasible_policy"] = "report_and_continue"
+    assert config_from_dict(echo) == cf.desk_config()
+    assert cf.load_config(write_config(tmp_path, echo)) == cf.desk_config()
+    for policy in ("error", None):
+        echo["solver"]["qos_infeasible_policy"] = policy
+        with pytest.raises(ValueError, match="solver.qos_infeasible_policy was removed"):
+            cf.load_config(write_config(tmp_path, echo))
+
+
 def test_paper_config_shape():
     config = cf.paper_config()
     assert config.network.num_aps == 100
@@ -362,7 +381,10 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "nan_qos.json"],
                                   ["--validate-oracle", "--seed", "-1"],
                                   ["--config", "zero_pilot_snr.json"],
-                                  ["--config", "two_slopes.json"]])
+                                  ["--config", "two_slopes.json"],
+                                  ["--config", "string_wrap_around.json"],
+                                  ["--config", "string_apply_beyond_d1.json"],
+                                  ["--config", "error_qos_policy.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
@@ -374,7 +396,10 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
              "qos_per_ue_mismatch.json": {"params": {"qos": [0.2, 0.3]}},   # T = 10
              "nan_qos.json": {"params": {"qos": float("nan")}},
              "zero_pilot_snr.json": {"pilot_snr": 0.0},
-             "two_slopes.json": {"path_loss": {"slopes": [35, 20]}}}
+             "two_slopes.json": {"path_loss": {"slopes": [35, 20]}},
+             "string_wrap_around.json": {"network": {"wrap_around": "false"}},
+             "string_apply_beyond_d1.json": {"shadowing": {"apply_beyond_d1": "true"}},
+             "error_qos_policy.json": {"solver": {"qos_infeasible_policy": "error"}}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

@@ -86,3 +86,26 @@ def test_time_runs_the_same_calls_in_both_trees():
     match = re.fullmatch(r"median per-call ratio second/first (\S+) over 4 calls; "
                          r"second faster in (\d)", lines[2])
     assert match and float(match[1]) > 0, lines[2]
+
+
+def test_record_sets_run_every_set_in_order(monkeypatch):
+    # The configurations alone, without a run: each set of SETS in turn, and desk_hard's
+    # two calls at their QoS targets and alphas, with every scenario.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import cfmimo as cf
+    import record_diff
+
+    sets = list(record_diff.record_sets(2, True))
+    assert list(dict.fromkeys(name for name, _, _ in sets)) == list(record_diff.SETS)
+    assert [(name, call) for name, call, _ in sets] == [
+        ("desk_sweep", 0), ("desk_sweep", 1), ("paper_fixed", 0), ("paper_fixed", 1),
+        ("paper_fixed", 2), ("paper_qos", 0),
+        *(("desk_pins", f"{seed}-{k}") for seed, k in record_diff.PINS),
+        ("desk_hard", "qos1.0"), ("desk_hard", "qos1.2")]
+    hard = {call: config for name, call, config in sets if name == "desk_hard"}
+    for call, qos, alphas in (("qos1.0", 1.0, (0.001, 0.004)), ("qos1.2", 1.2, (0.001,))):
+        config = hard[call]
+        assert config.params.qos == qos and config.alphas == alphas
+        assert (config.network.rng_seed, config.drops) == (7, 40)
+        assert [s.kind for s in config.scenarios] == list(cf.SCENARIO_KINDS)

@@ -156,8 +156,9 @@ def test_degenerate_column_raises():
     gamma, beta, gram, params, _ = build_synthetic_channel(rng)
     d = np.ones((8, 4))
     d[:, 2] = 0.0
-    with pytest.raises(cf.DegenerateAssociationError):
-        cf.sinr_all(np.ones(4), d, gamma, beta, gram, params)
+    for evaluate in (cf.sinr_all, cf.sinr_terms):
+        with pytest.raises(cf.DegenerateAssociationError):
+            evaluate(np.ones(4), d, gamma, beta, gram, params)
 
 
 def test_interference_monotonicity():

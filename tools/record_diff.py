@@ -6,7 +6,7 @@ time two trees call by call.
     python3 tools/record_diff.py diff A.npz B.npz
     python3 tools/record_diff.py time A B --calls N --rounds R
 
-`dump` runs ``harness.run_experiment`` without a deadline on four sets, in one
+`dump` runs ``harness.run_experiment`` without a deadline on five sets, in one
 subprocess that imports ``cfmimo`` from DIR/src and the workload definitions from
 DIR/bench/workloads.py (read, never edited):
 
@@ -17,6 +17,11 @@ DIR/bench/workloads.py (read, never edited):
 - ``desk_pins``: the desk_sweep calls that tests/test_bench_checks.py pins, (seed,
   call) in PINS. Two of them run joint phase I, and two restart their trace after
   an association block; the other sets do neither.
+- ``desk_hard``: ``desk_config(seed=7, drops=40)`` with all five scenarios, at
+  ``alphas=(0.001, 0.004)`` and qos 1.0 (call ``qos1.0``) and at ``alphas=(0.001,)`` and
+  qos 1.2 (call ``qos1.2``). It is the one set whose power rows go unsatisfiable
+  (``solve_power`` returns unsolved) and whose column bisection runs to its end
+  (``_bound_column``, drop 12, joint, alpha 0.004, qos 1.0).
 
 ``--desk-only`` runs desk_sweep alone.
 
@@ -57,8 +62,9 @@ from pathlib import Path
 
 import numpy as np
 
-SETS = ("desk_sweep", "paper_fixed", "paper_qos", "desk_pins")
+SETS = ("desk_sweep", "paper_fixed", "paper_qos", "desk_pins", "desk_hard")
 PINS = ((5203, 168), (5210, 269), (202, 560), (7310, 213))
+HARD = ((1.0, (0.001, 0.004)), (1.2, (0.001,)))    # desk_hard: (qos, alphas) per call
 FIELDS = ("se", "sum_se", "objective", "max_fronthaul", "trace")
 
 CHILD = """\
@@ -78,7 +84,7 @@ record_diff.serve_calls({calls!r})
 
 def record_sets(desk_calls: int, full: bool):
     """(set name, call, config) of every record set, built with the imported workloads;
-    a desk_pins call is named seed-call."""
+    a desk_pins call is named seed-call, a desk_hard call qos<target>."""
     import cfmimo as cf
     from workloads import WORKLOADS, call_seed
 
@@ -94,6 +100,9 @@ def record_sets(desk_calls: int, full: bool):
     for seed, k in PINS:
         yield "desk_pins", f"{seed}-{k}", WORKLOADS["desk_sweep"].build(cf, call_seed(seed, k),
                                                                         "unused")
+    for qos, alphas in HARD:
+        config = cf.desk_config(seed=7, drops=40, alphas=alphas, output_dir="unused")
+        yield "desk_hard", f"qos{qos}", replace(config, params=replace(config.params, qos=qos))
 
 
 def _digest(path: Path) -> str:
