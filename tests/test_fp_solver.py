@@ -14,7 +14,8 @@ from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagr
                               _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
                               _qos_thresholds, _rows_hold, _settled_columns, refresh_aux)
-from cfmimo.se_model import l1_penalty, meets_qos, qos_vector, sinr_terms, spectral_efficiency
+from cfmimo.se_model import (l1_penalty, meets_qos, qos_vector, sinr_form, sinr_terms,
+                             spectral_efficiency)
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_box_maximizers, count_inner_iterations, count_power_coefficients,
                       count_power_forms, count_qos_rows, count_state_builds, qos_psi)
@@ -1099,3 +1100,22 @@ def test_desk_sweep_call_reaches_no_inner_cap(monkeypatch):
     assert 0 < counts["calls"] <= 120 and counts["cap_hits"] == 0
     _check_solve_records(result.records, config.params.qos)
 
+
+
+@pytest.mark.parametrize("mode", ["joint", "power_only", "association_only"])
+def test_all_zero_initial_column_raises(desk_channel, mode):
+    # A start form (alternate's start_form) cannot be built on a matrix with an
+    # all-zero column, and no solve forms one from its all-ones start.
+    gamma, beta, gram, params = desk_channel(0)
+    d = np.ones(gamma.shape)
+    d[:, 4] = 0.0
+    with pytest.raises(cf.DegenerateAssociationError):
+        cf.sinr_terms(np.ones(gamma.shape[1]), d, gamma, beta, gram, params)
+    with pytest.raises(cf.DegenerateAssociationError):
+        sinr_form(d, gamma, beta, gram, params)
+    for qos in (0.0, params.qos):
+        result = cf.alternate(gamma, beta, gram, replace(params, qos=qos),
+                              cf.SolverOptions(), mode=mode)
+        assert np.all(result.d_relaxed.sum(axis=0) > 0)
+        assert np.all(result.d_binary.sum(axis=0) > 0)
+        assert np.all(np.isfinite(result.se))
