@@ -490,12 +490,12 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, stop_tol):
     target binds: x maximizes fun + nu psi over the box and coverage, with psi(x) = 0
     and nu >= 0. Newton's method solves these KKT conditions on one face of the box
     and coverage (_face_point), first on the face of x0. A point that fails the stop
-    test of the ascent (or leaves the box, or breaks psi) was on the wrong face: one
-    ascent of fun + nu psi from it finds the next, and Newton's method runs on that
-    face and on the face spanned by the ends of nu's bracket. The bracket takes x4 and
-    bisection steps where Newton's nu leaves it or its system is singular. An
-    unreachable target is dropped; psi <= q_const + q_lin.x on the box often shows it
-    without an ascent."""
+    test of the ascent (or leaves the box, or breaks psi) was on the wrong face, and a
+    vertex start (no free entry) has no face point: one ascent of fun + nu psi from it
+    finds the next face, and Newton's method runs on that face and on the face spanned
+    by the ends of nu's bracket. The bracket takes x4 and bisection steps where
+    Newton's nu leaves it or its system is singular. An unreachable target is dropped;
+    psi <= q_const + q_lin.x on the box often shows it without an ascent."""
     _, grad, fac = _column_lagrangian(model, objective)
     b_psi = qos[2][:, None, None] * model[1]
     psi, psi_grad = _quadratic(qos[0], qos[1], b_psi)
@@ -529,7 +529,7 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, stop_tol):
     for _ in range(100):
         nu = start = None
         for face in faces:
-            point = _face_point(face, grads, (fac[0], b_psi[0]), tol)
+            point = _face_point(face, grads, (fac[0], b_psi[0]))
             if point is None:
                 continue
             found = accept(*point)
@@ -558,7 +558,7 @@ def _bound_column(model, objective, qos, x0, x, tol, ascend, stop_tol):
     return x_hi[None], False
 
 
-def _face_point(z, grads, factors, tol):
+def _face_point(z, grads, factors):
     """(x, nu) solving the KKT conditions of the column problem held to psi = 0 on the
     face of z, or None where they have no solution there. The face holds z's entries
     at 0 or 1, frees the others (F) and keeps coverage 1.x = 1 where z meets it: grad
@@ -566,34 +566,21 @@ def _face_point(z, grads, factors, tol):
     them in (x_F, nu, mu) at once from z, nu from z's stationarity on F by least
     squares; each step is one solve of the reduced Hessian of fun + nu psi,
     -2 (F_F F_F^T + nu B_F B_F^T) from the factors (F, B) of fun and psi, bordered
-    by grad psi on F (and 1). At a vertex psi does not move with nu: a vertex on its
-    target (or off it where nu = 0 keeps it stationary) is its own point, and
-    otherwise nu steps to the breakpoint where the vertex stops being stationary for
-    fun + nu psi, the entry (or the pair of entries) that moves there is freed, and
-    Newton's method runs on that face."""
-    free = (z > 0.0) & (z < 1.0)
+    by grad psi on F (and 1). A vertex frees no entry, so its system is singular and
+    it has no point here."""
+    fi = np.flatnonzero((z > 0.0) & (z < 1.0))
     tight = z.sum() <= 1.0 + 1e-12
-    g_f, g_psi, psi_z = grads(z)
-    nu = None
-    if not free.any():
-        vertex = _vertex_face(z, g_f, g_psi, psi_z, tight, tol)
-        if vertex is None:
-            return None
-        nu, free, tight = vertex
-        if free is None:
-            return z, nu
-    fi = np.flatnonzero(free)
     m, border = fi.size, 1 + int(tight)
     fac_f, fac_psi = (part[fi] for part in factors)
     if m < border or m - border > fac_f.shape[1]:
         return None                  # a singular system
-    if nu is None:
-        # Least-squares nu (and mu) of grad fun + nu grad psi + mu 1 = 0 on F.
-        a, b = g_f[fi], g_psi[fi]
-        if tight:
-            a, b = a - a.mean(), b - b.mean()
-        bb = b @ b
-        nu = max(0.0, -(a @ b) / bb) if bb > 0.0 else 1.0
+    g_f, g_psi, psi_z = grads(z)
+    # Least-squares nu (and mu) of grad fun + nu grad psi + mu 1 = 0 on F.
+    a, b = g_f[fi], g_psi[fi]
+    if tight:
+        a, b = a - a.mean(), b - b.mean()
+    bb = b @ b
+    nu = max(0.0, -(a @ b) / bb) if bb > 0.0 else 1.0
     mu = -float(np.mean(g_f[fi] + nu * g_psi[fi])) if tight else 0.0
     x = z.copy()
     # nu may go negative between steps, so the two Hessians stay apart.
@@ -623,49 +610,6 @@ def _face_point(z, grads, factors, tol):
         if np.max(np.abs(step[:m])) <= 1e-10 and abs(step[m]) <= 1e-8 * max(1.0, abs(nu)):
             return x, nu
     return None
-
-
-def _vertex_face(z, g_f, g_psi, psi_z, tight, tol):
-    """(nu, free, tight) at a vertex z of the box and coverage: free is None where z is
-    its own KKT point at nu, else the face freed at the breakpoint nu; None where z is
-    stationary for no fun + nu psi. z maximizes fun + nu psi for the nu where every
-    held entry's reduced gradient g_f + nu g_psi keeps its sign, the interval where
-    the conditions p + nu q <= 0 hold."""
-    zeros = z == 0.0
-    if tight:
-        one = np.flatnonzero(~zeros)[0]
-        p = np.concatenate([g_f[zeros], g_f[zeros] - g_f[one]])
-        q = np.concatenate([g_psi[zeros], g_psi[zeros] - g_psi[one]])
-        which = np.concatenate([np.flatnonzero(zeros)] * 2)
-    else:
-        sign = np.where(zeros, 1.0, -1.0)
-        p, q, which = sign * g_f, sign * g_psi, np.arange(z.size)
-    if np.any((q == 0.0) & (p > 0.0)):
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ends = -p / q
-    up, down = q > 0.0, q < 0.0
-    hi = ends[up].min(initial=math.inf)
-    lo = max(0.0, ends[down].max(initial=0.0))
-    if lo > hi:
-        return None
-    if -tol <= psi_z <= tol or (psi_z > tol and lo == 0.0):
-        return lo, None, tight
-    # psi rises with nu: below its target z must give way to a larger nu, above it
-    # to a smaller one.
-    if psi_z < -tol:
-        if hi == math.inf:
-            return None
-        k, nu = np.flatnonzero(up)[np.argmin(ends[up])], hi
-    else:
-        k, nu = np.flatnonzero(down)[np.argmax(ends[down])], lo
-    free = np.zeros(z.size, dtype=bool)
-    free[which[k]] = True
-    # The second half of the tight conditions moves mass from the one entry to a zero.
-    pair = bool(tight and k >= zeros.sum())
-    if pair:
-        free[one] = True
-    return nu, free, pair
 
 
 def _settled_columns(eta, form: PowerForm, grad, gth, tol):

@@ -290,6 +290,9 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
             raise ValueError(f"unknown configuration field {prefix + key!r}")
         if isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], val, f"{prefix}{key}.")
+        elif isinstance(val, bool) and isinstance(out.get(key), float):
+            # JSON true would load as the number 1.
+            raise ValueError(f"{prefix + key} must be a number, not {val!r}")
         else:
             out[key] = val
     return out
@@ -319,6 +322,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     params["qos"] = float(qos) if np.isscalar(qos) else np.asarray(qos, dtype=float)
     path_loss = dict(data["path_loss"])
     path_loss["slopes"] = tuple(path_loss["slopes"])
+    if not isinstance(data["output_dir"], str):
+        raise ValueError(f"output_dir must be a string, not {data['output_dir']!r}")
     return ExperimentConfig(
         network=NetworkConfig(**network),
         params=SystemParams(**params),
@@ -328,7 +333,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         scenarios=tuple(scenarios),
         alphas=tuple(float(a) for a in data["alphas"]),
         drops=data["drops"],
-        output_dir=str(data["output_dir"]),
+        output_dir=data["output_dir"],
         pilot_snr=float(data["pilot_snr"]),
         pilot_strategy=str(data.get("pilot_strategy", "random")),
         workers=data.get("workers", 1))

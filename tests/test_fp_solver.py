@@ -915,8 +915,9 @@ def _count_line_runs(function, text, hits):
 
 def test_joint_column_bisection_runs_to_its_end(monkeypatch):
     # Record set desk_hard (tools/record_diff.py) at qos 1.0, drop 12, joint, alpha
-    # 0.004: _bound_column's bisection closes the bracket of nu three times, its one
-    # exit that no other record reaches. The solve alone gives its record in the set.
+    # 0.004: _bound_column's bisection closes the bracket of nu twice, its one exit that
+    # no other record reaches; the count follows from its vertex starts, which have no
+    # face point and take the ascent. The solve alone gives its record in the set.
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.syspath_prepend(str(TOOLS))
     import record_diff
@@ -932,7 +933,7 @@ def test_joint_column_bisection_runs_to_its_end(monkeypatch):
         (record,) = cf.harness._run_drop(alone, 12)
     finally:
         sys.settrace(previous)
-    assert len(hits) == 3
+    assert len(hits) == 2
     assert record.feasible
     trace = record.trace
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))

@@ -273,6 +273,9 @@ def test_load_config_merges_over_base(tmp_path):
     {"path_loss": {"fixed_loss_db": float("inf")}}, {"path_loss": {"d1": float("inf")}},
     # Switches take JSON booleans only, not strings.
     {"network": {"wrap_around": "false"}}, {"shadowing": {"apply_beyond_d1": "true"}},
+    # Real-valued fields take numbers only, not a bool; the output directory a string.
+    {"solver": {"epsilon": True}}, {"params": {"uplink_snr": True}}, {"pilot_snr": True},
+    {"shadowing": {"sigma_db": False}}, {"output_dir": None}, {"output_dir": 3},
     # The removed QoS policy loads only as the reporting policy old files name.
     {"solver": {"qos_infeasible_policy": "error"}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):

@@ -279,8 +279,8 @@ def test_newton_bound_column_reaches_the_bisection_reference(seed, start, on_tar
 
 def test_coverage_tight_faces_reach_the_bisection_reference():
     # From a start of two fractional entries summing to 1, Newton's method runs on faces
-    # where coverage is tight (its mu border) and at vertices that free a pair of entries;
-    # enough of the solves end on such a face to show it.
+    # where coverage is tight (its mu border); enough of the solves end on such a face to
+    # show it.
     tight = 0
     for seed in range(600):
         problem = _bound_problem(seed, "tight", True, 1.0)
@@ -291,19 +291,18 @@ def test_coverage_tight_faces_reach_the_bisection_reference():
     assert tight >= 40
 
 
-def test_vertex_starts_reach_their_point_without_an_ascent():
-    # From a vertex start, _vertex_face reads the interval of nu where the vertex stays
-    # stationary and keeps it, or frees the entry that moves at the breakpoint for
-    # Newton's method: many kept targets then need no ascent. Without that path each
-    # of them takes at least one.
-    settled = 0
+def test_vertex_starts_reach_the_bisection_reference():
+    # A vertex start frees no entry, so it has no face point: the solve takes the ascent
+    # of fun + nu psi from it and runs Newton's method on the face that ascent finds. On
+    # its target or off it, each drops the targets the reference drops and ends as high
+    # on the others; enough of them keep their target to show it.
+    kept = 0
     for seed in range(300):
         for on_target in (True, False):
             problem = _bound_problem(seed, "vertex", on_target, 2.0)
             if problem is not None:
-                ascents, x = _check_bound_column(problem)
-                settled += x is not None and ascents == 0
-    assert settled >= 10
+                kept += _check_bound_column(problem)[1] is not None
+    assert kept >= 50
 
 
 def test_singular_face_takes_the_safeguard_ascent():

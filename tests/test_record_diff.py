@@ -1,8 +1,9 @@
 """Smoke tests of tools/record_diff.py: dump one desk call, diff it against itself,
 against a copy with changed file digests and against one with a moved record; time a
-tree against itself."""
+tree against itself; list the solver lines one desk call does not run."""
 
 import hashlib
+import inspect
 import re
 import subprocess
 import sys
@@ -86,6 +87,39 @@ def test_time_runs_the_same_calls_in_both_trees():
     match = re.fullmatch(r"median per-call ratio second/first (\S+) over 4 calls; "
                          r"second faster in (\d)", lines[2])
     assert match and float(match[1]) > 0, lines[2]
+
+
+def test_time_runs_the_calls_of_the_chosen_set():
+    # --set desk_pins with --calls 1 as its cap: the first pinned call alone, one round.
+    run = subprocess.run([sys.executable, str(TOOL), "time", str(ROOT), str(ROOT), "--set",
+                          "desk_pins", "--calls", "1", "--rounds", "1"],
+                         capture_output=True, text=True, check=True)
+    lines = run.stdout.splitlines()
+    assert [line.endswith("(9 solves)") for line in lines[:2]] == [True, True], lines
+    assert re.fullmatch(r"median per-call ratio second/first \S+ over 1 calls; "
+                        r"second faster in [01]", lines[2]), lines[2]
+
+
+def test_reach_lists_the_lines_no_record_runs():
+    # One desk call never asks alternate for an unknown mode, and every call runs its
+    # first body line; its def line is no body line.
+    import cfmimo.fp_solver as fp_solver
+
+    run = subprocess.run([sys.executable, str(TOOL), "reach", "--src", str(ROOT),
+                          "--desk-calls", "1", "--desk-only"],
+                         capture_output=True, text=True, check=True)
+    lines = run.stdout.splitlines()
+    source, first = inspect.getsourcelines(fp_solver.alternate)
+
+    def number(text):
+        return first + next(i for i, line in enumerate(source) if text in line)
+
+    missed = {line.split()[0] for line in lines if line.startswith("  ")}
+    assert f"fp_solver.py:{number('unknown mode')}" in missed
+    assert f"fp_solver.py:{number('if mode not in')}" not in missed
+    assert f"fp_solver.py:{first}" not in missed
+    assert [line.split(":")[0] for line in lines if not line.startswith("  ")] == [
+        "fp_solver.py", "opt.py"]
 
 
 def test_record_sets_run_every_set_in_order(monkeypatch):

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Dump the solver records of fixed record sets from one source tree, and diff two dumps;
-time two trees call by call.
+time two trees call by call; list the solver lines no record runs.
 
     python3 tools/record_diff.py dump --src DIR --out F.npz
     python3 tools/record_diff.py diff A.npz B.npz
-    python3 tools/record_diff.py time A B --calls N --rounds R
+    python3 tools/record_diff.py time A B --calls N --rounds R [--set NAME]
+    python3 tools/record_diff.py reach --src DIR
 
 `dump` runs ``harness.run_experiment`` without a deadline on five sets, in one
 subprocess that imports ``cfmimo`` from DIR/src and the workload definitions from
@@ -37,7 +38,8 @@ differs. It exits with status 1 when any record or emitted file differs, and 0 w
 everything is identical.
 
 `time` keeps one subprocess per tree, each importing ``cfmimo`` from its tree's src/,
-and runs the same desk_sweep calls (benchmark seed 7, calls 0 to N-1) in both,
+and runs the same calls of one record set (``--set``, desk_sweep by default: benchmark
+seed 7, calls 0 to N-1; any other set's calls in order, at most N of them) in both,
 alternately: call k runs in one tree, then in the other, and the tree that goes first
 switches each round. Each subprocess runs call 0 once untimed before the first round.
 It prints each tree's total wall time of ``harness.run_experiment`` over every call
@@ -46,17 +48,24 @@ iterate, as the benchmark's ``solve_s``), then the median over calls and rounds 
 second tree's call time over the first's. A shared host drifts by more within one
 whole run than a small change moves, and interleaving call by call lets both trees see
 the same drift.
+
+`reach` runs the record sets of one tree (as `dump`, without emitting files) under a
+``sys.settrace`` line census of ``fp_solver.py`` and ``opt.py``, and prints each
+function-body line that no record runs, with its function and source text. Each code
+object's first line (its ``def`` or first decorator) is left out.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
 import tempfile
 import time
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,7 +87,14 @@ TIMER = """\
 import sys
 sys.path[:0] = [{src!r}, {bench!r}, {tools!r}]
 import record_diff
-record_diff.serve_calls({calls!r})
+record_diff.serve_calls({name!r}, {calls!r})
+"""
+
+REACH = """\
+import sys
+sys.path[:0] = [{src!r}, {bench!r}, {tools!r}]
+import record_diff
+record_diff.print_reach({desk_calls!r}, {full!r})
 """
 
 
@@ -218,15 +234,17 @@ def diff(first, second):
     return lines, same
 
 
-def serve_calls(calls: int):
-    """Time desk_sweep calls on request: read a call index per line of stdin, and write
+def serve_calls(name: str, calls: int):
+    """Time the first calls of record set name (desk_sweep calls 0 to calls-1) on request:
+    write the number of calls served, then read a call index per line of stdin and write
     one JSON line per call, [wall seconds of run_experiment, per-solve wall times]."""
     import cfmimo as cf
-    from workloads import WORKLOADS, call_seed
 
-    configs = [WORKLOADS["desk_sweep"].build(cf, call_seed(7, k), "unused")
-               for k in range(calls)]
+    desk = name == "desk_sweep"
+    configs = [config for set_name, _, config in record_sets(calls if desk else 0, not desk)
+               if set_name == name][:calls]
     cf.run_experiment(configs[0])
+    print(len(configs), flush=True)
     for line in sys.stdin:
         start = time.perf_counter()
         result = cf.run_experiment(configs[int(line)])
@@ -235,26 +253,34 @@ def serve_calls(calls: int):
               flush=True)
 
 
-def time_trees(roots, calls: int, rounds: int):
+def time_trees(roots, name: str, calls: int, rounds: int):
     """(walls, solves): the wall seconds of every call in each tree, shape (2, rounds,
-    calls), and each tree's per-solve wall times, from one timing subprocess per tree
-    that runs the same calls alternately, the first tree first in even rounds."""
+    calls served), and each tree's per-solve wall times, from one timing subprocess per
+    tree that runs the same calls of record set name alternately, the first tree first
+    in even rounds."""
     tools = str(Path(__file__).resolve().parent)
     children = [subprocess.Popen(
         [sys.executable, "-c", TIMER.format(src=str(root / "src"), bench=str(root / "bench"),
-                                            tools=tools, calls=calls)],
+                                            tools=tools, name=name, calls=calls)],
         cwd=root, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for root in roots]
-    walls, solves = np.zeros((2, rounds, calls)), ([], [])
+
+    def reply(i):
+        line = children[i].stdout.readline()
+        if not line:
+            raise RuntimeError(f"the timing process of {roots[i]} ended early")
+        return json.loads(line)
+
     try:
+        served = [reply(i) for i in (0, 1)]
+        if served[0] != served[1]:
+            raise RuntimeError(f"the trees serve {served[0]} and {served[1]} {name} calls")
+        walls, solves = np.zeros((2, rounds, served[0])), ([], [])
         for r in range(rounds):
-            for k in range(calls):
+            for k in range(served[0]):
                 for i in (0, 1) if r % 2 == 0 else (1, 0):
                     children[i].stdin.write(f"{k}\n")
                     children[i].stdin.flush()
-                    reply = children[i].stdout.readline()
-                    if not reply:
-                        raise RuntimeError(f"the timing process of {roots[i]} ended early")
-                    walls[i, r, k], times = json.loads(reply)
+                    walls[i, r, k], times = reply(i)
                     solves[i].extend(times)
     finally:
         for child in children:
@@ -263,35 +289,93 @@ def time_trees(roots, calls: int, rounds: int):
     return walls, solves
 
 
+def _body_lines(code) -> dict:
+    """{line: qualified function name} of every function body in the code object of a
+    module, each code object's first line (its def or first decorator) left out. Class
+    bodies run at import and are no function's body: only their methods count."""
+    lines = {}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            lines.update(_body_lines(const))
+            if const.co_flags & inspect.CO_OPTIMIZED:
+                name = getattr(const, "co_qualname", const.co_name)   # Python 3.11+
+                lines.update((line, name) for _, _, line in const.co_lines()
+                             if line and line != const.co_firstlineno)
+    return lines
+
+
+def print_reach(desk_calls: int, full: bool):
+    """Build and run every record set under a line census of fp_solver.py and opt.py, and
+    print, per file, how many function-body lines ran and each line that did not."""
+    from cfmimo import fp_solver, opt
+    from cfmimo.harness import run_experiment
+
+    paths = [Path(module.__file__) for module in (fp_solver, opt)]
+    hits = {str(path): set() for path in paths}
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in hits else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for _, _, config in record_sets(desk_calls, full):
+            run_experiment(config)
+    finally:
+        sys.settrace(previous)
+    for path in paths:
+        source = path.read_text()
+        body = _body_lines(compile(source, str(path), "exec"))
+        missed = sorted(body.keys() - hits[str(path)])
+        print(f"{path.name}: {len(body) - len(missed)} of {len(body)} body lines run")
+        text = source.splitlines()
+        for line in missed:
+            print(f"  {path.name}:{line} {body[line]}: {text[line - 1].strip()}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     dump = sub.add_parser("dump", help="run the record sets of one source tree")
-    dump.add_argument("--src", required=True, help="root of the tree (holds src/ and bench/)")
     dump.add_argument("--out", required=True, help="the .npz file to write")
-    dump.add_argument("--desk-calls", type=int, default=150, help="desk_sweep calls to run")
-    dump.add_argument("--desk-only", action="store_true", help="skip the paper-scale sets")
+    reach = sub.add_parser("reach", help="list the solver lines no record runs")
+    for runner in (dump, reach):
+        runner.add_argument("--src", required=True,
+                            help="root of the tree (holds src/ and bench/)")
+        runner.add_argument("--desk-calls", type=int, default=150,
+                            help="desk_sweep calls to run")
+        runner.add_argument("--desk-only", action="store_true", help="skip the other sets")
     compare = sub.add_parser("diff", help="compare two dumps")
     compare.add_argument("first")
     compare.add_argument("second")
-    timing = sub.add_parser("time", help="time desk_sweep calls of two trees, interleaved")
+    timing = sub.add_parser("time", help="time the calls of a record set in two trees, "
+                                         "interleaved")
     timing.add_argument("first", help="root of the first tree (holds src/ and bench/)")
     timing.add_argument("second", help="root of the second tree")
-    timing.add_argument("--calls", type=int, default=40, help="desk_sweep calls per round")
+    timing.add_argument("--set", choices=SETS, default="desk_sweep", dest="name",
+                        help="the record set whose calls run")
+    timing.add_argument("--calls", type=int, default=40,
+                        help="calls per round (a cap on any set but desk_sweep)")
     timing.add_argument("--rounds", type=int, default=4, help="rounds over the calls")
     args = parser.parse_args(argv)
-    if args.command == "dump":
+    if args.command in ("dump", "reach"):
         root = Path(args.src).resolve()
-        code = CHILD.format(src=str(root / "src"), bench=str(root / "bench"),
-                            tools=str(Path(__file__).resolve().parent),
-                            out=str(Path(args.out).resolve()), desk_calls=args.desk_calls,
-                            full=not args.desk_only)
+        paths = dict(src=str(root / "src"), bench=str(root / "bench"),
+                     tools=str(Path(__file__).resolve().parent), desk_calls=args.desk_calls,
+                     full=not args.desk_only)
+        code = (CHILD.format(out=str(Path(args.out).resolve()), **paths)
+                if args.command == "dump" else REACH.format(**paths))
         subprocess.run([sys.executable, "-c", code], check=True, cwd=root)
     elif args.command == "time":
         if args.calls < 1 or args.rounds < 1:
             parser.error("--calls and --rounds must be positive")
         roots = [Path(p).resolve() for p in (args.first, args.second)]
-        walls, solves = time_trees(roots, args.calls, args.rounds)
+        walls, solves = time_trees(roots, args.name, args.calls, args.rounds)
         for root, wall, times in zip(roots, walls, solves):
             print(f"{root}: total {wall.sum():.3f} s, per-solve p50 "
                   f"{1e3 * np.median(times):.3f} ms ({len(times)} solves)")
