@@ -20,6 +20,8 @@ takes the models of its unsettled columns (the co-pilot factors zero-padded to t
 widest of them) and ascends their objectives in one batched call of projected Newton
 steps (opt.pga_maximize with the stacked Hessian factors F) over the exact projection
 onto opt's one constraint set, the box and coverage (opt.project_box_polyhedron).
+A column that starts at all ones (the first block of a solve) starts that ascent at
+the vertex of two Frank-Wolfe linear-oracle steps from 0 (Frank and Wolfe 1956).
 A column whose maximizer breaks psi goes on alone, as a stack of one: Newton's method
 solves its target's KKT system on a face, in the free entries and multipliers at once.
 Only alternate reads the QoS targets: joint and association_only hold them, power_only
@@ -438,6 +440,15 @@ def _column_lagrangian(model, objective, qos=None, nu=0.0):
     return (*_quadratic(const, lin, fac), fac)
 
 
+def _vertex_oracle(q):
+    """The maximizer of q.x over the box and coverage (Frank and Wolfe 1956's linear
+    oracle), for each row of a stack q: 1 where q > 0, and a single 1 at the largest
+    entry of q (already 1 where any entry is positive)."""
+    x = q > 0.0
+    np.put_along_axis(x, q.argmax(axis=-1)[..., None], True, axis=-1)
+    return x.astype(float)
+
+
 def _association_columns(model, objective, fac, options: SolverOptions, x0, gth):
     """Maximize the block objective over a stack of association columns, each a
     concave quadratic, subject to the box, coverage (column sum >= 1) and its QoS
@@ -448,18 +459,27 @@ def _association_columns(model, objective, fac, options: SolverOptions, x0, gth)
 
     One projected Newton ascent (pga_maximize with the exact Hessian factors) moves every
     column at once over the exact box-and-coverage projection (project_box_polyhedron).
+    It starts each column at x0, except an all-ones x0 (the first block of a solve):
+    there it starts at the vertex b = LMO(grad f(LMO(grad f(0)))) of two Frank-Wolfe
+    oracle steps (_vertex_oracle; grad f(0) = lin), from which the ascent takes fewer
+    iterations. x0 stays the reference: psi is tangent there, a column held to its
+    target starts there (_bound_column), and no column ends worse than a feasible x0.
     A column whose maximizer breaks its QoS inner approximation psi goes on alone
-    (_bound_column). No column ends worse than a feasible start.
+    (_bound_column).
     """
     x0 = np.asarray(x0, dtype=float)
     fun, grad = _quadratic(objective[0], objective[1], fac)
+    start = x0
+    ones = np.all(x0 == 1.0, axis=1)
+    if ones.any():
+        start = np.where(ones[:, None], _vertex_oracle(grad(_vertex_oracle(objective[1]))), x0)
 
     def ascend(f, g, hess_factor, start):
         return pga_maximize(f, g, project_box_polyhedron, start,
                             max_iters=options.max_inner_iters, tol=options.inner_tolerance,
                             hess_factor=hess_factor)
 
-    x, fx = ascend(fun, grad, fac, x0)
+    x, fx = ascend(fun, grad, fac, start)
     qos = _qos_approximation(x0, model, gth)
     psi = _quadratic(qos[0], qos[1], qos[2][:, None, None] * model[1])[0]
     tol = 1e-11 * np.maximum(1.0, gth)
@@ -474,8 +494,9 @@ def _association_columns(model, objective, fac, options: SolverOptions, x0, gth)
                                            tol[i], ascend, options.inner_tolerance)
     if bound.any():
         fx = fun(x)
-    # Each ascent starts at project(x0) and never descends, so only a start that the
-    # projection moves, or a column held to its target, can end below x0.
+    # An ascent never descends from its start, but its start may lie below x0 (a
+    # Frank-Wolfe vertex, or a start the projection moves), and a column held to its
+    # target can end below x0: a feasible x0 that ends higher is kept.
     keep = fun(x0) > fx
     if keep.any():
         keep &= (np.all((x0 >= -1e-9) & (x0 <= 1.0 + 1e-9), axis=1)

@@ -298,6 +298,18 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    # JSON true would load as the number 1.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _numbers(name: str, value, what: str = "a list of numbers") -> list:
+    """value, a JSON list of numbers; a string or a list with any other entry is invalid."""
+    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+        raise ValueError(f"{name} must be {what}, not {value!r}")
+    return list(value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     # Old configs also carry the antenna count in network; it must agree with params.
     network = dict(data["network"])
@@ -319,9 +331,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             scenarios.append(Scenario(**entry))
     params = dict(data["params"])
     qos = params.get("qos", 0.0)
-    params["qos"] = float(qos) if np.isscalar(qos) else np.asarray(qos, dtype=float)
+    params["qos"] = (float(qos) if _is_number(qos) else np.asarray(
+        _numbers("params.qos", qos, "a number or a list of numbers"), dtype=float))
     path_loss = dict(data["path_loss"])
-    path_loss["slopes"] = tuple(path_loss["slopes"])
+    path_loss["slopes"] = tuple(_numbers("path_loss.slopes", path_loss["slopes"]))
     if not isinstance(data["output_dir"], str):
         raise ValueError(f"output_dir must be a string, not {data['output_dir']!r}")
     return ExperimentConfig(
@@ -331,7 +344,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         path_loss=PathLossModel(**path_loss),
         shadowing=ShadowingModel(**data["shadowing"]),
         scenarios=tuple(scenarios),
-        alphas=tuple(float(a) for a in data["alphas"]),
+        alphas=tuple(float(a) for a in _numbers("alphas", data["alphas"])),
         drops=data["drops"],
         output_dir=data["output_dir"],
         pilot_snr=float(data["pilot_snr"]),

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import sys
 from dataclasses import fields, replace
@@ -13,7 +14,9 @@ from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagr
                               _column_model, _column_objective, _dual_power_solve,
                               _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
-                              _qos_thresholds, _rows_hold, _settled_columns, refresh_aux)
+                              _qos_thresholds, _rows_hold, _settled_columns, _vertex_oracle,
+                              refresh_aux)
+from cfmimo.opt import project_box_polyhedron
 from cfmimo.se_model import (l1_penalty, meets_qos, qos_vector, sinr_form, sinr_terms,
                              spectral_efficiency)
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
@@ -255,6 +258,78 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
                 assert np.max(np.abs(block[:, t] - alone)) <= 1e-10 * max(1.0, np.max(alone))
             batched += int((~settled).sum() > 1)
     assert batched >= 10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_vertex_oracle_maximizes_a_linear_function_over_the_box_and_coverage(n):
+    # Brute force over the vertices of [0,1]^n with 1.x >= 1, the 0/1 points with an
+    # entry of 1: rows with mixed signs, rows with every entry <= 0, the zero row and
+    # rows with ties.
+    rng = np.random.default_rng(n)
+    vertices = np.array([v for v in itertools.product((0.0, 1.0), repeat=n) if any(v)])
+    q = np.concatenate([rng.normal(size=(50, n)), -np.abs(rng.normal(size=(50, n))),
+                        np.zeros((1, n)), rng.integers(-2, 2, size=(50, n)).astype(float)])
+    x = _vertex_oracle(q)
+    assert np.all((x == 0.0) | (x == 1.0)) and np.all(x.sum(axis=1) >= 1.0)
+    np.testing.assert_allclose(np.vecdot(q, x), (q @ vertices.T).max(axis=1),
+                               rtol=1e-15, atol=0.0)
+    # 1 where q > 0, and a single 1 at the largest entry where none is positive.
+    positive = (q > 0.0).any(axis=1)
+    assert np.array_equal(x[positive], (q[positive] > 0.0).astype(float))
+    assert np.all(x[~positive].sum(axis=1) == 1.0)
+    assert np.array_equal(x[~positive].argmax(axis=1), q[~positive].argmax(axis=1))
+    assert (~positive).sum() >= 50
+
+
+def test_first_block_ascent_starts_at_the_frank_wolfe_vertex(monkeypatch):
+    # desk_sweep seed-7 call 0, association_only at alpha 0.001. The first association
+    # block starts at D = ones. Its ascent starts each all-ones column at
+    # b = LMO(grad f(LMO(lin))), ends within 1e-9 of the ascent from ones and takes
+    # fewer grad calls.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS, call_seed
+
+    config = WORKLOADS["desk_sweep"].build(cf, call_seed(7, 0), "unused")
+    config = replace(config, alphas=(0.001,),
+                     scenarios=(cf.Scenario(kind="association_only"),))
+    original_columns, original_ascent = _association_columns, fp_solver.pga_maximize
+    blocks, ascents = [], []
+
+    def columns(model, objective, fac, options, x0, gth):
+        # The block's first ascent is its batched one; _bound_column's follow it.
+        blocks.append((np.array(x0), objective[1], len(ascents)))
+        return original_columns(model, objective, fac, options, x0, gth)
+
+    def ascent(fun, grad, project, x0, **kwargs):
+        ascents.append((fun, grad, np.array(x0), kwargs))
+        return original_ascent(fun, grad, project, x0, **kwargs)
+
+    monkeypatch.setattr(fp_solver, "_association_columns", columns)
+    monkeypatch.setattr(fp_solver, "pga_maximize", ascent)
+    cf.run_experiment(config)
+    starts = 0
+    for x0, lin, i in blocks:
+        ones = np.all(x0 == 1.0, axis=1)
+        if not ones.any():
+            continue
+        fun, grad, start, kwargs = ascents[i]
+        b = _vertex_oracle(grad(_vertex_oracle(lin)))
+        assert np.array_equal(start[ones], b[ones]) and np.array_equal(start[~ones], x0[~ones])
+        ends = []
+        for begin in (start, x0):
+            calls = [0]
+
+            def counted(x, grad=grad, calls=calls):
+                calls[0] += 1
+                return grad(x)
+
+            ends.append((original_ascent(fun, counted, project_box_polyhedron, begin,
+                                         **kwargs)[0], calls[0]))
+        (x_b, calls_b), (x_ones, calls_ones) = ends
+        assert np.max(np.abs(x_b - x_ones)) <= 1e-9
+        assert calls_b < calls_ones
+        starts += int(ones.sum())
+    assert blocks and starts >= 5
 
 
 @pytest.mark.parametrize("mode", ["association_only", "joint"])

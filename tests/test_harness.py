@@ -277,7 +277,11 @@ def test_load_config_merges_over_base(tmp_path):
     {"solver": {"epsilon": True}}, {"params": {"uplink_snr": True}}, {"pilot_snr": True},
     {"shadowing": {"sigma_db": False}}, {"output_dir": None}, {"output_dir": 3},
     # The removed QoS policy loads only as the reporting policy old files name.
-    {"solver": {"qos_infeasible_policy": "error"}}])
+    {"solver": {"qos_infeasible_policy": "error"}},
+    # Numeric lists take JSON numbers only, not a bool entry, nor a string for the list.
+    {"alphas": [True]}, {"alphas": [0.001, False]}, {"alphas": "12"},
+    {"params": {"qos": [True] + [0.0] * 9}}, {"params": {"qos": "0.2"}},
+    {"path_loss": {"slopes": [True, 20, 20]}}, {"path_loss": {"slopes": "123"}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -387,7 +391,12 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "two_slopes.json"],
                                   ["--config", "string_wrap_around.json"],
                                   ["--config", "string_apply_beyond_d1.json"],
-                                  ["--config", "error_qos_policy.json"]])
+                                  ["--config", "error_qos_policy.json"],
+                                  ["--config", "bool_alpha.json"],
+                                  ["--config", "string_alphas.json"],
+                                  ["--config", "bool_qos.json"],
+                                  ["--config", "bool_slope.json"],
+                                  ["--config", "string_slopes.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
@@ -402,7 +411,12 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
              "two_slopes.json": {"path_loss": {"slopes": [35, 20]}},
              "string_wrap_around.json": {"network": {"wrap_around": "false"}},
              "string_apply_beyond_d1.json": {"shadowing": {"apply_beyond_d1": "true"}},
-             "error_qos_policy.json": {"solver": {"qos_infeasible_policy": "error"}}}
+             "error_qos_policy.json": {"solver": {"qos_infeasible_policy": "error"}},
+             "bool_alpha.json": {"alphas": [True]},
+             "string_alphas.json": {"alphas": "12"},
+             "bool_qos.json": {"params": {"qos": [True] + [0.0] * 9}},
+             "bool_slope.json": {"path_loss": {"slopes": [True, 20, 20]}},
+             "string_slopes.json": {"path_loss": {"slopes": "123"}}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

@@ -1,6 +1,7 @@
 """Smoke tests of tools/record_diff.py: dump one desk call, diff it against itself,
 against a copy with changed file digests and against one with a moved record; time a
-tree against itself; list the solver lines one desk call does not run."""
+tree against itself, in all and per scenario kind; list the solver lines one desk call
+does not run."""
 
 import hashlib
 import inspect
@@ -69,24 +70,32 @@ def test_diff_lists_the_emitted_files_that_differ(desk_dump, tmp_path):
 
 
 def test_time_runs_the_same_calls_in_both_trees():
-    # A tree against itself, 2 calls in 2 rounds: one total and per-solve p50 per tree,
-    # then the median per-call ratio over the 4 interleaved pairs.
+    # A tree against itself, 2 calls in 2 rounds: per tree, one total and per-solve p50,
+    # then the per-solve p50 of each scenario kind; then the median per-call ratio over
+    # the 4 interleaved pairs.
     run = subprocess.run([sys.executable, str(TOOL), "time", str(ROOT), str(ROOT), "--calls", "2",
                           "--rounds", "2"], capture_output=True, text=True, check=True)
     lines = run.stdout.splitlines()
-    assert len(lines) == 3
-    solves = []
-    for line in lines[:2]:
+    assert len(lines) == 5
+    solves, kinds = [], []
+    for line, by_kind in (lines[0:2], lines[2:4]):
         match = re.fullmatch(re.escape(str(ROOT)) + r": total (\S+) s, per-solve p50 (\S+) ms "
                              r"\((\d+) solves\)", line)
         assert match, line
         assert float(match[1]) > 0 and float(match[2]) > 0
         solves.append(int(match[3]))
+        prefix = f"{ROOT}: per-solve p50 by kind "
+        assert by_kind.startswith(prefix), by_kind
+        parts = [re.fullmatch(r"(\w+) (\S+) ms \((\d+)\)", part)
+                 for part in by_kind[len(prefix):].split(", ")]
+        assert all(parts) and all(float(part[2]) > 0 for part in parts), by_kind
+        kinds.append([(part[1], int(part[3])) for part in parts])
     # Each desk_sweep call iterates 3 solver kinds at 3 alphas; both trees see the same.
     assert solves == [2 * 2 * 9] * 2
+    assert kinds == [[("association_only", 12), ("joint", 12), ("power_only", 12)]] * 2
     match = re.fullmatch(r"median per-call ratio second/first (\S+) over 4 calls; "
-                         r"second faster in (\d)", lines[2])
-    assert match and float(match[1]) > 0, lines[2]
+                         r"second faster in (\d)", lines[4])
+    assert match and float(match[1]) > 0, lines[4]
 
 
 def test_time_runs_the_calls_of_the_chosen_set():
@@ -95,29 +104,36 @@ def test_time_runs_the_calls_of_the_chosen_set():
                           "desk_pins", "--calls", "1", "--rounds", "1"],
                          capture_output=True, text=True, check=True)
     lines = run.stdout.splitlines()
-    assert [line.endswith("(9 solves)") for line in lines[:2]] == [True, True], lines
+    assert [line.endswith("(9 solves)") for line in lines[0:4:2]] == [True, True], lines
     assert re.fullmatch(r"median per-call ratio second/first \S+ over 1 calls; "
-                        r"second faster in [01]", lines[2]), lines[2]
+                        r"second faster in [01]", lines[4]), lines[4]
 
 
 def test_reach_lists_the_lines_no_record_runs():
     # One desk call never asks alternate for an unknown mode, and every call runs its
-    # first body line; its def line is no body line.
+    # first body line; its def line is no body line. Its first association blocks run
+    # every line of the Frank-Wolfe start rule.
     import cfmimo.fp_solver as fp_solver
 
     run = subprocess.run([sys.executable, str(TOOL), "reach", "--src", str(ROOT),
                           "--desk-calls", "1", "--desk-only"],
                          capture_output=True, text=True, check=True)
     lines = run.stdout.splitlines()
-    source, first = inspect.getsourcelines(fp_solver.alternate)
 
-    def number(text):
+    def number(function, text):
+        source, first = inspect.getsourcelines(function)
         return first + next(i for i, line in enumerate(source) if text in line)
 
     missed = {line.split()[0] for line in lines if line.startswith("  ")}
-    assert f"fp_solver.py:{number('unknown mode')}" in missed
-    assert f"fp_solver.py:{number('if mode not in')}" not in missed
-    assert f"fp_solver.py:{first}" not in missed
+    assert f"fp_solver.py:{number(fp_solver.alternate, 'unknown mode')}" in missed
+    assert f"fp_solver.py:{number(fp_solver.alternate, 'if mode not in')}" not in missed
+    assert f"fp_solver.py:{number(fp_solver.alternate, 'def alternate')}" not in missed
+    oracle, first = inspect.getsourcelines(fp_solver._vertex_oracle)
+    rule = {f"fp_solver.py:{first + i}" for i in range(len(oracle))}
+    rule |= {f"fp_solver.py:{number(fp_solver._association_columns, text)}"
+             for text in ("start = x0", "ones = np.all", "if ones.any()",
+                          "_vertex_oracle(grad(", "ascend(fun, grad, fac, start)")}
+    assert len(rule) == len(oracle) + 5 and not rule & missed
     assert [line.split(":")[0] for line in lines if not line.startswith("  ")] == [
         "fp_solver.py", "opt.py"]
 

@@ -44,10 +44,10 @@ alternately: call k runs in one tree, then in the other, and the tree that goes 
 switches each round. Each subprocess runs call 0 once untimed before the first round.
 It prints each tree's total wall time of ``harness.run_experiment`` over every call
 and round, and its median per-solve time (``SolveResult.wall_time`` of the solves that
-iterate, as the benchmark's ``solve_s``), then the median over calls and rounds of the
-second tree's call time over the first's. A shared host drifts by more within one
-whole run than a small change moves, and interleaving call by call lets both trees see
-the same drift.
+iterate, as the benchmark's ``solve_s``), in all and per scenario kind, then the median
+over calls and rounds of the second tree's call time over the first's. A shared host
+drifts by more within one whole run than a small change moves, and interleaving call
+by call lets both trees see the same drift.
 
 `reach` runs the record sets of one tree (as `dump`, without emitting files) under a
 ``sys.settrace`` line census of ``fp_solver.py`` and ``opt.py``, and prints each
@@ -237,7 +237,8 @@ def diff(first, second):
 def serve_calls(name: str, calls: int):
     """Time the first calls of record set name (desk_sweep calls 0 to calls-1) on request:
     write the number of calls served, then read a call index per line of stdin and write
-    one JSON line per call, [wall seconds of run_experiment, per-solve wall times]."""
+    one JSON line per call, [wall seconds of run_experiment, [scenario kind, wall time]
+    of each solve]."""
     import cfmimo as cf
 
     desk = name == "desk_sweep"
@@ -249,15 +250,15 @@ def serve_calls(name: str, calls: int):
         start = time.perf_counter()
         result = cf.run_experiment(configs[int(line)])
         wall = time.perf_counter() - start
-        print(json.dumps([wall, [rec.wall_time for rec in result.records if rec.iterations]]),
-              flush=True)
+        print(json.dumps([wall, [[rec.scenario, rec.wall_time] for rec in result.records
+                                 if rec.iterations]]), flush=True)
 
 
 def time_trees(roots, name: str, calls: int, rounds: int):
     """(walls, solves): the wall seconds of every call in each tree, shape (2, rounds,
-    calls served), and each tree's per-solve wall times, from one timing subprocess per
-    tree that runs the same calls of record set name alternately, the first tree first
-    in even rounds."""
+    calls served), and each tree's per-solve wall times by scenario kind, from one timing
+    subprocess per tree that runs the same calls of record set name alternately, the
+    first tree first in even rounds."""
     tools = str(Path(__file__).resolve().parent)
     children = [subprocess.Popen(
         [sys.executable, "-c", TIMER.format(src=str(root / "src"), bench=str(root / "bench"),
@@ -274,14 +275,15 @@ def time_trees(roots, name: str, calls: int, rounds: int):
         served = [reply(i) for i in (0, 1)]
         if served[0] != served[1]:
             raise RuntimeError(f"the trees serve {served[0]} and {served[1]} {name} calls")
-        walls, solves = np.zeros((2, rounds, served[0])), ([], [])
+        walls, solves = np.zeros((2, rounds, served[0])), ({}, {})
         for r in range(rounds):
             for k in range(served[0]):
                 for i in (0, 1) if r % 2 == 0 else (1, 0):
                     children[i].stdin.write(f"{k}\n")
                     children[i].stdin.flush()
                     walls[i, r, k], times = reply(i)
-                    solves[i].extend(times)
+                    for kind, seconds in times:
+                        solves[i].setdefault(kind, []).append(seconds)
     finally:
         for child in children:
             child.stdin.close()
@@ -376,9 +378,13 @@ def main(argv=None):
             parser.error("--calls and --rounds must be positive")
         roots = [Path(p).resolve() for p in (args.first, args.second)]
         walls, solves = time_trees(roots, args.name, args.calls, args.rounds)
-        for root, wall, times in zip(roots, walls, solves):
+        for root, wall, kinds in zip(roots, walls, solves):
+            times = [t for kind in kinds.values() for t in kind]
             print(f"{root}: total {wall.sum():.3f} s, per-solve p50 "
                   f"{1e3 * np.median(times):.3f} ms ({len(times)} solves)")
+            print(f"{root}: per-solve p50 by kind " + ", ".join(
+                f"{kind} {1e3 * np.median(kinds[kind]):.3f} ms ({len(kinds[kind])})"
+                for kind in sorted(kinds)))
         ratio = walls[1] / walls[0]
         print(f"median per-call ratio second/first {np.median(ratio):.3f} over {ratio.size} "
               f"calls; second faster in {int((ratio < 1).sum())}")
