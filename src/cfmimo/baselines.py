@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fp_solver import SolveResult, SolverOptions, alternate
-from .se_model import (SinrForm, SystemParams, meets_qos, qos_vector, sinr_form,
-                       spectral_efficiency)
+from .se_model import SinrForm, SystemParams, meets_qos, qos_vector, spectral_efficiency
 
 SCENARIO_KINDS = ("full_power_all_serve", "fractional_power_control",
                   "power_only", "association_only", "joint")
@@ -23,8 +22,9 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind: {self.kind!r}")
-        if not np.isfinite(self.fpc_exponent):
-            raise ValueError("fpc_exponent must be finite")
+        # JSON true would load as the exponent 1.
+        if isinstance(self.fpc_exponent, bool) or not np.isfinite(self.fpc_exponent):
+            raise ValueError(f"fpc_exponent must be a finite number, not {self.fpc_exponent!r}")
 
 
 def fractional_powers(beta, exponent: float = -0.5) -> np.ndarray:
@@ -43,7 +43,7 @@ def _evaluate_only(eta, ones: SinrForm, shape, params, t_start) -> SolveResult:
 
 
 def run_scenario(scenario: Scenario, gamma, beta, gram, params: SystemParams,
-                 options: SolverOptions, *, ones_form: SinrForm | None = None) -> SolveResult:
+                 options: SolverOptions, *, ones_form: SinrForm) -> SolveResult:
     """Run one comparison scenario.
 
     full_power_all_serve and fractional_power_control only evaluate a fixed point;
@@ -54,13 +54,11 @@ def run_scenario(scenario: Scenario, gamma, beta, gram, params: SystemParams,
     its per-UE SE meets params.qos.
 
     Every scenario starts from D = ones. ones_form is its se_model.sinr_form, which
-    depends on neither alpha nor qos, so a drop builds it once for all its runs;
-    without it the run builds its own. No run writes to it.
+    depends on neither alpha nor qos, so a drop builds it once for all its runs. No
+    run writes to it.
     """
     t_start = time.perf_counter()
     shape = np.shape(gamma)
-    if ones_form is None:
-        ones_form = sinr_form(np.ones(shape), gamma, beta, gram, params)
     kind = scenario.kind
     if kind == "full_power_all_serve":
         return _evaluate_only(np.ones(shape[1]), ones_form, shape, params, t_start)

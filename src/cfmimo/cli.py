@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from .se_model import SystemParams
 def _validate_oracle(out_dir: str, seed: int, n_samples: int = 100_000) -> int:
     """Compare closed-form SINR terms against the Monte-Carlo oracle on a small
     random instance; returns 0 when every term is within 3 standard errors."""
-    from pathlib import Path
-
     rng = np.random.default_rng(seed)
     num_aps, num_ues, antennas, pilots = 4, 3, 2, 2
     beta = 10.0 ** rng.uniform(-1.0, 0.5, size=(num_aps, num_ues))
@@ -93,6 +92,12 @@ def main(argv=None) -> int:
             config = replace(config, workers=args.workers)
     except ValueError as exc:
         return _invalid(exc)
+    # Before any drop runs: an output path that is a file, or lies under one, fails here.
+    try:
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _invalid(f"cannot create the output directory {config.output_dir}: "
+                        f"{exc.strerror}")
 
     result = run_experiment(config, progress=True)
     written = emit_results(result, config.output_dir)

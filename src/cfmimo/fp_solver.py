@@ -16,10 +16,11 @@ own stop test and meets its QoS target. Each other column x has one model (which
 the repair reads too): signal (c.x)^2 and interference plus noise
 ||w^T x||^2 + h.x. So its objective term, its QoS inner approximation psi and each
 objective + nu psi are one concave quadratic const + lin.x - ||F^T x||^2. The block
-takes the models of its unsettled columns (the co-pilot factors zero-padded to the
-widest of them) and ascends their objectives in one batched call of projected Newton
-steps (opt.pga_maximize with the stacked Hessian factors F) over the exact projection
-onto opt's one constraint set, the box and coverage (opt.project_box_polyhedron).
+takes the rows of its unsettled columns from the stacked models of every UE (the
+co-pilot factors zero-padded to the most co-pilots of any UE; a zero factor column adds
+nothing) and ascends their objectives in one batched call of projected Newton steps
+(opt.pga_maximize with the stacked Hessian factors F) over the exact projection onto
+opt's one constraint set, the box and coverage (opt.project_box_polyhedron).
 A column that starts at all ones (the first block of a solve) starts that ascent at
 the vertex of two Frank-Wolfe linear-oracle steps from 0 (Frank and Wolfe 1956).
 A column whose maximizer breaks psi goes on alone, as a stack of one: Newton's method
@@ -355,14 +356,14 @@ def solve_power(form: PowerForm, gamma_aux, u, gth, params: SystemParams, eta_in
 
 
 def _column_model(t, eta, gamma, beta, gram, params: SystemParams):
-    """(c, w, h): at its own column x, UE t's signal is S(x) = (c.x)^2 and its interference
-    plus noise I(x) = ||w^T x||^2 + h.x; w has a column per co-pilot UE with eta > 0.
-    For an array of UEs t the models are stacked: c and h of shape (k, M), and w of
-    shape (k, M, K), zero-padded to the most co-pilots."""
+    """(c, w, h), stacked for the array of UEs t: at its own column x, UE t's signal is
+    S(x) = (c.x)^2 and its interference plus noise I(x) = ||w^T x||^2 + h.x; w has a
+    column per co-pilot UE with eta > 0. c and h have shape (k, M), and w shape
+    (k, M, K), zero-padded to the most co-pilots."""
     a = params.antennas_per_ap
     pu = params.uplink_snr
     eta = np.asarray(eta, dtype=float)
-    cols = np.atleast_1d(t)
+    cols = np.asarray(t)
     gt = gamma.T[cols]
     pair = (gram[cols] > 0) & (eta > 0)
     pair[np.arange(cols.size), cols] = False
@@ -372,8 +373,7 @@ def _column_model(t, eta, gamma, beta, gram, params: SystemParams):
     omega = a * a * pu * eta[others] * gram[cols[rows], others]
     w = np.zeros((cols.size, gamma.shape[0], slot.max(initial=-1) + 1))
     w[rows, :, slot] = gt[rows] * beta.T[others] / beta.T[cols[rows]] * np.sqrt(omega)[:, None]
-    model = ((a * np.sqrt(pu * eta[cols]))[:, None] * gt, w, a * (gt * (pu * (beta @ eta)) + gt))
-    return model if np.ndim(t) else tuple(part[0] for part in model)
+    return (a * np.sqrt(pu * eta[cols]))[:, None] * gt, w, a * (gt * (pu * (beta @ eta)) + gt)
 
 
 def _column_terms(x, model):
@@ -667,14 +667,9 @@ def solve_association(eta_fixed, form: PowerForm, model, gamma_aux, u, gth,
     _, grad, fac = _column_lagrangian(model, objective)
     cols = np.flatnonzero(~_settled_columns(eta_fixed, form, grad, gth, options.inner_tolerance))
     if cols.size:
-        # Contiguous rows, the co-pilot factors trimmed to the widest of them: the
-        # ascent's products see the shapes of a model built for these columns alone.
-        c, w, h = (part[cols] for part in model)
-        wide = w.any(axis=(0, 1))
-        w = np.ascontiguousarray(w[:, :, wide])
-        fac = np.ascontiguousarray(fac[cols][:, :, np.concatenate(([True], wide))])
-        d[:, cols] = _association_columns((c, w, h), tuple(part[cols] for part in objective),
-                                          fac, options, d[:, cols].T, gth[cols]).T
+        d[:, cols] = _association_columns(tuple(part[cols] for part in model),
+                                          tuple(part[cols] for part in objective), fac[cols],
+                                          options, d[:, cols].T, gth[cols]).T
     return d
 
 
@@ -697,11 +692,14 @@ def _repair_columns(eta, d_binary, d_relaxed, ses, qos, gamma, beta, gram,
                     params: SystemParams) -> np.ndarray:
     """Restore QoS broken by rounding, one UE at a time, by re-adding APs to the
     UE's own column in _ap_order; ses is the per-UE SE on d_binary, qos the targets.
-    A UE's SINR depends only on its own column, so repairs do not interact."""
+    A UE's SINR depends only on its own column, so repairs do not interact, and one
+    stacked column model of the violated UEs serves them all."""
     out = d_binary.copy()
-    for t in np.flatnonzero(~meets_qos(ses, qos)):
+    broken = np.flatnonzero(~meets_qos(ses, qos))
+    models = _column_model(broken, eta, gamma, beta, gram, params)
+    for i, t in enumerate(broken):
         order = _ap_order(t, d_relaxed, gamma)
-        model = _column_model(t, eta, gamma, beta, gram, params)
+        model = tuple(part[i] for part in models)
         trial = out[:, t].copy()
         best_col, best_se = trial.copy(), ses[t]
         for m in order:
@@ -735,7 +733,7 @@ def _qos_start(form: PowerForm, gth, margin=1.05):
 
 
 def alternate(gamma, beta, gram, params: SystemParams, options: SolverOptions,
-              mode: str = "joint", *, start_form: SinrForm | None = None) -> SolveResult:
+              mode: str = "joint", *, start_form: SinrForm) -> SolveResult:
     """Alternating block maximization with auxiliary refreshes before each block.
 
     Every solve starts at eta = 1 and D = ones. mode selects which blocks run: 'joint',
@@ -743,8 +741,8 @@ def alternate(gamma, beta, gram, params: SystemParams, options: SolverOptions,
     targets params.qos, power_only holds none, and the feasibility flags report
     params.qos in every mode, a target the solve cannot meet included. Stops when the
     relative change of the post-block objective value falls below options.epsilon.
-    start_form, if given, is the se_model.sinr_form of D = ones; the solve reads it and
-    never writes it.
+    start_form is the se_model.sinr_form of D = ones; the solve reads it and never
+    writes it.
 
     The ascent is monotone while the same QoS targets are enforced, and the trace
     restarts where they change. A joint solve with QoS targets runs in two phases:
@@ -783,10 +781,7 @@ def alternate(gamma, beta, gram, params: SystemParams, options: SolverOptions,
     # One power form per association matrix formed below (the start, d after each
     # association block, the rounded and the repaired d_binary); every evaluation on
     # that matrix reads it.
-    if start_form is None:
-        form = _power_form(d, gamma, beta, gram, params)
-    else:
-        form = PowerForm(d, start_form, l1_penalty(d, params))
+    form = PowerForm(d, start_form, l1_penalty(d, params))
     phase_one = enforce_qos and power_is_free and not rows_hold(form)
     if enforce_qos and power_is_free and not qos_met(eta, form).all():
         start = _qos_start(form, gth)

@@ -179,7 +179,8 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     shape (w, k, n), and map them to values (w, k) and to projections. They always
     see the whole stack, a member that has stopped as it stands. Member i's fun must
     have the Hessian -2 L_i L_i^T, with hess_factor L of shape (k, n, r); zero
-    columns of L_i are padding, and its rank is its count of nonzero columns.
+    columns of L_i are padding wherever they stand, and its rank is its count of
+    nonzero columns.
 
     Every member keeps its own free set, step choice, Armijo test, step length and
     stop test, so it takes the steps it would take alone. A member stops when its
@@ -224,7 +225,7 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
             denom = np.vecdot(dx, g_prev - g)
             step = np.minimum(np.where(denom > _EPS, np.vecdot(dx, dx) / np.maximum(denom, _EPS),
                                        2.0 * step), _STEP_MAX)
-        first, rounds, count = _newton_steps(x, g, y, live, *newton)
+        first, rounds, count = _newton_steps(x, g, y, live, hess_factor, *newton)
         x_new, f_new, moved = _arc_search(fun, project, x, fx, g, first, rounds, count, step,
                                           live)
         if not np.count_nonzero(moved):
@@ -236,23 +237,15 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
 
 
 def _newton_setup(lfac, shape):
-    """(lfac, rank, basis) for _newton_steps: each member's nonzero factor columns
-    first, in order (the rest is padding), their count and the null step's basis (the
-    coverage normal 1, then the factor). Where every member's padding already trails
-    its nonzero columns, as in the association factor [u c, s w], the factor is only
-    cut to the widest rank (a view); otherwise its columns are reordered."""
+    """(rank, basis) for _newton_steps: each member's count of nonzero columns of the
+    factor lfac, and the null step's basis (the coverage normal 1, then lfac). A zero
+    column is padding wherever it stands: it adds nothing to the Hessian, and the null
+    step solves it as the identity."""
     k, n = shape
-    nonzero = (lfac != 0.0).any(axis=1)
-    rank = nonzero.sum(axis=1)
-    if (nonzero[:, 1:] > nonzero[:, :-1]).any():
-        order = np.argsort(~nonzero, axis=1, kind="stable")[:, :rank.max(initial=0)]
-        lfac = np.take_along_axis(lfac, order[:, None, :], axis=2)
-    else:
-        lfac = lfac[:, :, :rank.max(initial=0)]
     basis = np.empty((k, n, lfac.shape[2] + 1))
     basis[:, :, 0] = 1.0
     basis[:, :, 1:] = lfac
-    return lfac, rank, basis
+    return (lfac != 0.0).any(axis=1).sum(axis=1), basis
 
 
 def _newton_steps(x, g, y, live, lfac, rank, basis):

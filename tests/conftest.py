@@ -7,7 +7,7 @@ import pytest
 import cfmimo as cf
 from cfmimo.fp_solver import (_power_coefficients, _power_form, _qos_rows, _qos_thresholds,
                               refresh_aux)
-from cfmimo.se_model import SystemParams, sinr_all
+from cfmimo.se_model import SystemParams, sinr_all, sinr_form
 
 
 def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
@@ -31,6 +31,12 @@ def _feasibility_powers(d, gamma, beta, gram, params: SystemParams,
             return new
         eta = new
     return eta
+
+
+def ones_form(gamma, beta, gram, params: SystemParams):
+    """The se_model.sinr_form of D = ones, the start form that alternate and run_scenario
+    take (harness._run_drop builds one per drop)."""
+    return sinr_form(np.ones(np.shape(gamma)), gamma, beta, gram, params)
 
 
 def build_desk_channel(seed, num_aps=30, num_ues=10, antennas=2, alpha=0.001, qos=0.2):

@@ -2,6 +2,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import cfmimo as cf
+from conftest import ones_form
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,7 +28,8 @@ def test_solver_runs_through_traced_names(monkeypatch, desk_channel):
     gamma, beta, gram, params = desk_channel(3)
     with tracer.Tracer() as spans:
         res = cf.alternate(gamma, beta, gram, replace(params, qos=0.0),
-                           cf.SolverOptions(), mode="power_only")
+                           cf.SolverOptions(), mode="power_only",
+                           start_form=ones_form(gamma, beta, gram, params))
     metrics = spans.layer_metrics()
     assert metrics["fp_solver.alternate.outer_iters"] == res.iterations
     for name in ("fp_solver.refresh_aux", "fp_solver.solve_power",

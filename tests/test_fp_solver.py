@@ -10,6 +10,7 @@ import pytest
 
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
+import cfmimo.opt as opt
 from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagrangian,
                               _column_model, _column_objective, _dual_power_solve,
                               _power_coefficients,
@@ -21,7 +22,8 @@ from cfmimo.se_model import (l1_penalty, meets_qos, qos_vector, sinr_form, sinr_
                              spectral_efficiency)
 from conftest import (_feasibility_powers, build_power_block, build_synthetic_channel,
                       count_box_maximizers, count_inner_iterations, count_power_coefficients,
-                      count_power_forms, count_qos_rows, count_state_builds, qos_psi)
+                      count_power_forms, count_qos_rows, count_state_builds, ones_form,
+                      qos_psi)
 from reference import (block_objective_eta_grad, block_objective_of_terms,
                        dual_transform_objective, lambda_star, penalized_objective,
                        power_coefficients_as_written, refresh_aux_as_written,
@@ -208,7 +210,8 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
     settled_total = open_total = 0
     for seed in range(10):
         gamma, beta, gram, params = desk_channel(seed, qos=qos)
-        res = cf.alternate(gamma, beta, gram, params, opts)
+        res = cf.alternate(gamma, beta, gram, params, opts,
+                           start_form=ones_form(gamma, beta, gram, params))
         single = np.zeros(gamma.shape)
         single[np.random.default_rng(seed).integers(gamma.shape[0], size=gamma.shape[1]),
                np.arange(gamma.shape[1])] = 1.0
@@ -240,7 +243,8 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
     batched = 0
     for seed in range(10):
         gamma, beta, gram, params = desk_channel(seed, qos=qos)
-        res = cf.alternate(gamma, beta, gram, params, opts)
+        res = cf.alternate(gamma, beta, gram, params, opts,
+                           start_form=ones_form(gamma, beta, gram, params))
         gth = _qos_thresholds(params, gamma.shape[1])
         for eta, d in ((np.ones(gamma.shape[1]), np.ones(gamma.shape)),
                        (res.eta_star, res.d_binary)):
@@ -350,7 +354,8 @@ def test_alternate_builds_one_column_model_per_power_vector(desk_channel, monkey
 
     monkeypatch.setattr(fp_solver, "_column_model", counted_model)
     monkeypatch.setattr(fp_solver, "solve_power", counted_power)
-    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode=mode)
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode=mode,
+                       start_form=ones_form(gamma, beta, gram, params))
     # Every build is counted; the repair would add single columns, and this solve has none.
     assert res.iterations >= 3
     if mode == "association_only":
@@ -595,7 +600,8 @@ def test_joint_keeps_untargeted_ues_powered_without_a_least_power_start(desk_cha
     d = np.ones(gamma.shape)
     assert _qos_start(_power_form(d, gamma, beta, gram, params),
                       _qos_thresholds(params, qos.size)) is None
-    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions())
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
+                       start_form=ones_form(gamma, beta, gram, params))
     assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()
 
@@ -709,10 +715,10 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
     aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
     gth = _qos_thresholds(params, d.shape[1])
     for t in range(d.shape[1]):
-        model = _column_model(t, eta, gamma, beta, gram, params)
+        stacked = _column_model(np.array([t]), eta, gamma, beta, gram, params)
+        model = tuple(part[0] for part in stacked)
         fun, grad, _ = _column_lagrangian(model, _column_objective(t, model, aux.gamma_aux,
                                                                    aux.u, params))
-        stacked = _column_model(np.array([t]), eta, gamma, beta, gram, params)
         qos = _qos_approximation(d[:, [t]].T, stacked, gth[[t]])
         psi, psi_grad = qos_psi(model, tuple(part[0] for part in qos))
         ref = optimize.minimize(
@@ -742,7 +748,7 @@ def test_association_large_penalty_keeps_single_best_ap():
     params = cf.SystemParams(antennas_per_ap=2, uplink_snr=10.0, alpha=5.0,
                              qos=0.0, pilot_len=2)
     res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
-                       mode="association_only")
+                       mode="association_only", start_form=ones_form(gamma, beta, gram, params))
     assert np.array_equal(res.d_binary.sum(axis=0), [1.0, 1.0])
     # exhaustive single-AP enumeration oracle on the binary problem
     best, best_val = None, -np.inf
@@ -768,7 +774,7 @@ def test_association_zero_penalty_single_ue_serves_all():
     params = cf.SystemParams(antennas_per_ap=2, uplink_snr=2.0, alpha=0.0,
                              qos=0.0, pilot_len=2)
     res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
-                       mode="association_only")
+                       mode="association_only", start_form=ones_form(gamma, beta, gram, params))
     assert np.all(res.d_binary == 1.0)
     # every AP has a positive marginal gain at the box bound
     aux = refresh_aux(np.ones(1), _power_form(res.d_relaxed, gamma, beta, gram, params), params)
@@ -782,7 +788,8 @@ def test_alternate_fixed_point_terminates_quickly(desk_channel):
     # refresh, raise the block objective by at most epsilon relative.
     gamma, beta, gram, params = desk_channel(0)
     opts = cf.SolverOptions()
-    res = cf.alternate(gamma, beta, gram, params, opts)
+    res = cf.alternate(gamma, beta, gram, params, opts,
+                       start_form=ones_form(gamma, beta, gram, params))
     gth = _qos_thresholds(params, gamma.shape[1])
     form = _power_form(res.d_relaxed, gamma, beta, gram, params)
     aux = refresh_aux(res.eta_star, form, params)
@@ -803,7 +810,8 @@ def test_alternate_monotone_trace_and_termination(desk_channel):
     opts = cf.SolverOptions()
     for seed in range(3):
         gamma, beta, gram, params = desk_channel(seed)
-        res = cf.alternate(gamma, beta, gram, params, opts)
+        res = cf.alternate(gamma, beta, gram, params, opts,
+                           start_form=ones_form(gamma, beta, gram, params))
         trace = res.objective_trace
         assert res.iterations <= opts.max_outer_iters
         assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
@@ -813,9 +821,11 @@ def test_alternate_monotone_trace_and_termination(desk_channel):
 def test_alternate_nested_tolerance(desk_channel):
     gamma, beta, gram, params = desk_channel(1)
     loose = cf.alternate(gamma, beta, gram, params,
-                         cf.SolverOptions(epsilon=5e-3))
+                         cf.SolverOptions(epsilon=5e-3),
+                         start_form=ones_form(gamma, beta, gram, params))
     tight = cf.alternate(gamma, beta, gram, params,
-                         cf.SolverOptions(epsilon=5e-4))
+                         cf.SolverOptions(epsilon=5e-4),
+                         start_form=ones_form(gamma, beta, gram, params))
     assert tight.iterations >= loose.iterations
     assert tight.objective_trace[-1] >= loose.objective_trace[-1] - 1e-9
 
@@ -924,7 +934,8 @@ def test_qos_start_matches_target_tracking(desk_channel):
 def test_alternate_infeasible_policy(desk_channel):
     # Targets no powers meet are reported in the feasibility flags, not raised.
     gamma, beta, gram, params = desk_channel(0)
-    res = cf.alternate(gamma, beta, gram, replace(params, qos=10.0), cf.SolverOptions())
+    res = cf.alternate(gamma, beta, gram, replace(params, qos=10.0), cf.SolverOptions(),
+                       start_form=ones_form(gamma, beta, gram, params))
     assert not res.feasibility.any()
 
 
@@ -937,7 +948,8 @@ def test_alternate_starts_from_least_powers_when_tracking_misses(desk_channel, s
     assert not cf.qos_satisfied(eta, d, gamma, beta, gram, params).all()
     assert _qos_start(_power_form(d, gamma, beta, gram, params),
                       _qos_thresholds(params, d.shape[1])) is not None
-    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions())
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
+                       start_form=ones_form(gamma, beta, gram, params))
     assert res.feasibility.all()
 
 
@@ -955,7 +967,8 @@ def test_alternate_keeps_ues_without_target_powered(desk_channel, seed, has_star
     assert not cf.qos_satisfied(np.ones(qos.size), d, gamma, beta, gram, params).all()
     assert (_qos_start(_power_form(d, gamma, beta, gram, params),
                        _qos_thresholds(params, qos.size)) is not None) == has_start
-    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions())
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
+                       start_form=ones_form(gamma, beta, gram, params))
     assert np.all(res.eta_star[[0, 4]] > 0)
     assert res.feasibility.all()
 
@@ -971,11 +984,11 @@ def test_alternate_keeps_qos_target_of_column_on_its_boundary():
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
 
 
-def _count_line_runs(function, text, hits):
+def _count_line_runs(hits, function, text, offset=0):
     """A sys.settrace tracer that appends to hits each run of the line of function
-    whose source holds text."""
+    whose source holds text (or of the line offset lines below it)."""
     lines, first = inspect.getsourcelines(function)
-    target = first + next(i for i, line in enumerate(lines) if text in line)
+    target = first + next(i for i, line in enumerate(lines) if text in line) + offset
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno == target:
@@ -988,45 +1001,86 @@ def _count_line_runs(function, text, hits):
     return tracer
 
 
-def test_joint_column_bisection_runs_to_its_end(monkeypatch):
-    # Record set desk_hard (tools/record_diff.py) at qos 1.0, drop 12, joint, alpha
-    # 0.004: _bound_column's bisection closes the bracket of nu twice, its one exit that
-    # no other record reaches; the count follows from its vertex starts, which have no
-    # face point and take the ascent. The solve alone gives its record in the set.
+def _hard_solve_alone(monkeypatch, call, drop, alpha, kind, counted):
+    """(record, recorded, hits): the solve of one scenario kind at one alpha in drop of
+    record set desk_hard's call (tools/record_diff.py), run alone through
+    harness._run_drop under _count_line_runs(hits, *counted), and its record in the call's
+    full run of that drop."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.syspath_prepend(str(TOOLS))
     import record_diff
 
-    (config,) = [c for name, call, c in record_diff.record_sets(0, True)
-                 if (name, call) == ("desk_hard", "qos1.0")]
-    (recorded,) = [r for r in cf.harness._run_drop(config, 12)
-                   if (r.scenario, r.alpha) == ("joint", 0.004)]
-    alone = replace(config, alphas=(0.004,), scenarios=(cf.Scenario(kind="joint"),))
+    (config,) = [c for name, c_call, c in record_diff.record_sets(0, True)
+                 if (name, c_call) == ("desk_hard", call)]
+    (recorded,) = [r for r in cf.harness._run_drop(config, drop)
+                   if (r.scenario, r.alpha) == (kind, alpha)]
+    alone = replace(config, alphas=(alpha,), scenarios=(cf.Scenario(kind=kind),))
     hits, previous = [], sys.gettrace()
-    sys.settrace(_count_line_runs(fp_solver._bound_column, "return x_hi[None], False", hits))
+    sys.settrace(_count_line_runs(hits, *counted))
     try:
-        (record,) = cf.harness._run_drop(alone, 12)
+        (record,) = cf.harness._run_drop(alone, drop)
     finally:
         sys.settrace(previous)
-    assert len(hits) == 2
-    assert record.feasible
-    trace = record.trace
-    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+    return record, recorded, hits
+
+
+def _assert_same_record(record, recorded):
     for field in fields(record):
         if field.name != "wall_time":
             assert np.array_equal(getattr(record, field.name), getattr(recorded, field.name))
 
 
+def test_joint_column_bisection_runs_to_its_end(monkeypatch):
+    # Record set desk_hard (tools/record_diff.py) at qos 1.0, drop 12, joint, alpha
+    # 0.004: _bound_column's bisection closes the bracket of nu twice, its one exit that
+    # no other record reaches; the count follows from its vertex starts, which have no
+    # face point and take the ascent. The solve alone gives its record in the set.
+    record, recorded, hits = _hard_solve_alone(
+        monkeypatch, "qos1.0", 12, 0.004, "joint",
+        (fp_solver._bound_column, "return x_hi[None], False"))
+    assert len(hits) == 2
+    assert record.feasible
+    trace = record.trace
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+    _assert_same_record(record, recorded)
+
+
+@pytest.mark.parametrize("drop, alpha, kind, counted", [
+    pytest.param(6, 1.0, "association_only",
+                 (fp_solver._face_point, "mat[:m, m + 1] = mat[m + 1, :m] = 1.0"),
+                 id="face-coverage-tight-6"),
+    pytest.param(17, 3.0, "joint",
+                 (fp_solver._face_point, "mat[:m, m + 1] = mat[m + 1, :m] = 1.0"),
+                 id="face-coverage-tight-17"),
+    pytest.param(18, 1.0, "association_only",
+                 (opt._null_steps, "lengths[n_long[short], short.nonzero()[0]] = s_row[short]"),
+                 id="null-arc-ends-on-coverage"),
+    pytest.param(12, 3.0, "joint", (opt.pga_maximize, "if not np.count_nonzero(moved):", 1),
+                 id="ascent-with-no-move")])
+def test_large_penalties_reach_the_coverage_branches(monkeypatch, drop, alpha, kind, counted):
+    # Record set desk_hard's call alpha1-3 (alphas 1 and 3, qos 1.0) reaches, once each,
+    # three branches that no record at alpha <= 0.004 runs: a binding column's face
+    # Newton held on the coverage row (_face_point), a null step whose arc ends where
+    # coverage gets tight (opt._null_steps) and an ascent in which no member moves
+    # (opt.pga_maximize). The solve alone gives its record in the set.
+    record, recorded, hits = _hard_solve_alone(monkeypatch, "alpha1-3", drop, alpha, kind,
+                                               counted)
+    assert len(hits) == 1
+    trace = record.trace
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+    _assert_same_record(record, recorded)
+
+
 def test_alternate_builds_one_interference_state_per_association_matrix(desk_channel,
                                                                          monkeypatch):
     gamma, beta, gram, params = desk_channel(14, qos=1.0)
+    start = ones_form(gamma, beta, gram, params)
     calls = count_state_builds(monkeypatch)
     forms = count_power_forms(monkeypatch)
-    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(),
-                       mode="power_only")
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode="power_only",
+                       start_form=start)
     assert res.iterations > 1
-    assert calls[0] <= 2    # d, then d_binary
-    assert forms[0] == calls[0] == 1    # every power block reads the one form of d
+    assert forms[0] == calls[0] == 0    # every power block reads the start form of d
 
     repairs = []
     original_repair = fp_solver._repair_columns
@@ -1037,11 +1091,12 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
 
     monkeypatch.setattr(fp_solver, "_repair_columns", repair)
     calls[0] = forms[0] = 0
-    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode="joint")
+    res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode="joint",
+                       start_form=start)
     assert repairs and res.feasibility.all()
-    # The start, one per association block, the rounded and the repaired d_binary.
-    assert calls[0] <= res.iterations + 3
-    assert forms[0] == calls[0] >= res.iterations + 1
+    # One per association block, the rounded and the repaired d_binary.
+    assert calls[0] <= res.iterations + 2
+    assert forms[0] == calls[0] >= res.iterations
 
 
 @pytest.mark.parametrize("seed", [3, 14])
@@ -1052,7 +1107,7 @@ def test_power_only_builds_the_power_coefficients_once_per_iteration(desk_channe
     gamma, beta, gram, params = desk_channel(seed, qos=1.0)
     builds = count_power_coefficients(monkeypatch)
     res = cf.run_scenario(cf.Scenario(kind="power_only"), gamma, beta, gram, params,
-                          cf.SolverOptions())
+                          cf.SolverOptions(), ones_form=ones_form(gamma, beta, gram, params))
     assert res.iterations > 1
     assert builds[0] == res.iterations
 
@@ -1064,9 +1119,11 @@ def test_power_only_holds_no_target(desk_channel, monkeypatch):
     gamma, beta, gram, params = desk_channel(4, qos=1.0)
     opts = cf.SolverOptions()
     rows = count_qos_rows(monkeypatch)
-    res = cf.alternate(gamma, beta, gram, params, opts, mode="power_only")
+    res = cf.alternate(gamma, beta, gram, params, opts, mode="power_only",
+                       start_form=ones_form(gamma, beta, gram, params))
     assert rows[0] == 0
-    scenario = cf.run_scenario(cf.Scenario(kind="power_only"), gamma, beta, gram, params, opts)
+    scenario = cf.run_scenario(cf.Scenario(kind="power_only"), gamma, beta, gram, params, opts,
+                               ones_form=ones_form(gamma, beta, gram, params))
     for field in fields(res):
         if field.name != "wall_time":
             assert np.array_equal(getattr(res, field.name), getattr(scenario, field.name))
@@ -1180,7 +1237,7 @@ def test_desk_sweep_call_reaches_no_inner_cap(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["joint", "power_only", "association_only"])
 def test_all_zero_initial_column_raises(desk_channel, mode):
-    # A start form (alternate's start_form) cannot be built on a matrix with an
+    # A form (alternate's start_form, say) cannot be built on a matrix with an
     # all-zero column, and no solve forms one from its all-ones start.
     gamma, beta, gram, params = desk_channel(0)
     d = np.ones(gamma.shape)
@@ -1191,7 +1248,8 @@ def test_all_zero_initial_column_raises(desk_channel, mode):
         sinr_form(d, gamma, beta, gram, params)
     for qos in (0.0, params.qos):
         result = cf.alternate(gamma, beta, gram, replace(params, qos=qos),
-                              cf.SolverOptions(), mode=mode)
+                              cf.SolverOptions(), mode=mode,
+                              start_form=ones_form(gamma, beta, gram, params))
         assert np.all(result.d_relaxed.sum(axis=0) > 0)
         assert np.all(result.d_binary.sum(axis=0) > 0)
         assert np.all(np.isfinite(result.se))

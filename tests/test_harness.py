@@ -6,7 +6,7 @@ import pytest
 
 import cfmimo as cf
 from cfmimo.harness import config_from_dict, config_to_dict
-from conftest import count_state_builds
+from conftest import count_state_builds, ones_form
 
 
 def tiny_config(tmp_dir, scenarios=("full_power_all_serve",), drops=2, alphas=(0.001,)):
@@ -172,7 +172,7 @@ def test_fixed_scenarios_build_one_state_per_drop(monkeypatch):
     cf.paper_config(seed=7, drops=1, alphas=(0.001,))], ids=["desk_qos", "paper"])
 def test_shared_ones_form_changes_no_solve(monkeypatch, config):
     # Every run of a drop reads the one D = ones form the drop builds. Each gives the
-    # fields of a run that builds its own, bit for bit except wall_time, and after
+    # fields of a run on a form of its own, bit for bit except wall_time, and after
     # all of the drop's runs the shared form still holds its built values.
     runs = []
     original = cf.harness.run_scenario
@@ -192,7 +192,7 @@ def test_shared_ones_form_changes_no_solve(monkeypatch, config):
     for part, fresh in zip(shared, built):
         assert np.array_equal(part, fresh)
     for scenario, channel, _, res in runs:
-        alone = original(scenario, *channel)
+        alone = original(scenario, *channel, ones_form=ones_form(*channel[:4]))
         for field in fields(res):
             if field.name == "wall_time":
                 continue
@@ -203,12 +203,14 @@ def test_shared_ones_form_changes_no_solve(monkeypatch, config):
 
 def test_unchanged_rounding_reuses_the_loop_state(monkeypatch, desk_channel):
     # power_only never moves d off all ones, so rounding returns it unchanged: the
-    # loop's state serves d_binary too, and the relaxed SE is the binary SE.
+    # start form serves the whole solve, d_binary too, and the relaxed SE is the
+    # binary SE.
     gamma, beta, gram, params = desk_channel(14, qos=1.0)
+    start = ones_form(gamma, beta, gram, params)
     calls = count_state_builds(monkeypatch)
     res = cf.alternate(gamma, beta, gram, replace(params, qos=0.0),
-                       cf.SolverOptions(), mode="power_only")
-    assert calls[0] == 1
+                       cf.SolverOptions(), mode="power_only", start_form=start)
+    assert calls[0] == 0
     assert np.array_equal(res.se_relaxed, cf.se_all(res.eta_star, res.d_relaxed, gamma, beta,
                                                     gram, params))
     # One D = ones state per drop, shared by its fixed scenarios.
@@ -281,7 +283,9 @@ def test_load_config_merges_over_base(tmp_path):
     # Numeric lists take JSON numbers only, not a bool entry, nor a string for the list.
     {"alphas": [True]}, {"alphas": [0.001, False]}, {"alphas": "12"},
     {"params": {"qos": [True] + [0.0] * 9}}, {"params": {"qos": "0.2"}},
-    {"path_loss": {"slopes": [True, 20, 20]}}, {"path_loss": {"slopes": "123"}}])
+    {"path_loss": {"slopes": [True, 20, 20]}}, {"path_loss": {"slopes": "123"}},
+    # A scenario's exponent takes a number, not a bool.
+    {"scenarios": [{"kind": "fractional_power_control", "fpc_exponent": True}]}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -396,7 +400,8 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "string_alphas.json"],
                                   ["--config", "bool_qos.json"],
                                   ["--config", "bool_slope.json"],
-                                  ["--config", "string_slopes.json"]])
+                                  ["--config", "string_slopes.json"],
+                                  ["--config", "bool_fpc_exponent.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
@@ -416,7 +421,9 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
              "string_alphas.json": {"alphas": "12"},
              "bool_qos.json": {"params": {"qos": [True] + [0.0] * 9}},
              "bool_slope.json": {"path_loss": {"slopes": [True, 20, 20]}},
-             "string_slopes.json": {"path_loss": {"slopes": "123"}}}
+             "string_slopes.json": {"path_loss": {"slopes": "123"}},
+             "bool_fpc_exponent.json": {"scenarios": [{"kind": "fractional_power_control",
+                                                       "fpc_exponent": True}]}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
@@ -425,3 +432,21 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_cli_rejects_an_output_path_it_cannot_create(tmp_path, capsys, monkeypatch, under):
+    # An --out path that is a file, or lies under one, is reported on one line before
+    # any drop runs, and the file is left as it was.
+    from cfmimo.cli import main
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    drops = []
+    monkeypatch.setattr(cf.harness, "_run_drop", lambda *args: drops.append(args))
+    code = main(["--drops", "1", "--scenario", "full_power_all_serve",
+                 "--out", str(blocker / "out" if under else blocker)])
+    err = capsys.readouterr().err
+    assert code == 2 and not drops
+    assert err.startswith("invalid configuration: cannot create the output directory ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "kept"

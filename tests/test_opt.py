@@ -270,20 +270,25 @@ def test_vertex_start_enters_no_null_step(monkeypatch):
         assert abs(fx[i] - fi[0]) <= 1e-10 * max(1.0, abs(fi[0]))
 
 
-def test_newton_setup_moves_padding_last():
-    # A factor whose padding trails is kept in place, cut to the widest rank; one with a
-    # zero column before a nonzero one has its nonzero columns moved first, in order.
-    rng = np.random.default_rng(2)
-    fac = rng.normal(size=(3, 5, 4))
-    fac[0, :, 2:] = 0.0
-    fac[1, :, 3:] = 0.0
-    trailing, rank, basis = opt._newton_setup(fac[:2], (2, 5))
-    assert rank.tolist() == [2, 3]
-    assert np.array_equal(trailing, fac[:2, :, :3])
-    assert np.array_equal(basis[:, :, 0], np.ones((2, 5)))
-    assert np.array_equal(basis[:, :, 1:], trailing)
-    fac[2, :, [0, 2]] = 0.0
-    moved, rank, _ = opt._newton_setup(fac, (3, 5))
-    assert rank.tolist() == [2, 3, 2]
-    assert np.array_equal(moved[:2], fac[:2, :, :3])
-    assert np.array_equal(moved[2], np.stack([fac[2, :, 1], fac[2, :, 3], np.zeros(5)], axis=1))
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_factor_columns_are_padding_wherever_they_stand(seed):
+    # The stack of test_batched_ascent_moves_each_member_as_alone (ranks 1 to 3, a
+    # singular member, a linear one) with each member's factor columns spread to slots
+    # 1, 3 and 5 of 7: zero columns before, between and after the nonzero ones. Each
+    # member's rank counts only its nonzero columns, and the ascent ends within 1e-12
+    # of the one on the packed factors.
+    rng = np.random.default_rng(seed)
+    k, n = 6, 12
+    lin, packed, x0 = _box_coverage_quadratics(rng, k, n)
+    spread = np.zeros((k, n, 7))
+    spread[:, :, [1, 3, 5]] = packed
+    rank, basis = opt._newton_setup(spread, (k, n))
+    assert rank.tolist() == (packed != 0.0).any(axis=1).sum(axis=1).tolist()
+    assert np.array_equal(rank, opt._newton_setup(packed, (k, n))[0])
+    assert np.array_equal(basis[:, :, 0], np.ones((k, n)))
+    assert np.array_equal(basis[:, :, 1:], spread)
+    runs = [pga_maximize(*_counted_quadratic(lin, fac, [0]), project_box_polyhedron, x0,
+                         max_iters=300, tol=1e-12, hess_factor=fac) for fac in (packed, spread)]
+    (x, fx), (x_spread, fx_spread) = runs
+    assert np.max(np.abs(x_spread - x)) <= 1e-12
+    assert np.all(np.abs(fx_spread - fx) <= 1e-12 * np.maximum(1.0, np.abs(fx)))

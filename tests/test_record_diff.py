@@ -140,7 +140,7 @@ def test_reach_lists_the_lines_no_record_runs():
 
 def test_record_sets_run_every_set_in_order(monkeypatch):
     # The configurations alone, without a run: each set of SETS in turn, and desk_hard's
-    # two calls at their QoS targets and alphas, with every scenario.
+    # three calls at their QoS targets, drops and alphas, with every scenario.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import cfmimo as cf
@@ -152,10 +152,12 @@ def test_record_sets_run_every_set_in_order(monkeypatch):
         ("desk_sweep", 0), ("desk_sweep", 1), ("paper_fixed", 0), ("paper_fixed", 1),
         ("paper_fixed", 2), ("paper_qos", 0),
         *(("desk_pins", f"{seed}-{k}") for seed, k in record_diff.PINS),
-        ("desk_hard", "qos1.0"), ("desk_hard", "qos1.2")]
+        ("desk_hard", "qos1.0"), ("desk_hard", "qos1.2"), ("desk_hard", "alpha1-3")]
     hard = {call: config for name, call, config in sets if name == "desk_hard"}
-    for call, qos, alphas in (("qos1.0", 1.0, (0.001, 0.004)), ("qos1.2", 1.2, (0.001,))):
+    for call, qos, drops, alphas in (("qos1.0", 1.0, 40, (0.001, 0.004)),
+                                     ("qos1.2", 1.2, 40, (0.001,)),
+                                     ("alpha1-3", 1.0, 20, (1.0, 3.0))):
         config = hard[call]
         assert config.params.qos == qos and config.alphas == alphas
-        assert (config.network.rng_seed, config.drops) == (7, 40)
+        assert (config.network.rng_seed, config.drops) == (7, drops)
         assert [s.kind for s in config.scenarios] == list(cf.SCENARIO_KINDS)

@@ -43,14 +43,13 @@ def test_breakdown_consistency():
     relaxed = rng.uniform(0.1, 1, (8, 6))
     binary = (rng.uniform(size=(8, 6)) < 0.5).astype(float)
     binary[0] = 1.0
+    model = _column_model(np.arange(6), eta, gamma, beta, gram, params)
     for d in (relaxed, binary):
         vals = cf.sinr_all(eta, d, gamma, beta, gram, params)
-        for t in range(6):
-            model = _column_model(t, eta, gamma, beta, gram, params)
-            signal, interference = _column_terms(d[:, t], model)
-            assert signal / interference == pytest.approx(vals[t], rel=1e-12)
+        signal, interference = _column_terms(d.T, model)
+        assert signal / interference == pytest.approx(vals, rel=1e-12)
     assert gram[4, 1] > 0
-    assert _column_model(4, eta, gamma, beta, gram, params)[1].shape[1] == 0
+    assert _column_model(np.array([4]), eta, gamma, beta, gram, params)[1].shape[2] == 0
 
 
 def test_column_scaling_of_terms():

@@ -18,11 +18,16 @@ DIR/bench/workloads.py (read, never edited):
 - ``desk_pins``: the desk_sweep calls that tests/test_bench_checks.py pins, (seed,
   call) in PINS. Two of them run joint phase I, and two restart their trace after
   an association block; the other sets do neither.
-- ``desk_hard``: ``desk_config(seed=7, drops=40)`` with all five scenarios, at
-  ``alphas=(0.001, 0.004)`` and qos 1.0 (call ``qos1.0``) and at ``alphas=(0.001,)`` and
-  qos 1.2 (call ``qos1.2``). It is the one set whose power rows go unsatisfiable
+- ``desk_hard``: ``desk_config(seed=7)`` with all five scenarios, in three calls: 40
+  drops at ``alphas=(0.001, 0.004)`` and qos 1.0 (call ``qos1.0``), 40 drops at
+  ``alphas=(0.001,)`` and qos 1.2 (call ``qos1.2``), and 20 drops at ``alphas=(1.0, 3.0)``
+  and qos 1.0 (call ``alpha1-3``). It is the one set whose power rows go unsatisfiable
   (``solve_power`` returns unsolved) and whose column bisection runs to its end
-  (``_bound_column``, drop 12, joint, alpha 0.004, qos 1.0).
+  (``_bound_column``, drop 12, joint, alpha 0.004, qos 1.0). Its large penalties hold
+  binding columns on the coverage row (``_face_point``, drops 6 and 17), end a null
+  step's arc where coverage gets tight (``opt._null_steps``, drop 18, alpha 1.0,
+  association_only) and leave an ascent with no member to move (``opt.pga_maximize``,
+  drop 12, alpha 3.0, joint).
 
 ``--desk-only`` runs desk_sweep alone.
 
@@ -73,7 +78,9 @@ import numpy as np
 
 SETS = ("desk_sweep", "paper_fixed", "paper_qos", "desk_pins", "desk_hard")
 PINS = ((5203, 168), (5210, 269), (202, 560), (7310, 213))
-HARD = ((1.0, (0.001, 0.004)), (1.2, (0.001,)))    # desk_hard: (qos, alphas) per call
+# desk_hard: (call, qos, drops, alphas) per call
+HARD = (("qos1.0", 1.0, 40, (0.001, 0.004)), ("qos1.2", 1.2, 40, (0.001,)),
+        ("alpha1-3", 1.0, 20, (1.0, 3.0)))
 FIELDS = ("se", "sum_se", "objective", "max_fronthaul", "trace")
 
 CHILD = """\
@@ -100,7 +107,7 @@ record_diff.print_reach({desk_calls!r}, {full!r})
 
 def record_sets(desk_calls: int, full: bool):
     """(set name, call, config) of every record set, built with the imported workloads;
-    a desk_pins call is named seed-call, a desk_hard call qos<target>."""
+    a desk_pins call is named seed-call, a desk_hard call as in HARD."""
     import cfmimo as cf
     from workloads import WORKLOADS, call_seed
 
@@ -116,9 +123,9 @@ def record_sets(desk_calls: int, full: bool):
     for seed, k in PINS:
         yield "desk_pins", f"{seed}-{k}", WORKLOADS["desk_sweep"].build(cf, call_seed(seed, k),
                                                                         "unused")
-    for qos, alphas in HARD:
-        config = cf.desk_config(seed=7, drops=40, alphas=alphas, output_dir="unused")
-        yield "desk_hard", f"qos{qos}", replace(config, params=replace(config.params, qos=qos))
+    for call, qos, drops, alphas in HARD:
+        config = cf.desk_config(seed=7, drops=drops, alphas=alphas, output_dir="unused")
+        yield "desk_hard", call, replace(config, params=replace(config.params, qos=qos))
 
 
 def _digest(path: Path) -> str:
