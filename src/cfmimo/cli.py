@@ -19,7 +19,8 @@ from .se_model import SystemParams
 
 def _validate_oracle(out_dir: str, seed: int, n_samples: int = 100_000) -> int:
     """Compare closed-form SINR terms against the Monte-Carlo oracle on a small
-    random instance; returns 0 when every term is within 3 standard errors."""
+    random instance, writing the table into the existing directory out_dir; returns 0
+    when every term is within 3 standard errors."""
     rng = np.random.default_rng(seed)
     num_aps, num_ues, antennas, pilots = 4, 3, 2, 2
     beta = 10.0 ** rng.uniform(-1.0, 0.5, size=(num_aps, num_ues))
@@ -33,9 +34,7 @@ def _validate_oracle(out_dir: str, seed: int, n_samples: int = 100_000) -> int:
     d[rng.integers(num_aps, size=num_ues), np.arange(num_ues)] = 1.0
     emp = empirical_sinr_terms(eta, d, beta, assignment, params, n_samples, rng)
     rows = comparison_table(eta, d, gamma, beta, gram, params, emp)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_comparison_csv(out / "oracle_validation.csv", rows)
+    save_comparison_csv(Path(out_dir) / "oracle_validation.csv", rows)
     worst = 0.0
     for row in rows:
         print(f"ue={row['ue']} {row['term']:<24} closed={row['closed_form']:.6g} "
@@ -49,6 +48,16 @@ def _invalid(reason) -> int:
     """Report a bad configuration on one line; the exit status for it."""
     print(f"invalid configuration: {reason}", file=sys.stderr)
     return 2
+
+
+def _make_output_dir(path) -> int:
+    """Create the output directory before any work runs; 0, or the exit status of an
+    invalid path (a file, or a path under one)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _invalid(f"cannot create the output directory {path}: {exc.strerror}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -73,7 +82,8 @@ def main(argv=None) -> int:
     if args.validate_oracle:
         if args.seed is not None and args.seed < 0:
             return _invalid(f"seed must be >= 0, not {args.seed}")
-        return _validate_oracle(args.out or "results", args.seed or 0)
+        out_dir = args.out or "results"
+        return _make_output_dir(out_dir) or _validate_oracle(out_dir, args.seed or 0)
 
     try:
         base = paper_config() if args.paper_scale else desk_config()
@@ -92,12 +102,8 @@ def main(argv=None) -> int:
             config = replace(config, workers=args.workers)
     except ValueError as exc:
         return _invalid(exc)
-    # Before any drop runs: an output path that is a file, or lies under one, fails here.
-    try:
-        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _invalid(f"cannot create the output directory {config.output_dir}: "
-                        f"{exc.strerror}")
+    if status := _make_output_dir(config.output_dir):
+        return status
 
     result = run_experiment(config, progress=True)
     written = emit_results(result, config.output_dir)

@@ -1,7 +1,8 @@
 """Convex-optimization primitives: the exact projection onto the box and coverage,
 [0,1]^n intersected with {1.z >= 1}, projected ascent (projected Newton on concave
-quadratics over that set, with a projected gradient safeguard), and Dykstra and a
-superlevel projection the solver no longer calls.
+quadratics over that set, with a ridge where a reduced system is singular and a
+projected gradient safeguard), and Dykstra and a superlevel projection the solver no
+longer calls.
 
 The projection and the ascent work on a stack of k problems at once, one per row,
 so numpy's per-call cost is paid once per step of the stack rather than once per
@@ -19,11 +20,10 @@ _EPS = 1e-12
 _ARMIJO = 1e-4     # sufficient-ascent fraction of the Armijo test
 _STEP_INIT = 1.0   # first projected gradient trial length
 _STEP_MAX = 1e8    # cap on the Barzilai-Borwein trial length
+_RIDGE = 1e-3      # ridge of a singular reduced Newton system, per unit of its rhs norm
 _NEWTON_TRIALS = 30     # halvings of a Newton step
-_NULL_TRIALS = 9        # arc points of a null step: 8 long ones, then the first bound
 _GRADIENT_TRIALS = 60   # halvings of a projected gradient step
 _PASS_WIDTH = 8         # trials per member in each arc-search pass after the first
-_QUARTERS = 0.25 ** np.arange(_NULL_TRIALS - 1)[:, None]
 
 
 @functools.cache
@@ -194,40 +194,35 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     the entries that project(x + g) puts on a bound go there, and the free entries F
     take the exact maximizer of the quadratic over F, with coverage as an equality when
     project(x + g) lies on it. Where the reduced Hessian is singular (|F| beyond the
-    rank of L, plus coverage) the objective is linear along its null space; the step
-    then follows the null-space part of the gradient along the projection arc, at
-    least to the first bound, so each such step holds one more entry. Such a step is
-    formed only for a member with a free entry strictly inside (0, 1). A projected
-    gradient step, its trial length a safeguarded Barzilai-Borwein estimate, is
-    taken at a vertex with a singular reduced Hessian (the free set is still
-    changing), and when a reduced system is singular or neither step is an Armijo
-    ascent step; a stack with no Newton or null trial tries gradient steps at once.
-    The Barzilai-Borwein length of a step is computed only when another iteration
+    rank of L, plus coverage) the reduced system takes a ridge of _RIDGE times the norm
+    of its right-hand side on F (a regularized Newton step: Li, Fukushima, Qi and
+    Yamashita 2004), which exists wherever the exact one does not, so every member has
+    one step kind. A projected gradient step, its trial length a safeguarded
+    Barzilai-Borwein estimate, is the safeguard: it is taken where a reduced system
+    still fails to solve, or where no halving of the Newton step is an Armijo ascent
+    step. The Barzilai-Borwein length of a step is computed only when another iteration
     follows it.
     """
     x = np.asarray(project(np.asarray(x0, dtype=float)), dtype=float)
     fx = np.asarray(fun(x), dtype=float)
     g = np.asarray(grad(x), dtype=float)
-    k = x.shape[0]
-    newton = x_prev = None
-    step = np.full(k, _STEP_INIT)
-    live = np.ones(k, dtype=bool)
+    rank = (hess_factor != 0.0).any(axis=1).sum(axis=1)
+    step = np.full(x.shape[0], _STEP_INIT)
+    live = np.ones(x.shape[0], dtype=bool)
+    x_prev = None
     for _ in range(max_iters):
         y = np.asarray(project(x + g), dtype=float)
         live &= np.abs(y - x).max(axis=1) > tol
         if not np.count_nonzero(live):
             break
-        if newton is None:
-            newton = _newton_setup(hess_factor, x.shape)
-        else:
+        if x_prev is not None:
             # The Barzilai-Borwein length of the last step, taken only when one follows.
             dx = x - x_prev
             denom = np.vecdot(dx, g_prev - g)
             step = np.minimum(np.where(denom > _EPS, np.vecdot(dx, dx) / np.maximum(denom, _EPS),
                                        2.0 * step), _STEP_MAX)
-        first, rounds, count = _newton_steps(x, g, y, live, hess_factor, *newton)
-        x_new, f_new, moved = _arc_search(fun, project, x, fx, g, first, rounds, count, step,
-                                          live)
+        d, count = _newton_steps(x, g, y, live, hess_factor, rank)
+        x_new, f_new, moved = _arc_search(fun, project, x, fx, g, d, count, step, live)
         if not np.count_nonzero(moved):
             break
         live &= moved            # a member without an ascent step stops
@@ -236,65 +231,25 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     return x, fx
 
 
-def _newton_setup(lfac, shape):
-    """(rank, basis) for _newton_steps: each member's count of nonzero columns of the
-    factor lfac, and the null step's basis (the coverage normal 1, then lfac). A zero
-    column is padding wherever it stands: it adds nothing to the Hessian, and the null
-    step solves it as the identity."""
-    k, n = shape
-    basis = np.empty((k, n, lfac.shape[2] + 1))
-    basis[:, :, 0] = 1.0
-    basis[:, :, 1:] = lfac
-    return (lfac != 0.0).any(axis=1).sum(axis=1), basis
-
-
-def _newton_steps(x, g, y, live, lfac, rank, basis):
-    """The trial steps of each live member's projected Newton step, (first, rounds,
-    count): first(js) stacks the steps of rounds js, and member i tries its rounds
-    j < count[i] <= rounds. count is 0 where there is no Newton step: a singular
-    reduced system, or a null step that does not apply. y is project(x + g). Null
-    steps are formed only for the members with a free entry strictly inside (0, 1);
-    at a vertex the gradient step changes the free set faster (_null_steps). rounds
-    is 0 where no member has a Newton or null trial, and first is then never called."""
+def _newton_steps(x, g, y, live, lfac, rank):
+    """(d, count): each live member's projected Newton step d, which it tries halved
+    count = _NEWTON_TRIALS times; count is 0 for the other members and where a reduced
+    system fails to solve. y is project(x + g); rank counts each member's nonzero
+    factor columns."""
     free = (y > 0.0) & (y < 1.0)
     nf = free.sum(axis=1)
-    tight = np.vecdot(basis[:, :, 0], y) <= 1.0 + 1e-12
-    null = nf > rank + tight
-    newton = live & ~null
-    null &= live
-    if np.count_nonzero(null):
-        null &= (free & (x > 0.0) & (x < 1.0)).any(axis=1)
-    count = np.zeros(x.shape[0], dtype=int)
-    d = trials = None
-    n_newton = np.count_nonzero(newton)
-    if n_newton:
-        sub = (free, nf, tight) if n_newton == newton.size else \
-            (free & newton[:, None], nf * newton, tight & newton)
-        d, ok = _reduced_steps(x, g, y, *sub, lfac)
-        count[newton & ok] = _NEWTON_TRIALS
-    if np.count_nonzero(null):
-        sub = (free, tight) if null.all() else (free & null[:, None], tight & null)
-        trials, go, n_long = _null_steps(x, g, *sub, basis)
-        count[go] = n_long[go] + 1
-
-    def first(js):
-        # Rounds js of the Newton steps, halving from d, and of the null steps, along
-        # their arc; a member runs out of them at its count.
-        if d is None:
-            return trials[np.minimum(js, _NULL_TRIALS - 1)]
-        halved = 0.5 ** js[:, None, None] * d
-        if trials is None:
-            return halved
-        return np.where(null[:, None], trials[np.minimum(js, _NULL_TRIALS - 1)], halved)
-
-    rounds = _NEWTON_TRIALS if d is not None else _NULL_TRIALS if trials is not None else 0
-    return first, rounds, count
+    tight = np.vecdot(_ones(x.shape[1]), y) <= 1.0 + 1e-12
+    sub = (free, nf, tight) if live.all() else \
+        (free & live[:, None], nf * live, tight & live)
+    d, ok = _reduced_steps(x, g, y, *sub, lfac, rank)
+    return d, np.where(live & ok, _NEWTON_TRIALS, 0)
 
 
-def _reduced_steps(x, g, y, free, nf, tight, lfac):
+def _reduced_steps(x, g, y, free, nf, tight, lfac, rank):
     """(d, ok): the Newton steps of the members with nf free entries (marked in free);
-    ok is False where a reduced system is singular. The systems are zero-padded to
-    the largest and solved at once; a member without free entries gets its step
+    a member with more free entries than its rank, plus coverage, takes the ridge, and
+    ok is False where a reduced system is still singular. The systems are zero-padded
+    to the largest and solved at once; a member without free entries gets its step
     d = y - x."""
     d = y - x                    # held entries go to their bound at y
     d[free] = 0.0
@@ -314,6 +269,10 @@ def _reduced_steps(x, g, y, free, nf, tight, lfac):
         rhs = np.zeros((k, m))
         rhs[rows, slot] = g[rows, cols] - 2.0 * np.vecdot(l_free, np.vecmat(d, lfac)[rows])
         mat = 2.0 * lf @ lf.mT
+        # A singular reduced Hessian (more free entries than its rank, plus coverage)
+        # takes the ridge on its free slots; the others keep their exact system.
+        ridge = np.where(nf > rank + tight, _RIDGE * np.linalg.norm(rhs, axis=1), 0.0)
+        mat[rows, slot, slot] += ridge[rows]
         if np.count_nonzero(tight):
             t = tight.nonzero()[0]
             border = np.zeros((k, m))
@@ -327,57 +286,6 @@ def _reduced_steps(x, g, y, free, nf, tight, lfac):
         sol, ok = _solve_each(mat, rhs)
         d[rows, cols] = sol[rows, slot]
     return d, ok
-
-
-def _null_steps(x, g, free, tight, basis):
-    """(steps, go, n_long) for the members with free entries (marked in free), whose
-    reduced Hessian is singular. The objective is linear along the part p of the free
-    gradient orthogonal to the free rows of L (and to the coverage normal 1 when
-    tight), up to the first bound of the box or coverage. Member i tries steps[j, i]
-    for j <= n_long[i] where go; go is False for the other members and when p would
-    push an entry on a bound out. Each member given has a free entry strictly inside
-    (0, 1): at a vertex (every free entry on a bound) p nearly always would push one
-    out, and the gradient step changes the free set faster, so _newton_steps forms no
-    null step there."""
-    k = x.shape[0]
-    # p = g_F - B (B^T B)^-1 B^T g_F for B the free rows of basis, the normal kept only
-    # when tight; zero columns (padding, coverage where loose) solve as the identity.
-    b = basis * free[:, :, None]
-    b[:, :, 0] *= tight[:, None]
-    g_f = g * free
-    gram = b.mT @ b
-    diagonal = gram.reshape(k, -1)[:, ::gram.shape[-1] + 1]     # a writable view
-    diagonal += diagonal == 0.0
-    coef, ok = _solve_each(gram, np.vecmat(g_f, b))
-    p = (g_f - np.matvec(b, coef)) * free
-    members = np.arange(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = (p > 0.0) - x              # to the bound p moves toward
-        limits = gap / p
-        limits[p == 0.0] = np.inf
-        # In the box the limits are >= 0, and 0 where p pushes an entry on a bound out.
-        first = limits.argmin(axis=1)
-        s_first = limits[members, first]
-        go = (s_first > 0.0) & (s_first < np.inf) & ok
-        s_first = np.where(go, s_first, 0.0)
-        # Try the arc project(x + s p) from the step at which every entry p moves has
-        # reached its bound, shortening it 4x down to the first bound, which is exact.
-        lengths = np.zeros((_NULL_TRIALS, k))
-        lengths[:-1] = np.where(limits < np.inf, limits, 0.0).max(axis=1) * _QUARTERS
-        n_long = (lengths[:-1] > 2.0 * s_first).sum(axis=0)
-        lengths[n_long, members] = s_first
-        # Loose coverage that p leaves before the first bound ends the arc there.
-        slope = np.vecdot(basis[:, :, 0], p)
-        s_row = (np.vecdot(basis[:, :, 0], x) - 1.0) / -slope
-        short = go & ~tight & (slope < 0.0) & (s_row < s_first)
-        exact = go
-        if short.any():
-            lengths[n_long[short], short.nonzero()[0]] = s_row[short]
-            exact = go & ~short
-        steps = lengths[:, :, None] * p
-    e = exact.nonzero()[0]
-    steps[n_long[e], e, first[e]] = gap[e, first[e]]
-    return steps, go, n_long
 
 
 def _solve_each(mat, rhs):
@@ -395,32 +303,32 @@ def _solve_each(mat, rhs):
         return sol, ok
 
 
-def _arc_search(fun, project, x, fx, g, first, rounds, count, step, live):
+def _arc_search(fun, project, x, fx, g, d, count, step, live):
     """(x_new, fun(x_new), moved): for each live member, the first x_new = project(x +
-    s) that passes the Armijo test, s running through its first(j), j < count, and then
-    projected gradient steps halving from step * g; x_new stays x where none does.
-    Each pass tries the next trials of every member at once, one in the first pass
-    (which most members pass) and _PASS_WIDTH in each later one: one project call and
-    at most one fun call on the (w, k, n) stack of trials."""
+    s) that passes the Armijo test, s running through the Newton steps 0.5^j d, j <
+    count, and then projected gradient steps halving from step * g; x_new stays x where
+    none does. Each pass tries the next trials of every member at once, one in the first
+    pass (which most members pass) and _PASS_WIDTH in each later one: one project call
+    and at most one fun call on the (w, k, n) stack of trials."""
     x_new, f_new, todo = x, fx, live
-    # Members take gradient steps from round min(count) on, and run out from min(end) on.
-    live_count = count[live]
-    start = int(live_count.min(initial=rounds))
-    stop = int(live_count.max(initial=0)) + _GRADIENT_TRIALS
+    # Members take gradient steps from round min(count) on, and Newton steps up to max(count).
+    start, end = int(count[live].min()), int(count[live].max())
+    stop = end + _GRADIENT_TRIALS
     gradient = None
     j = 0
     while j < stop:
         js = np.arange(j, min(stop, j + (_PASS_WIDTH if j else 1)))
         j = int(js[-1]) + 1
+        newton = 0.5 ** js[:, None, None] * d if js[0] < end else None
         if j > start:
             if gradient is None:
                 # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step.
                 gradient = step * 2.0 ** count
             trial = (gradient * 0.5 ** js[:, None])[:, :, None] * g
-            if js[0] < rounds:
-                trial = np.where((js[:, None] < count)[:, :, None], first(js), trial)
+            if newton is not None:
+                trial = np.where((js[:, None] < count)[:, :, None], newton, trial)
         else:
-            trial = first(js)
+            trial = newton
         # Members without a trial stay at x, which the projection keeps cheaply.
         z = np.asarray(project(x + np.where(todo[:, None], trial, 0.0)), dtype=float)
         slope = np.vecdot(g, z - x)

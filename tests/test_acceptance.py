@@ -2,7 +2,6 @@
 see them live); tolerances are fixed constants, not tuned per run."""
 
 import math
-import os
 import time
 from dataclasses import replace
 
@@ -177,8 +176,6 @@ def test_criterion_5_scenario_dominance(desk_experiment):
            f"(joint {joint:.3f} vs {', '.join(f'{k}={v:.3f}' for k, v in others.items())})")
 
 
-@pytest.mark.skipif(not os.environ.get("CFMIMO_PAPER_SCALE"),
-                    reason="full-scale run; set CFMIMO_PAPER_SCALE=1 to enable")
 def test_criterion_5b_paper_scale_margin():
     config = replace(cf.paper_config(seed=SEED), alphas=(0.001,),
                      scenarios=(cf.Scenario(kind="full_power_all_serve"),

@@ -1052,17 +1052,13 @@ def test_joint_column_bisection_runs_to_its_end(monkeypatch):
     pytest.param(17, 3.0, "joint",
                  (fp_solver._face_point, "mat[:m, m + 1] = mat[m + 1, :m] = 1.0"),
                  id="face-coverage-tight-17"),
-    pytest.param(18, 1.0, "association_only",
-                 (opt._null_steps, "lengths[n_long[short], short.nonzero()[0]] = s_row[short]"),
-                 id="null-arc-ends-on-coverage"),
     pytest.param(12, 3.0, "joint", (opt.pga_maximize, "if not np.count_nonzero(moved):", 1),
                  id="ascent-with-no-move")])
 def test_large_penalties_reach_the_coverage_branches(monkeypatch, drop, alpha, kind, counted):
     # Record set desk_hard's call alpha1-3 (alphas 1 and 3, qos 1.0) reaches, once each,
-    # three branches that no record at alpha <= 0.004 runs: a binding column's face
-    # Newton held on the coverage row (_face_point), a null step whose arc ends where
-    # coverage gets tight (opt._null_steps) and an ascent in which no member moves
-    # (opt.pga_maximize). The solve alone gives its record in the set.
+    # two branches that no record at alpha <= 0.004 runs: a binding column's face
+    # Newton held on the coverage row (_face_point) and an ascent in which no member
+    # moves (opt.pga_maximize). The solve alone gives its record in the set.
     record, recorded, hits = _hard_solve_alone(monkeypatch, "alpha1-3", drop, alpha, kind,
                                                counted)
     assert len(hits) == 1

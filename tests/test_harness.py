@@ -434,19 +434,24 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
-def test_cli_rejects_an_output_path_it_cannot_create(tmp_path, capsys, monkeypatch, under):
+@pytest.mark.parametrize("under, oracle", [(False, False), (True, False), (False, True),
+                                           (True, True)],
+                         ids=["file", "under_file", "oracle-file", "oracle-under_file"])
+def test_cli_rejects_an_output_path_it_cannot_create(tmp_path, capsys, monkeypatch, under,
+                                                     oracle):
     # An --out path that is a file, or lies under one, is reported on one line before
-    # any drop runs, and the file is left as it was.
-    from cfmimo.cli import main
+    # any drop runs or any oracle sample is drawn, and the file is left as it was.
+    import cfmimo.cli
     blocker = tmp_path / "file"
     blocker.write_text("kept")
-    drops = []
-    monkeypatch.setattr(cf.harness, "_run_drop", lambda *args: drops.append(args))
-    code = main(["--drops", "1", "--scenario", "full_power_all_serve",
-                 "--out", str(blocker / "out" if under else blocker)])
+    work = []
+    monkeypatch.setattr(cf.harness, "_run_drop", lambda *args: work.append(args))
+    monkeypatch.setattr(cfmimo.cli, "empirical_sinr_terms", lambda *args: work.append(args))
+    mode = ["--validate-oracle"] if oracle else ["--drops", "1", "--scenario",
+                                                  "full_power_all_serve"]
+    code = cfmimo.cli.main([*mode, "--out", str(blocker / "out" if under else blocker)])
     err = capsys.readouterr().err
-    assert code == 2 and not drops
+    assert code == 2 and not work
     assert err.startswith("invalid configuration: cannot create the output directory ")
     assert err.count("\n") == 1
     assert blocker.read_text() == "kept"

@@ -229,12 +229,12 @@ def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
     assert np.array_equal(x[0, :2], [1.0, 1.0]) and not x[0, 2:].any()
 
 
-def test_vertex_start_enters_no_null_step(monkeypatch):
+def test_vertex_start_takes_ridge_steps(monkeypatch):
     # The first association block's shape: a stack started at the all-ones vertex with
     # mixed-rank factors padded by trailing zero columns. At the start every member's
-    # reduced Hessian is singular (12 free entries against a rank of at most 3), and
-    # a null step needs a free entry strictly inside (0, 1), so none is formed while
-    # the members sit at a vertex. Each member still ends where it ends alone.
+    # reduced Hessian is singular (12 free entries against a rank of at most 3), so each
+    # takes the ridged Newton step: its first step is a halving of the Newton step d,
+    # not a gradient step. Each member still ends where it ends alone.
     rng = np.random.default_rng(11)
     k, n = 6, 12
     ranks = (1, 2, 3, 3, 2, 1)
@@ -249,18 +249,21 @@ def test_vertex_start_enters_no_null_step(monkeypatch):
     fun, grad = _counted_quadratic(lin, fac, grads)
     y = project_box_polyhedron(x0 + grad(x0))
     assert np.all(((y > 0.0) & (y < 1.0)).sum(axis=1) > np.array(ranks) + 1)
-    entered = []
-    null_steps = opt._null_steps
+    searches = []
+    arc_search = opt._arc_search
 
-    def recording(x, g, free, tight, basis):
-        members = free.any(axis=1)
-        entered.append((free & (x > 0.0) & (x < 1.0)).any(axis=1)[members].all())
-        return null_steps(x, g, free, tight, basis)
+    def recording(fun, project, x, fx, g, d, count, step, live):
+        out = arc_search(fun, project, x, fx, g, d, count, step, live)
+        searches.append((x, d, count, out[0]))
+        return out
 
-    monkeypatch.setattr(opt, "_null_steps", recording)
+    monkeypatch.setattr(opt, "_arc_search", recording)
     x, fx = pga_maximize(fun, grad, project_box_polyhedron, x0, max_iters=300, tol=1e-12,
                          hess_factor=fac)
-    assert all(entered)
+    x_start, d, count, x_first = searches[0]
+    assert np.array_equal(x_start, x0) and np.all(count == opt._NEWTON_TRIALS)
+    halved = project_box_polyhedron(x0 + 0.5 ** np.arange(opt._NEWTON_TRIALS)[:, None, None] * d)
+    assert np.all((halved == x_first).all(axis=2).any(axis=0))
     for i in range(k):
         one = slice(i, i + 1)
         xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], [0]),
@@ -271,24 +274,66 @@ def test_vertex_start_enters_no_null_step(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_zero_factor_columns_are_padding_wherever_they_stand(seed):
+def test_zero_factor_columns_are_padding_wherever_they_stand(monkeypatch, seed):
     # The stack of test_batched_ascent_moves_each_member_as_alone (ranks 1 to 3, a
     # singular member, a linear one) with each member's factor columns spread to slots
-    # 1, 3 and 5 of 7: zero columns before, between and after the nonzero ones. Each
-    # member's rank counts only its nonzero columns, and the ascent ends within 1e-12
-    # of the one on the packed factors.
+    # 1, 3 and 5 of 7: zero columns before, between and after the nonzero ones. The
+    # rank the Newton steps read counts only each member's nonzero columns, and the
+    # ascent ends within 1e-12 of the one on the packed factors.
     rng = np.random.default_rng(seed)
     k, n = 6, 12
     lin, packed, x0 = _box_coverage_quadratics(rng, k, n)
     spread = np.zeros((k, n, 7))
     spread[:, :, [1, 3, 5]] = packed
-    rank, basis = opt._newton_setup(spread, (k, n))
-    assert rank.tolist() == (packed != 0.0).any(axis=1).sum(axis=1).tolist()
-    assert np.array_equal(rank, opt._newton_setup(packed, (k, n))[0])
-    assert np.array_equal(basis[:, :, 0], np.ones((k, n)))
-    assert np.array_equal(basis[:, :, 1:], spread)
+    ranks = []
+    newton_steps = opt._newton_steps
+
+    def recording(x, g, y, live, lfac, rank):
+        ranks.append(rank.tolist())
+        return newton_steps(x, g, y, live, lfac, rank)
+
+    monkeypatch.setattr(opt, "_newton_steps", recording)
     runs = [pga_maximize(*_counted_quadratic(lin, fac, [0]), project_box_polyhedron, x0,
                          max_iters=300, tol=1e-12, hess_factor=fac) for fac in (packed, spread)]
+    assert ranks and all(r == (packed != 0.0).any(axis=1).sum(axis=1).tolist() for r in ranks)
     (x, fx), (x_spread, fx_spread) = runs
     assert np.max(np.abs(x_spread - x)) <= 1e-12
     assert np.all(np.abs(fx_spread - fx) <= 1e-12 * np.maximum(1.0, np.abs(fx)))
+
+
+def _slsqp_max(lin, fac, x0):
+    """SciPy SLSQP's maximum of lin.x - ||fac^T x||^2 over the box and coverage from x0."""
+    optimize = pytest.importorskip("scipy.optimize")
+    fun, grad = _counted_quadratic(lin[None], fac[None], [0])
+    ref = optimize.minimize(lambda z: -fun(z[None])[0], x0, jac=lambda z: -grad(z[None])[0],
+                            method="SLSQP", bounds=[(0.0, 1.0)] * x0.size,
+                            constraints=[{"type": "ineq", "fun": lambda z: z.sum() - 1.0,
+                                          "jac": lambda z: np.ones_like(z)}],
+                            options={"ftol": 1e-14, "maxiter": 1000})
+    return -ref.fun
+
+
+def test_ridge_steps_reach_the_slsqp_optimum(monkeypatch):
+    # The stacks of test_batched_ascent_moves_each_member_as_alone (ranks 0 to 3, linear
+    # members among them) over 200 seeds: members whose reduced Hessian is singular
+    # (more free entries than rank plus coverage) take the ridged Newton step, and every
+    # member ends within rounding of SLSQP's best value from its start and from ones.
+    singular = [0]
+    newton_steps = opt._newton_steps
+
+    def recording(x, g, y, live, lfac, rank):
+        free = (y > 0.0) & (y < 1.0)
+        tight = y.sum(axis=1) <= 1.0 + 1e-12
+        singular[0] += np.count_nonzero(live & (free.sum(axis=1) > rank + tight))
+        return newton_steps(x, g, y, live, lfac, rank)
+
+    monkeypatch.setattr(opt, "_newton_steps", recording)
+    k, n = 6, 12
+    for seed in range(200):
+        lin, fac, x0 = _box_coverage_quadratics(np.random.default_rng(seed), k, n)
+        x, fx = pga_maximize(*_counted_quadratic(lin, fac, [0]), project_box_polyhedron, x0,
+                             max_iters=400, tol=1e-12, hess_factor=fac)
+        for i in range(k):
+            best = max(_slsqp_max(lin[i], fac[i], x0[i]), _slsqp_max(lin[i], fac[i], np.ones(n)))
+            assert fx[i] >= best - 1e-14 * max(1.0, abs(best)), (seed, i)
+    assert singular[0] > 1000

@@ -1,7 +1,7 @@
 """Smoke tests of tools/record_diff.py: dump one desk call, diff it against itself,
 against a copy with changed file digests and against one with a moved record; time a
 tree against itself, in all and per scenario kind; list the solver lines one desk call
-does not run."""
+does not run; refuse a tree root without the package."""
 
 import hashlib
 import inspect
@@ -136,6 +136,21 @@ def test_reach_lists_the_lines_no_record_runs():
     assert len(rule) == len(oracle) + 5 and not rule & missed
     assert [line.split(":")[0] for line in lines if not line.startswith("  ")] == [
         "fp_solver.py", "opt.py"]
+
+
+@pytest.mark.parametrize("command", [
+    ["dump", "--src", str(ROOT / "src"), "--out", "unused.npz"],
+    ["reach", "--src", str(ROOT / "src")],
+    ["time", str(ROOT), str(ROOT / "src")]], ids=["dump", "reach", "time"])
+def test_a_root_without_the_package_is_one_usage_error(command, tmp_path):
+    # A tree root given as its src/ is refused on one usage line, before any run.
+    run = subprocess.run([sys.executable, str(TOOL), *command], capture_output=True, text=True,
+                         cwd=tmp_path)
+    assert run.returncode == 2 and not run.stdout
+    assert run.stderr.splitlines()[-1] == (
+        f"record_diff.py: error: {ROOT / 'src'} is no tree root: it has no src/cfmimo or "
+        "bench/workloads.py")
+    assert "Traceback" not in run.stderr and not list(tmp_path.iterdir())
 
 
 def test_record_sets_run_every_set_in_order(monkeypatch):

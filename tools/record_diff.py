@@ -24,12 +24,11 @@ DIR/bench/workloads.py (read, never edited):
   and qos 1.0 (call ``alpha1-3``). It is the one set whose power rows go unsatisfiable
   (``solve_power`` returns unsolved) and whose column bisection runs to its end
   (``_bound_column``, drop 12, joint, alpha 0.004, qos 1.0). Its large penalties hold
-  binding columns on the coverage row (``_face_point``, drops 6 and 17), end a null
-  step's arc where coverage gets tight (``opt._null_steps``, drop 18, alpha 1.0,
-  association_only) and leave an ascent with no member to move (``opt.pga_maximize``,
-  drop 12, alpha 3.0, joint).
+  binding columns on the coverage row (``_face_point``, drops 6 and 17) and leave an
+  ascent with no member to move (``opt.pga_maximize``, drop 12, alpha 3.0, joint).
 
-``--desk-only`` runs desk_sweep alone.
+``--desk-only`` runs desk_sweep alone. `dump`, `reach` and `time` refuse, with one
+usage error, a tree root without ``src/cfmimo`` or ``bench/workloads.py``.
 
 Each set's configurations are also emitted (``harness.emit_results``) into a
 temporary directory, and the dump keeps one SHA-256 digest per emitted file, with
@@ -372,8 +371,18 @@ def main(argv=None):
                         help="calls per round (a cap on any set but desk_sweep)")
     timing.add_argument("--rounds", type=int, default=4, help="rounds over the calls")
     args = parser.parse_args(argv)
+
+    def tree_root(path):
+        # The resolved root of a tree, or one usage error where it lacks the package or
+        # the workloads (a path to its src/, say).
+        missing = [part for part in ("src/cfmimo", "bench/workloads.py")
+                   if not (Path(path) / part).exists()]
+        if missing:
+            parser.error(f"{path} is no tree root: it has no {' or '.join(missing)}")
+        return Path(path).resolve()
+
     if args.command in ("dump", "reach"):
-        root = Path(args.src).resolve()
+        root = tree_root(args.src)
         paths = dict(src=str(root / "src"), bench=str(root / "bench"),
                      tools=str(Path(__file__).resolve().parent), desk_calls=args.desk_calls,
                      full=not args.desk_only)
@@ -383,7 +392,7 @@ def main(argv=None):
     elif args.command == "time":
         if args.calls < 1 or args.rounds < 1:
             parser.error("--calls and --rounds must be positive")
-        roots = [Path(p).resolve() for p in (args.first, args.second)]
+        roots = [tree_root(p) for p in (args.first, args.second)]
         walls, solves = time_trees(roots, args.name, args.calls, args.rounds)
         for root, wall, kinds in zip(roots, walls, solves):
             times = [t for kind in kinds.values() for t in kind]
