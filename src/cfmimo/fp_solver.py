@@ -10,7 +10,8 @@ association column, so the two block maximizations never decrease it. The power
 block is solved through its separable Lagrangian dual, each UE's power in closed
 form for fixed multipliers: without a QoS target it returns that closed form over
 the box at once, and with targets it takes projected Newton steps on the
-multipliers of the QoS rows (Bertsekas 1982). The association block first
+multipliers of the QoS rows (Bertsekas 1982), with a ridge on a singular dual Hessian
+(Li, Fukushima, Qi and Yamashita 2004). The association block first
 settles, in one batched (M, T) test, every column that passes the column ascent's
 own stop test and meets its QoS target. Each other column x has one model (which
 the repair reads too): signal (c.x)^2 and interference plus noise
@@ -59,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .opt import pga_maximize, project_box_polyhedron
+from .opt import _NEWTON_TRIALS, _RIDGE, pga_maximize, project_box_polyhedron
 from .se_model import (SinrForm, SystemParams, l1_penalty, meets_qos, qos_vector, sinr_form,
                        spectral_efficiency)
 
@@ -219,12 +220,9 @@ def _dual_power_solve(lin, b_vec, normals, offsets):
 
     For fixed multipliers mu the inner maximization splits per UE with a
     closed-form solution e(mu), at lam = lin - normals^T mu. The convex dual is
-    minimized by projected Newton steps (Bertsekas 1982): the multipliers at 0 with a
-    positive gradient are held, and the free ones take the Newton step of the dual
-    Hessian normals diag(2 e_t/lam_t) normals^T, whose UE t terms are those off the
-    cap (lam_t > 0, e_t < 1), where e_t = (b_t/2 lam_t)^2. A backtracked projected
-    gradient step is the safeguard where that step fails. Without rows, the
-    closed-form maximizer over the box, where the first stop test holds.
+    minimized by projected Newton steps (Bertsekas 1982, _newton_direction), each
+    halved until the dual descends. Without rows, the closed-form maximizer over the
+    box, where the first stop test holds.
     """
     mu = np.zeros(offsets.size)
 
@@ -237,42 +235,34 @@ def _dual_power_solve(lin, b_vec, normals, offsets):
     def broken(st):
         return float(np.max(-np.minimum(st[2], 0.0), initial=0.0))
 
-    def arc(direction, scale, tries):
-        # (mu', state, scale) at the first mu' = max(mu - scale direction, 0), halving
-        # scale, where the dual descends. It is convex, so a nonpositive slope at mu'
-        # along the step proves descent where the two values agree to rounding.
-        for _ in range(tries):
-            m = np.maximum(mu - scale * direction, 0.0)
-            st = state(m)
-            if st[3] <= cur[3] or float(st[2] @ (m - mu)) <= 0.0:
-                return m, st, scale
-            scale *= 0.5
-        return None
-
     cur = state(mu)
-    step = 1.0
     for _ in range(_DUAL_MAX_ITERS):
         # Stop on primal feasibility and a duality gap mu.grad near rounding.
         if broken(cur) <= _DUAL_TOL and abs(float(mu @ cur[2])) <= 1e-12 * (1.0 + abs(cur[3])):
             break
         direction = _newton_direction(*cur[:3], mu, normals)
-        found = None if direction is None else arc(direction, 1.0, 30)
-        if found is None:
-            found = arc(cur[2], step, 40)
-            if found is None:
+        # Halve the step to the first m = max(mu - scale direction, 0) where the dual
+        # descends. It is convex, so a nonpositive slope at m along the step proves
+        # descent where the two values agree to rounding.
+        scale = 1.0
+        for _ in range(_NEWTON_TRIALS):
+            m = np.maximum(mu - scale * direction, 0.0)
+            st = state(m)
+            if st[3] <= cur[3] or float(st[2] @ (m - mu)) <= 0.0:
                 break
-            step = 1.5 * found[2]
-        if not np.any(found[0] - mu):
+            scale *= 0.5
+        else:
             break
-        mu, cur = found[:2]
+        if not np.any(m - mu):
+            break
+        mu, cur = m, st
     # The stop test leaves rows broken by up to tol in eta, and a UE's SE can then miss
     # its target by more than se_model.meets_qos allows. Newton converges fast on the
     # active set: its full steps, while they shrink the broken rows, meet them to rounding.
     for _ in range(3):
-        direction = _newton_direction(*cur[:3], mu, normals) if broken(cur) > 0 else None
-        if direction is None:
+        if broken(cur) <= 0.0:
             break
-        m = np.maximum(mu - direction, 0.0)
+        m = np.maximum(mu - _newton_direction(*cur[:3], mu, normals), 0.0)
         st = state(m)
         if broken(st) >= broken(cur):
             break
@@ -282,8 +272,12 @@ def _dual_power_solve(lin, b_vec, normals, offsets):
 
 def _newton_direction(lam, e, grad, mu, normals):
     """The projected Newton direction of the power dual at mu: the Newton step of the
-    free multipliers, 0 on the held ones (at 0 with a positive gradient); None where
-    the free Hessian is singular or the step is no descent direction."""
+    free multipliers, 0 on the held ones (at 0 with a positive gradient). The free
+    Hessian normals_F diag(2 e_t/lam_t) normals_F^T has UE t terms only off the cap
+    (lam_t > 0, e_t < 1), where e_t = (b_t/2 lam_t)^2, so its rank is at most their
+    count; where that is below the number of free multipliers, the Hessian takes a
+    ridge of _RIDGE times the norm of the free gradient (Li, Fukushima, Qi and
+    Yamashita 2004)."""
     free = (mu > 0) | (grad <= 0)
     # -de_t/dlam_t = b_t^2/(2 lam_t^3) = 2 e_t/lam_t off the cap, 0 on it.
     bend = (lam > 0) & (e < 1)
@@ -291,14 +285,10 @@ def _newton_direction(lam, e, grad, mu, normals):
     curv[bend] = 2.0 * e[bend] / lam[bend]
     rows = normals[free]
     hess = (rows * curv) @ rows.T
-    try:
-        step = np.linalg.solve(hess, grad[free])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(step)) or float(grad[free] @ step) <= 0.0:
-        return None
+    if np.count_nonzero(bend) < rows.shape[0]:
+        hess[np.diag_indices_from(hess)] += _RIDGE * np.linalg.norm(grad[free])
     direction = np.zeros(mu.size)
-    direction[free] = step
+    direction[free] = np.linalg.solve(hess, grad[free])
     return direction
 
 

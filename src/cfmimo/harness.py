@@ -290,8 +290,8 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
             raise ValueError(f"unknown configuration field {prefix + key!r}")
         if isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], val, f"{prefix}{key}.")
-        elif isinstance(val, bool) and isinstance(out.get(key), float):
-            # JSON true would load as the number 1.
+        elif isinstance(val, (bool, str)) and isinstance(out.get(key), float):
+            # JSON true would load as the number 1, and "1e3" as the number it spells.
             raise ValueError(f"{prefix + key} must be a number, not {val!r}")
         else:
             out[key] = val

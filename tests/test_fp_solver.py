@@ -606,60 +606,64 @@ def test_joint_keeps_untargeted_ues_powered_without_a_least_power_start(desk_cha
     assert res.feasibility.all()
 
 
-@pytest.mark.parametrize("seed, newton", [
-    *(pytest.param(seed, True, id=str(seed)) for seed in (25, 32, 36)),
-    *(pytest.param(seed, False, id=f"{seed}-safeguard") for seed in (25, 32, 36))])
-def test_solve_power_meets_satisfiable_rows_from_infeasible_init(monkeypatch, seed, newton):
+@pytest.mark.parametrize("seed, step_back", [
+    *(pytest.param(seed, False, id=str(seed)) for seed in (25, 32, 36)),
+    *(pytest.param(seed, True, id=f"{seed}-safeguard") for seed in (25, 32, 36))])
+def test_solve_power_meets_satisfiable_rows_from_infeasible_init(monkeypatch, seed, step_back):
     # Nearly empty polyhedra where the QoS-tracking powers miss a target, so eta_init
-    # cannot anchor a step-back; the dual meets the rows itself. Without Newton steps,
-    # its projected gradient safeguard alone runs into the dual's iteration cap with a
-    # row broken, and the step-back toward the least powers meets every row.
+    # cannot anchor a step-back; the dual meets the rows itself. Where the dual stops
+    # short (here: at its row-free point), solve_power's safeguard steps back toward
+    # the least QoS powers, to the first point of that segment where every row holds.
     channel, form, eta0, aux, (lin, b_vec, _), (normals, offsets) = build_power_block(seed,
                                                                                       qos=1.2)
+    gth = _qos_thresholds(channel[3], eta0.size)
     assert np.min(normals @ eta0 - offsets) < -1e-8
-    if not newton:
-        monkeypatch.setattr(fp_solver, "_newton_direction", lambda *args: None)
-        assert np.min(normals @ _dual_power_solve(lin, b_vec, normals, offsets) - offsets) < -1e-8
-    eta = cf.solve_power(form, aux.gamma_aux, aux.u, _qos_thresholds(channel[3], eta0.size),
-                         channel[3], eta_init=eta0)
+    if step_back:
+        unconstrained = _dual_power_solve(lin, b_vec, normals[:0], offsets[:0])
+        assert np.min(normals @ unconstrained - offsets) < -1e-8
+        monkeypatch.setattr(fp_solver, "_dual_power_solve", lambda *args: unconstrained)
+    eta = cf.solve_power(form, aux.gamma_aux, aux.u, gth, channel[3], eta_init=eta0)
     assert np.min(normals @ eta - offsets) >= -1e-8
+    if step_back:
+        direction = _qos_rows(*form.sinr, gth)[2] - unconstrained
+        s = (eta - unconstrained) @ direction / (direction @ direction)
+        assert 0.0 < s <= 1.0
+        assert np.allclose(eta, unconstrained + s * direction, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed, qos, capped", [
-    *(pytest.param(seed, qos, False, id=f"{seed}-{qos}") for seed, qos in ((0, 0.8), (13, 1.2))),
-    *(pytest.param(seed, qos, True, id=f"{seed}-{qos}-capped")
-      for seed, qos in ((0, 0.5), (2, 1.0), (6, 1.0)))])
-def test_dual_power_safeguard_alone_reaches_the_constrained_optimum(monkeypatch, seed, qos,
-                                                                   capped):
-    # Newton steps leave the projected gradient safeguard no work on any record set.
-    # With every Newton direction refused it still reaches SLSQP's optimum and meets
-    # the rows to the dual's stop tolerance. Unpatched, it runs on a block with
-    # b >= 2 lin + 1e-3: every UE sits at its cap at mu = 0, where the free dual
-    # Hessian is singular and _newton_direction returns None.
-    channel, form, eta0, aux, coefs, rows = build_power_block(seed, qos)
-    lin, b_vec, const = coefs
-    refused = []
-    if capped:
-        b_vec = np.maximum(b_vec, 2.0 * lin + 1e-3)
-        coefs = lin, b_vec, const
-        assert np.all(_box_maximizer(lin, b_vec) == 1.0)
-        newton_direction = fp_solver._newton_direction
+@pytest.mark.parametrize("seed, qos", [
+    pytest.param(seed, qos, id=f"{seed}-{qos}-capped")
+    for seed, qos in ((0, 0.5), (2, 1.0), (6, 1.0), (25, 1.2), (36, 1.2))])
+def test_dual_power_safeguard_alone_reaches_the_constrained_optimum(monkeypatch, seed, qos):
+    # On a block with b >= 2 lin + 1e-3 every UE sits at its cap at mu = 0, where the
+    # free dual Hessian is zero: the Newton direction there takes the ridge alone,
+    # g_F / (_RIDGE ||g_F||). The ridged steps still reach SLSQP's optimum and meet the
+    # rows to rounding. (25, 1.2) takes 5 ridged steps and (36, 1.2) about 200 dual
+    # evaluations; no record set runs a ridged step. SLSQP starts at the cap point
+    # e(0) = ones: from the QoS-tracking powers it stops (status 8) on (36, 1.2) with a
+    # row broken by 3.7e-7, 2.4e-6 above the optimum.
+    channel, form, eta0, aux, (lin, b_vec, const), rows = build_power_block(seed, qos)
+    b_vec = np.maximum(b_vec, 2.0 * lin + 1e-3)
+    coefs = lin, b_vec, const
+    assert np.all(_box_maximizer(lin, b_vec) == 1.0)
+    newton_direction = fp_solver._newton_direction
+    calls = []
 
-        def spied(*args):
-            direction = newton_direction(*args)
-            refused.append(direction is None)
-            return direction
+    def spied(*args):
+        calls.append((args, newton_direction(*args)))
+        return calls[-1][1]
 
-        monkeypatch.setattr(fp_solver, "_newton_direction", spied)
-    else:
-        monkeypatch.setattr(fp_solver, "_newton_direction", lambda *args: None)
+    monkeypatch.setattr(fp_solver, "_newton_direction", spied)
     normals, offsets = rows
     eta = _dual_power_solve(lin, b_vec, normals, offsets)
-    if capped:
-        assert refused[0]    # the first direction, at mu = 0
-    assert np.min(normals @ eta - offsets) >= -1e-10
+    (_, _, grad, mu, _), direction = calls[0]
+    assert not np.any(mu)
+    free = grad <= 0
+    ridged = np.where(free, grad / (opt._RIDGE * np.linalg.norm(grad[free])), 0.0)
+    np.testing.assert_allclose(direction, ridged, rtol=1e-12, atol=0.0)
+    assert np.min(normals @ eta - offsets) >= -1e-12
     value = const - lin @ eta + b_vec @ np.sqrt(eta)
-    assert value == pytest.approx(slsqp_power_value(coefs, rows, eta0), rel=1e-6)
+    assert value == pytest.approx(slsqp_power_value(coefs, rows, np.ones(eta.size)), rel=1e-6)
 
 
 def test_solve_power_steps_back_toward_feasible_init(monkeypatch):

@@ -285,7 +285,11 @@ def test_load_config_merges_over_base(tmp_path):
     {"params": {"qos": [True] + [0.0] * 9}}, {"params": {"qos": "0.2"}},
     {"path_loss": {"slopes": [True, 20, 20]}}, {"path_loss": {"slopes": "123"}},
     # A scenario's exponent takes a number, not a bool.
-    {"scenarios": [{"kind": "fractional_power_control", "fpc_exponent": True}]}])
+    {"scenarios": [{"kind": "fractional_power_control", "fpc_exponent": True}]},
+    # Real-valued fields take numbers only, not a string that spells one.
+    {"pilot_snr": "1e3"}, {"solver": {"epsilon": "0.005"}}, {"params": {"uplink_snr": "1e3"}},
+    {"params": {"qos": "1.0"}}, {"network": {"area_side": "1000"}},
+    {"path_loss": {"d1": "50"}}, {"shadowing": {"sigma_db": "8"}}])
 def test_load_config_rejects_invalid_values(tmp_path, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -401,7 +405,9 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "bool_qos.json"],
                                   ["--config", "bool_slope.json"],
                                   ["--config", "string_slopes.json"],
-                                  ["--config", "bool_fpc_exponent.json"]])
+                                  ["--config", "bool_fpc_exponent.json"],
+                                  ["--config", "string_pilot_snr.json"],
+                                  ["--config", "string_uplink_snr.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
@@ -423,7 +429,9 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
              "bool_slope.json": {"path_loss": {"slopes": [True, 20, 20]}},
              "string_slopes.json": {"path_loss": {"slopes": "123"}},
              "bool_fpc_exponent.json": {"scenarios": [{"kind": "fractional_power_control",
-                                                       "fpc_exponent": True}]}}
+                                                       "fpc_exponent": True}]},
+             "string_pilot_snr.json": {"pilot_snr": "1e3"},
+             "string_uplink_snr.json": {"params": {"uplink_snr": "1e3"}}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

@@ -11,7 +11,7 @@ from cfmimo.fp_solver import (_association_columns, _bound_column, _column_lagra
                               _qos_approximation, _qos_start, _qos_thresholds, _quadratic,
                               refresh_aux)
 from cfmimo.opt import pga_maximize, project_box_polyhedron
-from conftest import build_synthetic_channel, qos_psi
+from conftest import build_synthetic_channel, ones_form, qos_psi
 from reference import bisect_bound_column
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -345,3 +345,20 @@ def test_sinr_terms_read_only_the_own_column_and_scale_with_power(seed, scale):
     others[np.arange(num_ues) != t] *= scale
     own = np.array(cf.sinr_terms(others, d, gamma, beta, gram, params))
     assert own[0, t] == terms[0, t]
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), qos=st.floats(0.0, 4.0),
+                  alpha=st.floats(0.0, 0.1))
+def test_solves_cover_every_ue_and_never_lower_their_trace(seed, qos, alpha):
+    # Every column of the emitted matrix serves its UE, and the objective trace never
+    # decreases, in every mode. Targets this high leave some starts with no powers
+    # that meet them: a joint solve then starts in phase I, and its trace is phase II's.
+    rng = np.random.default_rng(seed)
+    gamma, beta, gram, params, _ = build_synthetic_channel(rng, alpha=alpha, qos=qos)
+    for mode in ("joint", "power_only", "association_only"):
+        res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode,
+                           start_form=ones_form(gamma, beta, gram, params))
+        assert np.all(res.d_binary.sum(axis=0) >= 1.0)
+        trace = res.objective_trace
+        assert np.all(trace[1:] >= trace[:-1] - 1e-9 * np.abs(trace[:-1]))
