@@ -323,12 +323,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if policy != "report_and_continue":
         raise ValueError("solver.qos_infeasible_policy was removed: unmet QoS targets are "
                          f"reported, and only 'report_and_continue' loads, not {policy!r}")
+    if not isinstance(data["scenarios"], (list, tuple)):
+        raise ValueError(f"scenarios must be a list, not {data['scenarios']!r}")
     scenarios = []
     for entry in data["scenarios"]:
         if isinstance(entry, str):
             scenarios.append(Scenario(kind=entry))
-        else:
+        elif isinstance(entry, dict):
             scenarios.append(Scenario(**entry))
+        else:
+            raise ValueError(f"a scenario must be a kind string or an object, not {entry!r}")
     params = dict(data["params"])
     qos = params.get("qos", 0.0)
     params["qos"] = (float(qos) if _is_number(qos) else np.asarray(

@@ -6,9 +6,9 @@ longer calls.
 
 The projection and the ascent work on a stack of k problems at once, one per row,
 so numpy's per-call cost is paid once per step of the stack rather than once per
-problem; each problem still takes the steps it takes alone. The ascent takes only
-a (k, n) stack, with its Hessian factors; the projection also takes a single point
-and a stack of trial stacks."""
+problem; each problem still takes the steps it takes alone. The ascent takes a
+(k, n) stack, with its Hessian factors, and hands its callbacks only (k, n) stacks;
+the projection also takes a single point."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ _STEP_MAX = 1e8    # cap on the Barzilai-Borwein trial length
 _RIDGE = 1e-3      # ridge of a singular reduced Newton system, per unit of its rhs norm
 _NEWTON_TRIALS = 30     # halvings of a Newton step
 _GRADIENT_TRIALS = 60   # halvings of a projected gradient step
-_PASS_WIDTH = 8         # trials per member in each arc-search pass after the first
 
 
 @functools.cache
@@ -175,10 +174,9 @@ def pga_maximize(fun, grad, project, x0, max_iters=400, tol=1e-7, *, hess_factor
     Maximizes concave quadratics over the box and coverage, [0,1]^n intersected with
     {1.z >= 1}, given the Euclidean projection onto that set (project_box_polyhedron,
     or a wrapper of it). x0 of shape (k, n) is a stack of starts, one per member. grad
-    maps a stack to a stack; fun and project also take stacks of trial stacks, of
-    shape (w, k, n), and map them to values (w, k) and to projections. They always
-    see the whole stack, a member that has stopped as it stands. Member i's fun must
-    have the Hessian -2 L_i L_i^T, with hess_factor L of shape (k, n, r); zero
+    and project map a (k, n) stack to a stack, and fun maps it to values (k,); they
+    always see the whole stack, a member that has stopped as it stands. Member i's fun
+    must have the Hessian -2 L_i L_i^T, with hess_factor L of shape (k, n, r); zero
     columns of L_i are padding wherever they stand, and its rank is its count of
     nonzero columns.
 
@@ -306,43 +304,24 @@ def _solve_each(mat, rhs):
 def _arc_search(fun, project, x, fx, g, d, count, step, live):
     """(x_new, fun(x_new), moved): for each live member, the first x_new = project(x +
     s) that passes the Armijo test, s running through the Newton steps 0.5^j d, j <
-    count, and then projected gradient steps halving from step * g; x_new stays x where
-    none does. Each pass tries the next trials of every member at once, one in the first
-    pass (which most members pass) and _PASS_WIDTH in each later one: one project call
-    and at most one fun call on the (w, k, n) stack of trials."""
+    count, and then the projected gradient steps step * 0.5^(j - count) g, j < count +
+    _GRADIENT_TRIALS; x_new stays x where none does. Pass j tries trial j of every
+    member still searching at once: one project call on the (k, n) stack, and one fun
+    call where some projected trial is an ascent direction."""
     x_new, f_new, todo = x, fx, live
-    # Members take gradient steps from round min(count) on, and Newton steps up to max(count).
-    start, end = int(count[live].min()), int(count[live].max())
-    stop = end + _GRADIENT_TRIALS
-    gradient = None
-    j = 0
-    while j < stop:
-        js = np.arange(j, min(stop, j + (_PASS_WIDTH if j else 1)))
-        j = int(js[-1]) + 1
-        newton = 0.5 ** js[:, None, None] * d if js[0] < end else None
-        if j > start:
-            if gradient is None:
-                # 0.5 ** (j - count) * step, as an exact power-of-two scaling of step.
-                gradient = step * 2.0 ** count
-            trial = (gradient * 0.5 ** js[:, None])[:, :, None] * g
-            if newton is not None:
-                trial = np.where((js[:, None] < count)[:, :, None], newton, trial)
-        else:
-            trial = newton
+    cap = count + _GRADIENT_TRIALS
+    for j in range(int(cap.max())):
+        trial = 0.5 ** j * d
+        # Gradient trials cost a (k, n) product: built once a member is past its Newton trials.
+        if np.count_nonzero(todo & (count <= j)):
+            trial = np.where((j < count)[:, None], trial, (step * 0.5 ** (j - count))[:, None] * g)
         # Members without a trial stay at x, which the projection keeps cheaply.
         z = np.asarray(project(x + np.where(todo[:, None], trial, 0.0)), dtype=float)
         slope = np.vecdot(g, z - x)
-        test = todo & (slope > 0.0)
-        if j > start + _GRADIENT_TRIALS:
-            test &= js[:, None] < count + _GRADIENT_TRIALS
+        test = todo & (slope > 0.0) & (j < cap)
         if np.count_nonzero(test):
             f = np.asarray(fun(z), dtype=float)
-            ok = test & (f >= fx + _ARMIJO * slope)
-            if js.size > 1:
-                hit, pick, members = ok.any(axis=0), ok.argmax(axis=0), np.arange(x.shape[0])
-                z, f = z[pick, members], f[pick, members]
-            else:
-                hit, z, f = ok[0], z[0], f[0]
+            hit = test & (f >= fx + _ARMIJO * slope)
             x_new = np.where(hit[:, None], z, x_new)
             f_new = np.where(hit, f, f_new)
             todo = todo & ~hit

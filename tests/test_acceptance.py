@@ -24,6 +24,7 @@ GRADIENT_RTOL = 1e-5
 ROUNDING_GAP_LIMIT = 0.02
 SE_DROP_LIMIT = 0.02
 QOS_TOL = 1e-6
+PAPER_ALPHAS = (0.0005, 0.001, 0.002)
 
 
 def report(criterion, name, ok, detail=""):
@@ -54,6 +55,12 @@ def density_experiment():
     config = cf.desk_config(seed=SEED, drops=20, alphas=(DESK_ALPHA,),
                             scenarios=(cf.Scenario(kind="joint"),), num_aps=45)
     return cf.run_experiment(config)
+
+
+@pytest.fixture(scope="module")
+def paper_experiment():
+    # Paper scale (M = 100, T = 40, A = 4): all five scenarios at the paper's alphas.
+    return cf.run_experiment(cf.paper_config(seed=SEED, drops=20, alphas=PAPER_ALPHAS))
 
 
 def test_criterion_1_oracle_closed_form_validation():
@@ -187,16 +194,37 @@ def test_criterion_5b_paper_scale_margin():
            joint >= 1.05 * full, f"(joint {joint:.2f} vs full {full:.2f})")
 
 
-def test_criterion_6_alpha_tradeoff(alpha_sweep):
-    alphas = sorted(alpha_sweep)
-    loads = [alpha_sweep[a].max_fronthaul for a in alphas]
-    ses = [alpha_sweep[a].mean_sum_se for a in alphas]
+def test_criterion_5c_paper_scale_dominance(paper_experiment):
+    details, ok = [], True
+    for alpha in PAPER_ALPHAS:
+        ses = {k: paper_experiment.summaries[(k, alpha)].mean_sum_se
+               for k in ("joint", "full_power_all_serve", "power_only", "association_only")}
+        joint = ses.pop("joint")
+        ok = ok and all(joint > v for v in ses.values())
+        details.append(f"alpha {alpha}: joint {joint:.2f} vs "
+                       + ", ".join(f"{k}={v:.2f}" for k, v in ses.items()))
+    report("C5c", "paper-scale joint dominates scenarios a, c, d in mean sum SE at each alpha",
+           ok, f"({'; '.join(details)})")
+
+
+def alpha_tradeoff(criterion, summaries):
+    alphas = sorted(summaries)
+    loads = [summaries[a].max_fronthaul for a in alphas]
+    ses = [summaries[a].mean_sum_se for a in alphas]
     strictly_decreasing = loads[0] > loads[1] > loads[2]
     se_drop = (ses[0] - ses[2]) / ses[0]
-    report("C6", "front-haul decreases with alpha at <= 2% SE cost",
+    report(criterion, "front-haul decreases with alpha at <= 2% SE cost",
            strictly_decreasing and se_drop <= SE_DROP_LIMIT,
            f"(loads {loads[0]:.3f} > {loads[1]:.3f} > {loads[2]:.3f}, "
            f"SE drop {se_drop:.3%})")
+
+
+def test_criterion_6_alpha_tradeoff(alpha_sweep):
+    alpha_tradeoff("C6", alpha_sweep)
+
+
+def test_criterion_6b_paper_scale_alpha_tradeoff(paper_experiment):
+    alpha_tradeoff("C6b", {a: paper_experiment.summaries[("joint", a)] for a in PAPER_ALPHAS})
 
 
 def test_criterion_7_density_trend(desk_experiment, density_experiment):
@@ -216,8 +244,7 @@ def test_criterion_8_rounding_gap(desk_experiment):
            gap <= ROUNDING_GAP_LIMIT, f"(mean gap {gap:.4%})")
 
 
-def test_criterion_9_qos_compliance(desk_experiment):
-    _, result = desk_experiment
+def qos_compliance(criterion, result):
     checked = 0
     ok = True
     for rec in result.records:
@@ -225,10 +252,22 @@ def test_criterion_9_qos_compliance(desk_experiment):
             continue
         checked += 1
         ok = ok and np.all(rec.per_ue_se >= QOS_TARGET - QOS_TOL)
-    joint_feasible = sum(r.feasible for r in result.records if r.scenario == "joint")
-    report("C9", "QoS met on every feasible drop after rounding",
-           ok and checked > 0 and joint_feasible == 20,
-           f"({checked} feasible runs checked, joint feasible {joint_feasible}/20)")
+    drops = result.config.drops
+    joint_feasible = [sum(r.feasible for r in result.records
+                          if r.scenario == "joint" and r.alpha == alpha)
+                      for alpha in result.config.alphas]
+    report(criterion, "QoS met on every feasible drop after rounding",
+           ok and checked > 0 and all(n == drops for n in joint_feasible),
+           f"({checked} feasible runs checked, joint feasible "
+           f"{', '.join(f'{n}/{drops}' for n in joint_feasible)} per alpha)")
+
+
+def test_criterion_9_qos_compliance(desk_experiment):
+    qos_compliance("C9", desk_experiment[1])
+
+
+def test_criterion_9b_paper_scale_qos_compliance(paper_experiment):
+    qos_compliance("C9b", paper_experiment)
 
 
 def test_criterion_10_determinism(desk_experiment, tmp_path_factory):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -297,6 +298,23 @@ def test_load_config_rejects_invalid_values(tmp_path, override):
         cf.load_config(path)
 
 
+@pytest.mark.parametrize("scenarios, message", [
+    ([{"kind": "fractional_power_control", "fpc_exponent": "0.5"}],
+     "fpc_exponent must be a finite number, not '0.5'"),
+    ([{"kind": "fractional_power_control", "fpc_exponent": None}],
+     "fpc_exponent must be a finite number, not None"),
+    ([5], "a scenario must be a kind string or an object, not 5"),
+    ("joint", "scenarios must be a list, not 'joint'")])
+def test_load_config_names_a_scenario_entry_of_the_wrong_type(tmp_path, scenarios, message):
+    # An exponent that is no number, an entry that is neither a kind nor an object, and
+    # a scenario list that is no list are named in the error, rather than left to
+    # numpy's or the constructor's text or read as the kinds 'j', 'o', ...
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenarios": scenarios}))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cf.load_config(path)
+
+
 def write_config(tmp_path, data):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
@@ -407,7 +425,8 @@ def test_cli_small_run(tmp_path, capsys):
                                   ["--config", "string_slopes.json"],
                                   ["--config", "bool_fpc_exponent.json"],
                                   ["--config", "string_pilot_snr.json"],
-                                  ["--config", "string_uplink_snr.json"]])
+                                  ["--config", "string_uplink_snr.json"],
+                                  ["--config", "string_fpc_exponent.json"]])
 def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
     from cfmimo.cli import main
     files = {"unknown_field.json": {"network": {"num_apz": 3}},
@@ -431,7 +450,9 @@ def test_cli_rejects_invalid_configuration(tmp_path, capsys, argv):
              "bool_fpc_exponent.json": {"scenarios": [{"kind": "fractional_power_control",
                                                        "fpc_exponent": True}]},
              "string_pilot_snr.json": {"pilot_snr": "1e3"},
-             "string_uplink_snr.json": {"params": {"uplink_snr": "1e3"}}}
+             "string_uplink_snr.json": {"params": {"uplink_snr": "1e3"}},
+             "string_fpc_exponent.json": {"scenarios": [{"kind": "fractional_power_control",
+                                                         "fpc_exponent": "0.5"}]}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

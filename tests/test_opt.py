@@ -229,22 +229,30 @@ def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
     assert np.array_equal(x[0, :2], [1.0, 1.0]) and not x[0, 2:].any()
 
 
-def test_vertex_start_takes_ridge_steps(monkeypatch):
-    # The first association block's shape: a stack started at the all-ones vertex with
-    # mixed-rank factors padded by trailing zero columns. At the start every member's
-    # reduced Hessian is singular (12 free entries against a rank of at most 3), so each
-    # takes the ridged Newton step: its first step is a halving of the Newton step d,
-    # not a gradient step. Each member still ends where it ends alone.
+def _vertex_start_quadratics():
+    """(lin, fac, x0, ranks): six concave quadratics lin.x - ||L^T x||^2 over [0,1]^12
+    with 1.x >= 1, started at the all-ones vertex, their factors of ranks 1 to 3 padded
+    by trailing zero columns, and every gradient entry at ones in (-0.9, -0.1)."""
     rng = np.random.default_rng(11)
     k, n = 6, 12
     ranks = (1, 2, 3, 3, 2, 1)
     fac = np.zeros((k, n, 3))
     for i, r in enumerate(ranks):
         fac[i, :, :r] = rng.normal(scale=0.3, size=(n, r))
-    # The gradient at ones is lin - 2 L L^T 1; put every entry of it in (-0.9, -0.1).
+    # The gradient at ones is lin - 2 L L^T 1.
     lin = 2.0 * np.matvec(fac, np.vecmat(np.ones((k, n)), fac)) + rng.uniform(-0.9, -0.1,
                                                                               (k, n))
-    x0 = np.ones((k, n))
+    return lin, fac, np.ones((k, n)), ranks
+
+
+def test_vertex_start_takes_ridge_steps(monkeypatch):
+    # The first association block's shape: a stack started at the all-ones vertex with
+    # mixed-rank factors padded by trailing zero columns. At the start every member's
+    # reduced Hessian is singular (12 free entries against a rank of at most 3), so each
+    # takes the ridged Newton step: its first step is a halving of the Newton step d,
+    # not a gradient step. Each member still ends where it ends alone.
+    lin, fac, x0, ranks = _vertex_start_quadratics()
+    k = x0.shape[0]
     grads = [0]
     fun, grad = _counted_quadratic(lin, fac, grads)
     y = project_box_polyhedron(x0 + grad(x0))
@@ -271,6 +279,67 @@ def test_vertex_start_takes_ridge_steps(monkeypatch):
                               hess_factor=fac[one])
         assert np.max(np.abs(x[i] - xi[0])) <= 1e-10
         assert abs(fx[i] - fi[0]) <= 1e-10 * max(1.0, abs(fi[0]))
+
+
+def _first_armijo_trials(fun, project, x, fx, g, d, count, step, live):
+    """(x_new, f_new, moved, picks) of the arc search, member by member: each live member
+    i tries the Newton steps 0.5^j d_i, j < count_i, then the gradient steps
+    step_i 0.5^(j - count_i) g_i, j < count_i + _GRADIENT_TRIALS, and takes the first
+    projection that passes the Armijo test; picks maps each member that moves to its j."""
+    x_new, f_new, moved, picks = x.copy(), fx.copy(), np.zeros_like(live), {}
+    for i in np.flatnonzero(live):
+        for j in range(count[i] + opt._GRADIENT_TRIALS):
+            s = 0.5 ** j * d[i] if j < count[i] else step[i] * 0.5 ** (j - count[i]) * g[i]
+            z = project(x[i] + s)
+            slope = np.vecdot(g[i], z - x[i])
+            trial = x.copy()
+            trial[i] = z
+            f = fun(trial)[i]
+            if slope > 0.0 and f >= fx[i] + opt._ARMIJO * slope:
+                x_new[i], f_new[i], moved[i], picks[i] = z, f, True, j
+                break
+    return x_new, f_new, moved, picks
+
+
+@pytest.mark.parametrize("stack", ["vertex", "batched"])
+def test_arc_search_takes_each_members_first_armijo_trial(monkeypatch, stack):
+    # Every arc search of two ascents picks, for each member, what a plain loop over
+    # that member's trials picks, bit for bit. The vertex stack's ridged Newton steps
+    # pass late in their halvings (j of 8 and more), and the batched stack's member 0,
+    # whose reduced system is singular, has no Newton trial and takes a gradient step.
+    # fun and project only ever see (k, n) stacks.
+    if stack == "vertex":
+        lin, fac, x0, _ = _vertex_start_quadratics()
+    else:
+        lin, fac, x0 = _box_coverage_quadratics(np.random.default_rng(0), 6, 12)
+    fun, grad = _counted_quadratic(lin, fac, [0])
+    shapes, picks = set(), []
+
+    def shaped(call):
+        def wrapper(z):
+            shapes.add(np.shape(z))
+            return call(z)
+        return wrapper
+
+    arc_search = opt._arc_search
+
+    def checked(fun, project, x, fx, g, d, count, step, live):
+        out = arc_search(fun, project, x, fx, g, d, count, step, live)
+        x_new, f_new, moved, picked = _first_armijo_trials(fun, project_box_polyhedron, x, fx,
+                                                           g, d, count, step, live)
+        assert np.array_equal(out[0], x_new) and np.array_equal(out[1], f_new)
+        assert np.array_equal(out[2], moved)
+        picks.extend((i, j, j >= count[i]) for i, j in picked.items())
+        return out
+
+    monkeypatch.setattr(opt, "_arc_search", checked)
+    pga_maximize(shaped(fun), grad, shaped(project_box_polyhedron), x0, max_iters=300,
+                 tol=1e-12, hess_factor=fac)
+    assert shapes == {x0.shape}
+    if stack == "vertex":
+        assert max(j for _, j, _ in picks) >= 8
+    else:
+        assert (0, 0, True) in picks
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -47,9 +47,9 @@ def test_qos_start_is_least_power_solution(seed, qos):
 @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), w=st.integers(0, 8), k=st.integers(1, 8),
                   n=st.integers(1, 12))
 def test_stacked_projection_is_the_rows_projections(seed, w, k, n):
-    # project_box_polyhedron on a (k, n) stack, or on a (w, k, n) stack of trial
-    # stacks as the ascent's arc search passes it (w = 0: no trial axis), projects
-    # each member on its own, bit for bit, onto the box and coverage. Members where
+    # project_box_polyhedron on a (k, n) stack, as the ascent passes it, or on a
+    # (w, k, n) stack (w = 0: no leading axis), projects each member on its own,
+    # bit for bit, onto the box and coverage. Members where
     # the clip already meets coverage and where coverage binds both occur.
     rng = np.random.default_rng(seed)
     shape = (w, k, n) if w else (k, n)

@@ -69,27 +69,32 @@ def test_diff_lists_the_emitted_files_that_differ(desk_dump, tmp_path):
         "  desk_sweep/0/summary.csv: differs"]
 
 
+TOTAL = (r": total (\S+) s, per-solve p50 (\S+) ms, p95 (\S+) ms, max (\S+) ms "
+         r"\((\d+) solves\)")
+
+
 def test_time_runs_the_same_calls_in_both_trees():
-    # A tree against itself, 2 calls in 2 rounds: per tree, one total and per-solve p50,
-    # then the per-solve p50 of each scenario kind; then the median per-call ratio over
-    # the 4 interleaved pairs.
+    # A tree against itself, 2 calls in 2 rounds: per tree, one total and the per-solve
+    # p50, p95 and max, then those of each scenario kind; then the median per-call ratio
+    # over the 4 interleaved pairs.
     run = subprocess.run([sys.executable, str(TOOL), "time", str(ROOT), str(ROOT), "--calls", "2",
                           "--rounds", "2"], capture_output=True, text=True, check=True)
     lines = run.stdout.splitlines()
     assert len(lines) == 5
     solves, kinds = [], []
     for line, by_kind in (lines[0:2], lines[2:4]):
-        match = re.fullmatch(re.escape(str(ROOT)) + r": total (\S+) s, per-solve p50 (\S+) ms "
-                             r"\((\d+) solves\)", line)
+        match = re.fullmatch(re.escape(str(ROOT)) + TOTAL, line)
         assert match, line
-        assert float(match[1]) > 0 and float(match[2]) > 0
-        solves.append(int(match[3]))
-        prefix = f"{ROOT}: per-solve p50 by kind "
+        tail = [float(match[i]) for i in (2, 3, 4)]
+        assert float(match[1]) > 0 and 0 < tail[0] <= tail[1] <= tail[2]
+        solves.append(int(match[5]))
+        prefix = f"{ROOT}: per-solve p50/p95/max by kind "
         assert by_kind.startswith(prefix), by_kind
-        parts = [re.fullmatch(r"(\w+) (\S+) ms \((\d+)\)", part)
+        parts = [re.fullmatch(r"(\w+) (\S+)/(\S+)/(\S+) ms \((\d+)\)", part)
                  for part in by_kind[len(prefix):].split(", ")]
-        assert all(parts) and all(float(part[2]) > 0 for part in parts), by_kind
-        kinds.append([(part[1], int(part[3])) for part in parts])
+        assert all(parts), by_kind
+        assert all(0 < float(part[2]) <= float(part[3]) <= float(part[4]) for part in parts)
+        kinds.append([(part[1], int(part[5])) for part in parts])
     # Each desk_sweep call iterates 3 solver kinds at 3 alphas; both trees see the same.
     assert solves == [2 * 2 * 9] * 2
     assert kinds == [[("association_only", 12), ("joint", 12), ("power_only", 12)]] * 2
@@ -104,7 +109,8 @@ def test_time_runs_the_calls_of_the_chosen_set():
                           "desk_pins", "--calls", "1", "--rounds", "1"],
                          capture_output=True, text=True, check=True)
     lines = run.stdout.splitlines()
-    assert [line.endswith("(9 solves)") for line in lines[0:4:2]] == [True, True], lines
+    assert all(re.fullmatch(re.escape(str(ROOT)) + TOTAL, line) and line.endswith("(9 solves)")
+               for line in lines[0:4:2]), lines
     assert re.fullmatch(r"median per-call ratio second/first \S+ over 1 calls; "
                         r"second faster in [01]", lines[4]), lines[4]
 

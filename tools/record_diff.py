@@ -47,11 +47,12 @@ seed 7, calls 0 to N-1; any other set's calls in order, at most N of them) in bo
 alternately: call k runs in one tree, then in the other, and the tree that goes first
 switches each round. Each subprocess runs call 0 once untimed before the first round.
 It prints each tree's total wall time of ``harness.run_experiment`` over every call
-and round, and its median per-solve time (``SolveResult.wall_time`` of the solves that
-iterate, as the benchmark's ``solve_s``), in all and per scenario kind, then the median
-over calls and rounds of the second tree's call time over the first's. A shared host
-drifts by more within one whole run than a small change moves, and interleaving call
-by call lets both trees see the same drift.
+and round, and its per-solve time (``SolveResult.wall_time`` of the solves that
+iterate, as the benchmark's ``solve_s``) at the median, the 95th percentile and the
+maximum, in all and per scenario kind, then the median over calls and rounds of the
+second tree's call time over the first's. A shared host drifts by more within one
+whole run than a small change moves, and interleaving call by call lets both trees
+see the same drift.
 
 `reach` runs the record sets of one tree (as `dump`, without emitting files) under a
 ``sys.settrace`` line census of ``fp_solver.py`` and ``opt.py``, and prints each
@@ -396,11 +397,13 @@ def main(argv=None):
         walls, solves = time_trees(roots, args.name, args.calls, args.rounds)
         for root, wall, kinds in zip(roots, walls, solves):
             times = [t for kind in kinds.values() for t in kind]
-            print(f"{root}: total {wall.sum():.3f} s, per-solve p50 "
-                  f"{1e3 * np.median(times):.3f} ms ({len(times)} solves)")
-            print(f"{root}: per-solve p50 by kind " + ", ".join(
-                f"{kind} {1e3 * np.median(kinds[kind]):.3f} ms ({len(kinds[kind])})"
-                for kind in sorted(kinds)))
+            p50, p95, top = 1e3 * np.percentile(times, (50, 95, 100))
+            print(f"{root}: total {wall.sum():.3f} s, per-solve p50 {p50:.3f} ms, "
+                  f"p95 {p95:.3f} ms, max {top:.3f} ms ({len(times)} solves)")
+            print(f"{root}: per-solve p50/p95/max by kind " + ", ".join(
+                f"{kind} " + "/".join(f"{1e3 * q:.3f}" for q in
+                                      np.percentile(kinds[kind], (50, 95, 100)))
+                + f" ms ({len(kinds[kind])})" for kind in sorted(kinds)))
         ratio = walls[1] / walls[0]
         print(f"median per-call ratio second/first {np.median(ratio):.3f} over {ratio.size} "
               f"calls; second faster in {int((ratio < 1).sum())}")
