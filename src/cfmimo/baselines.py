@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -23,9 +22,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind: {self.kind!r}")
-        # JSON true would load as the exponent 1; a string or null has no isfinite.
-        if (isinstance(self.fpc_exponent, bool) or not isinstance(self.fpc_exponent, numbers.Real)
-                or not np.isfinite(self.fpc_exponent)):
+        if not np.isfinite(self.fpc_exponent):
             raise ValueError(f"fpc_exponent must be a finite number, not {self.fpc_exponent!r}")
 
 

@@ -53,7 +53,6 @@ repair and the feasibility flags all read that one evaluation.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,9 +88,8 @@ class SolverOptions:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, not {getattr(self, name)}")
         for name in ("max_outer_iters", "max_inner_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, not {value!r}")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, not {getattr(self, name)}")
         if not 0 < self.rounding_threshold < 1:
             raise ValueError("rounding_threshold must lie in (0, 1)")
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -43,15 +42,6 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, value in (("drops", self.drops), ("workers", self.workers),
-                            ("network.num_aps", self.network.num_aps),
-                            ("network.num_ues", self.network.num_ues),
-                            ("network.rng_seed", self.network.rng_seed),
-                            ("params.antennas_per_ap", self.params.antennas_per_ap),
-                            ("params.pilot_len", self.params.pilot_len),
-                            ("params.coherence_len", self.params.coherence_len)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
         if self.workers < 1:
@@ -283,31 +273,51 @@ def paper_config(seed: int = 7, drops: int = 100, num_aps: int = 100,
 _LEGACY_FIELDS = ("network.antennas_per_ap", "solver.qos_infeasible_policy")
 
 
+def _json_type(value) -> str:
+    """The JSON type of a loaded value, in the words a type error names it by."""
+    if isinstance(value, list) and all(_json_type(v) in ("an integer", "a number") for v in value):
+        return "a list of numbers"
+    kinds = ((bool, "true or false"), (int, "an integer"), (float, "a number"),
+             (str, "a string"), (list, "a list"), (dict, "an object"))
+    return next((words for kind, words in kinds if isinstance(value, kind)), "null")
+
+
+def _typed(name: str, default, value):
+    """value, which must have the JSON type of the default it replaces. An object is
+    merged over its default, and a scenario object over its kind's defaults."""
+    want, have = _json_type(default), _json_type(value)
+    if name == "params.qos":    # one target, or one per UE
+        want = "a number or a list of numbers"
+    # An integer is a number too, and a list of numbers (the empty list included) a list.
+    accepted = {"a number": ("an integer",), "a list": ("a list of numbers",),
+                "a number or a list of numbers": ("an integer", "a number", "a list of numbers")}
+    if have != want and have not in accepted.get(want, ()):
+        raise ValueError(f"{name} must be {want}, not {value!r}")
+    if want == "an object":
+        return _merge(default, value, f"{name}.")
+    if name == "scenarios":
+        return [_scenario(f"scenarios[{i}]", entry) for i, entry in enumerate(value)]
+    return value
+
+
+def _scenario(name: str, entry):
+    """A scenario entry: a kind string, or an object merged over its kind's defaults."""
+    if isinstance(entry, str):
+        return entry
+    if not (isinstance(entry, dict) and isinstance(entry.get("kind"), str)):
+        raise ValueError(f"{name} must be a kind string or an object with a string kind, "
+                         f"not {entry!r}")
+    return _merge(asdict(Scenario(entry["kind"])), entry, f"{name}.")
+
+
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """base with override's values, each of the JSON type of the value it replaces."""
     out = dict(base)
     for key, val in override.items():
         if key not in out and prefix + key not in _LEGACY_FIELDS:
             raise ValueError(f"unknown configuration field {prefix + key!r}")
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val, f"{prefix}{key}.")
-        elif isinstance(val, (bool, str)) and isinstance(out.get(key), float):
-            # JSON true would load as the number 1, and "1e3" as the number it spells.
-            raise ValueError(f"{prefix + key} must be a number, not {val!r}")
-        else:
-            out[key] = val
+        out[key] = _typed(prefix + key, out[key], val) if key in out else val
     return out
-
-
-def _is_number(value) -> bool:
-    # JSON true would load as the number 1.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _numbers(name: str, value, what: str = "a list of numbers") -> list:
-    """value, a JSON list of numbers; a string or a list with any other entry is invalid."""
-    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
-        raise ValueError(f"{name} must be {what}, not {value!r}")
-    return list(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -323,36 +333,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if policy != "report_and_continue":
         raise ValueError("solver.qos_infeasible_policy was removed: unmet QoS targets are "
                          f"reported, and only 'report_and_continue' loads, not {policy!r}")
-    if not isinstance(data["scenarios"], (list, tuple)):
-        raise ValueError(f"scenarios must be a list, not {data['scenarios']!r}")
-    scenarios = []
-    for entry in data["scenarios"]:
-        if isinstance(entry, str):
-            scenarios.append(Scenario(kind=entry))
-        elif isinstance(entry, dict):
-            scenarios.append(Scenario(**entry))
-        else:
-            raise ValueError(f"a scenario must be a kind string or an object, not {entry!r}")
     params = dict(data["params"])
     qos = params.get("qos", 0.0)
-    params["qos"] = (float(qos) if _is_number(qos) else np.asarray(
-        _numbers("params.qos", qos, "a number or a list of numbers"), dtype=float))
+    params["qos"] = np.asarray(qos, dtype=float) if isinstance(qos, list) else float(qos)
     path_loss = dict(data["path_loss"])
-    path_loss["slopes"] = tuple(_numbers("path_loss.slopes", path_loss["slopes"]))
-    if not isinstance(data["output_dir"], str):
-        raise ValueError(f"output_dir must be a string, not {data['output_dir']!r}")
+    path_loss["slopes"] = tuple(path_loss["slopes"])
     return ExperimentConfig(
         network=NetworkConfig(**network),
         params=SystemParams(**params),
         solver=SolverOptions(**solver),
         path_loss=PathLossModel(**path_loss),
         shadowing=ShadowingModel(**data["shadowing"]),
-        scenarios=tuple(scenarios),
-        alphas=tuple(float(a) for a in _numbers("alphas", data["alphas"])),
+        scenarios=tuple(Scenario(kind=entry) if isinstance(entry, str) else Scenario(**entry)
+                        for entry in data["scenarios"]),
+        alphas=tuple(float(a) for a in data["alphas"]),
         drops=data["drops"],
         output_dir=data["output_dir"],
         pilot_snr=float(data["pilot_snr"]),
-        pilot_strategy=str(data.get("pilot_strategy", "random")),
+        pilot_strategy=data.get("pilot_strategy", "random"),
         workers=data.get("workers", 1))
 
 
@@ -365,9 +363,10 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     if not isinstance(override, dict):
         raise ValueError(f"{path} must hold one JSON object, not {type(override).__name__}")
-    base_dict = config_to_dict(base if base is not None else desk_config())
-    merged = _merge(base_dict, override)
-    try:
-        return config_from_dict(merged)
-    except (TypeError, AttributeError) as exc:   # a field of the wrong type or shape
-        raise ValueError(str(exc)) from exc
+    base = base if base is not None else desk_config()
+    merged = _merge(config_to_dict(base), override)
+    # A pre-log the base derived is derived again from the file's lengths.
+    if ("prelog" not in override.get("params", {})
+            and base.params.prelog == 1.0 - base.params.pilot_len / base.params.coherence_len):
+        merged["params"]["prelog"] = None
+    return config_from_dict(merged)

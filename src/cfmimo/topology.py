@@ -32,8 +32,6 @@ class NetworkConfig:
             raise ValueError("num_aps and num_ues must be >= 1")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, not {self.rng_seed}")
-        if not isinstance(self.wrap_around, bool):
-            raise ValueError(f"wrap_around must be true or false, not {self.wrap_around!r}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,6 @@ class ShadowingModel:
     def __post_init__(self):
         if not 0 <= self.sigma_db < math.inf:
             raise ValueError(f"sigma_db must be finite and >= 0, not {self.sigma_db}")
-        if not isinstance(self.apply_beyond_d1, bool):
-            raise ValueError(f"apply_beyond_d1 must be true or false, not "
-                             f"{self.apply_beyond_d1!r}")
 
 
 def generate_topology(config: NetworkConfig, rng: np.random.Generator):

@@ -1,7 +1,6 @@
 """Acceptance suite. Each criterion prints one PASS/FAIL line (run with -s to
 see them live); tolerances are fixed constants, not tuned per run."""
 
-import math
 import time
 from dataclasses import replace
 
@@ -11,7 +10,7 @@ import pytest
 import cfmimo as cf
 from cfmimo.fp_solver import (_column_lagrangian, _column_model, _column_objective, _power_form,
                               refresh_aux)
-from conftest import build_synthetic_channel
+from conftest import build_synthetic_channel, ones_form
 from reference import block_objective_eta_grad, dual_transform_objective, penalized_objective
 
 SEED = 7
@@ -92,6 +91,38 @@ def test_criterion_1_oracle_closed_form_validation():
     report("C1", "oracle closed-form validation",
            instances_ok >= 0.95 * total and elapsed < 120.0,
            f"({instances_ok}/{total} instances within 3 SE, {elapsed:.1f}s)")
+
+
+def test_oracle_at_a_matrix_the_solver_emits():
+    # The closed-form SINR terms at a joint solve's own (eta_star, d_binary): drop 0 of
+    # the desk experiment, rebuilt as harness._run_drop builds it.
+    config = cf.desk_config(seed=SEED, scenarios=(cf.Scenario(kind="joint"),))
+    rng = np.random.default_rng(np.random.SeedSequence(config.network.rng_seed, spawn_key=(0,)))
+    ap_pos, ue_pos = cf.generate_topology(config.network, rng)
+    beta = cf.compute_lsfc(ap_pos, ue_pos, config.path_loss, config.shadowing, rng,
+                           area_side=config.network.area_side,
+                           wrap_around=config.network.wrap_around)
+    assignment = cf.assign_pilots(config.network.num_ues, config.params.pilot_len,
+                                  config.pilot_strategy, rng, pilot_snr=config.pilot_snr)
+    gram = cf.pilot_gram(assignment)
+    gamma = cf.estimation_quality(beta, gram, assignment.pilot_snr, assignment.num_pilots)
+    params = replace(config.params, alpha=DESK_ALPHA)
+    res = cf.run_scenario(config.scenarios[0], gamma, beta, gram, params, config.solver,
+                          ones_form=ones_form(gamma, beta, gram, params))
+    record = cf.run_experiment(replace(config, drops=1)).records[0]
+    assert np.array_equal(res.se, record.per_ue_se)       # the record's own solve
+    assert 0 < res.d_binary.sum() < res.d_binary.size     # a sparse emitted matrix
+
+    emp = cf.empirical_sinr_terms(res.eta_star, res.d_binary, beta, assignment, params,
+                                  20_000, np.random.default_rng(SEED), chunk_size=2000)
+    closed = np.stack(cf.sinr_terms(res.eta_star, res.d_binary, gamma, beta, gram, params))
+    emp_vals = np.stack((emp.signal_hat, emp.pilot_contam_hat, emp.bu_hat, emp.noise_hat))
+    emp_ses = np.stack((emp.signal_se, emp.pilot_contam_se, emp.bu_se, emp.noise_se))
+    within = np.abs(emp_vals - closed) <= ORACLE_SIGMAS * emp_ses + 1e-12
+    z = np.abs(emp_vals - closed) / np.maximum(emp_ses, 1e-300)
+    report("C1", "oracle at a solver-emitted matrix", within.mean() >= 0.95,
+           f"({within.sum()}/{within.size} terms within {ORACLE_SIGMAS:g} SE, max |z| "
+           f"{z.max():.2f}, {int(res.d_binary.sum())}/{res.d_binary.size} links)")
 
 
 def test_criterion_2_transform_identity_chain():

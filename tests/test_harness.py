@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,8 +237,10 @@ def test_config_roundtrip_and_echo(tmp_path):
 
 
 def test_load_config_merges_over_base(tmp_path):
+    # A scenario object merges over its kind's defaults.
+    fpc = {"kind": "fractional_power_control", "fpc_exponent": -1}
     override = {"drops": 4, "network": {"num_aps": 12, "num_ues": 6},
-                "scenarios": ["joint"], "alphas": [0.002],
+                "scenarios": ["joint", fpc], "alphas": [0.002],
                 "output_dir": str(tmp_path)}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
@@ -246,7 +249,7 @@ def test_load_config_merges_over_base(tmp_path):
     assert config.network.num_aps == 12
     assert config.params.antennas_per_ap == 2  # inherited from the desk base
     assert config.alphas == (0.002,)
-    assert config.scenarios == (cf.Scenario(kind="joint"),)
+    assert config.scenarios == (cf.Scenario(kind="joint"), cf.Scenario(**fpc))
 
 
 @pytest.mark.parametrize("override", [
@@ -300,10 +303,10 @@ def test_load_config_rejects_invalid_values(tmp_path, override):
 
 @pytest.mark.parametrize("scenarios, message", [
     ([{"kind": "fractional_power_control", "fpc_exponent": "0.5"}],
-     "fpc_exponent must be a finite number, not '0.5'"),
+     "scenarios[0].fpc_exponent must be a number, not '0.5'"),
     ([{"kind": "fractional_power_control", "fpc_exponent": None}],
-     "fpc_exponent must be a finite number, not None"),
-    ([5], "a scenario must be a kind string or an object, not 5"),
+     "scenarios[0].fpc_exponent must be a number, not None"),
+    ([5], "scenarios[0] must be a kind string or an object with a string kind, not 5"),
     ("joint", "scenarios must be a list, not 'joint'")])
 def test_load_config_names_a_scenario_entry_of_the_wrong_type(tmp_path, scenarios, message):
     # An exponent that is no number, an entry that is neither a kind nor an object, and
@@ -313,6 +316,55 @@ def test_load_config_names_a_scenario_entry_of_the_wrong_type(tmp_path, scenario
     path.write_text(json.dumps({"scenarios": scenarios}))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cf.load_config(path)
+
+
+def _leaf_fields(data, prefix=""):
+    """(dotted name, value) of every field of a configuration dict that is not an object."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaf_fields(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def _nested(name, value):
+    for key in reversed(name.split(".")):
+        value = {key: value}
+    return value
+
+
+# Every field of the desk configuration, given each JSON type other than its own: null,
+# true, a string, a list and an object, and a fraction where an integer belongs.
+# params.qos takes a list of numbers as well as a number.
+WRONG_TYPES = [(name, value)
+               for name, default in _leaf_fields(config_to_dict(cf.desk_config()))
+               for value in [None, True, "x", [], {}] + [1.5] * (type(default) is int)
+               if type(value) is not type(default) and (name, value) != ("params.qos", [])]
+
+
+@pytest.mark.parametrize("name, value", WRONG_TYPES,
+                         ids=[f"{name}={json.dumps(value)}" for name, value in WRONG_TYPES])
+def test_load_config_names_every_field_of_the_wrong_type(tmp_path, name, value):
+    # Each value must have the JSON type of the default it replaces, and a value that
+    # does not is named in the error, not left to a constructor's or numpy's text.
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        cf.load_config(write_config(tmp_path, _nested(name, value)))
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"network": 5}, "network must be an object, not 5"),
+    ({"solver": None}, "solver must be an object, not None"),
+    ({"scenarios": ["joint", {"fpc_exponent": -1.0}]},
+     "scenarios[1] must be a kind string or an object with a string kind, "
+     "not {'fpc_exponent': -1.0}"),
+    ({"scenarios": [{"kind": "fractional_power_control", "fpc_exponet": -1.0}]},
+     "unknown configuration field 'scenarios[0].fpc_exponet'")])
+def test_load_config_names_a_section_or_scenario_of_the_wrong_shape(tmp_path, override,
+                                                                    message):
+    # A section that is no object, a scenario object without its kind and a misspelt
+    # scenario field are named too.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cf.load_config(write_config(tmp_path, override))
 
 
 def write_config(tmp_path, data):
@@ -369,6 +421,23 @@ def test_old_configs_with_qos_policy_load(tmp_path):
         echo["solver"]["qos_infeasible_policy"] = policy
         with pytest.raises(ValueError, match="solver.qos_infeasible_policy was removed"):
             cf.load_config(write_config(tmp_path, echo))
+
+
+@pytest.mark.parametrize("params, prelog", [
+    ({"pilot_len": 10}, 0.95), ({"coherence_len": 100}, 0.95),
+    ({"prelog": 0.9}, 0.9), ({"prelog": 0.9, "pilot_len": 10}, 0.9), ({}, 0.975)])
+def test_load_config_derives_the_prelog_of_its_own_lengths(tmp_path, params, prelog):
+    # The desk base derives its pre-log, 1 - 5/200; a file that changes either length
+    # derives its own, 1 - L_p/L_c, unless it sets the pre-log itself.
+    config = cf.load_config(write_config(tmp_path, {"params": params}))
+    assert config.params.prelog == prelog
+
+
+def test_shipped_configs_load_to_the_built_in_ones():
+    root = Path(__file__).resolve().parent.parent / "configs"
+    assert cf.load_config(root / "desk.json") == cf.desk_config()
+    assert cf.load_config(root / "paper.json", base=cf.paper_config()) == cf.paper_config()
+    assert cf.load_config(root / "desk.json").params.prelog == 0.975
 
 
 def test_paper_config_shape():
