@@ -37,7 +37,8 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class PathLossModel:
     """Three-slope path loss: far slope beyond d1, mid slope between d0 and d1,
-    constant below d0 (the near slope acts on the frozen reference distance d0).
+    constant below d0 at the mid branch's value at d0. The near slope (slopes[2]) is
+    checked but never read, so it changes no loss.
     Positions are in meters; the fixed offset is referenced to km distances."""
 
     d0: float = 10.0

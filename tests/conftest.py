@@ -174,8 +174,3 @@ def count_inner_iterations(monkeypatch):
 @pytest.fixture
 def desk_channel():
     return build_desk_channel
-
-
-@pytest.fixture
-def synthetic_channel():
-    return build_synthetic_channel

@@ -1,8 +1,8 @@
 """Reference implementations the tests check the solver against. Nothing in the
 package calls them: the solver reads the same quantities from its power form
 (fp_solver.refresh_aux, and block_objective from the power coefficients) and holds a
-binding QoS target by Newton's method on the KKT system of a face
-(fp_solver._bound_column)."""
+binding QoS target by Newton's method on the KKT system of a face (in
+fp_solver.solve_association)."""
 
 import math
 
@@ -69,11 +69,11 @@ def penalized_objective(eta, d, gamma, beta, gram, params: SystemParams) -> floa
 
 
 def bisect_bound_column(model, objective, qos, x0, x, tol, ascend):
-    """(x, dropped) as fp_solver._bound_column gives them, by the multiplier loop it
-    replaced: nu is bracketed (x4 from 1) and bisected on psi(x(nu)), x(nu) one ascent
-    of fun + nu psi from the feasible end, and the feasible and infeasible ends of the
-    final bracket are combined at the last point of their segment that meets psi. An
-    unreachable target is dropped."""
+    """(x, dropped) of a binding column of the association block, by the multiplier loop
+    that the block's Newton solve on a face replaced: nu is bracketed (x4 from 1) and
+    bisected on psi(x(nu)), x(nu) one ascent of fun + nu psi from the feasible end, and
+    the feasible and infeasible ends of the final bracket are combined at the last point
+    of their segment that meets psi. An unreachable target is dropped."""
     fun = _column_lagrangian(model, objective)[0]
     b_psi = qos[2][:, None, None] * model[1]
     psi, psi_grad = _quadratic(qos[0], qos[1], b_psi)

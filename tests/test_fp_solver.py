@@ -1,9 +1,8 @@
-import inspect
 import itertools
 import math
-import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +10,8 @@ import pytest
 import cfmimo as cf
 import cfmimo.fp_solver as fp_solver
 import cfmimo.opt as opt
-from cfmimo.fp_solver import (_association_columns, _box_maximizer, _column_lagrangian,
-                              _column_model, _column_objective, _dual_power_solve,
-                              _power_coefficients,
+from cfmimo.fp_solver import (_box_maximizer, _column_lagrangian, _column_model,
+                              _column_objective, _dual_power_solve, _power_coefficients,
                               _power_form, _qos_approximation, _qos_rows, _qos_start,
                               _qos_thresholds, _rows_hold, _settled_columns, _vertex_oracle,
                               refresh_aux)
@@ -39,25 +37,27 @@ def random_point(rng, num_aps, num_ues):
     return rng.uniform(0.1, 1.0, num_ues), rng.uniform(0.05, 1.0, (num_aps, num_ues))
 
 
-def column_objectives(t, eta, aux, gamma, beta, gram, params):
-    """(model, objective) of the UEs t (an array): their stacked _column_model and
-    _column_objective, as alternate and solve_association build them."""
-    model = _column_model(t, eta, gamma, beta, gram, params)
-    return model, _column_objective(t, model, aux.gamma_aux, aux.u, params)
-
-
-def column_solve(t, eta, aux, gamma, beta, gram, params, options, x0, gth):
-    """_association_columns on the UEs t alone, a stack of their own models."""
-    model, objective = column_objectives(t, eta, aux, gamma, beta, gram, params)
-    return _association_columns(model, objective, _column_lagrangian(model, objective)[2],
-                                options, x0, gth)
+def block_columns(eta, aux, channel, params, options, d, gth):
+    """solve_association's matrix at powers eta from the start matrix d, with the
+    auxiliaries aux of the channel (gamma, beta, gram) and the SINR thresholds gth."""
+    model = _column_model(np.arange(d.shape[1]), eta, *channel, params)
+    return cf.solve_association(eta, _power_form(d, *channel, params), model, aux.gamma_aux,
+                                aux.u, gth, params, options)
 
 
 def screen_gradient(eta, aux, gamma, beta, gram, params):
-    """The stacked objective gradient of every UE's column, as the screen reads it."""
+    """The stacked objective gradient of every UE's column, as solve_association builds
+    it and its screen reads it."""
     everyone = np.arange(gamma.shape[1])
-    return _column_lagrangian(*column_objectives(everyone, eta, aux, gamma, beta, gram,
-                                                 params))[1]
+    model = _column_model(everyone, eta, gamma, beta, gram, params)
+    return _column_lagrangian(model, _column_objective(everyone, model, aux.gamma_aux, aux.u,
+                                                       params))[1]
+
+
+def screened(eta, form, aux, channel, params, gth, options):
+    """The columns of the form's matrix that solve_association's screen settles."""
+    return _settled_columns(eta, form, screen_gradient(eta, aux, *channel, params), gth,
+                            options.inner_tolerance)
 
 
 def d_gradient(eta, d, aux, gamma, beta, gram, params):
@@ -201,11 +201,11 @@ def test_analytic_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("qos", [0.2, 1.0])
-def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
-    # A column the batched screen settles must be one that _association_columns
-    # returns unchanged: at the D = ones start, at a solve's rounded matrix, and at
-    # one random AP per UE under a large penalty and no target, where the coverage
-    # row binds.
+def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, monkeypatch, qos):
+    # A column the batched screen settles must be one that the association block,
+    # run without the screen, returns unchanged: at the D = ones start, at a solve's
+    # rounded matrix, and at one random AP per UE under a large penalty and no target,
+    # where the coverage row binds.
     opts = cf.SolverOptions()
     settled_total = open_total = 0
     for seed in range(10):
@@ -222,13 +222,11 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
             gth = _qos_thresholds(params, gamma.shape[1])
             form = _power_form(d, gamma, beta, gram, params)
             aux = refresh_aux(eta, form, params)
-            settled = _settled_columns(eta, form, screen_gradient(eta, aux, gamma, beta, gram,
-                                                                  params), gth,
-                                       opts.inner_tolerance)
-            for t in np.flatnonzero(settled):
-                x = column_solve(np.array([t]), eta, aux, gamma, beta, gram, params, opts,
-                                 d[:, [t]].T, gth[[t]])[0]
-                assert np.array_equal(x, d[:, t]), (seed, t)
+            settled = screened(eta, form, aux, (gamma, beta, gram), params, gth, opts)
+            with monkeypatch.context() as patch:
+                patch.setattr(fp_solver, "_settled_columns", lambda *args: np.zeros_like(settled))
+                unscreened = block_columns(eta, aux, (gamma, beta, gram), params, opts, d, gth)
+            assert np.array_equal(unscreened[:, settled], d[:, settled]), seed
             settled_total += int(settled.sum())
             open_total += int((~settled).sum())
     assert settled_total >= 50 and open_total >= 50
@@ -236,13 +234,15 @@ def test_screen_settles_only_columns_the_column_solver_keeps(desk_channel, qos):
 
 @pytest.mark.parametrize("qos", [0.2, 1.0])
 def test_batched_association_block_couples_no_columns(desk_channel, qos):
-    # solve_association ascends every unsettled column in one stack; each column must
-    # end where it ends as a stack of one, within 1e-10 relative: at the D = ones start
-    # and at a solve's rounded matrix.
+    # solve_association ascends every unsettled column in one stack; a column must end
+    # where it ends, within 1e-10 relative, when every other column starts at its own
+    # end and holds no target, so that the screen settles most of them and no other
+    # column binds: at the D = ones start and at a solve's rounded matrix.
     opts = cf.SolverOptions()
     batched = 0
     for seed in range(10):
         gamma, beta, gram, params = desk_channel(seed, qos=qos)
+        channel = (gamma, beta, gram)
         res = cf.alternate(gamma, beta, gram, params, opts,
                            start_form=ones_form(gamma, beta, gram, params))
         gth = _qos_thresholds(params, gamma.shape[1])
@@ -250,17 +250,13 @@ def test_batched_association_block_couples_no_columns(desk_channel, qos):
                        (res.eta_star, res.d_binary)):
             form = _power_form(d, gamma, beta, gram, params)
             aux = refresh_aux(eta, form, params)
-            model = _column_model(np.arange(gamma.shape[1]), eta, gamma, beta, gram, params)
-            block = cf.solve_association(eta, form, model, aux.gamma_aux, aux.u, gth, params,
-                                         opts)
-            settled = _settled_columns(eta, form, screen_gradient(eta, aux, gamma, beta, gram,
-                                                                  params), gth,
-                                       opts.inner_tolerance)
-            for t in np.flatnonzero(~settled):
-                alone = column_solve(np.array([t]), eta, aux, gamma, beta, gram, params, opts,
-                                     d[:, [t]].T, gth[[t]])[0]
-                assert np.max(np.abs(block[:, t] - alone)) <= 1e-10 * max(1.0, np.max(alone))
-            batched += int((~settled).sum() > 1)
+            block = block_columns(eta, aux, channel, params, opts, d, gth)
+            for t in range(d.shape[1]):
+                alone = np.arange(d.shape[1]) == t
+                kept = block_columns(eta, aux, channel, params, opts, np.where(alone, d, block),
+                                     np.where(alone, gth, 0.0))[:, t]
+                assert np.max(np.abs(kept - block[:, t])) <= 1e-10 * max(1.0, np.max(block[:, t]))
+            batched += int((~screened(eta, form, aux, channel, params, gth, opts)).sum() > 1)
     assert batched >= 10
 
 
@@ -286,54 +282,40 @@ def test_vertex_oracle_maximizes_a_linear_function_over_the_box_and_coverage(n):
 
 
 def test_first_block_ascent_starts_at_the_frank_wolfe_vertex(monkeypatch):
-    # desk_sweep seed-7 call 0, association_only at alpha 0.001. The first association
-    # block starts at D = ones. Its ascent starts each all-ones column at
-    # b = LMO(grad f(LMO(lin))), ends within 1e-9 of the ascent from ones and takes
-    # fewer grad calls.
+    # desk_sweep seed-7 call 0 at alpha 0.001, association_only and joint. The first
+    # association block of a solve starts at D = ones, so the solve's first ascent is
+    # that block's batched one. It starts each column at b = LMO(grad f(LMO(lin))),
+    # lin = grad f(0), ends within 1e-9 of the ascent from ones and takes fewer grad calls.
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import WORKLOADS, call_seed
 
-    config = WORKLOADS["desk_sweep"].build(cf, call_seed(7, 0), "unused")
-    config = replace(config, alphas=(0.001,),
-                     scenarios=(cf.Scenario(kind="association_only"),))
-    original_columns, original_ascent = _association_columns, fp_solver.pga_maximize
-    blocks, ascents = [], []
-
-    def columns(model, objective, fac, options, x0, gth):
-        # The block's first ascent is its batched one; _bound_column's follow it.
-        blocks.append((np.array(x0), objective[1], len(ascents)))
-        return original_columns(model, objective, fac, options, x0, gth)
+    config = replace(WORKLOADS["desk_sweep"].build(cf, call_seed(7, 0), "unused"),
+                     alphas=(0.001,))
+    original_ascent = fp_solver.pga_maximize
+    ascents = []
 
     def ascent(fun, grad, project, x0, **kwargs):
         ascents.append((fun, grad, np.array(x0), kwargs))
         return original_ascent(fun, grad, project, x0, **kwargs)
 
-    monkeypatch.setattr(fp_solver, "_association_columns", columns)
     monkeypatch.setattr(fp_solver, "pga_maximize", ascent)
-    cf.run_experiment(config)
     starts = 0
-    for x0, lin, i in blocks:
-        ones = np.all(x0 == 1.0, axis=1)
-        if not ones.any():
-            continue
-        fun, grad, start, kwargs = ascents[i]
-        b = _vertex_oracle(grad(_vertex_oracle(lin)))
-        assert np.array_equal(start[ones], b[ones]) and np.array_equal(start[~ones], x0[~ones])
+    for kind in ("association_only", "joint"):
+        ascents.clear()
+        cf.run_experiment(replace(config, scenarios=(cf.Scenario(kind=kind),)))
+        fun, grad, start, kwargs = ascents[0]
+        ones = np.ones_like(start)
+        assert np.array_equal(start, _vertex_oracle(grad(_vertex_oracle(grad(0.0 * ones)))))
         ends = []
-        for begin in (start, x0):
-            calls = [0]
-
-            def counted(x, grad=grad, calls=calls):
-                calls[0] += 1
-                return grad(x)
-
-            ends.append((original_ascent(fun, counted, project_box_polyhedron, begin,
-                                         **kwargs)[0], calls[0]))
+        for begin in (start, ones):
+            counted = mock.Mock(wraps=grad)
+            x = original_ascent(fun, counted, project_box_polyhedron, begin, **kwargs)[0]
+            ends.append((x, counted.call_count))
         (x_b, calls_b), (x_ones, calls_ones) = ends
         assert np.max(np.abs(x_b - x_ones)) <= 1e-9
         assert calls_b < calls_ones
-        starts += int(ones.sum())
-    assert blocks and starts >= 5
+        starts += start.shape[0]
+    assert starts >= 5
 
 
 @pytest.mark.parametrize("mode", ["association_only", "joint"])
@@ -718,6 +700,7 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
     eta = _feasibility_powers(d, gamma, beta, gram, params)
     aux = refresh_aux(eta, _power_form(d, gamma, beta, gram, params), params)
     gth = _qos_thresholds(params, d.shape[1])
+    block = block_columns(eta, aux, (gamma, beta, gram), params, cf.SolverOptions(), d, gth)
     for t in range(d.shape[1]):
         stacked = _column_model(np.array([t]), eta, gamma, beta, gram, params)
         model = tuple(part[0] for part in stacked)
@@ -732,8 +715,7 @@ def test_association_column_reaches_constrained_optimum(desk_channel, seed):
                           "jac": lambda z: np.ones_like(z)},
                          {"type": "ineq", "fun": psi, "jac": psi_grad}],
             options={"ftol": 1e-14, "maxiter": 1000})
-        x = column_solve(np.array([t]), eta, aux, gamma, beta, gram, params, cf.SolverOptions(),
-                         d[:, [t]].T, gth[[t]])[0]
+        x = block[:, t]
         assert psi(x) >= -1e-9
         assert x.sum() >= 1.0 - 1e-9
         assert fun(x) >= -ref.fun - 1e-6 * abs(ref.fun)
@@ -988,28 +970,10 @@ def test_alternate_keeps_qos_target_of_column_on_its_boundary():
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
 
 
-def _count_line_runs(hits, function, text, offset=0):
-    """A sys.settrace tracer that appends to hits each run of the line of function
-    whose source holds text (or of the line offset lines below it)."""
-    lines, first = inspect.getsourcelines(function)
-    target = first + next(i for i, line in enumerate(lines) if text in line) + offset
-
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == target:
-            hits.append(target)
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code is function.__code__ else None
-
-    return tracer
-
-
-def _hard_solve_alone(monkeypatch, call, drop, alpha, kind, counted):
-    """(record, recorded, hits): the solve of one scenario kind at one alpha in drop of
-    record set desk_hard's call (tools/record_diff.py), run alone through
-    harness._run_drop under _count_line_runs(hits, *counted), and its record in the call's
-    full run of that drop."""
+def _hard_solve_alone(monkeypatch, call, drop, alpha, kind):
+    """The record of one scenario kind at one alpha in drop of record set desk_hard's call
+    (tools/record_diff.py), run alone: its trace is monotone, and it is its record in the
+    call's full run of that drop in every field but the wall time."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.syspath_prepend(str(TOOLS))
     import record_diff
@@ -1019,56 +983,31 @@ def _hard_solve_alone(monkeypatch, call, drop, alpha, kind, counted):
     (recorded,) = [r for r in cf.harness._run_drop(config, drop)
                    if (r.scenario, r.alpha) == (kind, alpha)]
     alone = replace(config, alphas=(alpha,), scenarios=(cf.Scenario(kind=kind),))
-    hits, previous = [], sys.gettrace()
-    sys.settrace(_count_line_runs(hits, *counted))
-    try:
-        (record,) = cf.harness._run_drop(alone, drop)
-    finally:
-        sys.settrace(previous)
-    return record, recorded, hits
-
-
-def _assert_same_record(record, recorded):
+    (record,) = cf.harness._run_drop(alone, drop)
+    trace = record.trace
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
     for field in fields(record):
         if field.name != "wall_time":
             assert np.array_equal(getattr(record, field.name), getattr(recorded, field.name))
+    return record
 
 
 def test_joint_column_bisection_runs_to_its_end(monkeypatch):
-    # Record set desk_hard (tools/record_diff.py) at qos 1.0, drop 12, joint, alpha
-    # 0.004: _bound_column's bisection closes the bracket of nu twice, its one exit that
-    # no other record reaches; the count follows from its vertex starts, which have no
-    # face point and take the ascent. The solve alone gives its record in the set.
-    record, recorded, hits = _hard_solve_alone(
-        monkeypatch, "qos1.0", 12, 0.004, "joint",
-        (fp_solver._bound_column, "return x_hi[None], False"))
-    assert len(hits) == 2
-    assert record.feasible
-    trace = record.trace
-    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
-    _assert_same_record(record, recorded)
+    # Record set desk_hard at qos 1.0, drop 12, joint, alpha 0.004: a binding column's
+    # bisection of its multiplier closes its bracket, and the solve stays feasible. This
+    # solve and the three below run paths no other record runs (record_diff.py reach).
+    assert _hard_solve_alone(monkeypatch, "qos1.0", 12, 0.004, "joint").feasible
 
 
-@pytest.mark.parametrize("drop, alpha, kind, counted", [
-    pytest.param(6, 1.0, "association_only",
-                 (fp_solver._face_point, "mat[:m, m + 1] = mat[m + 1, :m] = 1.0"),
-                 id="face-coverage-tight-6"),
-    pytest.param(17, 3.0, "joint",
-                 (fp_solver._face_point, "mat[:m, m + 1] = mat[m + 1, :m] = 1.0"),
-                 id="face-coverage-tight-17"),
-    pytest.param(12, 3.0, "joint", (opt.pga_maximize, "if not np.count_nonzero(moved):", 1),
-                 id="ascent-with-no-move")])
-def test_large_penalties_reach_the_coverage_branches(monkeypatch, drop, alpha, kind, counted):
-    # Record set desk_hard's call alpha1-3 (alphas 1 and 3, qos 1.0) reaches, once each,
-    # two branches that no record at alpha <= 0.004 runs: a binding column's face
-    # Newton held on the coverage row (_face_point) and an ascent in which no member
-    # moves (opt.pga_maximize). The solve alone gives its record in the set.
-    record, recorded, hits = _hard_solve_alone(monkeypatch, "alpha1-3", drop, alpha, kind,
-                                               counted)
-    assert len(hits) == 1
-    trace = record.trace
-    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
-    _assert_same_record(record, recorded)
+@pytest.mark.parametrize("drop, alpha, kind", [
+    pytest.param(6, 1.0, "association_only", id="face-coverage-tight-6"),
+    pytest.param(17, 3.0, "joint", id="face-coverage-tight-17"),
+    pytest.param(12, 3.0, "joint", id="ascent-with-no-move")])
+def test_large_penalties_reach_the_coverage_branches(monkeypatch, drop, alpha, kind):
+    # Record set desk_hard's call alpha1-3 (alphas 1 and 3, qos 1.0) reaches two branches
+    # that no record at alpha <= 0.004 runs: a binding column's face Newton held on the
+    # coverage row (drops 6 and 17) and an ascent in which no member moves (drop 12).
+    _hard_solve_alone(monkeypatch, "alpha1-3", drop, alpha, kind)
 
 
 def test_alternate_builds_one_interference_state_per_association_matrix(desk_channel,
@@ -1082,18 +1021,13 @@ def test_alternate_builds_one_interference_state_per_association_matrix(desk_cha
     assert res.iterations > 1
     assert forms[0] == calls[0] == 0    # every power block reads the start form of d
 
-    repairs = []
-    original_repair = fp_solver._repair_columns
-
-    def repair(*args, **kwargs):
-        repairs.append(1)
-        return original_repair(*args, **kwargs)
-
-    monkeypatch.setattr(fp_solver, "_repair_columns", repair)
     calls[0] = forms[0] = 0
     res = cf.alternate(gamma, beta, gram, params, cf.SolverOptions(), mode="joint",
                        start_form=start)
-    assert repairs and res.feasibility.all()
+    # The repair ran: it re-added APs that rounding took away.
+    assert not np.array_equal(res.d_binary, cf.round_association(res.d_relaxed,
+                                                                 cf.SolverOptions(), gamma))
+    assert res.feasibility.all()
     # One per association block, the rounded and the repaired d_binary.
     assert calls[0] <= res.iterations + 2
     assert forms[0] == calls[0] >= res.iterations

@@ -378,6 +378,29 @@ def test_load_config_names_unknown_field(tmp_path):
         cf.load_config(write_config(tmp_path, {"network": {"num_apz": 3}}))
 
 
+HUGE = 10 ** 400     # an integer of 401 digits, beyond the largest float
+
+
+@pytest.mark.parametrize("name, override", [pytest.param(*case, id=case[0]) for case in (
+    ("pilot_snr", {"pilot_snr": HUGE}), ("params.uplink_snr", {"params": {"uplink_snr": HUGE}}),
+    ("params.qos", {"params": {"qos": HUGE}}),
+    ("params.qos[9]", {"params": {"qos": [0.2] * 9 + [HUGE]}}),
+    ("alphas[1]", {"alphas": [0.001, HUGE]}),
+    ("path_loss.slopes[2]", {"path_loss": {"slopes": [35, 20, HUGE]}}),
+    ("scenarios[0].fpc_exponent",
+     {"scenarios": [{"kind": "fractional_power_control", "fpc_exponent": HUGE}]}))])
+def test_an_integer_too_large_for_a_float_is_named(tmp_path, capsys, name, override):
+    # A number field or list entry that no float holds is named by load_config, and the
+    # CLI rejects it on one line, not with an OverflowError traceback.
+    from cfmimo.cli import main
+    message = f"{name} must be a number a float holds, not an integer of 401 digits"
+    path = write_config(tmp_path, override)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cf.load_config(path)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+
+
 def test_experiment_config_operating_regime(tmp_path):
     # The regime T < M*A reads the antenna count from params: T=10 > M*A=8.
     with pytest.raises(ValueError, match="operating regime"):

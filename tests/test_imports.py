@@ -1,6 +1,8 @@
-"""Every module of the package, the tests and the tools uses each name it imports."""
+"""Every module of the package, the tests and the tools uses each name it imports, and
+the tests name no more of the solver's private functions than they list."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,24 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=str)
 def test_no_unused_import(path):
     assert unused_imports((ROOT / path).read_text()) == []
+
+
+# The module-level private functions of fp_solver.py and opt.py named anywhere in tests/*.py;
+# a test that names one more or one fewer changes this list in the same diff. This file and
+# test_record_diff.py, which checks the line census tool on solver lines, are left out.
+NAMED_SOLVER_INTERNALS = {
+    "_arc_search", "_box_maximizer", "_column_lagrangian", "_column_model", "_column_objective",
+    "_column_terms", "_dual_const", "_dual_power_solve", "_newton_direction",
+    "_power_coefficients", "_power_form", "_qos_approximation", "_qos_rows", "_qos_start",
+    "_qos_thresholds", "_quadratic", "_rows_hold", "_settled_columns", "_u_star",
+    "_vertex_oracle", "_wprime"}
+
+
+def test_tests_name_only_the_listed_solver_internals():
+    private = {node.name for module in ("fp_solver.py", "opt.py")
+               for node in ast.parse((ROOT / "src/cfmimo" / module).read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    named = {word for path in (ROOT / "tests").glob("*.py")
+             if path.name not in ("test_record_diff.py", Path(__file__).name)
+             for word in re.findall(r"\b_\w+", path.read_text())}
+    assert private & named == NAMED_SOLVER_INTERNALS

@@ -117,7 +117,7 @@ def test_superlevel_projection_shrinks_distance_vs_alternatives():
 
 def _box_quadratic(b, diag, grads):
     """(fun, grad, hess_factor) of b.x - 0.5 diag.x^2 = b.x - ||L^T x||^2 on a stack of one,
-    L = diag(sqrt(diag / 2)); grads counts the grad calls."""
+    L = diag(sqrt(diag / 2)); grads logs the grad calls."""
     fac = np.diag(np.sqrt(diag / 2.0))[None]
     return (*_counted_quadratic(b[None], fac, grads), fac)
 
@@ -127,7 +127,7 @@ def test_pga_matches_box_quadratic_closed_form():
     rng = np.random.default_rng(3)
     diag = rng.uniform(0.5, 3.0, size=6)
     b = rng.normal(size=6)
-    fun, grad, fac = _box_quadratic(b, diag, [0])
+    fun, grad, fac = _box_quadratic(b, diag, [])
     start = np.full((1, 6), 0.5)
     x, fx = pga_maximize(fun, grad, project_box_polyhedron, start, max_iters=500, tol=1e-10,
                          hess_factor=fac)
@@ -140,7 +140,7 @@ def test_pga_matches_box_quadratic_closed_form():
 def test_pga_never_returns_worse_than_start():
     rng = np.random.default_rng(4)
     diag = rng.uniform(0.5, 3.0, size=4)
-    fun, grad, fac = _box_quadratic(np.zeros(4), diag, [0])
+    fun, grad, fac = _box_quadratic(np.zeros(4), diag, [])
     start = np.array([[0.3, 0.1, 0.9, 0.5]])
     x, fx = pga_maximize(fun, grad, project_box_polyhedron, start, max_iters=3, tol=1e-14,
                          hess_factor=fac)
@@ -153,12 +153,12 @@ def test_newton_steps_reach_box_quadratic_closed_form_exactly():
     rng = np.random.default_rng(3)
     diag = rng.uniform(0.5, 3.0, size=6)
     b = rng.normal(size=6)
-    grads = [0]
+    grads = []
     fun, grad, fac = _box_quadratic(b, diag, grads)
     x, fx = pga_maximize(fun, grad, project_box_polyhedron, np.full((1, 6), 0.5),
                          max_iters=500, tol=1e-14, hess_factor=fac)
     assert np.allclose(x[0], np.clip(b / diag, 0.0, 1.0), rtol=0.0, atol=1e-15)
-    assert grads[0] - 1 <= 3
+    assert len(grads) - 1 <= 3
 
 
 def _box_coverage_quadratics(rng, k, n):
@@ -181,51 +181,80 @@ def _box_coverage_quadratics(rng, k, n):
     return lin, fac, x0
 
 
-def _counted_quadratic(lin, fac, grads):
+def _counted_quadratic(lin, fac, log):
+    """(fun, grad) of the stacked quadratics lin.x - ||L^T x||^2; log gets, per grad call,
+    its point x, the gradient g and a list that _logged_project fills."""
     def fun(x):
         v = np.vecmat(x, fac)
         return np.vecdot(lin, x) - np.vecdot(v, v)
 
     def grad(x):
-        grads[0] += 1
-        return lin - 2.0 * np.matvec(fac, np.vecmat(x, fac))
+        log.append((x, lin - 2.0 * np.matvec(fac, np.vecmat(x, fac)), []))
+        return log[-1][1]
 
     return fun, grad
 
 
+def _logged_project(log):
+    """project_box_polyhedron, each input logged under the last grad call in log: in an
+    iteration of the ascent, x + g, then one trial stack per arc-search pass."""
+    def project(y):
+        if log:
+            log[-1][2].append(y)
+        return project_box_polyhedron(y)
+
+    return project
+
+
+def _reduced_systems(x, g, fac, tol):
+    """(ridged, singular) of each member's reduced Newton system at x with gradient g, by
+    the ascent's definition: on the free entries of y = project(x + g), bordered by
+    coverage where y meets it, ridged where they outnumber the rank plus coverage."""
+    y = project_box_polyhedron(x + g)
+    free = (y > 0.0) & (y < 1.0)
+    tight = y.sum(axis=1) <= 1.0 + 1e-12
+    nf = free.sum(axis=1)
+    live = np.abs(y - x).max(axis=1) > tol
+    ridged = live & (nf > (fac != 0.0).any(axis=1).sum(axis=1) + tight)
+    singular = np.zeros_like(live)
+    for i in np.flatnonzero(live & ~ridged & (nf > 0)):
+        lf, border = fac[i][free[i]], np.ones((nf[i], int(tight[i])))
+        mat = np.block([[2.0 * lf @ lf.T, border], [border.T, np.zeros((border.shape[1],) * 2)]])
+        singular[i] = np.linalg.matrix_rank(mat) < mat.shape[0]
+    return ridged, singular
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_batched_ascent_moves_each_member_as_alone(monkeypatch, seed):
+def test_batched_ascent_moves_each_member_as_alone(seed):
     # Every member of a stack takes the steps it takes as a stack of one: the same
     # optimum within 1e-10, and the stack runs as many iterations as its slowest
-    # member. Member 0's reduced system is singular: it alone takes the gradient step.
+    # member. Member 0's reduced system is singular: it alone takes the gradient step,
+    # its first trial of that iteration a positive multiple of its gradient.
     rng = np.random.default_rng(seed)
     k, n = 6, 12
     lin, fac, x0 = _box_coverage_quadratics(rng, k, n)
+    log = []
+    x, fx = pga_maximize(*_counted_quadratic(lin, fac, log), _logged_project(log), x0,
+                         max_iters=300, tol=1e-12, hess_factor=fac)
     singular = []
-    solve_each = opt._solve_each
-
-    def recording(mat, rhs):
-        sol, ok = solve_each(mat, rhs)
-        singular.append(np.flatnonzero(~np.broadcast_to(ok, rhs.shape[:1])).tolist())
-        return sol, ok
-
-    monkeypatch.setattr(opt, "_solve_each", recording)
-    grads = [0]
-    x, fx = pga_maximize(*_counted_quadratic(lin, fac, grads),
-                         project_box_polyhedron, x0, max_iters=300,
-                         tol=1e-12, hess_factor=fac)
-    assert [0] in singular
+    for xi, g, inputs in log:
+        for i in np.flatnonzero(_reduced_systems(xi, g, fac, 1e-12)[1]):
+            trial = inputs[1][i] - xi[i]
+            scale = trial @ g[i] / (g[i] @ g[i])
+            assert scale > 0.0 and np.allclose(trial, scale * g[i], rtol=1e-12, atol=0.0)
+            singular.append(i)
+    assert 0 in singular
     iters = []
     for i in range(k):
         one = slice(i, i + 1)
-        single = [0]
+        single = []
         xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], single),
                               project_box_polyhedron, x0[one],
                               max_iters=300, tol=1e-12, hess_factor=fac[one])
-        iters.append(single[0] - 1)
+        iters.append(len(single) - 1)
         assert np.max(np.abs(x[i] - xi[0])) <= 1e-10
         assert abs(fx[i] - fi[0]) <= 1e-10 * max(1.0, abs(fi[0]))
-    assert grads[0] - 1 == max(iters) and len(set(iters)) > 1
+    assert len(log) - 1 == max(iters) and len(set(iters)) > 1
     assert np.array_equal(x[0, :2], [1.0, 1.0]) and not x[0, 2:].any()
 
 
@@ -253,8 +282,7 @@ def test_vertex_start_takes_ridge_steps(monkeypatch):
     # not a gradient step. Each member still ends where it ends alone.
     lin, fac, x0, ranks = _vertex_start_quadratics()
     k = x0.shape[0]
-    grads = [0]
-    fun, grad = _counted_quadratic(lin, fac, grads)
+    fun, grad = _counted_quadratic(lin, fac, [])
     y = project_box_polyhedron(x0 + grad(x0))
     assert np.all(((y > 0.0) & (y < 1.0)).sum(axis=1) > np.array(ranks) + 1)
     searches = []
@@ -274,7 +302,7 @@ def test_vertex_start_takes_ridge_steps(monkeypatch):
     assert np.all((halved == x_first).all(axis=2).any(axis=0))
     for i in range(k):
         one = slice(i, i + 1)
-        xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], [0]),
+        xi, fi = pga_maximize(*_counted_quadratic(lin[one], fac[one], []),
                               project_box_polyhedron, x0[one], max_iters=300, tol=1e-12,
                               hess_factor=fac[one])
         assert np.max(np.abs(x[i] - xi[0])) <= 1e-10
@@ -312,7 +340,7 @@ def test_arc_search_takes_each_members_first_armijo_trial(monkeypatch, stack):
         lin, fac, x0, _ = _vertex_start_quadratics()
     else:
         lin, fac, x0 = _box_coverage_quadratics(np.random.default_rng(0), 6, 12)
-    fun, grad = _counted_quadratic(lin, fac, [0])
+    fun, grad = _counted_quadratic(lin, fac, [])
     shapes, picks = set(), []
 
     def shaped(call):
@@ -343,28 +371,25 @@ def test_arc_search_takes_each_members_first_armijo_trial(monkeypatch, stack):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_zero_factor_columns_are_padding_wherever_they_stand(monkeypatch, seed):
+def test_zero_factor_columns_are_padding_wherever_they_stand(seed):
     # The stack of test_batched_ascent_moves_each_member_as_alone (ranks 1 to 3, a
     # singular member, a linear one) with each member's factor columns spread to slots
     # 1, 3 and 5 of 7: zero columns before, between and after the nonzero ones. The
-    # rank the Newton steps read counts only each member's nonzero columns, and the
-    # ascent ends within 1e-12 of the one on the packed factors.
+    # ascent takes the steps it takes on the packed factors: as many iterations, each
+    # iterate and the end within 1e-12.
     rng = np.random.default_rng(seed)
     k, n = 6, 12
     lin, packed, x0 = _box_coverage_quadratics(rng, k, n)
     spread = np.zeros((k, n, 7))
     spread[:, :, [1, 3, 5]] = packed
-    ranks = []
-    newton_steps = opt._newton_steps
-
-    def recording(x, g, y, live, lfac, rank):
-        ranks.append(rank.tolist())
-        return newton_steps(x, g, y, live, lfac, rank)
-
-    monkeypatch.setattr(opt, "_newton_steps", recording)
-    runs = [pga_maximize(*_counted_quadratic(lin, fac, [0]), project_box_polyhedron, x0,
-                         max_iters=300, tol=1e-12, hess_factor=fac) for fac in (packed, spread)]
-    assert ranks and all(r == (packed != 0.0).any(axis=1).sum(axis=1).tolist() for r in ranks)
+    runs, logs = [], []
+    for fac in (packed, spread):
+        log = []
+        runs.append(pga_maximize(*_counted_quadratic(lin, fac, log), project_box_polyhedron, x0,
+                                 max_iters=300, tol=1e-12, hess_factor=fac))
+        logs.append([xi for xi, _, _ in log])
+    assert len(logs[0]) == len(logs[1]) > 2
+    assert all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(*logs))
     (x, fx), (x_spread, fx_spread) = runs
     assert np.max(np.abs(x_spread - x)) <= 1e-12
     assert np.all(np.abs(fx_spread - fx) <= 1e-12 * np.maximum(1.0, np.abs(fx)))
@@ -373,7 +398,7 @@ def test_zero_factor_columns_are_padding_wherever_they_stand(monkeypatch, seed):
 def _slsqp_max(lin, fac, x0):
     """SciPy SLSQP's maximum of lin.x - ||fac^T x||^2 over the box and coverage from x0."""
     optimize = pytest.importorskip("scipy.optimize")
-    fun, grad = _counted_quadratic(lin[None], fac[None], [0])
+    fun, grad = _counted_quadratic(lin[None], fac[None], [])
     ref = optimize.minimize(lambda z: -fun(z[None])[0], x0, jac=lambda z: -grad(z[None])[0],
                             method="SLSQP", bounds=[(0.0, 1.0)] * x0.size,
                             constraints=[{"type": "ineq", "fun": lambda z: z.sum() - 1.0,
@@ -382,27 +407,21 @@ def _slsqp_max(lin, fac, x0):
     return -ref.fun
 
 
-def test_ridge_steps_reach_the_slsqp_optimum(monkeypatch):
+def test_ridge_steps_reach_the_slsqp_optimum():
     # The stacks of test_batched_ascent_moves_each_member_as_alone (ranks 0 to 3, linear
     # members among them) over 200 seeds: members whose reduced Hessian is singular
     # (more free entries than rank plus coverage) take the ridged Newton step, and every
     # member ends within rounding of SLSQP's best value from its start and from ones.
-    singular = [0]
-    newton_steps = opt._newton_steps
-
-    def recording(x, g, y, live, lfac, rank):
-        free = (y > 0.0) & (y < 1.0)
-        tight = y.sum(axis=1) <= 1.0 + 1e-12
-        singular[0] += np.count_nonzero(live & (free.sum(axis=1) > rank + tight))
-        return newton_steps(x, g, y, live, lfac, rank)
-
-    monkeypatch.setattr(opt, "_newton_steps", recording)
+    ridged = 0
     k, n = 6, 12
     for seed in range(200):
         lin, fac, x0 = _box_coverage_quadratics(np.random.default_rng(seed), k, n)
-        x, fx = pga_maximize(*_counted_quadratic(lin, fac, [0]), project_box_polyhedron, x0,
+        log = []
+        x, fx = pga_maximize(*_counted_quadratic(lin, fac, log), project_box_polyhedron, x0,
                              max_iters=400, tol=1e-12, hess_factor=fac)
+        ridged += sum(np.count_nonzero(_reduced_systems(xi, g, fac, 1e-12)[0])
+                      for xi, g, _ in log)
         for i in range(k):
             best = max(_slsqp_max(lin[i], fac[i], x0[i]), _slsqp_max(lin[i], fac[i], np.ones(n)))
             assert fx[i] >= best - 1e-14 * max(1.0, abs(best)), (seed, i)
-    assert singular[0] > 1000
+    assert ridged > 1000

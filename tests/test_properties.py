@@ -1,15 +1,16 @@
 """Property tests on random small instances (Hypothesis, derandomized)."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import cfmimo as cf
-from cfmimo.fp_solver import (_association_columns, _bound_column, _column_lagrangian,
-                              _column_model, _column_objective, _column_terms, _power_form,
-                              _qos_approximation, _qos_start, _qos_thresholds, _quadratic,
-                              refresh_aux)
+import cfmimo.fp_solver as fp_solver
+from cfmimo.fp_solver import (_column_lagrangian, _column_model, _column_objective,
+                              _column_terms, _power_form, _qos_approximation, _qos_start,
+                              _qos_thresholds, _quadratic, refresh_aux)
 from cfmimo.opt import pga_maximize, project_box_polyhedron
 from conftest import build_synthetic_channel, ones_form, qos_psi
 from reference import bisect_bound_column
@@ -74,10 +75,10 @@ def test_stacked_projection_is_the_rows_projections(seed, w, k, n):
 
 
 def _column_problem(seed, alpha=None):
-    """A random synthetic column problem of one UE t: its column model and objective
-    as a stack of one (the shapes of the association block), the objective's (fun,
-    grad), and a start x0 (one column) that is all ones, binary or fractional. alpha
-    replaces the drawn l1 weight where given."""
+    """A random synthetic column problem of one UE t: its column model and objective as
+    a stack of one (the shapes of the association block), the objective's (fun, grad), a
+    start x0 (one column) that is all ones, binary or fractional, and block, the
+    association block's column t. alpha replaces the drawn l1 weight where given."""
     rng = np.random.default_rng(seed)
     num_aps, num_ues = int(rng.integers(3, 13)), int(rng.integers(2, 6))
     drawn = float(rng.choice([0.0, 0.01, 0.1]))
@@ -89,12 +90,23 @@ def _column_problem(seed, alpha=None):
     t = int(rng.integers(num_ues))
     model = _column_model(np.array([t]), eta, gamma, beta, gram, params)
     objective = _column_objective(np.array([t]), model, aux.gamma_aux, aux.u, params)
-    fun, grad, fac = _column_lagrangian(model, objective)
+    fun, grad, _ = _column_lagrangian(model, objective)
     x0 = [np.ones(num_aps), (rng.uniform(size=num_aps) < 0.5).astype(float), d[:, t]][seed % 3]
     x0[int(rng.integers(num_aps))] = 1.0
     signal, interference = _column_terms(x0[None], model)
-    return SimpleNamespace(fun=fun, grad=grad, fac=fac, model=model, objective=objective, x0=x0,
-                           sinr0=float(signal[0] / interference[0]))
+    everyone = _column_model(np.arange(num_ues), eta, gamma, beta, gram, params)
+
+    def block(start, gth_t):
+        # Column t of solve_association's matrix from d with column t at start and t
+        # alone holding a target, the SINR threshold gth_t (none at 0).
+        d_start, gth = d.copy(), np.zeros(num_ues)
+        d_start[:, t], gth[t] = start, gth_t
+        return cf.solve_association(eta, _power_form(d_start, gamma, beta, gram, params),
+                                    everyone, aux.gamma_aux, aux.u, gth, params,
+                                    cf.SolverOptions())[:, t]
+
+    return SimpleNamespace(fun=fun, grad=grad, model=model, objective=objective, x0=x0,
+                           sinr0=float(signal[0] / interference[0]), block=block)
 
 
 def _first(parts):
@@ -168,8 +180,7 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
     qos = _qos_approximation(col.x0[None], col.model, np.array([gth_t]))
     hypothesis.assume(qos[2][0] != 0.0)
     psi, psi_grad = qos_psi(_first(col.model), _first(qos))
-    x = _association_columns(col.model, col.objective, col.fac, cf.SolverOptions(),
-                             col.x0[None], np.array([gth_t]))[0]
+    x = col.block(col.x0, gth_t)
     assert psi(x) >= -1e-9
     assert x.sum() >= 1.0 - 1e-9
     best = _slsqp_max(col.fun, col.grad, col.x0,
@@ -178,12 +189,13 @@ def test_association_column_with_qos_target_matches_slsqp(seed, target):
 
 
 def _bound_problem(seed, start, on_target, target):
-    """A binding column problem of _column_problem(seed) as _association_columns hands
-    it to _bound_column, as a stack of one: (args, fun, grad, psi, psi_grad, free, rank). The
-    start x0 is a vertex, on an edge (one free entry), the random column or on a
-    coverage-tight face (two free entries summing to 1, with an l1 weight alpha up to 3
-    that pulls the column onto coverage); its target is its own SINR (psi(x0) = 0) or
-    target times it. None where the target does not bind (or there is none)."""
+    """A binding column problem of _column_problem(seed): (col, x0, gth, ref_args, psi,
+    psi_grad, free, rank), ref_args those of reference.bisect_bound_column, its maximizer
+    the block's column without the target. The start x0 is a vertex, on an edge (one
+    free entry), the random column or on a coverage-tight face (two free entries summing
+    to 1, with an l1 weight alpha up to 3 that pulls the column onto coverage); its
+    target is its own SINR (psi(x0) = 0) or target times it. None where the target does
+    not bind (or there is none)."""
     rng = np.random.default_rng(seed + 1)
     col = _column_problem(seed, rng.uniform(0.0, 3.0) if start == "tight" else None)
     m = col.x0.size
@@ -204,8 +216,7 @@ def _bound_problem(seed, start, on_target, target):
     if qos[2][0] == 0.0:
         return None
     c, w, h = col.model
-    model, objective = (c, w[:, :, w[0].any(axis=0)], h), col.objective
-    fun, grad, fac = _column_lagrangian(model, objective)
+    model = (c, w[:, :, w[0].any(axis=0)], h)
     psi, psi_grad = _quadratic(qos[0], qos[1], qos[2][:, None, None] * model[1])
     opts = cf.SolverOptions()
 
@@ -214,12 +225,12 @@ def _bound_problem(seed, start, on_target, target):
                             tol=opts.inner_tolerance, hess_factor=hess_factor)
 
     tol = 1e-11 * max(1.0, gth)
-    x = ascend(fun, grad, fac, x0[None])[0]
+    x = col.block(x0, 0.0)[None]
     if psi(x)[0] >= -tol:
         return None
     free = int(((x0 > 0.0) & (x0 < 1.0)).sum())
-    return ((model, objective, qos, x0[None], x, tol, ascend, opts.inner_tolerance),
-            fun, grad, psi, psi_grad, free, 1 + model[1].shape[2])
+    return (col, x0, gth, (model, col.objective, qos, x0[None], x, tol, ascend), psi, psi_grad,
+            free, 1 + model[1].shape[2])
 
 
 def _multiplier(x, grad, psi_grad):
@@ -235,31 +246,25 @@ def _multiplier(x, grad, psi_grad):
 
 
 def _check_bound_column(problem):
-    """Run _bound_column and the bisection reference on one problem of _bound_problem;
-    assert the Newton solve drops the same targets, meets psi and ends at least as high.
-    Returns its count of ascents and its column (None where it drops the target)."""
-    args, fun, grad, psi, psi_grad, _, _ = problem
-    ref, ref_dropped = bisect_bound_column(*args[:7])
-    ascents = [0]
-    ascend = args[6]
-
-    def counted(*a):
-        ascents[0] += 1
-        return ascend(*a)
-
-    x, dropped = _bound_column(*args[:6], counted, *args[7:])
+    """Hold the target of a problem of _bound_problem through the association block and
+    the bisection reference; assert the block drops (psi < -tol at its column) the
+    targets the reference drops, meets psi on the others and ends at least as high.
+    Returns the block's count of ascents and its column (None where it drops it)."""
+    col, x0, gth, ref_args, psi, psi_grad, _, _ = problem
+    ref, ref_dropped = bisect_bound_column(*ref_args)
+    with mock.patch.object(fp_solver, "pga_maximize", wraps=fp_solver.pga_maximize) as ascent:
+        x = col.block(x0, gth)[None]
+    dropped = psi(x)[0] < -ref_args[5]      # psi(x) < -tol
     assert dropped == ref_dropped
     if dropped:
-        return ascents[0], None
-    tol = args[5]
-    assert psi(x)[0] >= -tol
+        return ascent.call_count, None
     assert np.all((x >= 0.0) & (x <= 1.0)) and x.sum() >= 1.0 - 1e-12
-    # The loop may end up to tol past the target, which gains it nu (psi(x) - psi(ref))
+    # The block may end up to tol past the target, which gains it nu (psi(x) - psi(ref))
     # over a solve held to psi = 0 (x maximizes fun + nu psi).
-    f_ref = fun(ref)[0]
-    gain = _multiplier(x[0], grad, psi_grad) * max(0.0, psi(x)[0] - psi(ref)[0])
-    assert fun(x)[0] >= f_ref - 1e-9 * abs(f_ref) - gain
-    return ascents[0], x[0]
+    f_ref = col.fun(ref)[0]
+    gain = _multiplier(x[0], col.grad, psi_grad) * max(0.0, psi(x)[0] - psi(ref)[0])
+    assert col.fun(x)[0] >= f_ref - 1e-9 * abs(f_ref) - gain
+    return ascent.call_count, x[0]
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -273,7 +278,7 @@ def test_newton_bound_column_reaches_the_bisection_reference(seed, start, on_tar
     problem = _bound_problem(seed, start, on_target, target)
     hypothesis.assume(problem is not None)
     if on_target:
-        assert abs(problem[3](problem[0][3])[0]) <= 1e-10
+        assert abs(problem[4](problem[1][None])[0]) <= 1e-10
     _check_bound_column(problem)
 
 
@@ -312,9 +317,9 @@ def test_singular_face_takes_the_safeguard_ascent():
     singular = 0
     for seed in range(300):
         problem = _bound_problem(seed, "random", True, 1.0)
-        if problem is not None and problem[5] - 1 > problem[6]:
+        if problem is not None and problem[6] - 1 > problem[7]:
             singular += 1
-            assert _check_bound_column(problem)[0] >= 1
+            assert _check_bound_column(problem)[0] >= 2    # the block's ascent, then one more
     assert singular >= 5
 
 
